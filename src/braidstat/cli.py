@@ -19,7 +19,7 @@ from .coherence import ExprSyntaxError, normalize as normalize_expr, parse_expr
 from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, HermiticityError,
                    ProgramStep, ResourceLimitError, apply_program,
                    check_braid_exchange_relations, check_infinite_statistics,
-                   commutator_defect, gram_matrix, gram_psd_check, sector_dimension)
+                   commutator_defect, gram_matrix, gram_tower, _psd_report, _quotient_rank)
 from .groups import check_transmutation
 from .modelfile import (ModelFileError, load_bicharacter_file, load_hom_file, load_model_file,
                         model_to_dict)
@@ -109,23 +109,22 @@ def cmd_check(args) -> int:
     dims = []
     max_asym = 0.0
     psd: CheckReport | None = None
-    for n in range(n_max + 1):
-        result = gram_matrix(model, n)
+    for n, result in enumerate(gram_tower(model, n_max)):
         max_asym = max(max_asym, result.asymmetry)
         try:
-            dim = sector_dimension(model, n, tol)
-            dims.append({"sector": n, "full": dim.full, "quotient": dim.quotient})
+            dims.append({"sector": n, "full": model.n_generators ** n,
+                         "quotient": _quotient_rank(result, tol)})
         except HermiticityError:
             dims.append({"sector": n, "full": model.n_generators ** n, "quotient": None,
                          "status": SKIPPED})
-        rep = gram_psd_check(model, n, tol)
+        rep = _psd_report(result, tol)
         # keep the worst sector's report; a skipped sector outranks defects
         if psd is None:
             psd = rep
         elif psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
     checks.append(CheckReport.from_defect("gram-hermitian", max_asym, tol))
-    checks.append(psd if psd is not None else CheckReport("gram-psd", PASS, 0.0))
+    checks.append(psd)
 
     report = {
         "command": "check",
@@ -152,9 +151,8 @@ def cmd_gram(args) -> int:
     rank = None
     min_eig = None
     if checks[0].status == PASS:
-        dim = sector_dimension(model, args.sector, tol)
-        rank = dim.quotient
-        psd = gram_psd_check(model, args.sector, tol)
+        rank = _quotient_rank(result, tol)
+        psd = _psd_report(result, tol)
         checks.append(psd)
         min_eig = psd.data.get("min_eigenvalue")
     report = {

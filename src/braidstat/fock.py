@@ -3,16 +3,15 @@ Gram matrices, positivity, and physical sector dimensions.
 
 Creation prepends a letter on the left.  The free annihilator pairs a dual
 letter with the first letter only and kills everything else.  The twisted
-annihilator hops the dual letter rightward through the word, paying the cross
-exchange at every step:
+annihilator hops the dual letter rightward through the word, one linear step
+per letter, through the model's cross term table
+(:attr:`~braidstat.models.ParticleModel.cross_terms`):
 
-    b-_i(w1 ... wn) = sum_k (cross factors past w1 .. w_{k-1}) * <i|w_k>
-                      * (word with position k removed)
+    b-_i(j, rest) = <i|j> rest + s * sum_{(k, l, t) in T(i, j)} t * (l, b-_k(rest))
 
-with a plus sign between consecutive terms by default (``expansion_sign`` on
-the model flips it).  For an explicit cross coupling ``T`` the hop is the
-linear step ``b-_i(j, rest) = <i|j> rest + s * sum_kl T[i,j,k,l] (l, b-_k(rest))``,
-which reduces to the scalar formula in the grade-diagonal case.  By
+with ``s = +1`` by default (``expansion_sign`` on the model flips it).  A
+grade-diagonal model has the single term ``(i, j, eps(grade_j, -grade_i))``
+per pair, so the step pays one exchange phase per letter passed.  By
 construction this makes the twisted commutation relation
 
     b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k = <i|j> * id
@@ -21,13 +20,15 @@ close exactly; :func:`commutator_defect` verifies it numerically.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
-dimension of the physical (null-state-free) sector.
+dimension of the physical (null-state-free) sector.  :func:`gram_tower`
+yields the Grams of sectors ``0..n`` from one pass of the recursion, so a
+caller that needs several sectors builds each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,25 +101,11 @@ def _twisted_on_word(model: ParticleModel, i: int, word: TensorWord,
         if g != 0:
             out[rest] = out.get(rest, 0.0) + g
         sign = float(model.expansion_sign)
-        if model.has_scalar_cross:
-            factor = sign * complex(model.cross_phase(i, j))
-            for sub, amp in _twisted_on_word(model, i, rest, memo).items():
-                moved = (j,) + sub
+        for k, l, t in model.cross_terms[i, j]:
+            factor = sign * t
+            for sub, amp in _twisted_on_word(model, k, rest, memo).items():
+                moved = (l,) + sub
                 out[moved] = out.get(moved, 0.0) + factor * amp
-        else:
-            coupling = model.cross_coupling
-            for k in range(1, model.n_generators + 1):
-                row = coupling[i - 1, j - 1, k - 1]
-                if not row.any():
-                    continue
-                sub_terms = _twisted_on_word(model, k, rest, memo)
-                for l in range(1, model.n_generators + 1):
-                    t = row[l - 1]
-                    if t == 0:
-                        continue
-                    for sub, amp in sub_terms.items():
-                        moved = (l,) + sub
-                        out[moved] = out.get(moved, 0.0) + sign * t * amp
     memo[key] = out
     return out
 
@@ -167,19 +154,9 @@ def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float =
 
 def _wick_twisted_sum(model: ParticleModel, i: int, j: int, v: FockVector) -> FockVector:
     """``sum_kl T[i,j,k,l] b+_l b-_k`` applied to ``v``."""
-    if model.has_scalar_cross:
-        factor = complex(model.cross_phase(i, j))
-        return create(model, j, annihilate_twisted(model, i, v)).scale(factor)
-    coupling = model.cross_coupling
     out = FockVector.zero()
-    for k in range(1, model.n_generators + 1):
-        lowered = annihilate_twisted(model, k, v)
-        if lowered.is_zero:
-            continue
-        for l in range(1, model.n_generators + 1):
-            t = coupling[i - 1, j - 1, k - 1, l - 1]
-            if t != 0:
-                out = out + create(model, l, lowered).scale(t)
+    for k, l, t in model.cross_terms[i, j]:
+        out = out + create(model, l, annihilate_twisted(model, k, v)).scale(t)
     return out
 
 
@@ -220,17 +197,18 @@ class SectorDimension(NamedTuple):
     quotient: int
 
 
-def gram_matrix(model: ParticleModel, n: int) -> GramResult:
-    """Matrix of scalar products between all sector-``n`` basis words.
+def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
+    """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
 
     Built iteratively: with ``B_i`` the matrix of ``b-_i`` from sector ``m``
     to ``m-1``, the block of rows of ``G_m`` whose row word starts with ``i``
-    equals ``G_{m-1} @ B_i``.
+    equals ``G_{m-1} @ B_i``.  One hop memo serves every sector.
     """
     _guard_sector(model, n)
     n_gen = model.n_generators
     gram = np.ones((1, 1), dtype=complex)
     memo: dict = {}
+    yield GramResult([()], gram, 0.0, True)
     for m in range(1, n + 1):
         cols = basis_words(n_gen, m)
         prev_size = n_gen ** (m - 1)
@@ -243,35 +221,53 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
                     lower[word_index(w2, n_gen), c] += amp
             new_gram[(i - 1) * prev_size: i * prev_size, :] = gram @ lower
         gram = new_gram
-    asymmetry = float(np.abs(gram - gram.conj().T).max())
-    scale = max(1.0, float(np.abs(gram).max()))
-    return GramResult(basis_words(n_gen, n), gram, asymmetry, asymmetry <= 1e-9 * scale)
+        asymmetry = float(np.abs(gram - gram.conj().T).max())
+        yield GramResult(cols, gram, asymmetry, asymmetry <= 1e-9 * _scale(gram))
 
 
-def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
-    """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
-    result = gram_matrix(model, n)
-    scale = max(1.0, float(np.abs(result.matrix).max()))
-    if result.asymmetry > tol * scale:
-        raise HermiticityError(result.asymmetry, n)
+def _scale(gram: np.ndarray) -> float:
+    """Size of the largest entry, at least 1: the unit of the relative cuts."""
+    return max(1.0, float(np.abs(gram).max()))
+
+
+def gram_matrix(model: ParticleModel, n: int) -> GramResult:
+    """Matrix of scalar products between all sector-``n`` basis words."""
+    for result in gram_tower(model, n):
+        pass
+    return result
+
+
+def _quotient_rank(result: GramResult, tol: float) -> int:
+    """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
+    if result.asymmetry > tol * _scale(result.matrix):
+        raise HermiticityError(result.asymmetry, len(result.words[0]))
     singular = np.linalg.svd(result.matrix, compute_uv=False)
     top = float(singular.max(initial=0.0))
-    rank = int(np.count_nonzero(singular >= tol * max(1.0, top)))
-    return SectorDimension(model.n_generators ** n, rank)
+    return int(np.count_nonzero(singular >= tol * max(1.0, top)))
 
 
-def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix."""
-    result = gram_matrix(model, n)
-    scale = max(1.0, float(np.abs(result.matrix).max()))
+def _psd_report(result: GramResult, tol: float) -> CheckReport:
+    """``gram-psd`` on one sector Gram; the tolerance is relative to its largest entry."""
+    n = len(result.words[0])
+    scale = _scale(result.matrix)
     if result.asymmetry > tol * scale:
         return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
                            {"sector": n, "asymmetry": result.asymmetry})
     eigenvalues = np.linalg.eigvalsh((result.matrix + result.matrix.conj().T) / 2.0)
     min_eig = float(eigenvalues.min())
-    status = PASS if min_eig >= -tol else FAIL
+    status = PASS if min_eig >= -tol * scale else FAIL
     return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
                        {"sector": n, "min_eigenvalue": min_eig})
+
+
+def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
+    """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
+    return SectorDimension(model.n_generators ** n, _quotient_rank(gram_matrix(model, n), tol))
+
+
+def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
+    """Positive semidefiniteness of the sector Gram matrix."""
+    return _psd_report(gram_matrix(model, n), tol)
 
 
 def _gram_norm(vector: FockVector, gram: GramResult, n_gen: int) -> float:
@@ -304,15 +300,8 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     genuinely has no create-create relation.
     """
     n_gen = model.n_generators
-    _guard_sector(model, n_max + 2)
-    grams: dict[int, GramResult] = {}
-
-    def gram_for(m: int) -> GramResult:
-        if m not in grams:
-            grams[m] = gram_matrix(model, m)
-        return grams[m]
-
-    coupling = model.braid_coupling
+    grams = list(gram_tower(model, n_max + 2))
+    terms = model.braid_terms
     line_defects = {"create-create": 0.0, "annihilate-annihilate": 0.0, "mixed": 0.0}
     witness = None
     worst = 0.0
@@ -323,24 +312,17 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
                 for j in range(1, n_gen + 1):
                     defects = {}
                     raised = FockVector.basis((i, j) + w)
-                    for k in range(1, n_gen + 1):
-                        for l in range(1, n_gen + 1):
-                            r = coupling[i - 1, j - 1, k - 1, l - 1]
-                            if r != 0:
-                                raised = raised - FockVector.basis((k, l) + w).scale(r)
-                    defects["create-create"] = _gram_norm(raised, gram_for(n + 2), n_gen)
+                    for k, l, r in terms[i, j]:
+                        raised = raised - FockVector.basis((k, l) + w).scale(r)
+                    defects["create-create"] = _gram_norm(raised, grams[n + 2], n_gen)
                     if n >= 2:
                         lowered = annihilate_twisted(model, i, annihilate_twisted(model, j, base))
-                        for k in range(1, n_gen + 1):
-                            for l in range(1, n_gen + 1):
-                                r = coupling[i - 1, j - 1, k - 1, l - 1]
-                                if r != 0:
-                                    term = annihilate_twisted(
-                                        model, k, annihilate_twisted(model, l, base))
-                                    lowered = lowered - term.scale(r)
-                        defects["annihilate-annihilate"] = _gram_norm(lowered, gram_for(n - 2), n_gen)
+                        for k, l, r in terms[i, j]:
+                            term = annihilate_twisted(model, k, annihilate_twisted(model, l, base))
+                            lowered = lowered - term.scale(r)
+                        defects["annihilate-annihilate"] = _gram_norm(lowered, grams[n - 2], n_gen)
                     defects["mixed"] = _gram_norm(_commutator_residual(model, i, j, base),
-                                                  gram_for(n), n_gen)
+                                                  grams[n], n_gen)
                     for line, d in defects.items():
                         line_defects[line] = max(line_defects[line], d)
                         if d > worst:

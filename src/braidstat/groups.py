@@ -233,9 +233,6 @@ class Bicharacter:
                     t += ai * row[j] * bj
         return RationalPhase(t)
 
-    def factor(self, a: GroupElement, b: GroupElement) -> complex:
-        return complex(self.phase(a, b))
-
     def is_normalized(self) -> NormalizationCheck:
         """Whether ``phase(a,b) * phase(b,a) == 1`` for all pairs.
 

@@ -20,6 +20,7 @@ Schema::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,26 @@ def _expect(condition: bool, message: str) -> None:
         raise ModelFileError(message)
 
 
+def _section(doc: dict, key: str, default: dict | None = None) -> dict:
+    value = doc.get(key, default)
+    _expect(isinstance(value, dict), f"{key} must be a JSON object")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ModelFileError(f"non-finite number {name} is not allowed")
+
+
+def _read_json(path: Path) -> Any:
+    """Parse a JSON file, rejecting ``NaN`` and ``Infinity``."""
+    try:
+        return json.loads(path.read_text(), parse_constant=_reject_constant)
+    except (json.JSONDecodeError, ModelFileError) as exc:
+        raise ModelFileError(f"{path}: not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
+
+
 def _complex_entry(raw: Any, where: str) -> complex:
     if isinstance(raw, (int, float)):
         return complex(raw)
@@ -71,7 +92,7 @@ def model_from_dict(doc: dict) -> LoadedModel:
     for key in ("group", "bicharacter", "generators"):
         _expect(key in doc, f"missing top-level key {key!r}")
 
-    orders = doc["group"].get("orders")
+    orders = _section(doc, "group").get("orders")
     _expect(isinstance(orders, list) and all(isinstance(n, int) for n in orders),
             "group.orders must be a list of integers")
     try:
@@ -79,23 +100,16 @@ def model_from_dict(doc: dict) -> LoadedModel:
     except ValueError as exc:
         raise ModelFileError(str(exc)) from exc
 
-    q_rows = doc["bicharacter"].get("Q")
-    _expect(isinstance(q_rows, list), "bicharacter.Q must be a list of rows")
-    try:
-        exponents = [[Fraction(v) if isinstance(v, (str, int)) else _reject_float(v)
-                      for v in row] for row in q_rows]
-        eps = make_bicharacter(group, exponents)
-    except (BicharacterError, ValueError, ZeroDivisionError) as exc:
-        raise ModelFileError(f"bicharacter.Q: {exc}") from exc
+    eps = _bicharacter(group, _section(doc, "bicharacter").get("Q"), "bicharacter.Q")
 
-    gens = doc["generators"]
+    gens = _section(doc, "generators")
     grades = gens.get("grades")
     _expect(isinstance(grades, list) and grades, "generators.grades must be a non-empty list")
     _expect(all(isinstance(g, list) and all(isinstance(a, int) for a in g) for g in grades),
             "generators.grades entries must be lists of integers")
     pairing = _complex_matrix(gens.get("pairing"), "generators.pairing")
 
-    braid_doc = doc.get("braid", {"kind": "grade-diagonal"})
+    braid_doc = _section(doc, "braid", {"kind": "grade-diagonal"})
     kind = braid_doc.get("kind")
     if kind == "grade-diagonal":
         braid: GradeDiagonal | BraidMatrix = GRADE_DIAGONAL
@@ -104,7 +118,7 @@ def model_from_dict(doc: dict) -> LoadedModel:
     else:
         raise ModelFileError(f"braid.kind must be 'grade-diagonal' or 'matrix', got {kind!r}")
 
-    cross_doc = doc.get("cross", {"kind": "derived"})
+    cross_doc = _section(doc, "cross", {"kind": "derived"})
     ckind = cross_doc.get("kind")
     if ckind == "derived":
         cross: Any = DERIVED_CROSS
@@ -113,12 +127,12 @@ def model_from_dict(doc: dict) -> LoadedModel:
     else:
         raise ModelFileError(f"cross.kind must be 'derived' or 'matrix', got {ckind!r}")
 
-    options = doc.get("options", {})
-    _expect(isinstance(options, dict), "options must be an object")
+    options = _section(doc, "options", {})
     tolerance = options.get("tolerance", 1e-9)
     n_max = options.get("n_max", 4)
     sign_text = options.get("expansion_sign", "+")
-    _expect(isinstance(tolerance, (int, float)) and tolerance >= 0, "options.tolerance must be >= 0")
+    _expect(isinstance(tolerance, (int, float)) and math.isfinite(tolerance) and tolerance >= 0,
+            "options.tolerance must be a finite number >= 0")
     _expect(isinstance(n_max, int) and n_max >= 0, "options.n_max must be a non-negative integer")
     _expect(sign_text in ("+", "-"), "options.expansion_sign must be '+' or '-'")
 
@@ -130,18 +144,24 @@ def model_from_dict(doc: dict) -> LoadedModel:
     return LoadedModel(model, float(tolerance), n_max)
 
 
-def _reject_float(value: Any):
-    raise ModelFileError(f"bicharacter entries must be exact rationals, got float {value!r}")
+def _bicharacter(group, q_rows: Any, where: str):
+    _expect(isinstance(q_rows, list) and all(isinstance(row, list) for row in q_rows),
+            f"{where} must be a list of rows")
+    try:
+        return make_bicharacter(group, [[_exact(v) for v in row] for row in q_rows])
+    except (BicharacterError, ValueError, ZeroDivisionError) as exc:
+        raise ModelFileError(f"{where}: {exc}") from exc
+
+
+def _exact(value: Any) -> Fraction:
+    if isinstance(value, (str, int)):
+        return Fraction(value)
+    raise ModelFileError(f"bicharacter entries must be exact rationals, got {value!r}")
 
 
 def load_model_file(path: str | Path) -> LoadedModel:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"{path}: not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     try:
         return model_from_dict(doc)
     except ModelFileError as exc:
@@ -180,12 +200,10 @@ def load_hom_file(path: str | Path, source_group) -> "tuple":
     from .groups import make_hom
 
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     _expect(isinstance(doc, dict) and "target" in doc and "images" in doc,
             f"{path}: hom file needs 'target' and 'images'")
+    _expect(isinstance(doc["target"], dict), f"{path}: target must be a JSON object")
     orders = doc["target"].get("orders")
     _expect(isinstance(orders, list), f"{path}: target.orders must be a list")
     target = make_group(orders)
@@ -202,14 +220,6 @@ def load_hom_file(path: str | Path, source_group) -> "tuple":
 def load_bicharacter_file(path: str | Path, group):
     """Read a bicharacter file: ``{"Q": [["p/q", ...], ...]}``."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     _expect(isinstance(doc, dict) and "Q" in doc, f"{path}: bicharacter file needs 'Q'")
-    try:
-        rows = [[Fraction(v) if isinstance(v, (str, int)) else _reject_float(v) for v in row]
-                for row in doc["Q"]]
-        return make_bicharacter(group, rows)
-    except (BicharacterError, ValueError, ZeroDivisionError) as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+    return _bicharacter(group, doc["Q"], f"{path}: Q")

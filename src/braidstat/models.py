@@ -2,13 +2,21 @@
 
 A :class:`ParticleModel` holds ``N`` generators ``x^1 .. x^N`` graded over a
 finite Abelian group, a pairing matrix ``g[i][j] = <i|j>``, and an exchange
-structure.  The exchange of two generators is either
+structure given as a braid coupling ``R`` and a cross coupling ``T``.  The
+exchange of two generators is either
 
 * grade-diagonal: swapping letters of grades ``alpha`` (left) and ``beta``
   (right) multiplies by the exact phase ``eps(beta, alpha)``, and moving a
   dual letter of grade ``alpha`` (so graded ``-alpha``) rightward past a
   letter of grade ``beta`` multiplies by ``eps(beta, -alpha)``; or
 * an explicit coupling matrix acting on pairs of letters.
+
+Both kinds end in one representation: :attr:`ParticleModel.braid_terms` and
+:attr:`ParticleModel.cross_terms` list, for each letter pair ``(i, j)``, the
+nonzero terms ``(k, l, t)`` of its coupling.  A grade-diagonal pair has exactly
+one term, carrying its exact phase as a complex number.  Every operator that
+applies an exchange iterates these tables, so the exact ``Fraction`` phases
+are evaluated once per model, when the tables are built.
 
 Everything works in the strict monoidal skeleton: words are flat sequences,
 associators and unitors are identities.  Generator indices are 1-based
@@ -19,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +108,15 @@ def _as_coupling(array_like, n_generators: int | None = None) -> np.ndarray:
             f"coupling is for {arr.shape[0]} generators, model has {n_generators}"
         )
     return arr
+
+
+def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
+    """``(i, j) -> ((k, l, coupling[i,j,k,l]), ...)`` over the nonzero entries,
+    1-based, in ``(k, l)`` order, with each coefficient a Python ``complex``."""
+    n = coupling.shape[0]
+    return {(i + 1, j + 1): tuple((int(k) + 1, int(l) + 1, complex(coupling[i, j, k, l]))
+                                  for k, l in zip(*np.nonzero(coupling[i, j])))
+            for i in range(n) for j in range(n)}
 
 
 def _action_matrix(coupling: np.ndarray) -> np.ndarray:
@@ -191,6 +207,16 @@ class ParticleModel:
                 arr[i - 1, j - 1, i - 1, j - 1] = complex(self.cross_phase(i, j))
         return arr
 
+    @cached_property
+    def braid_terms(self) -> dict[tuple[int, int], tuple]:
+        """``(i, j) -> ((k, l, R[i,j,k,l]), ...)`` over the nonzero braid terms."""
+        return _term_table(self.braid_coupling)
+
+    @cached_property
+    def cross_terms(self) -> dict[tuple[int, int], tuple]:
+        """``(i, j) -> ((k, l, T[i,j,k,l]), ...)`` over the nonzero cross terms."""
+        return _term_table(self.cross_coupling)
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:
             raise ModelSpecError(f"generator index {i} out of range 1..{self.n_generators}")
@@ -264,39 +290,21 @@ def braid_on_word(model: ParticleModel, word: TensorWord, position: int) -> Fock
         raise ValueError(f"exchange position {position} out of range for a word of length {len(word)}")
     i, j = word[position - 1], word[position]
     head, tail = word[:position - 1], word[position + 1:]
-    if model.is_grade_diagonal:
-        factor = complex(model.braid_phase(i, j))
-        return FockVector({head + (j, i) + tail: factor})
-    coupling = model.braid_coupling
-    out: dict[TensorWord, complex] = {}
-    for k in range(1, model.n_generators + 1):
-        for l in range(1, model.n_generators + 1):
-            amp = coupling[i - 1, j - 1, k - 1, l - 1]
-            if amp != 0:
-                new = head + (k, l) + tail
-                out[new] = out.get(new, 0.0) + amp
-    return FockVector(out)
+    # distinct (k, l) give distinct words, so no amplitudes need summing
+    return FockVector({head + (k, l) + tail: t for k, l, t in model.braid_terms[i, j]})
 
 
 def check_yang_baxter(model: ParticleModel, tol: float = 1e-9) -> CheckReport:
     """Braid consistency on 3-letter words:
     ``(R x id)(id x R)(R x id) == (id x R)(R x id)(id x R)``.
 
-    Grade-diagonal models are checked exactly on phases; explicit matrices
-    numerically on the full two-step operators.
+    Grade-diagonal models pass by construction: both sides multiply the same
+    three commuting phases, so the defect is exactly 0.  Explicit matrices are
+    checked numerically on the full two-step operators.
     """
-    n = model.n_generators
     if model.is_grade_diagonal:
-        defect = 0.0
-        witness = None
-        for i, j, k in product(range(1, n + 1), repeat=3):
-            lhs = model.braid_phase(i, j) * model.braid_phase(i, k) * model.braid_phase(j, k)
-            rhs = model.braid_phase(j, k) * model.braid_phase(i, k) * model.braid_phase(i, j)
-            if lhs != rhs:
-                d = abs(complex(lhs) - complex(rhs))
-                if d > defect:
-                    defect, witness = d, (i, j, k)
-        return CheckReport.from_defect("yang-baxter", defect, tol, witness, {"exact": defect == 0.0})
+        return CheckReport.from_defect("yang-baxter", 0.0, tol, None, {"exact": True})
+    n = model.n_generators
     action = _action_matrix(model.braid_coupling)
     eye = np.eye(n)
     a = np.kron(action, eye)

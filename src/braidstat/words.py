@@ -75,9 +75,6 @@ class FockVector:
     def norm(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values()) ** 0.5
 
-    def max_abs(self) -> float:
-        return max((abs(a) for a in self._amps.values()), default=0.0)
-
     def scale(self, factor: complex) -> "FockVector":
         return FockVector({w: factor * a for w, a in self._amps.items()})
 

@@ -68,6 +68,11 @@ def test_check_malformed_file(tmp_path, capsys):
     assert code == 2 and "JSON" in err
 
 
+def test_check_negative_nmax_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, "check", str(zoo_path("boson")), "--nmax", "-1")
+    assert code == 2 and "sector must be >= 0" in err
+
+
 def test_gram_command(capsys):
     code, out, _ = run_cli(capsys, "gram", str(zoo_path("fermion3")), "--sector", "2", "--json")
     assert code == 0
@@ -186,3 +191,43 @@ def test_subprocess_exit_codes():
     err = subprocess.run(base + ["normalize", "--expr", "A (x"],
                          capture_output=True, text=True)
     assert err.returncode == 2
+
+
+def _write_zoo_copy(tmp_path, name, edit):
+    doc = json.loads(zoo_path(name).read_text())
+    edit(doc)
+    path = tmp_path / f"{name}_edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("section", ["group", "bicharacter", "generators", "braid", "cross"])
+def test_check_rejects_section_that_is_not_an_object(tmp_path, capsys, section):
+    path = _write_zoo_copy(tmp_path, "fermion1", lambda doc: doc.__setitem__(section, [1]))
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2 and "Traceback" not in err
+    assert f"{section} must be a JSON object" in err
+
+
+def test_transmute_rejects_hom_target_that_is_not_an_object(tmp_path, capsys):
+    hom_file = tmp_path / "hom.json"
+    hom_file.write_text(json.dumps({"target": [2], "images": [[1]]}))
+    code, _, err = run_cli(capsys, "transmute", str(zoo_path("fermion1")),
+                           "--hom", str(hom_file),
+                           "--target-bichar", str(zoo_path("bichar_z2_half")))
+    assert code == 2 and "Traceback" not in err
+    assert "target must be a JSON object" in err
+
+
+@pytest.mark.parametrize("edit, constant", [
+    (lambda doc: doc["generators"].__setitem__("pairing", [[float("nan"), 0], [0, 1]]), "NaN"),
+    (lambda doc: doc.setdefault("options", {}).__setitem__("tolerance", float("inf")),
+     "Infinity"),
+], ids=["pairing-NaN", "tolerance-Infinity"])
+def test_check_rejects_non_finite_numbers(tmp_path, capsys, edit, constant):
+    # accepted, NaN would surface only inside the SVD and Infinity would pass every check
+    path = _write_zoo_copy(tmp_path, "quon_05", edit)
+    assert constant in path.read_text()
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2 and "Traceback" not in err
+    assert f"non-finite number {constant}" in err

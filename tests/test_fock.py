@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from braidstat import (AnnihilateTwisted, Create, Exchange, FockVector, HermiticityError,
-                       ResourceLimitError, Scale, annihilate_free, annihilate_twisted,
-                       apply_program, basis_words, check_braid_exchange_relations,
-                       check_infinite_statistics, commutator_defect, create, gram_matrix,
-                       gram_psd_check, load_zoo, make_bicharacter, make_group, make_model,
+from braidstat import (AnnihilateTwisted, Bicharacter, Create, Exchange, FockVector,
+                       HermiticityError, ParticleModel, ResourceLimitError, Scale,
+                       annihilate_free, annihilate_twisted, apply_program, basis_words,
+                       check_braid_exchange_relations, check_infinite_statistics,
+                       commutator_defect, create, gram_matrix, gram_psd_check, load_zoo,
+                       make_bicharacter, make_group, make_model, q_swap_braid,
                        sector_dimension)
 
 from oracles import (bosonic_dimension, fermionic_dimension, permutation_gram_entry,
@@ -141,6 +142,18 @@ def test_exchange_relations_hold_for_symmetric_zoo_models():
         assert report.defect <= 1e-9
 
 
+def test_hop_layer_reads_only_the_term_table(monkeypatch):
+    m = load_zoo("z2z2_fermion")
+    assert m.cross_terms[1, 2] == ((1, 2, -1),)
+
+    def no_phase(self, i, j):
+        raise AssertionError("cross_phase evaluated inside the hop layer")
+
+    monkeypatch.setattr(ParticleModel, "cross_phase", no_phase)
+    assert commutator_defect(m, 1, 2, 3).passed
+    assert check_braid_exchange_relations(m, n_max=2).passed
+
+
 def test_exchange_relations_fermion1_example():
     # (c+ c+ + c+ c+)|0> = 2*[1,1] and [1,1] is a Gram null vector
     m = load_zoo("fermion1")
@@ -245,6 +258,19 @@ def test_gram_psd_fermion():
     for n in range(5):
         report = gram_psd_check(m, n)
         assert report.passed and report.data["min_eigenvalue"] >= -1e-12
+
+
+def test_gram_psd_tolerance_is_relative_to_the_largest_entry():
+    # boson's sector-10 Gram has entries up to 10!; roundoff alone reaches about -1e-8
+    assert gram_psd_check(load_zoo("boson"), 10).passed
+    # the q-swap Gram is indefinite for |q| > 1 (Bozejko-Speicher): on the words
+    # (1,2), (2,1) it is [[1, q], [q, 1]], with eigenvalue 1 - q = -1 at q = 2
+    trivial = make_group([])
+    q2 = make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                    q_swap_braid(2, 2.0))
+    assert gram_psd_check(q2, 1).passed
+    report = gram_psd_check(q2, 2)
+    assert report.failed and report.data["min_eigenvalue"] == pytest.approx(-1.0)
 
 
 def test_gram_hermitian_across_zoo_normalized_models():

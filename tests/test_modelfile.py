@@ -39,6 +39,8 @@ def test_schema_errors(tmp_path):
         ({"group": {"orders": "x"}, "bicharacter": {"Q": []}, "generators": {}}, "orders"),
         ({"group": {"orders": [2]}, "bicharacter": {"Q": [[0.5]]},
           "generators": {"grades": [[1]], "pairing": [[1]]}}, "exact rationals"),
+        ({"group": {"orders": [2]}, "bicharacter": {"Q": [1]},
+          "generators": {"grades": [[1]], "pairing": [[1]]}}, "list of rows"),
         ({"group": {"orders": [2]}, "bicharacter": {"Q": [["1/3"]]},
           "generators": {"grades": [[1]], "pairing": [[1]]}}, "bicharacter"),
         ({"group": {"orders": [2]}, "bicharacter": {"Q": [["1/2"]]},
@@ -49,6 +51,9 @@ def test_schema_errors(tmp_path):
         ({"group": {"orders": [2]}, "bicharacter": {"Q": [["1/2"]]},
           "generators": {"grades": [[1]], "pairing": [[1]]},
           "options": {"expansion_sign": "?"}}, "expansion_sign"),
+        ({"group": {"orders": [2]}, "bicharacter": {"Q": [["1/2"]]},
+          "generators": {"grades": [[1]], "pairing": [[1]]},
+          "options": {"tolerance": float("inf")}}, "finite"),
     ]
     for doc, match in cases:
         with pytest.raises(ModelFileError, match=match):

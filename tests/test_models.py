@@ -72,6 +72,23 @@ def test_braid_on_word_examples():
     assert braid_on_word(load_zoo("quon_05"), (1, 2), 1) == FockVector({(2, 1): 0.5})
 
 
+def test_term_tables():
+    # a grade-diagonal pair has exactly one term, carrying its exact phase
+    f2 = fermion2()
+    assert f2.braid_terms == {(1, 1): ((1, 1, -1),), (1, 2): ((2, 1, -1),),
+                              (2, 1): ((1, 2, -1),), (2, 2): ((2, 2, -1),)}
+    anyon = load_zoo("anyon_z4")
+    assert anyon.braid_terms == {(1, 1): ((1, 1, 1j),)}
+    assert anyon.cross_terms == {(1, 1): ((1, 1, complex(anyon.cross_phase(1, 1))),)}
+    quon = load_zoo("quon_05")
+    assert quon.braid_terms[1, 2] == ((2, 1, 0.5),)
+    assert quon.cross_terms[1, 2] == ((1, 2, 0.5),)
+    for model in (f2, anyon, quon):
+        for table in (model.braid_terms, model.cross_terms):
+            assert all(type(t) is complex and type(k) is int and type(l) is int
+                       for terms in table.values() for k, l, t in terms)
+
+
 def test_braid_on_word_inner_position_keeps_context():
     v = braid_on_word(fermion2(), (1, 2, 2), 2)
     assert v == FockVector({(1, 2, 2): -1})
@@ -221,3 +238,6 @@ def test_grade_diagonal_yang_baxter_random_models():
         m = make_model(group, eps, grades, np.eye(n_gen))
         report = check_yang_baxter(m)
         assert report.passed and report.defect == 0.0
+        # the pass by construction agrees with the numeric check of the same coupling
+        as_matrix = make_model(group, eps, grades, np.eye(n_gen), BraidMatrix(m.braid_coupling))
+        assert check_yang_baxter(as_matrix).defect <= 1e-12
