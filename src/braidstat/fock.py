@@ -23,11 +23,32 @@ The sector-``n`` Gram matrix has entries
 dimension of the physical (null-state-free) sector.  :func:`gram_tower`
 yields the Grams of sectors ``0..n`` from one pass of the recursion, so a
 caller that needs several sectors builds each of them once.
+
+The Gram is built and analysed in weight blocks.  When the model conserves
+letters (diagonal pairing, and every cross term ``(k, l, t)`` of ``T(i, j)``
+has ``{i, l} == {j, k}``; see
+:attr:`~braidstat.models.ParticleModel.conserves_letters`), ``b-_i`` maps the
+words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
+block-diagonal with one block per multiset and every entry between blocks is
+exactly 0.  A model that does not conserve letters gets one block holding
+every word, and runs through the same code.  Rank and positivity come from
+one ``eigvalsh`` of the Hermitian part of each block: the rank counts the
+eigenvalues with ``|lambda| >= tol * max(1, top)``, ``top`` the largest
+``|lambda|`` of the sector, which is the cut against the largest singular
+value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
+blocks only when :attr:`GramResult.matrix` is read.
+
+Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
+``N^n`` of words (it bounds the hop memo), and :data:`MAX_GRAM_BYTES` on the
+``16 * rows^2`` bytes of the largest complex matrix allocated, the largest
+block or, for :func:`gram_matrix`, the dense Gram.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,8 +57,11 @@ from .models import ParticleModel, braid_on_word
 from .report import CheckReport, FAIL, PASS, SKIPPED
 from .words import FockVector, TensorWord, basis_words, word_index
 
-#: Hard guard on the size N^n of any sector-wide computation.
+#: Hard guard on the number N^n of words in a sector computation.
 MAX_SECTOR_SIZE = 100_000
+#: Hard guard on the bytes (16 per complex entry) of the largest Gram matrix
+#: that a sector computation allocates.
+MAX_GRAM_BYTES = 1 << 28
 
 
 class ResourceLimitError(ValueError):
@@ -61,6 +85,25 @@ def _guard_sector(model: ParticleModel, n: int) -> None:
     if model.n_generators ** n > MAX_SECTOR_SIZE:
         raise ResourceLimitError(
             f"sector size {model.n_generators}^{n} exceeds the guard of {MAX_SECTOR_SIZE}"
+        )
+
+
+def _guard_gram(model: ParticleModel, n: int, dense: bool = False) -> None:
+    """Both guards, before any Gram of sector ``n`` is built: the largest
+    matrix is the dense Gram if ``dense``, else the largest weight block."""
+    _guard_sector(model, n)
+    n_gen = model.n_generators
+    if dense or not model.conserves_letters:
+        rows = n_gen ** n
+    else:
+        # the multinomial n! / prod(c_i!) is largest for the most even counts
+        q, r = divmod(n, n_gen)
+        rows = math.factorial(n) // (math.factorial(q + 1) ** r
+                                     * math.factorial(q) ** (n_gen - r))
+    if 16 * rows * rows > MAX_GRAM_BYTES:
+        raise ResourceLimitError(
+            f"a {rows}x{rows} complex Gram matrix in sector {n} needs {16 * rows * rows} bytes, "
+            f"over the guard of {MAX_GRAM_BYTES}"
         )
 
 
@@ -185,11 +228,51 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
 # Gram matrices and sector dimensions
 
 
-class GramResult(NamedTuple):
+class GramBlock(NamedTuple):
+    """The Gram of the words that share one multiset of letters."""
+
     words: list[TensorWord]
     matrix: np.ndarray
-    asymmetry: float
-    hermitian: bool
+
+
+class GramResult:
+    """The sector-``n`` Gram matrix, held as its weight blocks.
+
+    Each block lists its words in lexicographic order.  ``position`` maps each
+    word of the sector to its block and its row there; entries between two
+    blocks are exactly 0.
+    """
+
+    def __init__(self, sector: int, n_generators: int, blocks: list[GramBlock]):
+        self.sector = sector
+        self.n_generators = n_generators
+        self.blocks = blocks
+        self.position = {w: (b, r) for b, block in enumerate(blocks)
+                         for r, w in enumerate(block.words)}
+        self.asymmetry = max(float(np.abs(g.matrix - g.matrix.conj().T).max()) for g in blocks)
+        #: size of the largest entry, at least 1: the unit of the relative cuts
+        self.scale = max(1.0, max(float(np.abs(g.matrix).max()) for g in blocks))
+        self.hermitian = self.asymmetry <= 1e-9 * self.scale
+
+    @property
+    def words(self) -> list[TensorWord]:
+        """Every word of the sector, in the lexicographic order of :attr:`matrix`."""
+        return basis_words(self.n_generators, self.sector)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the blocks."""
+        size = self.n_generators ** self.sector
+        dense = np.zeros((size, size), dtype=complex)
+        for block in self.blocks:
+            rows = [word_index(w, self.n_generators) for w in block.words]
+            dense[np.ix_(rows, rows)] = block.matrix
+        return dense
+
+    @cached_property
+    def spectrum(self) -> list[np.ndarray]:
+        """Eigenvalues of the Hermitian part of each block."""
+        return [np.linalg.eigvalsh((g.matrix + g.matrix.conj().T) / 2.0) for g in self.blocks]
 
 
 class SectorDimension(NamedTuple):
@@ -200,86 +283,107 @@ class SectorDimension(NamedTuple):
 def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
     """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
 
-    Built iteratively: with ``B_i`` the matrix of ``b-_i`` from sector ``m``
-    to ``m-1``, the block of rows of ``G_m`` whose row word starts with ``i``
-    equals ``G_{m-1} @ B_i``.  One hop memo serves every sector.
+    Built iteratively, block by block: with ``B_i`` the matrix of ``b-_i``
+    from block ``M`` of sector ``m`` to block ``M - {i}`` of sector ``m-1``,
+    the rows of block ``M`` whose word starts with ``i`` equal
+    ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
+    A model that does not conserve letters has one block per sector, which
+    makes this the dense recursion.  One hop memo serves every sector.
     """
-    _guard_sector(model, n)
+    _guard_gram(model, n)
     n_gen = model.n_generators
-    gram = np.ones((1, 1), dtype=complex)
+    conserving = model.conserves_letters
     memo: dict = {}
-    yield GramResult([()], gram, 0.0, True)
+    result = GramResult(0, n_gen, [GramBlock([()], np.ones((1, 1), dtype=complex))])
+    yield result
     for m in range(1, n + 1):
-        cols = basis_words(n_gen, m)
-        prev_size = n_gen ** (m - 1)
-        size = n_gen ** m
-        new_gram = np.empty((size, size), dtype=complex)
+        # (letter, lower block) pairs of each block, by ascending letter, so
+        # that the stacked words of a block come in lexicographic order
+        parts: dict[tuple, list[tuple[int, int]]] = {}
         for i in range(1, n_gen + 1):
-            lower = np.zeros((prev_size, size), dtype=complex)
-            for c, w in enumerate(cols):
-                for w2, amp in _twisted_on_word(model, i, w, memo).items():
-                    lower[word_index(w2, n_gen), c] += amp
-            new_gram[(i - 1) * prev_size: i * prev_size, :] = gram @ lower
-        gram = new_gram
-        asymmetry = float(np.abs(gram - gram.conj().T).max())
-        yield GramResult(cols, gram, asymmetry, asymmetry <= 1e-9 * _scale(gram))
+            for b, lower in enumerate(result.blocks):
+                key = tuple(sorted((i,) + lower.words[0])) if conserving else ()
+                parts.setdefault(key, []).append((i, b))
+        blocks = []
+        for stack in parts.values():
+            words = [(i,) + w for i, b in stack for w in result.blocks[b].words]
+            gram = np.empty((len(words), len(words)), dtype=complex)
+            top = 0
+            for i, b in stack:
+                lower = result.blocks[b]
+                hop = np.zeros((len(lower.words), len(words)), dtype=complex)
+                for c, w in enumerate(words):
+                    for w2, amp in _twisted_on_word(model, i, w, memo).items():
+                        b2, r = result.position[w2]
+                        if b2 != b:
+                            raise RuntimeError(f"b-_{i} maps {w} to {w2}, outside the block "
+                                               f"of {lower.words[0]}")
+                        hop[r, c] += amp
+                gram[top:top + len(lower.words)] = lower.matrix @ hop
+                top += len(lower.words)
+            blocks.append(GramBlock(words, gram))
+        result = GramResult(m, n_gen, blocks)
+        yield result
 
 
-def _scale(gram: np.ndarray) -> float:
-    """Size of the largest entry, at least 1: the unit of the relative cuts."""
-    return max(1.0, float(np.abs(gram).max()))
-
-
-def gram_matrix(model: ParticleModel, n: int) -> GramResult:
-    """Matrix of scalar products between all sector-``n`` basis words."""
+def _sector_gram(model: ParticleModel, n: int) -> GramResult:
     for result in gram_tower(model, n):
         pass
     return result
 
 
+def gram_matrix(model: ParticleModel, n: int) -> GramResult:
+    """Matrix of scalar products between all sector-``n`` basis words.
+
+    The byte guard counts the dense matrix, which :attr:`GramResult.matrix`
+    fills when read.
+    """
+    _guard_gram(model, n, dense=True)
+    return _sector_gram(model, n)
+
+
 def _quotient_rank(result: GramResult, tol: float) -> int:
     """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
-    if result.asymmetry > tol * _scale(result.matrix):
-        raise HermiticityError(result.asymmetry, len(result.words[0]))
-    singular = np.linalg.svd(result.matrix, compute_uv=False)
-    top = float(singular.max(initial=0.0))
-    return int(np.count_nonzero(singular >= tol * max(1.0, top)))
+    if result.asymmetry > tol * result.scale:
+        raise HermiticityError(result.asymmetry, result.sector)
+    top = max(float(np.abs(e).max()) for e in result.spectrum)
+    cut = tol * max(1.0, top)
+    return sum(int(np.count_nonzero(np.abs(e) >= cut)) for e in result.spectrum)
 
 
 def _psd_report(result: GramResult, tol: float) -> CheckReport:
     """``gram-psd`` on one sector Gram; the tolerance is relative to its largest entry."""
-    n = len(result.words[0])
-    scale = _scale(result.matrix)
-    if result.asymmetry > tol * scale:
+    n = result.sector
+    if result.asymmetry > tol * result.scale:
         return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
                            {"sector": n, "asymmetry": result.asymmetry})
-    eigenvalues = np.linalg.eigvalsh((result.matrix + result.matrix.conj().T) / 2.0)
-    min_eig = float(eigenvalues.min())
-    status = PASS if min_eig >= -tol * scale else FAIL
+    min_eig = min(float(e.min()) for e in result.spectrum)
+    status = PASS if min_eig >= -tol * result.scale else FAIL
     return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
                        {"sector": n, "min_eigenvalue": min_eig})
 
 
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
     """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
-    return SectorDimension(model.n_generators ** n, _quotient_rank(gram_matrix(model, n), tol))
+    return SectorDimension(model.n_generators ** n, _quotient_rank(_sector_gram(model, n), tol))
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
     """Positive semidefiniteness of the sector Gram matrix."""
-    return _psd_report(gram_matrix(model, n), tol)
+    return _psd_report(_sector_gram(model, n), tol)
 
 
-def _gram_norm(vector: FockVector, gram: GramResult, n_gen: int) -> float:
+def _gram_norm(vector: FockVector, gram: GramResult) -> float:
     """Norm of ``vector`` under the (possibly degenerate) sector Gram form."""
     if vector.is_zero:
         return 0.0
     value = 0.0 + 0.0j
-    items = list(vector.items())
-    for w, a in items:
-        row = gram.matrix[word_index(w, n_gen)]
-        for w2, b in items:
-            value += a.conjugate() * row[word_index(w2, n_gen)] * b
+    items = [(gram.position[w], a) for w, a in vector.items()]
+    for (b, r), a in items:
+        row = gram.blocks[b].matrix[r]
+        for (b2, r2), c in items:
+            if b2 == b:
+                value += a.conjugate() * row[r2] * c
     return abs(value) ** 0.5
 
 
@@ -314,15 +418,15 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
                     raised = FockVector.basis((i, j) + w)
                     for k, l, r in terms[i, j]:
                         raised = raised - FockVector.basis((k, l) + w).scale(r)
-                    defects["create-create"] = _gram_norm(raised, grams[n + 2], n_gen)
+                    defects["create-create"] = _gram_norm(raised, grams[n + 2])
                     if n >= 2:
                         lowered = annihilate_twisted(model, i, annihilate_twisted(model, j, base))
                         for k, l, r in terms[i, j]:
                             term = annihilate_twisted(model, k, annihilate_twisted(model, l, base))
                             lowered = lowered - term.scale(r)
-                        defects["annihilate-annihilate"] = _gram_norm(lowered, grams[n - 2], n_gen)
+                        defects["annihilate-annihilate"] = _gram_norm(lowered, grams[n - 2])
                     defects["mixed"] = _gram_norm(_commutator_residual(model, i, j, base),
-                                                  grams[n], n_gen)
+                                                  grams[n])
                     for line, d in defects.items():
                         line_defects[line] = max(line_defects[line], d)
                         if d > worst:

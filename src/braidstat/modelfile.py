@@ -55,6 +55,12 @@ def _section(doc: dict, key: str, default: dict | None = None) -> dict:
     return value
 
 
+def _is_number(value: Any, kinds: type | tuple = (int, float)) -> bool:
+    """Whether a JSON value is a number of the given kinds; ``true`` and
+    ``false`` are not numbers, though ``bool`` is a subclass of ``int``."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _reject_constant(name: str):
     raise ModelFileError(f"non-finite number {name} is not allowed")
 
@@ -70,9 +76,9 @@ def _read_json(path: Path) -> Any:
 
 
 def _complex_entry(raw: Any, where: str) -> complex:
-    if isinstance(raw, (int, float)):
+    if _is_number(raw):
         return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2 and all(isinstance(x, (int, float)) for x in raw):
+    if isinstance(raw, list) and len(raw) == 2 and all(_is_number(x) for x in raw):
         return complex(raw[0], raw[1])
     raise ModelFileError(f"{where}: expected a number or an [re, im] pair, got {raw!r}")
 
@@ -93,7 +99,7 @@ def model_from_dict(doc: dict) -> LoadedModel:
         _expect(key in doc, f"missing top-level key {key!r}")
 
     orders = _section(doc, "group").get("orders")
-    _expect(isinstance(orders, list) and all(isinstance(n, int) for n in orders),
+    _expect(isinstance(orders, list) and all(_is_number(n, int) for n in orders),
             "group.orders must be a list of integers")
     try:
         group = make_group(orders)
@@ -105,7 +111,7 @@ def model_from_dict(doc: dict) -> LoadedModel:
     gens = _section(doc, "generators")
     grades = gens.get("grades")
     _expect(isinstance(grades, list) and grades, "generators.grades must be a non-empty list")
-    _expect(all(isinstance(g, list) and all(isinstance(a, int) for a in g) for g in grades),
+    _expect(all(isinstance(g, list) and all(_is_number(a, int) for a in g) for g in grades),
             "generators.grades entries must be lists of integers")
     pairing = _complex_matrix(gens.get("pairing"), "generators.pairing")
 
@@ -131,9 +137,9 @@ def model_from_dict(doc: dict) -> LoadedModel:
     tolerance = options.get("tolerance", 1e-9)
     n_max = options.get("n_max", 4)
     sign_text = options.get("expansion_sign", "+")
-    _expect(isinstance(tolerance, (int, float)) and math.isfinite(tolerance) and tolerance >= 0,
+    _expect(_is_number(tolerance) and math.isfinite(tolerance) and tolerance >= 0,
             "options.tolerance must be a finite number >= 0")
-    _expect(isinstance(n_max, int) and n_max >= 0, "options.n_max must be a non-negative integer")
+    _expect(_is_number(n_max, int) and n_max >= 0, "options.n_max must be a non-negative integer")
     _expect(sign_text in ("+", "-"), "options.expansion_sign must be '+' or '-'")
 
     try:
@@ -154,7 +160,7 @@ def _bicharacter(group, q_rows: Any, where: str):
 
 
 def _exact(value: Any) -> Fraction:
-    if isinstance(value, (str, int)):
+    if isinstance(value, str) or _is_number(value, int):
         return Fraction(value)
     raise ModelFileError(f"bicharacter entries must be exact rationals, got {value!r}")
 
@@ -205,11 +211,13 @@ def load_hom_file(path: str | Path, source_group) -> "tuple":
             f"{path}: hom file needs 'target' and 'images'")
     _expect(isinstance(doc["target"], dict), f"{path}: target must be a JSON object")
     orders = doc["target"].get("orders")
-    _expect(isinstance(orders, list), f"{path}: target.orders must be a list")
+    _expect(isinstance(orders, list) and all(_is_number(n, int) for n in orders),
+            f"{path}: target.orders must be a list of integers")
     target = make_group(orders)
     images = doc["images"]
-    _expect(isinstance(images, list) and all(isinstance(im, list) for im in images),
-            f"{path}: images must be a list of residue vectors")
+    _expect(isinstance(images, list)
+            and all(isinstance(im, list) and all(_is_number(a, int) for a in im) for im in images),
+            f"{path}: images must be a list of integer residue vectors")
     try:
         hom = make_hom(source_group, target, images)
     except ValueError as exc:

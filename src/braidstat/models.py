@@ -217,6 +217,21 @@ class ParticleModel:
         """``(i, j) -> ((k, l, T[i,j,k,l]), ...)`` over the nonzero cross terms."""
         return _term_table(self.cross_coupling)
 
+    @cached_property
+    def conserves_letters(self) -> bool:
+        """Whether the twisted annihilators keep the multiset of letters.
+
+        True when the pairing is diagonal and every cross term ``(k, l, t)`` of
+        each pair ``(i, j)`` has ``{i, l} == {j, k}`` as multisets.  Then
+        ``b-_i`` sends a word with letters ``M`` to words with letters
+        ``M - {i}``, and every sector Gram is block-diagonal with one block per
+        multiset of letters.
+        """
+        if np.any(self.pairing != np.diag(np.diag(self.pairing))):
+            return False
+        return all(sorted((i, l)) == sorted((j, k))
+                   for (i, j), terms in self.cross_terms.items() for k, l, _ in terms)
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:
             raise ModelSpecError(f"generator index {i} out of range 1..{self.n_generators}")

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Nothing here shares a computational path with the package: Gram entries come
-from explicit sums over permutations, dimensions from counting formulas, and
-bicharacter laws from exhaustive integer arithmetic on exponent tables.
+from explicit sums over permutations or from a dense recursion over the whole
+word basis, dimensions from counting formulas, and bicharacter laws from
+exhaustive integer arithmetic on exponent tables.
 """
 
 from __future__ import annotations
@@ -55,6 +56,49 @@ def quon_gram_entry(q: float, row_word, col_word) -> complex:
         inversions = sum(1 for p in range(n) for p2 in range(p + 1, n) if tau[p] > tau[p2])
         total += q ** inversions
     return complex(total)
+
+
+def dense_gram(model: ParticleModel, n: int) -> np.ndarray:
+    """Sector-``n`` Gram by the dense recursion over the whole word basis.
+
+    ``A[m][i]`` is the ``N^(m-1) x N^m`` matrix of the twisted annihilator
+    ``b-_i`` on sector ``m``, assembled from the pairing and the cross coupling:
+    the column block of first letter ``j`` gets ``<i|j> id`` plus, for each
+    ``T[i,j,k,l]``, ``s * T[i,j,k,l]`` times ``A[m-1][k]`` in the row block of
+    first letter ``l``.  The rows of ``G_m`` whose word starts with ``i`` are
+    ``G_{m-1} @ A[m][i]``.
+    """
+    size = model.n_generators
+    pairing, cross, sign = model.pairing, model.cross_coupling, model.expansion_sign
+    gram = np.ones((1, 1), dtype=complex)
+    lower: list[np.ndarray] = []
+    for m in range(1, n + 1):
+        rest, sub = size ** (m - 1), size ** max(m - 2, 0)
+        current = []
+        for i in range(size):
+            a = np.zeros((rest, size * rest), dtype=complex)
+            for j in range(size):
+                block = a[:, j * rest:(j + 1) * rest]
+                block += pairing[i, j] * np.eye(rest)
+                for k in range(size):
+                    for l in range(size):
+                        if m > 1 and cross[i, j, k, l] != 0:
+                            block[l * sub:(l + 1) * sub] += sign * cross[i, j, k, l] * lower[k]
+            current.append(a)
+        gram = np.vstack([gram @ a for a in current])
+        lower = current
+    return gram
+
+
+def svd_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:
+    """Number of singular values at least ``tol * max(1, largest)``."""
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.count_nonzero(singular >= tol * max(1.0, float(singular.max(initial=0.0)))))
+
+
+def q_factorial(q: float, n: int) -> float:
+    """``[n]_q! = prod_{k=1..n} (1 + q + ... + q^(k-1))``."""
+    return math.prod(sum(q ** e for e in range(k)) for k in range(1, n + 1))
 
 
 def bosonic_dimension(n_generators: int, n: int) -> int:

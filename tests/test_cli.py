@@ -88,6 +88,10 @@ def test_gram_command(capsys):
 def test_gram_resource_guard(capsys):
     code, _, err = run_cli(capsys, "gram", str(zoo_path("boson")), "--sector", "17")
     assert code == 2 and "guard" in err
+    # 3^10 words pass the word guard; the dense 59049x59049 Gram (about 56 GB)
+    # is refused before anything is built
+    code, _, err = run_cli(capsys, "gram", str(zoo_path("fermion3")), "--sector", "10")
+    assert code == 2 and "guard" in err and "bytes" in err
 
 
 def test_apply_command(capsys):
@@ -225,9 +229,31 @@ def test_transmute_rejects_hom_target_that_is_not_an_object(tmp_path, capsys):
      "Infinity"),
 ], ids=["pairing-NaN", "tolerance-Infinity"])
 def test_check_rejects_non_finite_numbers(tmp_path, capsys, edit, constant):
-    # accepted, NaN would surface only inside the SVD and Infinity would pass every check
+    # accepted, NaN would surface only inside the spectral step and Infinity would pass
+    # every check
     path = _write_zoo_copy(tmp_path, "quon_05", edit)
     assert constant in path.read_text()
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2 and "Traceback" not in err
     assert f"non-finite number {constant}" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.setdefault("options", {}).__setitem__("n_max", True),
+    lambda doc: doc["generators"].__setitem__("pairing", [[True, 0], [0, 1]]),
+], ids=["n_max-true", "pairing-true"])
+def test_check_rejects_booleans_as_numbers(tmp_path, capsys, edit):
+    path = _write_zoo_copy(tmp_path, "fermion2", edit)
+    assert "true" in path.read_text()
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2 and "Traceback" not in err
+
+
+def test_transmute_rejects_booleans_in_hom_images(tmp_path, capsys):
+    hom_file = tmp_path / "hom.json"
+    hom_file.write_text(json.dumps({"target": {"orders": [2]}, "images": [[True]]}))
+    code, _, err = run_cli(capsys, "transmute", str(zoo_path("fermion1")),
+                           "--hom", str(hom_file),
+                           "--target-bichar", str(zoo_path("bichar_z2_half")),
+                           "--out", str(tmp_path / "never.json"))
+    assert code == 2 and "integer residue vectors" in err

@@ -3,16 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from braidstat import (AnnihilateTwisted, Bicharacter, Create, Exchange, FockVector,
+from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Exchange, FockVector,
                        HermiticityError, ParticleModel, ResourceLimitError, Scale,
                        annihilate_free, annihilate_twisted, apply_program, basis_words,
                        check_braid_exchange_relations, check_infinite_statistics,
                        commutator_defect, create, gram_matrix, gram_psd_check, load_zoo,
                        make_bicharacter, make_group, make_model, q_swap_braid,
-                       sector_dimension)
+                       sector_dimension, ZOO_NAMES)
+from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram
 
-from oracles import (bosonic_dimension, fermionic_dimension, permutation_gram_entry,
-                     quon_gram_entry)
+from oracles import (bosonic_dimension, dense_gram, fermionic_dimension, permutation_gram_entry,
+                     q_factorial, quon_gram_entry, svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,115 @@ def test_resource_guard():
     m = load_zoo("boson")
     with pytest.raises(ResourceLimitError, match="guard"):
         sector_dimension(m, 17)  # 2^17 > 100000
+
+
+def test_byte_guard_counts_the_largest_matrix_allocated():
+    # only the guard runs here: each call raises, or returns, before any Gram is built
+    f3 = load_zoo("fermion3")
+    assert 3 ** 10 <= MAX_SECTOR_SIZE
+    with pytest.raises(ResourceLimitError, match="guard"):
+        _guard_gram(f3, 10, dense=True)          # 59049 rows: about 56 GB
+    _guard_gram(f3, 8)                           # largest block 8!/(3!3!2!) = 560 rows,
+    with pytest.raises(ResourceLimitError, match=str(MAX_GRAM_BYTES)):
+        _guard_gram(f3, 8, dense=True)           # while the dense Gram would take 689 MB
+    with pytest.raises(ResourceLimitError, match="guard"):
+        _guard_gram(load_zoo("boson"), 16)       # largest block C(16, 8) = 12870 rows
+    _guard_gram(load_zoo("boson"), 14)           # C(14, 7) = 3432 rows, 188 MB
+
+
+# ---------------------------------------------------------------------------
+# weight blocks
+
+
+def _self_adjoint_coupled_model():
+    """Two generators with a random cross coupling ``T[i,j,k,l] = conj(T[j,i,l,k])``:
+    it mixes multisets of letters, yet its Gram is Hermitian."""
+    rng = np.random.default_rng(20261018)
+    raw = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
+    cross = raw + raw.transpose(1, 0, 3, 2).conj()
+    cross *= 0.2 / np.abs(cross).sum()
+    trivial = make_group([])
+    return make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                      BraidMatrix(cross.transpose(0, 1, 3, 2)))
+
+
+def _mixing_models():
+    trivial = make_group([])
+    eps = Bicharacter.trivial(trivial)
+    rng = np.random.default_rng(20260811)
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {
+        "random-R": make_model(trivial, eps, [[], []], np.eye(2), BraidMatrix(raw)),
+        "self-adjoint-T": _self_adjoint_coupled_model(),
+        "off-diagonal-pairing": make_model(trivial, eps, [[], []], [[1, 0.3], [0.3, 1]]),
+    }
+
+
+def test_conserves_letters_precondition():
+    assert all(load_zoo(name).conserves_letters for name in ZOO_NAMES)
+    assert not any(m.conserves_letters for m in _mixing_models().values())
+
+
+def _compare_with_dense_oracle(model, n, rel=0.0):
+    result = gram_matrix(model, n)
+    expected = dense_gram(model, n)
+    assert np.abs(result.matrix - expected).max() <= rel * np.abs(expected).max()
+    scale = max(1.0, np.abs(expected).max())
+    if np.abs(expected - expected.conj().T).max() > 1e-9 * scale:
+        with pytest.raises(HermiticityError):
+            sector_dimension(model, n)
+        assert gram_psd_check(model, n).status == "skipped"
+        return
+    assert sector_dimension(model, n).quotient == svd_rank(expected)
+    min_eig = float(np.linalg.eigvalsh((expected + expected.conj().T) / 2).min())
+    assert gram_psd_check(model, n).data["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_blocks_match_dense_oracle_on_the_zoo(name):
+    model = load_zoo(name)
+    for n in range(5 if model.n_generators == 3 else 6):
+        blocks = gram_matrix(model, n).blocks
+        assert sum(len(b.words) for b in blocks) == model.n_generators ** n
+        _compare_with_dense_oracle(model, n)
+
+
+@pytest.mark.parametrize("label", ["random-R", "self-adjoint-T", "off-diagonal-pairing"])
+def test_one_block_matches_dense_oracle(label):
+    # the oracle multiplies complex couplings by whole arrays, the hop layer one
+    # Python complex at a time; the two products can differ in the last bit
+    model = _mixing_models()[label]
+    for n in range(6):
+        assert len(gram_matrix(model, n).blocks) == 1
+        _compare_with_dense_oracle(model, n, rel=1e-14)
+
+
+@pytest.mark.parametrize("name, q", [("quon_03", 0.3), ("quon_05", 0.5), ("quon_09", 0.9)])
+def test_quon_blocks_positive_definite(name, q):
+    # Bozejko-Speicher: the q-swap Gram is positive definite for |q| < 1, block by block
+    result = gram_matrix(load_zoo(name), 8)
+    assert all(e.min() > 0 for e in result.spectrum)
+    corner = next(b for b in result.blocks if b.words == [(1,) * 8])
+    assert corner.matrix.shape == (1, 1)
+    assert abs(corner.matrix[0, 0] - q_factorial(q, 8)) <= 1e-12 * q_factorial(q, 8)
+
+
+def test_fermion3_sector_7_blocks_are_zero():
+    model = load_zoo("fermion3")
+    assert sector_dimension(model, 7) == (2187, 0)
+    assert all(not b.matrix.any() for b in gram_matrix(model, 7).blocks)
+
+
+def test_fermion3_sector_8_never_allocates_the_dense_gram():
+    import tracemalloc
+    model = load_zoo("fermion3")
+    tracemalloc.start()
+    try:
+        assert sector_dimension(model, 8) == (6561, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # the dense 6561x6561 Gram alone takes 689 MB
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,22 @@ def test_schema_errors(tmp_path):
           "generators": {"grades": [[1]], "pairing": [[1]]},
           "options": {"tolerance": float("inf")}}, "finite"),
     ]
+    # JSON true and false are not numbers, though Python's bool is an int
+    base = {"group": {"orders": [2]}, "bicharacter": {"Q": [["1/2"]]},
+            "generators": {"grades": [[1]], "pairing": [[1]]}}
+    for edit, match in [
+        (lambda doc: doc.__setitem__("options", {"n_max": True}), "n_max"),
+        (lambda doc: doc.__setitem__("options", {"tolerance": True}), "tolerance"),
+        (lambda doc: doc["generators"].__setitem__("pairing", [[True]]), "pairing"),
+        (lambda doc: doc["generators"].__setitem__("pairing", [[[1, False]]]), "pairing"),
+        (lambda doc: doc["generators"].__setitem__("grades", [[True]]), "grades"),
+        (lambda doc: doc["group"].__setitem__("orders", [True]), "orders"),
+        (lambda doc: doc["bicharacter"].__setitem__("Q", [[True]]), "exact rationals"),
+        (lambda doc: doc.__setitem__("braid", {"kind": "matrix", "R": [[True]]}), "braid.R"),
+    ]:
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        cases.append((doc, match))
     for doc, match in cases:
         with pytest.raises(ModelFileError, match=match):
             model_from_dict(doc)
