@@ -16,7 +16,7 @@ from .models import (BraidMatrix, CrossMatrix, DERIVED_CROSS, DerivedCross, GRAD
                      GradeDiagonal, ModelSpecError, ParticleModel, braid_factor, braid_on_word,
                      check_symmetry, check_yang_baxter, extend_pairing, make_model, q_swap_braid)
 from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, GramResult,
-                   HermiticityError, ResourceLimitError, Scale, SectorDimension, annihilate_free,
+                   HermiticityError, ResourceLimitError, SectorDimension, annihilate_free,
                    annihilate_twisted, apply_program, check_braid_exchange_relations,
                    check_infinite_statistics, commutator_defect, create, gram_matrix,
                    gram_psd_check, sector_dimension)
@@ -40,7 +40,7 @@ __all__ = [
     "GradeDiagonal", "ModelSpecError", "ParticleModel", "braid_factor", "braid_on_word",
     "check_symmetry", "check_yang_baxter", "extend_pairing", "make_model", "q_swap_braid",
     "AnnihilateFree", "AnnihilateTwisted", "Create", "Exchange", "GramResult",
-    "HermiticityError", "ResourceLimitError", "Scale", "SectorDimension", "annihilate_free",
+    "HermiticityError", "ResourceLimitError", "SectorDimension", "annihilate_free",
     "annihilate_twisted", "apply_program", "check_braid_exchange_relations",
     "check_infinite_statistics", "commutator_defect", "create", "gram_matrix",
     "gram_psd_check", "sector_dimension",

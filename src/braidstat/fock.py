@@ -18,6 +18,12 @@ construction this makes the twisted commutation relation
 
 close exactly; :func:`commutator_defect` verifies it numerically.
 
+The hops ``(i, word) -> b-_i(word)`` are memoized, one memo per public call
+(:func:`annihilate_twisted`, :func:`commutator_defect`,
+:func:`check_braid_exchange_relations`, ``check_relation_transport``) and one
+per Gram pass, dropped when the call returns.  Indices are validated where
+input enters, in the public functions; the hop recursion does no checks.
+
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
 dimension of the physical (null-state-free) sector.  :func:`gram_tower`
@@ -140,7 +146,7 @@ def _twisted_on_word(model: ParticleModel, i: int, word: TensorWord,
     out: dict[TensorWord, complex] = {}
     if word:
         j, rest = word[0], word[1:]
-        g = model.pairing_entry(i, j)
+        g = model._pairing_rows[i - 1][j - 1]
         if g != 0:
             out[rest] = out.get(rest, 0.0) + g
         sign = float(model.expansion_sign)
@@ -153,16 +159,21 @@ def _twisted_on_word(model: ParticleModel, i: int, word: TensorWord,
     return out
 
 
-def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVector:
-    """Hopping annihilator; see the module docstring for the expansion."""
-    model._check_index(i)
+def _lower(model: ParticleModel, i: int, v: FockVector, memo: dict) -> FockVector:
+    """:func:`annihilate_twisted` without index checks, hopping through ``memo``."""
     out: dict[TensorWord, complex] = {}
-    memo: dict = {}
     for w, a in v.items():
-        model.check_word(w)
         for w2, amp in _twisted_on_word(model, i, w, memo).items():
             out[w2] = out.get(w2, 0.0) + amp * a
     return FockVector(out)
+
+
+def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVector:
+    """Hopping annihilator; see the module docstring for the expansion."""
+    model._check_index(i)
+    for w, _ in v.items():
+        model.check_word(w)
+    return _lower(model, i, v, {})
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +206,19 @@ def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float =
                                    {"n_max": n_max, "exact": defect == 0.0})
 
 
-def _wick_twisted_sum(model: ParticleModel, i: int, j: int, v: FockVector) -> FockVector:
+def _wick_twisted_sum(model: ParticleModel, i: int, j: int, v: FockVector,
+                      memo: dict) -> FockVector:
     """``sum_kl T[i,j,k,l] b+_l b-_k`` applied to ``v``."""
     out = FockVector.zero()
     for k, l, t in model.cross_terms[i, j]:
-        out = out + create(model, l, annihilate_twisted(model, k, v)).scale(t)
+        out = out + create(model, l, _lower(model, k, v, memo)).scale(t)
     return out
 
 
-def _commutator_residual(model: ParticleModel, i: int, j: int, v: FockVector) -> FockVector:
-    lhs = annihilate_twisted(model, i, create(model, j, v))
-    rhs = _wick_twisted_sum(model, i, j, v)
+def _commutator_residual(model: ParticleModel, i: int, j: int, v: FockVector,
+                         memo: dict) -> FockVector:
+    lhs = _lower(model, i, create(model, j, v), memo)
+    rhs = _wick_twisted_sum(model, i, j, v, memo)
     return lhs - rhs - v.scale(model.pairing_entry(i, j))
 
 
@@ -216,8 +229,9 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     _guard_sector(model, n)
     defect = 0.0
     witness = None
+    memo: dict = {}
     for w in basis_words(model.n_generators, n):
-        d = _commutator_residual(model, i, j, FockVector.basis(w)).norm()
+        d = _commutator_residual(model, i, j, FockVector.basis(w), memo).norm()
         if d > defect:
             defect, witness = d, list(w)
     return CheckReport.from_defect("twisted-commutator", defect, tol, witness,
@@ -406,6 +420,7 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     n_gen = model.n_generators
     grams = list(gram_tower(model, n_max + 2))
     terms = model.braid_terms
+    memo: dict = {}
     line_defects = {"create-create": 0.0, "annihilate-annihilate": 0.0, "mixed": 0.0}
     witness = None
     worst = 0.0
@@ -420,12 +435,12 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
                         raised = raised - FockVector.basis((k, l) + w).scale(r)
                     defects["create-create"] = _gram_norm(raised, grams[n + 2])
                     if n >= 2:
-                        lowered = annihilate_twisted(model, i, annihilate_twisted(model, j, base))
+                        lowered = _lower(model, i, _lower(model, j, base, memo), memo)
                         for k, l, r in terms[i, j]:
-                            term = annihilate_twisted(model, k, annihilate_twisted(model, l, base))
+                            term = _lower(model, k, _lower(model, l, base, memo), memo)
                             lowered = lowered - term.scale(r)
                         defects["annihilate-annihilate"] = _gram_norm(lowered, grams[n - 2])
-                    defects["mixed"] = _gram_norm(_commutator_residual(model, i, j, base),
+                    defects["mixed"] = _gram_norm(_commutator_residual(model, i, j, base, memo),
                                                   grams[n])
                     for line, d in defects.items():
                         line_defects[line] = max(line_defects[line], d)
@@ -460,12 +475,7 @@ class Exchange:
     position: int
 
 
-@dataclass(frozen=True)
-class Scale:
-    factor: complex
-
-
-ProgramStep = Create | AnnihilateFree | AnnihilateTwisted | Exchange | Scale
+ProgramStep = Create | AnnihilateFree | AnnihilateTwisted | Exchange
 
 
 def apply_program(model: ParticleModel, program: Sequence[ProgramStep], v: FockVector) -> FockVector:
@@ -484,8 +494,6 @@ def apply_program(model: ParticleModel, program: Sequence[ProgramStep], v: FockV
             for w, a in state.items():
                 out = out + braid_on_word(model, w, step.position).scale(a)
             state = out
-        elif isinstance(step, Scale):
-            state = state.scale(step.factor)
         else:
             raise ValueError(f"unknown program step {step!r}")
     return state

@@ -146,18 +146,10 @@ class ParticleModel:
     def is_grade_diagonal(self) -> bool:
         return isinstance(self.braid, GradeDiagonal)
 
-    @property
-    def has_scalar_cross(self) -> bool:
-        return self.is_grade_diagonal and isinstance(self.cross, DerivedCross)
-
     @cached_property
-    def pairing_asymmetry(self) -> float:
-        return float(np.abs(self.pairing - self.pairing.conj().T).max()) if self.n_generators else 0.0
-
-    @cached_property
-    def pairing_hermitian(self) -> bool:
-        scale = max(1.0, float(np.abs(self.pairing).max()))
-        return self.pairing_asymmetry <= 1e-12 * scale
+    def _pairing_rows(self) -> list[list[complex]]:
+        """The pairing as rows of Python ``complex``; indexed 0-based, unchecked."""
+        return self.pairing.tolist()
 
     def grade(self, i: int) -> GroupElement:
         self._check_index(i)
@@ -169,7 +161,7 @@ class ParticleModel:
     def pairing_entry(self, i: int, j: int) -> complex:
         self._check_index(i)
         self._check_index(j)
-        return complex(self.pairing[i - 1, j - 1])
+        return self._pairing_rows[i - 1][j - 1]
 
     def braid_phase(self, i: int, j: int) -> RationalPhase:
         """Exact swap phase ``eps(grade_j, grade_i)`` (grade-diagonal only)."""
@@ -179,7 +171,7 @@ class ParticleModel:
 
     def cross_phase(self, i: int, j: int) -> RationalPhase:
         """Exact phase for moving dual letter ``i*`` rightward past letter ``j``."""
-        if not self.has_scalar_cross:
+        if not (self.is_grade_diagonal and isinstance(self.cross, DerivedCross)):
             raise ModelSpecError("cross_phase requires a grade-diagonal model with derived cross")
         return self.eps.phase(self.grade(j), self.dual_grade(i))
 

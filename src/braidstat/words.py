@@ -61,9 +61,6 @@ class FockVector:
     def sorted_items(self) -> list[tuple[TensorWord, complex]]:
         return sorted(self._amps.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
-    def words(self) -> set[TensorWord]:
-        return set(self._amps)
-
     @property
     def n_terms(self) -> int:
         return len(self._amps)

@@ -1,12 +1,20 @@
-"""``check --json`` on every zoo model against stored reports.
+"""``check --json`` on every zoo model, and ``transmute --json`` on both
+bundled transmutations, against stored reports.
 
 ``golden/check_reports.json`` holds, per zoo model, the report of
 ``braidstat check <zoo file> --json`` at the file's own ``n_max``, as
 produced before the hop layer moved to the exchange term tables and
 ``check`` to a single Gram pass.  The ``input`` field is left out because it
-holds the path of the checkout.  Statuses, witnesses, sector dimensions and
-every other non-float field must match exactly; floats (defects, minimum
-eigenvalues, tolerances) within 1e-12.
+holds the path of the checkout.
+
+``golden/transmute_reports.json`` holds, per bundled transmutation and per
+``--nmax`` of 3 and 5, the exit code, the report of ``braidstat transmute
+--json`` without ``input`` and ``output_file``, and the model file it wrote
+(``null`` when a check failed and nothing was written), as produced before
+the Fock checks moved to one hop memo per call.
+
+Statuses, witnesses, sector dimensions and every other non-float field must
+match exactly; floats (defects, minimum eigenvalues, tolerances) within 1e-12.
 """
 
 import json
@@ -17,7 +25,11 @@ import pytest
 from braidstat import ZOO_NAMES, zoo_path
 from braidstat.cli import main as cli_main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_reports.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "check_reports.json").read_text())
+GOLDEN_TRANSMUTE = json.loads((GOLDEN_DIR / "transmute_reports.json").read_text())
+TRANSMUTATIONS = (("z2z2_fermion", "hom_z2z2_to_z2", "bichar_z2_half"),
+                  ("fermion1", "hom_z2_to_z4", "bichar_z4_quarter"))
 
 
 def assert_matches(got, want, where="report"):
@@ -45,3 +57,24 @@ def test_check_report_matches_golden(name, capsys):
     report = json.loads(capsys.readouterr().out)
     report.pop("input")
     assert_matches(report, GOLDEN[name])
+
+
+def test_golden_covers_the_transmutations():
+    assert sorted(GOLDEN_TRANSMUTE) == sorted(f"{source}->{hom}@{n_max}"
+                                              for source, hom, _ in TRANSMUTATIONS
+                                              for n_max in (3, 5))
+
+
+@pytest.mark.parametrize("n_max", [3, 5])
+@pytest.mark.parametrize("source,hom,bichar", TRANSMUTATIONS)
+def test_transmute_report_matches_golden(source, hom, bichar, n_max, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = cli_main(["transmute", str(zoo_path(source)), "--hom", str(zoo_path(hom)),
+                     "--target-bichar", str(zoo_path(bichar)), "--nmax", str(n_max),
+                     "--out", str(out), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("input")
+    report["results"].pop("output_file")
+    written = json.loads(out.read_text()) if out.exists() else None
+    assert_matches({"exit": code, "report": report, "written": written},
+                   GOLDEN_TRANSMUTE[f"{source}->{hom}@{n_max}"])

@@ -102,4 +102,3 @@ def test_complex_entries_accept_pairs(tmp_path):
     path.write_text(json.dumps(doc))
     model = load_model_file(path).model
     assert model.pairing_entry(1, 2) == 0.5j
-    assert model.pairing_hermitian

@@ -200,15 +200,6 @@ def test_extend_pairing_multiplicative_over_concatenation():
         assert whole == pytest.approx(parts)
 
 
-def test_pairing_hermitian_flag():
-    z2 = make_group([2])
-    eps = make_bicharacter(z2, [["1/2"]])
-    assert make_model(z2, eps, [[1]], [[1]]).pairing_hermitian
-    skew = make_model(z2, eps, [[1], [1]], np.array([[1, 1j], [1j, 1]]))
-    assert not skew.pairing_hermitian
-    assert skew.pairing_asymmetry == pytest.approx(2.0)
-
-
 def test_dual_grade_lands_pairings_in_grade_zero():
     # bundled grade-diagonal models: nonzero pairing entries connect equal grades,
     # so dual grade -gamma_i + gamma_j vanishes on the support of the pairing
