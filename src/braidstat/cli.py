@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .coherence import ExprSyntaxError, normalize as normalize_expr, parse_expr
 from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, HermiticityError,
-                   ProgramStep, ResourceLimitError, apply_program,
-                   check_braid_exchange_relations, check_infinite_statistics,
-                   commutator_defect, gram_matrix, gram_tower, _psd_report, _quotient_rank)
+                   ProgramStep, ResourceLimitError, apply_program, check_infinite_statistics,
+                   gram_matrix, _commutator_residuals, _exchange_nullity, _guard_gram,
+                   _guard_sector, _levels, _psd_report, _quotient_rank, _tower,
+                   _twisted_commutators)
 from .groups import check_transmutation
 from .modelfile import (ModelFileError, load_bicharacter_file, load_hom_file, load_model_file,
                         model_to_dict)
@@ -63,10 +64,32 @@ def parse_vector(text: str) -> FockVector:
     return FockVector.basis(letters)
 
 
+class _Rows(list):
+    """A complex matrix that the JSON encoder writes as nested ``[re, im]``
+    lists, making one row at a time."""
+
+    def __init__(self, matrix):
+        super().__init__()
+        self.matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __iter__(self):
+        return ([[v.real, v.imag] for v in row.tolist()] for row in self.matrix)
+
+
+def _dump(value, indent: int | None = None) -> None:
+    """Write ``json.dumps(value, sort_keys=True, indent=indent)`` piece by piece;
+    ``iterencode`` takes the pure-Python encoder, which reads :class:`_Rows` lazily."""
+    sys.stdout.writelines(json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value))
+    sys.stdout.write("\n")
+
+
 def _emit(report: dict, checks: list[CheckReport], as_json: bool) -> int:
     code = 1 if any(c.status == FAIL for c in checks) else 0
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _dump(report, indent=2)
     else:
         for check in checks:
             line = f"  {check.status.upper():7s} {check.name:24s} defect={check.defect:.3e}"
@@ -74,7 +97,8 @@ def _emit(report: dict, checks: list[CheckReport], as_json: bool) -> int:
                 line += f"  witness={json.dumps(jsonable(check.witness), sort_keys=True)}"
             print(line)
         for key, value in report.get("results", {}).items():
-            print(f"  {key}: {json.dumps(value, sort_keys=True)}")
+            sys.stdout.write(f"  {key}: ")
+            _dump(value)
     return code
 
 
@@ -83,6 +107,13 @@ def cmd_check(args) -> int:
     model = loaded.model
     tol = args.tol if args.tol is not None else loaded.tolerance
     n_max = args.nmax if args.nmax is not None else loaded.n_max
+
+    for n in range(min(n_max, 0), n_max + 1):  # name the first sector past the guard
+        _guard_sector(model, n)
+    _guard_gram(model, n_max + 2)
+    # one ladder and one Gram pass serve every Fock check
+    ladder = list(_levels(model, n_max + 2))
+    grams = list(_tower(model, ladder))
 
     checks: list[CheckReport] = [
         CheckReport("bicharacter-wellformed", PASS, 0.0, None,
@@ -95,21 +126,14 @@ def cmd_check(args) -> int:
     checks.append(check_symmetry(model, tol))
     checks.append(check_infinite_statistics(model, n_max, tol))
 
-    worst = CheckReport("twisted-commutators", PASS, 0.0)
-    for i in range(1, model.n_generators + 1):
-        for j in range(1, model.n_generators + 1):
-            for n in range(n_max + 1):
-                rep = commutator_defect(model, i, j, n, tol)
-                if rep.defect >= worst.defect:
-                    worst = CheckReport("twisted-commutators", rep.status, rep.defect,
-                                        rep.witness if rep.status == FAIL else None, rep.data)
-    checks.append(worst)
-    checks.append(check_braid_exchange_relations(model, n_max, tol))
+    residuals = [_commutator_residuals(model, ladder, n) for n in range(n_max + 1)]
+    checks.append(_twisted_commutators(model, residuals, tol))
+    checks.append(_exchange_nullity(model, ladder, grams, residuals, tol))
 
     dims = []
     max_asym = 0.0
     psd: CheckReport | None = None
-    for n, result in enumerate(gram_tower(model, n_max)):
+    for n, result in enumerate(grams[:n_max + 1]):
         max_asym = max(max_asym, result.asymmetry)
         try:
             dims.append({"sector": n, "full": model.n_generators ** n,
@@ -165,7 +189,7 @@ def cmd_gram(args) -> int:
             "rank": rank,
             "min_eigenvalue": min_eig,
             "basis": [list(w) for w in result.words],
-            "matrix": [[[v.real, v.imag] for v in row] for row in result.matrix.tolist()],
+            "matrix": _Rows(result.matrix),
         },
     }
     return _emit(report, checks, args.json)

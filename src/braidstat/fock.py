@@ -18,11 +18,28 @@ construction this makes the twisted commutation relation
 
 close exactly; :func:`commutator_defect` verifies it numerically.
 
-The hops ``(i, word) -> b-_i(word)`` are memoized, one memo per public call
-(:func:`annihilate_twisted`, :func:`commutator_defect`,
-:func:`check_braid_exchange_relations`, ``check_relation_transport``) and one
-per Gram pass, dropped when the call returns.  Indices are validated where
-input enters, in the public functions; the hop recursion does no checks.
+One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
+matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
+arrays (rows, columns, values), each level built from the one below by the
+recursion above, read column block by column block:
+
+    B_i^(m)[:, j.] = <i|j> I + s * sum_{(k, l, t) in T(i, j)} t * (prepend l) B_k^(m-1)
+
+Entries that land on the same ``(row, column)`` are summed in the order in
+which the recursion lists them: the pairing first, then the terms of
+``T(i, j)`` in order.  The checks and the Gram tower ask for whole sectors,
+every word of length ``m``; :func:`annihilate_twisted` asks only for the
+suffixes of its input words, so it works on words far longer than a whole
+sector could hold.  Each public call builds its own ladder and drops it when
+it returns; none is kept on the model or in a module.  Indices are validated
+where input enters, in the public functions; the engine does no checks.
+
+The checks read the ladder one sector at a time, for every pair ``(i, j)`` at
+once.  A residual keeps the entries above :data:`~braidstat.words.PRUNE_EPS`,
+as :class:`~braidstat.words.FockVector` does.  A check's witness is the first
+candidate, in the order its loop is documented in, whose defect is at least
+``max * (1 - 1e-12)``: defects equal in exact arithmetic may differ in their
+last bits, and the band keeps the witness where exact arithmetic puts it.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
@@ -45,9 +62,10 @@ value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
 blocks only when :attr:`GramResult.matrix` is read.
 
 Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
-``N^n`` of words (it bounds the hop memo), and :data:`MAX_GRAM_BYTES` on the
-``16 * rows^2`` bytes of the largest complex matrix allocated, the largest
-block or, for :func:`gram_matrix`, the dense Gram.
+``N^n`` of words, and :data:`MAX_GRAM_BYTES` on the bytes of the largest
+array allocated: ``16 * rows^2`` for the largest Gram block or, for
+:func:`gram_matrix`, the dense Gram, and 32 bytes per entry (a complex value
+and two index words) for one level of a ladder.
 """
 
 from __future__ import annotations
@@ -55,19 +73,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .models import ParticleModel, braid_on_word
 from .report import CheckReport, FAIL, PASS, SKIPPED
-from .words import FockVector, TensorWord, basis_words, word_index
+from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 
-#: Hard guard on the number N^n of words in a sector computation.
+#: Hard guard on the number N^n of words of a sector that a check or a Gram
+#: walks; their whole-sector ladders reach one or two sectors past it.
 MAX_SECTOR_SIZE = 100_000
-#: Hard guard on the bytes (16 per complex entry) of the largest Gram matrix
-#: that a sector computation allocates.
+#: Hard guard on the bytes of the largest array that a sector computation
+#: allocates: a Gram matrix (16 per complex entry) or one ladder level.
 MAX_GRAM_BYTES = 1 << 28
+#: A witness is the first candidate whose defect is within this relative band
+#: of the largest.
+_WITNESS_BAND = 1e-12
 
 
 class ResourceLimitError(ValueError):
@@ -137,105 +159,244 @@ def annihilate_free(model: ParticleModel, i: int, v: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def _twisted_on_word(model: ParticleModel, i: int, word: TensorWord,
-                     memo: dict) -> dict[TensorWord, complex]:
-    key = (i, word)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    out: dict[TensorWord, complex] = {}
-    if word:
-        j, rest = word[0], word[1:]
-        g = model._pairing_rows[i - 1][j - 1]
-        if g != 0:
-            out[rest] = out.get(rest, 0.0) + g
-        sign = float(model.expansion_sign)
-        for k, l, t in model.cross_terms[i, j]:
-            factor = sign * t
-            for sub, amp in _twisted_on_word(model, k, rest, memo).items():
-                moved = (l,) + sub
-                out[moved] = out.get(moved, 0.0) + factor * amp
-    memo[key] = out
-    return out
+# ---------------------------------------------------------------------------
+# The ladder engine
 
 
-def _lower(model: ParticleModel, i: int, v: FockVector, memo: dict) -> FockVector:
-    """:func:`annihilate_twisted` without index checks, hopping through ``memo``."""
-    out: dict[TensorWord, complex] = {}
-    for w, a in v.items():
-        for w2, amp in _twisted_on_word(model, i, w, memo).items():
-            out[w2] = out.get(w2, 0.0) + amp * a
-    return FockVector(out)
+class _Sparse(NamedTuple):
+    """A sparse operator: entry ``e`` sits at ``(rows[e], cols[e])``, sorted by
+    column, then row; column ``c`` holds the entries ``start[c]:start[c + 1]``."""
+
+    start: np.ndarray | None
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _word(index, length: int, n_gen: int) -> TensorWord:
+    """The word of the given length at lexicographic position ``index``."""
+    index = int(index)
+    return tuple(index // n_gen ** p % n_gen + 1 for p in reversed(range(length)))
+
+
+def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Sparse:
+    """The operator with the entries of ``parts``, triples ``(rows, cols,
+    values)``: entries at one ``(row, col)`` are summed in the order given, and
+    sums of magnitude up to ``floor`` are dropped."""
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    if n_rows * n_cols >= 1 << 63:  # positions of very long words: Python integers
+        rows, cols = rows.astype(object), cols.astype(object)
+    key, inverse = np.unique(cols * n_rows + rows, return_inverse=True)
+    summed = np.zeros(len(key), dtype=complex)
+    np.add.at(summed, inverse, vals)
+    keep = np.abs(summed) > floor
+    cols = (key[keep] // n_rows).astype(np.int64)
+    return _Sparse(np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep])
+
+
+def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of ``hop`` in ``columns``: rows, index into ``columns``, values."""
+    lo, counts = hop.start[columns], hop.start[columns + 1] - hop.start[columns]
+    at = np.repeat(np.arange(len(columns)), counts)
+    pick = np.arange(len(at)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return hop.rows[pick], at, hop.vals[pick]
+
+
+def _pairing_part(model: ParticleModel, i: int, first: np.ndarray, rest: np.ndarray) -> _Sparse:
+    """The free annihilator ``a-_i``: ``<i|first[c] + 1>`` at row ``rest[c]`` of column ``c``."""
+    g = model.pairing[i - 1, first]
+    cols = np.flatnonzero(g)
+    return _Sparse(None, rest[cols], cols, g[cols])
+
+
+def _vacuum(n_gen: int) -> list[_Sparse]:
+    """``b-_i`` on the vacuum, the one word of length 0: no entries."""
+    empty = np.zeros(0, dtype=np.int64)
+    return [_Sparse(np.zeros(2, dtype=np.int64), empty, empty, empty.astype(complex))] * n_gen
+
+
+def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray,
+           child: np.ndarray, rest: np.ndarray) -> list[_Sparse]:
+    """``b-_i`` for every ``i`` on words of length ``m``, by the recursion.
+
+    Column ``c`` is the word of first letter ``first[c] + 1`` followed by the
+    word of column ``child[c]`` of ``below``, which has position ``rest[c]``
+    among the words of length ``m - 1``.
+    """
+    n_gen = model.n_generators
+    shift, sign = n_gen ** max(m - 2, 0), float(model.expansion_sign)
+    by_first = [np.flatnonzero(first == j) for j in range(n_gen)]
+    plans = [[(columns, below[k - 1], (l - 1) * shift, sign * t)
+              for j, columns in enumerate(by_first, start=1) for k, l, t in model.cross_terms[i, j]]
+             for i in range(1, n_gen + 1)]
+    entries = int(np.count_nonzero(model.pairing[:, first])) + sum(
+        int(np.diff(hop.start)[child[columns]].sum()) for plan in plans for columns, hop, _, _ in plan)
+    if 32 * entries > MAX_GRAM_BYTES:
+        raise ResourceLimitError(f"the annihilators on sector {m} have {entries} entries, "
+                                 f"{32 * entries} bytes, over the guard of {MAX_GRAM_BYTES}")
+    hops = []
+    for i, plan in enumerate(plans, start=1):
+        parts = [_pairing_part(model, i, first, rest)[1:]]
+        for columns, hop, offset, factor in plan:
+            rows, at, vals = _gather(hop, child[columns])
+            parts.append((offset + rows.astype(rest.dtype), columns[at], vals * factor))
+        hops.append(_coalesce(parts, n_gen ** (m - 1), len(first)))
+    return hops
+
+
+def _levels(model: ParticleModel, n: int) -> Iterator[list[_Sparse]]:
+    """The whole-sector ``b-_i`` of sectors ``0..n``, each built when the one
+    below is done; a column's position is its word's lexicographic position."""
+    n_gen = model.n_generators
+    hops = _vacuum(n_gen)
+    yield hops
+    for m in range(1, n + 1):
+        words = np.arange(n_gen ** m)
+        rest = words % n_gen ** (m - 1)
+        hops = _level(model, hops, m, words // n_gen ** (m - 1), rest, rest)
+        yield hops
 
 
 def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVector:
-    """Hopping annihilator; see the module docstring for the expansion."""
+    """Hopping annihilator; see the module docstring for the expansion.  The
+    ladder of each word holds only its suffixes, one per level."""
     model._check_index(i)
     for w, _ in v.items():
         model.check_word(w)
-    return _lower(model, i, v, {})
+    n_gen = model.n_generators
+    out: dict[TensorWord, complex] = {}
+    for w, a in v.items():
+        hops = _vacuum(n_gen)
+        for m in range(1, len(w) + 1):
+            suffix = w[len(w) - m:]
+            rest = np.array([word_index(suffix[1:], n_gen)],
+                            dtype=np.int64 if n_gen ** m < 1 << 63 else object)
+            hops = _level(model, hops, m, np.array([suffix[0] - 1]), np.zeros(1, dtype=np.int64),
+                          rest)
+        for row, amp in zip(hops[i - 1].rows.tolist(), hops[i - 1].vals.tolist()):
+            w2 = _word(row, len(w) - 1, n_gen)
+            out[w2] = out.get(w2, 0.0) + amp * a
+    return FockVector(out)
 
 
 # ---------------------------------------------------------------------------
 # Relation checks
 
 
+def _locate(defects: list[np.ndarray]) -> tuple[float, tuple | None]:
+    """The largest defect over arrays listed in loop order, and the first
+    entry within the witness band of it as ``(array number, index)``, or
+    ``None`` when every defect is 0."""
+    flat = np.concatenate([d.ravel() for d in defects] + [np.zeros(0)])
+    worst = float(flat.max(initial=0.0))
+    if worst == 0.0:
+        return 0.0, None
+    at = int(np.argmax(flat >= worst * (1.0 - _WITNESS_BAND)))
+    for number, d in enumerate(defects):
+        if at < d.size:
+            return worst, (number, np.unravel_index(at, d.shape))
+        at -= d.size
+
+
+def _norms(entries: _Sparse) -> np.ndarray:
+    return np.sqrt(np.bincount(entries.cols, weights=np.abs(entries.vals) ** 2,
+                               minlength=len(entries.start) - 1))
+
+
+def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse],
+                      below: Sequence[_Sparse], terms: dict) -> _Sparse:
+    """``a-_i b+_j - sum_{(k, l, t) in terms[i, j]} t b+_l b-_k - <i|j>`` on sector ``n``.
+
+    ``lowering[i - 1]`` is ``a-_i`` on sector ``n + 1`` and ``below[k - 1]`` is
+    ``b-_k`` on sector ``n``.  Column ``((i - 1) N + j - 1) N^n + w`` holds the
+    residual of ``(i, j)`` on word ``w``; entries up to ``PRUNE_EPS`` are dropped.
+    """
+    n_gen = model.n_generators
+    size = n_gen ** n
+    # column j N^n + w of a-_i on sector n + 1 is a-_i b+_j on w
+    parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, hop.vals)
+             for i, hop in enumerate(lowering, start=1)]
+    for (i, j), pair_terms in terms.items():
+        for k, l, t in pair_terms:
+            hop = below[k - 1]
+            parts.append(((l - 1) * n_gen ** max(n - 1, 0) + hop.rows,
+                          ((i - 1) * n_gen + j - 1) * size + hop.cols, hop.vals * -t))
+    g = model.pairing.ravel()
+    pairs = np.flatnonzero(g)
+    words = np.arange(size)
+    parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
+                  np.repeat(-g[pairs], size)))
+    return _coalesce(parts, size, n_gen ** (n + 2), PRUNE_EPS)
+
+
 def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float = 1e-9) -> CheckReport:
     """Free relation ``a-_i a+_j = <i|j> id`` on all basis words up to ``n_max``.
 
-    The relation holds by construction, so the reported defect is exactly 0
-    unless the implementation is broken.  The reversed composition
-    ``a+_j a-_i`` is *not* scalar; see the tests for the documented
-    non-relation.
+    ``a-_i`` is the pairing part of the ladder recursion.  The relation holds
+    by construction, so the reported defect is exactly 0 unless the
+    implementation is broken.  The reversed composition ``a+_j a-_i`` is *not*
+    scalar; see the tests for the documented non-relation.  The witness is
+    the first in ``(n, word, i, j)`` order.
     """
     n_gen = model.n_generators
-    defect = 0.0
-    witness = None
+    sectors = []
     for n in range(n_max + 1):
         _guard_sector(model, n)
-        for w in basis_words(n_gen, n):
-            base = FockVector.basis(w)
-            for i in range(1, n_gen + 1):
-                for j in range(1, n_gen + 1):
-                    got = annihilate_free(model, i, create(model, j, base))
-                    residual = got - base.scale(model.pairing_entry(i, j))
-                    d = residual.norm()
-                    if d > defect:
-                        defect, witness = d, {"i": i, "j": j, "word": list(w)}
+        words = np.arange(n_gen ** (n + 1))
+        free = [_pairing_part(model, i, words // n_gen ** n, words % n_gen ** n)
+                for i in range(1, n_gen + 1)]
+        norms = _norms(_residual_entries(model, n, free, [], {}))
+        sectors.append(norms.reshape(n_gen, n_gen, -1).transpose(2, 0, 1))
+    defect, at = _locate(sectors)
+    witness = None
+    if at is not None:
+        n, (w, i, j) = at
+        witness = {"i": int(i) + 1, "j": int(j) + 1, "word": list(_word(w, n, n_gen))}
     return CheckReport.from_defect("infinite-statistics", defect, tol, witness,
                                    {"n_max": n_max, "exact": defect == 0.0})
 
 
-def _wick_twisted_sum(model: ParticleModel, i: int, j: int, v: FockVector,
-                      memo: dict) -> FockVector:
-    """``sum_kl T[i,j,k,l] b+_l b-_k`` applied to ``v``."""
-    out = FockVector.zero()
-    for k, l, t in model.cross_terms[i, j]:
-        out = out + create(model, l, _lower(model, k, v, memo)).scale(t)
-    return out
+def _commutator_residuals(model: ParticleModel, ladder: list, n: int) -> _Sparse:
+    """The twisted commutator residuals on sector ``n``, laid out as
+    :func:`_residual_entries` lays them out."""
+    return _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
 
 
-def _commutator_residual(model: ParticleModel, i: int, j: int, v: FockVector,
-                         memo: dict) -> FockVector:
-    lhs = _lower(model, i, create(model, j, v), memo)
-    rhs = _wick_twisted_sum(model, i, j, v, memo)
-    return lhs - rhs - v.scale(model.pairing_entry(i, j))
+def _commutator_report(defects: np.ndarray, i: int, j: int, n: int, tol: float) -> CheckReport:
+    """:func:`commutator_defect` from the norms of the residuals of one sector,
+    indexed ``[i - 1, j - 1, word]``."""
+    defect, at = _locate([defects[i - 1, j - 1]])
+    witness = None if at is None else list(_word(at[1][0], n, len(defects)))
+    return CheckReport.from_defect("twisted-commutator", defect, tol, witness,
+                                   {"i": i, "j": j, "sector": n})
 
 
 def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float = 1e-9) -> CheckReport:
-    """Defect of ``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``."""
+    """Defect of ``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``;
+    the witness is the first word in lexicographic order."""
     model._check_index(i)
     model._check_index(j)
     _guard_sector(model, n)
-    defect = 0.0
-    witness = None
-    memo: dict = {}
-    for w in basis_words(model.n_generators, n):
-        d = _commutator_residual(model, i, j, FockVector.basis(w), memo).norm()
-        if d > defect:
-            defect, witness = d, list(w)
-    return CheckReport.from_defect("twisted-commutator", defect, tol, witness,
-                                   {"i": i, "j": j, "sector": n})
+    n_gen = model.n_generators
+    residuals = _commutator_residuals(model, list(_levels(model, n + 1)), n)
+    return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
+
+
+def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: float) -> CheckReport:
+    """The ``twisted-commutators`` row of ``check`` from the residuals of sectors
+    ``0..n_max``: over ``(i, j, n)`` in that order, the last
+    :func:`commutator_defect` report with the largest defect."""
+    n_gen = model.n_generators
+    defects = [_norms(entries).reshape(n_gen, n_gen, -1) for entries in residuals]
+    worst = CheckReport("twisted-commutators", PASS, 0.0)
+    for i in range(1, n_gen + 1):
+        for j in range(1, n_gen + 1):
+            for n, sector in enumerate(defects):
+                rep = _commutator_report(sector, i, j, n, tol)
+                if rep.defect >= worst.defect:
+                    worst = CheckReport("twisted-commutators", rep.status, rep.defect,
+                                        rep.witness if rep.status == FAIL else None, rep.data)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +410,22 @@ class GramBlock(NamedTuple):
     matrix: np.ndarray
 
 
+def _positions(n_generators: int, sector: int,
+               word_lists: Iterable[list[TensorWord]]) -> tuple[np.ndarray, np.ndarray]:
+    """For each word of the sector, by lexicographic position: its block and its row there."""
+    block = np.empty(n_generators ** sector, dtype=np.int64)
+    row = np.empty_like(block)
+    place = n_generators ** np.arange(sector - 1, -1, -1)
+    for b, words in enumerate(word_lists):
+        index = (np.array(words, dtype=np.int64).reshape(len(words), sector) - 1) @ place
+        block[index], row[index] = b, np.arange(len(words))
+    return block, row
+
+
 class GramResult:
     """The sector-``n`` Gram matrix, held as its weight blocks.
 
-    Each block lists its words in lexicographic order.  ``position`` maps each
-    word of the sector to its block and its row there; entries between two
+    Each block lists its words in lexicographic order; entries between two
     blocks are exactly 0.
     """
 
@@ -261,8 +433,7 @@ class GramResult:
         self.sector = sector
         self.n_generators = n_generators
         self.blocks = blocks
-        self.position = {w: (b, r) for b, block in enumerate(blocks)
-                         for r, w in enumerate(block.words)}
+        self._block, self._row = _positions(n_generators, sector, (g.words for g in blocks))
         self.asymmetry = max(float(np.abs(g.matrix - g.matrix.conj().T).max()) for g in blocks)
         #: size of the largest entry, at least 1: the unit of the relative cuts
         self.scale = max(1.0, max(float(np.abs(g.matrix).max()) for g in blocks))
@@ -278,8 +449,8 @@ class GramResult:
         """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the blocks."""
         size = self.n_generators ** self.sector
         dense = np.zeros((size, size), dtype=complex)
-        for block in self.blocks:
-            rows = [word_index(w, self.n_generators) for w in block.words]
+        for b, block in enumerate(self.blocks):
+            rows = np.flatnonzero(self._block == b)
             dense[np.ix_(rows, rows)] = block.matrix
         return dense
 
@@ -294,6 +465,51 @@ class SectorDimension(NamedTuple):
     quotient: int
 
 
+def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[GramResult]:
+    """The Grams of the sectors of a whole-sector ladder, from sector 0 up."""
+    n_gen = model.n_generators
+    result = GramResult(0, n_gen, [GramBlock([()], np.ones((1, 1), dtype=complex))])
+    for m, hops in enumerate(ladder):
+        if m == 0:
+            yield result
+            continue
+        # (letter, lower block) pairs of each block, by ascending letter, so
+        # that the stacked words of a block come in lexicographic order
+        parts: dict[tuple, list[tuple[int, int]]] = {}
+        for i in range(1, n_gen + 1):
+            for b, lower in enumerate(result.blocks):
+                key = tuple(sorted((i,) + lower.words[0])) if model.conserves_letters else ()
+                parts.setdefault(key, []).append((i, b))
+        stacks = list(parts.values())
+        lower_words = np.argsort(result._block, kind="stable")  # block by block, in order
+        bounds = np.searchsorted(result._block[lower_words], np.arange(len(result.blocks) + 1))
+        columns = [np.concatenate([(i - 1) * n_gen ** (m - 1) + lower_words[bounds[b]:bounds[b + 1]]
+                                   for i, b in stack]) for stack in stacks]
+        edges = np.cumsum([0] + [len(c) for c in columns])
+        # each b-_i on every column, block after block
+        entries = [_gather(hop, np.concatenate(columns)) for hop in hops]
+        cuts = [np.searchsorted(at, edges) for _, at, _ in entries]
+        blocks = []
+        for c, stack in enumerate(stacks):
+            words = [(i,) + w for i, b in stack for w in result.blocks[b].words]
+            gram = np.empty((len(words), len(words)), dtype=complex)
+            top = 0
+            for i, b in stack:
+                lower = result.blocks[b]
+                span = slice(cuts[i - 1][c], cuts[i - 1][c + 1])
+                rows, at, vals = (a[span] for a in entries[i - 1])
+                if np.any(result._block[rows] != b):
+                    raise RuntimeError(f"b-_{i} maps a word of the block of {words[0]} outside "
+                                       f"the block of {lower.words[0]}")
+                step = np.zeros((len(lower.words), len(words)), dtype=complex)
+                step[result._row[rows], at - edges[c]] = vals
+                gram[top:top + len(lower.words)] = lower.matrix @ step
+                top += len(lower.words)
+            blocks.append(GramBlock(words, gram))
+        result = GramResult(m, n_gen, blocks)
+        yield result
+
+
 def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
     """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
 
@@ -302,42 +518,11 @@ def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
     the rows of block ``M`` whose word starts with ``i`` equal
     ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
     A model that does not conserve letters has one block per sector, which
-    makes this the dense recursion.  One hop memo serves every sector.
+    makes this the dense recursion.  Each level of the ladder is built when
+    its sector is reached and dropped after it.
     """
     _guard_gram(model, n)
-    n_gen = model.n_generators
-    conserving = model.conserves_letters
-    memo: dict = {}
-    result = GramResult(0, n_gen, [GramBlock([()], np.ones((1, 1), dtype=complex))])
-    yield result
-    for m in range(1, n + 1):
-        # (letter, lower block) pairs of each block, by ascending letter, so
-        # that the stacked words of a block come in lexicographic order
-        parts: dict[tuple, list[tuple[int, int]]] = {}
-        for i in range(1, n_gen + 1):
-            for b, lower in enumerate(result.blocks):
-                key = tuple(sorted((i,) + lower.words[0])) if conserving else ()
-                parts.setdefault(key, []).append((i, b))
-        blocks = []
-        for stack in parts.values():
-            words = [(i,) + w for i, b in stack for w in result.blocks[b].words]
-            gram = np.empty((len(words), len(words)), dtype=complex)
-            top = 0
-            for i, b in stack:
-                lower = result.blocks[b]
-                hop = np.zeros((len(lower.words), len(words)), dtype=complex)
-                for c, w in enumerate(words):
-                    for w2, amp in _twisted_on_word(model, i, w, memo).items():
-                        b2, r = result.position[w2]
-                        if b2 != b:
-                            raise RuntimeError(f"b-_{i} maps {w} to {w2}, outside the block "
-                                               f"of {lower.words[0]}")
-                        hop[r, c] += amp
-                gram[top:top + len(lower.words)] = lower.matrix @ hop
-                top += len(lower.words)
-            blocks.append(GramBlock(words, gram))
-        result = GramResult(m, n_gen, blocks)
-        yield result
+    yield from _tower(model, _levels(model, n))
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
@@ -387,18 +572,68 @@ def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckRepo
     return _psd_report(_sector_gram(model, n), tol)
 
 
-def _gram_norm(vector: FockVector, gram: GramResult) -> float:
-    """Norm of ``vector`` under the (possibly degenerate) sector Gram form."""
-    if vector.is_zero:
-        return 0.0
-    value = 0.0 + 0.0j
-    items = [(gram.position[w], a) for w, a in vector.items()]
-    for (b, r), a in items:
-        row = gram.blocks[b].matrix[r]
-        for (b2, r2), c in items:
-            if b2 == b:
-                value += a.conjugate() * row[r2] * c
-    return abs(value) ** 0.5
+def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
+    """``sqrt|v^H G v|`` of each column ``v`` of ``entries`` under the sector Gram
+    form, summed block by block as a complex value."""
+    value = np.zeros(len(entries.start) - 1, dtype=complex)
+    where = gram._block[entries.rows]
+    order = np.argsort(where, kind="stable")
+    bounds = np.searchsorted(where[order], np.arange(len(gram.blocks) + 1))
+    for b in np.flatnonzero(np.diff(bounds)):
+        e = order[bounds[b]:bounds[b + 1]]
+        present, slot = np.unique(entries.cols[e], return_inverse=True)
+        v = np.zeros((len(gram.blocks[b].words), len(present)), dtype=complex)
+        v[gram._row[entries.rows[e]], slot] = entries.vals[e]
+        value[present] += (v.conj() * (gram.blocks[b].matrix @ v)).sum(axis=0)
+    return np.sqrt(np.abs(value))
+
+
+def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult],
+                      residuals: list[_Sparse], tol: float) -> CheckReport:
+    """:func:`check_braid_exchange_relations` on a ladder, the Grams of sectors
+    ``0..n_max + 2`` and the twisted commutator residuals of sectors ``0..n_max``."""
+    n_gen = model.n_generators
+    n_max = len(residuals) - 1
+    pairs = [(i, j) for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
+    lines = ("create-create", "annihilate-annihilate", "mixed")
+    sectors = []
+    for n in range(n_max + 1):
+        size = n_gen ** n
+        words = np.arange(size)
+        twice = {}  # b-_k b-_l on sector n
+        for k, l in pairs if n >= 2 else ():
+            inner = ladder[n][l - 1]
+            rows, at, vals = _gather(ladder[n - 1][k - 1], inner.rows)
+            twice[k, l] = _coalesce([(rows, inner.cols[at], vals * inner.vals[at])],
+                                    size // len(pairs), size, PRUNE_EPS)
+        raised, lowered = [], []
+        for p, (i, j) in enumerate(pairs):
+            for k, l, r in [(i, j, 1.0)] + [(k, l, -r) for k, l, r in model.braid_terms[i, j]]:
+                # column p N^n + w is also the position of the word (i, j) + w
+                raised.append((((k - 1) * n_gen + l - 1) * size + words, p * size + words,
+                               np.full(size, complex(r))))
+                if n >= 2:
+                    lowered.append((twice[k, l].rows, p * size + twice[k, l].cols,
+                                    twice[k, l].vals * r))
+        defects = np.zeros((3, len(pairs) * size))
+        defects[0] = _gram_norms(grams[n + 2],
+                                 _coalesce(raised, len(pairs) * size, len(pairs) * size, PRUNE_EPS))
+        if n >= 2:
+            defects[1] = _gram_norms(grams[n - 2], _coalesce(lowered, size // len(pairs),
+                                                             len(pairs) * size, PRUNE_EPS))
+        defects[2] = _gram_norms(grams[n], residuals[n])
+        # loop order: word, i, j, line
+        sectors.append(defects.reshape(3, n_gen, n_gen, size).transpose(3, 1, 2, 0))
+    worst, at = _locate(sectors)
+    witness = None
+    if at is not None:
+        n, (w, i, j, line) = at
+        witness = {"line": lines[line], "i": int(i) + 1, "j": int(j) + 1,
+                   "word": list(_word(w, n, n_gen))}
+    return CheckReport.from_defect("exchange-nullity", worst, tol, witness, {
+        "lines": {line: max((float(d[..., k].max()) for d in sectors), default=0.0)
+                  for k, line in enumerate(lines)},
+        "n_max": n_max})
 
 
 def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: float = 1e-9) -> CheckReport:
@@ -412,43 +647,16 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     * ``mixed``:  the twisted commutation relation
 
     Each defect vector must be a null vector of its sector's Gram form; the
-    check passes when every Gram norm is below tolerance.  The relations are
-    not expected to hold for every consistent model: a strictly braided model
-    with positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
+    check passes when every Gram norm is below tolerance.  The witness is the
+    first in ``(n, word, i, j, line)`` order.  The relations are not expected
+    to hold for every consistent model: a strictly braided model with
+    positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
     genuinely has no create-create relation.
     """
-    n_gen = model.n_generators
-    grams = list(gram_tower(model, n_max + 2))
-    terms = model.braid_terms
-    memo: dict = {}
-    line_defects = {"create-create": 0.0, "annihilate-annihilate": 0.0, "mixed": 0.0}
-    witness = None
-    worst = 0.0
-    for n in range(n_max + 1):
-        for w in basis_words(n_gen, n):
-            base = FockVector.basis(w)
-            for i in range(1, n_gen + 1):
-                for j in range(1, n_gen + 1):
-                    defects = {}
-                    raised = FockVector.basis((i, j) + w)
-                    for k, l, r in terms[i, j]:
-                        raised = raised - FockVector.basis((k, l) + w).scale(r)
-                    defects["create-create"] = _gram_norm(raised, grams[n + 2])
-                    if n >= 2:
-                        lowered = _lower(model, i, _lower(model, j, base, memo), memo)
-                        for k, l, r in terms[i, j]:
-                            term = _lower(model, k, _lower(model, l, base, memo), memo)
-                            lowered = lowered - term.scale(r)
-                        defects["annihilate-annihilate"] = _gram_norm(lowered, grams[n - 2])
-                    defects["mixed"] = _gram_norm(_commutator_residual(model, i, j, base, memo),
-                                                  grams[n])
-                    for line, d in defects.items():
-                        line_defects[line] = max(line_defects[line], d)
-                        if d > worst:
-                            worst = d
-                            witness = {"line": line, "i": i, "j": j, "word": list(w)}
-    return CheckReport.from_defect("exchange-nullity", worst, tol, witness,
-                                   {"lines": line_defects, "n_max": n_max})
+    _guard_gram(model, n_max + 2)
+    ladder = list(_levels(model, n_max + 2))
+    residuals = [_commutator_residuals(model, ladder, n) for n in range(n_max + 1)]
+    return _exchange_nullity(model, ladder, list(_tower(model, ladder)), residuals, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,6 @@ class ParticleModel:
     def is_grade_diagonal(self) -> bool:
         return isinstance(self.braid, GradeDiagonal)
 
-    @cached_property
-    def _pairing_rows(self) -> list[list[complex]]:
-        """The pairing as rows of Python ``complex``; indexed 0-based, unchecked."""
-        return self.pairing.tolist()
-
     def grade(self, i: int) -> GroupElement:
         self._check_index(i)
         return self.grades[i - 1]
@@ -161,7 +156,7 @@ class ParticleModel:
     def pairing_entry(self, i: int, j: int) -> complex:
         self._check_index(i)
         self._check_index(j)
-        return self._pairing_rows[i - 1][j - 1]
+        return complex(self.pairing[i - 1, j - 1])
 
     def braid_phase(self, i: int, j: int) -> RationalPhase:
         """Exact swap phase ``eps(grade_j, grade_i)`` (grade-diagonal only)."""

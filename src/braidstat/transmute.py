@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import _commutator_residual, _guard_sector, _lower, create
+from .fock import _guard_sector, _levels, _locate, _norms, _residual_entries
 from .groups import Bicharacter, GroupHom, GroupMismatchError
 from .models import DERIVED_CROSS, GRADE_DIAGONAL, ModelSpecError, ParticleModel, make_model
 from .report import CheckReport
-from .words import FockVector, basis_words
 
 
 @dataclass(eq=False, frozen=True)
@@ -84,32 +83,33 @@ def check_cross_symmetric(t: Transmutation, tol: float = 1e-9) -> CheckReport:
 def check_relation_transport(t: Transmutation, n_max: int = 3, tol: float = 1e-9) -> CheckReport:
     """Twisted commutation relations carried to the target model.
 
-    Two readings are computed: the target model's own relations (its own
-    cross phases) and the functor-image reading, where the target operators
-    are twisted with the *source* cross phases.  They coincide exactly when
-    :func:`check_cross_symmetric` passes; the pass/fail status follows the
-    target's own relations.  One hop memo serves the whole call.
+    Two readings are computed from one ladder of the target model: the target
+    model's own relations (its own cross phases) and the functor-image
+    reading, where the target operators are twisted with the *source* cross
+    phases, ``b-_i b+_j - chi_source(i, j) b+_j b-_i - <i|j>``.  They coincide
+    exactly when :func:`check_cross_symmetric` passes; the pass/fail status
+    follows the target's own relations.  The witness is the first in
+    ``(i, j, sector, word)`` order, within the ladder engine's witness band.
     """
     source, target = t.source, t.target
-    target_defect = 0.0
-    image_defect = 0.0
+    n_gen = target.n_generators
+    for n in range(n_max + 1):
+        _guard_sector(target, n)
+    image_terms = {(i, j): ((i, j, complex(source.cross_phase(i, j))),)
+                   for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)}
+    ladder = list(_levels(target, n_max + 1))
+    own, image = [], []
+    for n in range(n_max + 1):
+        for terms, out in ((target.cross_terms, own), (image_terms, image)):
+            entries = _residual_entries(target, n, ladder[n + 1], ladder[n], terms)
+            out.append(_norms(entries).reshape(n_gen * n_gen, -1))
+    # loop order: i, j, sector, word
+    target_defect, at = _locate([d[p] for p in range(n_gen * n_gen) for d in own])
     witness = None
-    memo: dict = {}
-    for i in range(1, target.n_generators + 1):
-        for j in range(1, target.n_generators + 1):
-            chi_source = complex(source.cross_phase(i, j))
-            g = target.pairing_entry(i, j)
-            for n in range(n_max + 1):
-                _guard_sector(target, n)
-                for w in basis_words(target.n_generators, n):
-                    base = FockVector.basis(w)
-                    d = _commutator_residual(target, i, j, base, memo).norm()
-                    if d > target_defect:
-                        target_defect = d
-                        witness = {"i": i, "j": j, "sector": n}
-                    lhs = _lower(target, i, create(target, j, base), memo)
-                    rhs = create(target, j, _lower(target, i, base, memo)).scale(chi_source)
-                    image_defect = max(image_defect, (lhs - rhs - base.scale(g)).norm())
+    if at is not None:
+        pair, sector = divmod(at[0], n_max + 1)
+        witness = {"i": pair // n_gen + 1, "j": pair % n_gen + 1, "sector": sector}
+    image_defect = max((float(d.max()) for d in image), default=0.0)
     return CheckReport.from_defect("relation-transport", target_defect, tol, witness,
                                    {"target_defect": target_defect, "image_defect": image_defect,
                                     "n_max": n_max})

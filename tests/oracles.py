@@ -58,20 +58,17 @@ def quon_gram_entry(q: float, row_word, col_word) -> complex:
     return complex(total)
 
 
-def dense_gram(model: ParticleModel, n: int) -> np.ndarray:
-    """Sector-``n`` Gram by the dense recursion over the whole word basis.
+def dense_annihilators(model: ParticleModel, n: int) -> list[list[np.ndarray]]:
+    """``A[m][i - 1]``, for ``m = 1..n``, the ``N^(m-1) x N^m`` matrix of the
+    twisted annihilator ``b-_i`` on sector ``m`` (``A[0]`` is empty).
 
-    ``A[m][i]`` is the ``N^(m-1) x N^m`` matrix of the twisted annihilator
-    ``b-_i`` on sector ``m``, assembled from the pairing and the cross coupling:
-    the column block of first letter ``j`` gets ``<i|j> id`` plus, for each
-    ``T[i,j,k,l]``, ``s * T[i,j,k,l]`` times ``A[m-1][k]`` in the row block of
-    first letter ``l``.  The rows of ``G_m`` whose word starts with ``i`` are
-    ``G_{m-1} @ A[m][i]``.
+    Assembled from the pairing and the cross coupling alone: the column block
+    of first letter ``j`` gets ``<i|j> id`` plus, for each ``T[i,j,k,l]``,
+    ``s * T[i,j,k,l]`` times ``A[m-1][k]`` in the row block of first letter ``l``.
     """
     size = model.n_generators
     pairing, cross, sign = model.pairing, model.cross_coupling, model.expansion_sign
-    gram = np.ones((1, 1), dtype=complex)
-    lower: list[np.ndarray] = []
+    ladder: list[list[np.ndarray]] = [[]]
     for m in range(1, n + 1):
         rest, sub = size ** (m - 1), size ** max(m - 2, 0)
         current = []
@@ -83,11 +80,102 @@ def dense_gram(model: ParticleModel, n: int) -> np.ndarray:
                 for k in range(size):
                     for l in range(size):
                         if m > 1 and cross[i, j, k, l] != 0:
-                            block[l * sub:(l + 1) * sub] += sign * cross[i, j, k, l] * lower[k]
+                            block[l * sub:(l + 1) * sub] += sign * cross[i, j, k, l] * ladder[m - 1][k]
             current.append(a)
+        ladder.append(current)
+    return ladder
+
+
+def dense_gram(model: ParticleModel, n: int) -> np.ndarray:
+    """Sector-``n`` Gram by the dense recursion over the whole word basis: the
+    rows of ``G_m`` whose word starts with ``i`` are ``G_{m-1} @ A[m][i]``."""
+    gram = np.ones((1, 1), dtype=complex)
+    for current in dense_annihilators(model, n)[1:]:
         gram = np.vstack([gram @ a for a in current])
-        lower = current
     return gram
+
+
+def _prepend(size: int, letter: int, n: int) -> np.ndarray:
+    """Creation of the 0-based ``letter`` from sector ``n`` to ``n + 1``."""
+    out = np.zeros((size ** (n + 1), size ** n))
+    out[letter * size ** n:(letter + 1) * size ** n] = np.eye(size ** n)
+    return out
+
+
+def dense_commutator_residuals(model: ParticleModel, n: int) -> np.ndarray:
+    """``R[i, j]`` of ``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> id`` on
+    sector ``n``, as dense ``N^n x N^n`` matrices, from :func:`dense_annihilators`."""
+    size = model.n_generators
+    ladder = dense_annihilators(model, n + 1)
+    out = np.zeros((size, size, size ** n, size ** n), dtype=complex)
+    for i in range(size):
+        for j in range(size):
+            out[i, j] = ladder[n + 1][i] @ _prepend(size, j, n) - model.pairing[i, j] * np.eye(size ** n)
+            for k in range(size):
+                for l in range(size):
+                    t = model.cross_coupling[i, j, k, l]
+                    if t != 0 and n > 0:
+                        out[i, j] -= t * _prepend(size, l, n - 1) @ ladder[n][k]
+    return out
+
+
+def banded_witness(defects: list[np.ndarray], band: float = 1e-12):
+    """The largest defect and the first position, ``(array, index)`` in the
+    given order, whose defect is at least ``max * (1 - band)``; no witness when
+    every defect is 0."""
+    worst = max((float(d.max()) for d in defects if d.size), default=0.0)
+    if worst == 0.0:
+        return worst, None
+    for number, d in enumerate(defects):
+        hits = np.flatnonzero(d.ravel() >= worst * (1 - band))
+        if hits.size:
+            return worst, (number, np.unravel_index(hits[0], d.shape))
+
+
+def dense_exchange_nullity(model: ParticleModel, n_max: int):
+    """The three exchange-nullity lines by dense matrices: per line, the maximum
+    defect, and the worst defect with its witness in ``(n, word, i, j, line)``
+    order."""
+    size = model.n_generators
+    ladder = dense_annihilators(model, n_max + 2)
+    grams = [dense_gram(model, n) for n in range(n_max + 3)]
+    braid = model.braid_coupling
+
+    def norms(vectors, gram):
+        return np.sqrt(np.abs(np.einsum("rc,rs,sc->c", vectors.conj(), gram, vectors)))
+
+    sectors = []
+    for n in range(n_max + 1):
+        defects = np.zeros((size ** n, size, size, 3))
+        for i in range(size):
+            for j in range(size):
+                raised = _prepend(size, i, n + 1) @ _prepend(size, j, n)
+                lowered = ladder[n - 1][i] @ ladder[n][j] if n >= 2 else None
+                for k in range(size):
+                    for l in range(size):
+                        r = braid[i, j, k, l]
+                        if r != 0:
+                            raised = raised - r * _prepend(size, k, n + 1) @ _prepend(size, l, n)
+                            if n >= 2:
+                                lowered = lowered - r * ladder[n - 1][k] @ ladder[n][l]
+                defects[:, i, j, 0] = norms(raised, grams[n + 2])
+                if n >= 2:
+                    defects[:, i, j, 1] = norms(lowered, grams[n - 2])
+        mixed = dense_commutator_residuals(model, n)
+        for i in range(size):
+            for j in range(size):
+                defects[:, i, j, 2] = norms(mixed[i, j], grams[n])
+        sectors.append(defects)
+    lines = {line: max(float(d[..., k].max()) for d in sectors)
+             for k, line in enumerate(("create-create", "annihilate-annihilate", "mixed"))}
+    worst, at = banded_witness(sectors)
+    witness = None
+    if at is not None:
+        n, (w, i, j, line) = at
+        witness = {"line": ("create-create", "annihilate-annihilate", "mixed")[line],
+                   "i": int(i) + 1, "j": int(j) + 1,
+                   "word": [int(c) + 1 for c in np.unravel_index(w, (size,) * n)]}
+    return lines, worst, witness
 
 
 def svd_rank(matrix: np.ndarray, tol: float = 1e-9) -> int:

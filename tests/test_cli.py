@@ -85,6 +85,42 @@ def test_gram_command(capsys):
     assert report["results"]["rank"] == 4 and report["results"]["full"] == 8
 
 
+def test_gram_json_streams_the_matrix(tmp_path, monkeypatch):
+    # the report is written row by row; its bytes are those of
+    # json.dumps(report, sort_keys=True, indent=2) before streaming, whose
+    # SHA-256 this is, for the report on a copy of boson.json named boson.json
+    import contextlib
+    import hashlib
+    import shutil
+    import tracemalloc
+    shutil.copy(zoo_path("boson"), tmp_path / "boson.json")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "gram.json"
+    tracemalloc.start()
+    try:
+        with out.open("w") as stream, contextlib.redirect_stdout(stream):
+            assert main(["gram", "boson.json", "--sector", "8", "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * 256 * 256  # the nested lists of the whole matrix took 27 MB
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == "b1937e7e363236eb9910f63783ba13fb64e365591f71f71f9d3b2a1861818e29"
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_gram_text_report_prints_the_matrix_on_one_line(capsys):
+    code, out, _ = run_cli(capsys, "gram", str(zoo_path("boson")), "--sector", "2")
+    assert code == 0
+    line = next(line for line in out.splitlines() if line.startswith("  matrix: "))
+    matrix = [[[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+              [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]]
+    assert line == "  matrix: " + json.dumps(matrix, sort_keys=True)
+
+
 def test_gram_resource_guard(capsys):
     code, _, err = run_cli(capsys, "gram", str(zoo_path("boson")), "--sector", "17")
     assert code == 2 and "guard" in err

@@ -10,10 +10,13 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Exch
                        commutator_defect, create, gram_matrix, gram_psd_check, load_zoo,
                        make_bicharacter, make_group, make_model, q_swap_braid,
                        sector_dimension, ZOO_NAMES)
+from braidstat import fock
 from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram
 
-from oracles import (bosonic_dimension, dense_gram, fermionic_dimension, permutation_gram_entry,
-                     q_factorial, quon_gram_entry, svd_rank)
+from oracles import (banded_witness, bosonic_dimension, dense_annihilators,
+                     dense_commutator_residuals, dense_exchange_nullity, dense_gram,
+                     fermionic_dimension, permutation_gram_entry, q_factorial, quon_gram_entry,
+                     svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,15 @@ def test_annihilate_twisted_quon_closed_form():
                         expected[reduced] = expected.get(reduced, 0.0) + q ** k
                 got = annihilate_twisted(m, i, FockVector.basis(w))
                 assert (got - FockVector(expected)).norm() < 1e-12
+
+
+def test_annihilate_twisted_on_words_past_int64_positions():
+    # 2^70 words of length 70: the ladder indexes them with Python integers
+    q = 0.9
+    m = load_zoo("quon_09")
+    w = (1, 2) * 35
+    expected = FockVector({w[:k] + w[k + 1:]: q ** k for k in range(0, 70, 2)})
+    assert (annihilate_twisted(m, 1, FockVector.basis(w)) - expected).norm() < 1e-12
 
 
 def test_twisted_operators_are_linear():
@@ -350,6 +362,8 @@ def _mixing_models():
         "random-R": make_model(trivial, eps, [[], []], np.eye(2), BraidMatrix(raw)),
         "self-adjoint-T": _self_adjoint_coupled_model(),
         "off-diagonal-pairing": make_model(trivial, eps, [[], []], [[1, 0.3], [0.3, 1]]),
+        "minus-expansion": make_model(trivial, eps, [[], []], np.eye(2), BraidMatrix(raw),
+                                      expansion_sign=-1),
     }
 
 
@@ -420,7 +434,7 @@ def test_fermion3_sector_8_never_allocates_the_dense_gram():
     assert peak < 100e6  # the dense 6561x6561 Gram alone takes 689 MB
 
 
-def test_no_hop_memo_outlives_a_call():
+def test_no_ladder_outlives_a_call():
     import gc
     import tracemalloc
     model = load_zoo("quon_05")
@@ -430,11 +444,81 @@ def test_no_hop_memo_outlives_a_call():
     try:
         before = tracemalloc.get_traced_memory()[0]
         assert sector_dimension(model, 10) == (1024, 1024)
+        assert commutator_defect(model, 1, 2, 8).passed
+        assert check_braid_exchange_relations(model, n_max=5).failed
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 0.5e6  # a hop memo kept on the model would hold 2.8 MB
+    assert retained < 0.1e6  # the sector-10 ladder alone holds 0.36 MB
+
+
+# ---------------------------------------------------------------------------
+# the ladder engine against the dense oracles
+
+
+def _dense(hop, shape):
+    out = np.zeros(shape, dtype=complex)
+    out[hop.rows, hop.cols] = hop.vals
+    return out
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_ladder_equals_dense_annihilators_on_the_zoo(name):
+    model = load_zoo(name)
+    n = 4 if model.n_generators == 3 else 5
+    expected = dense_annihilators(model, n)
+    for m, hops in enumerate(list(fock._levels(model, n))[1:], start=1):
+        for i, hop in enumerate(hops):
+            assert np.array_equal(_dense(hop, expected[m][i].shape), expected[m][i]), (m, i)
+
+
+def _close(got, want):
+    # compared squared: a defect that is 0 in exact arithmetic reads as the square
+    # root of a roundoff-sized Gram form, which amplifies its last bits
+    return abs(got ** 2 - want ** 2) <= 1e-12 * max(1.0, want ** 2)
+
+
+@pytest.mark.parametrize("label", ["random-R", "off-diagonal-pairing", "minus-expansion"])
+def test_checks_match_dense_oracles_on_random_models(label):
+    model = _mixing_models()[label]
+    for n in range(4):
+        defects = np.linalg.norm(dense_commutator_residuals(model, n), axis=2)
+        for i in (1, 2):
+            for j in (1, 2):
+                report = commutator_defect(model, i, j, n)
+                worst, at = banded_witness([defects[i - 1, j - 1]])
+                assert _close(report.defect, worst), (i, j, n)
+                if worst > 1e-6:
+                    assert report.witness == list(basis_words(2, n)[at[1][0]]), (i, j, n)
+    if label == "minus-expansion":
+        assert commutator_defect(model, 1, 1, 2).defect > 0.1
+    assert check_infinite_statistics(model, 4).defect == 0.0
+    lines, worst, witness = dense_exchange_nullity(model, 3)
+    report = check_braid_exchange_relations(model, n_max=3)
+    assert report.data["lines"].keys() == lines.keys()
+    assert all(_close(report.data["lines"][k], lines[k]) for k in lines), (report.data, lines)
+    assert _close(report.defect, worst)
+    if worst > 1e-6:
+        assert report.witness == witness
+    assert (worst > 1e-6) == (label != "off-diagonal-pairing")
+
+
+def test_ladder_guard_trips_before_the_level_is_allocated(monkeypatch):
+    import tracemalloc
+    # a dense cross coupling fills the b- arrays in: sector m holds about 2^(2m+1)
+    # entries before they are summed, 1.05 MB at sector 7 and 4.2 MB at sector 8
+    model = _mixing_models()["random-R"]
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 1 << 21)
+    commutator_defect(model, 1, 1, 6)                 # the ladder reaches sector 7
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
+            commutator_defect(model, 1, 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * (2 ** 8 + 2 ** 17)
 
 
 # ---------------------------------------------------------------------------

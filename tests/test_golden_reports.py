@@ -13,8 +13,18 @@ holds the path of the checkout.
 (``null`` when a check failed and nothing was written), as produced before
 the Fock checks moved to one hop memo per call.
 
+``golden/check_reports_nmax5.json`` holds the same reports at the depth of
+the check-zoo benchmark, ``--nmax 5`` (fermion3 at 4), where quon_09's
+exchange-nullity has two candidates tied in exact arithmetic.  It was produced
+before the Fock checks moved to the ladder engine.
+
 Statuses, witnesses, sector dimensions and every other non-float field must
 match exactly; floats (defects, minimum eigenvalues, tolerances) within 1e-12.
+
+``golden/apply_reports.json`` holds ``braidstat apply --json``, without
+``input``, for two words longer than a whole-sector computation admits: ``b1;b2``
+on a fermion3 word of 11 letters and ``b1`` on a quon_05 word of 18 letters,
+produced with the parent of the ladder engine.  They must match exactly.
 """
 
 import json
@@ -28,6 +38,8 @@ from braidstat.cli import main as cli_main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "check_reports.json").read_text())
 GOLDEN_TRANSMUTE = json.loads((GOLDEN_DIR / "transmute_reports.json").read_text())
+GOLDEN_DEEP = json.loads((GOLDEN_DIR / "check_reports_nmax5.json").read_text())
+GOLDEN_APPLY = json.loads((GOLDEN_DIR / "apply_reports.json").read_text())
 TRANSMUTATIONS = (("z2z2_fermion", "hom_z2z2_to_z2", "bichar_z2_half"),
                   ("fermion1", "hom_z2_to_z4", "bichar_z4_quarter"))
 
@@ -78,3 +90,26 @@ def test_transmute_report_matches_golden(source, hom, bichar, n_max, tmp_path, c
     written = json.loads(out.read_text()) if out.exists() else None
     assert_matches({"exit": code, "report": report, "written": written},
                    GOLDEN_TRANSMUTE[f"{source}->{hom}@{n_max}"])
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_deep_check_report_matches_golden(name, capsys):
+    n_max = "4" if name == "fermion3" else "5"
+    cli_main(["check", str(zoo_path(name)), "--json", "--nmax", n_max])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("input")
+    assert_matches(report, GOLDEN_DEEP[name])
+    # both relations close exactly once residuals below PRUNE_EPS are dropped
+    exact = [row for row in report["checks"]
+             if row["name"] in ("infinite-statistics", "twisted-commutators")]
+    assert len(exact) == 2 and all(row["defect"] == 0.0 for row in exact), exact
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_APPLY))
+def test_apply_report_matches_golden(key, capsys):
+    name, program, vector = key.split(":")
+    code = cli_main(["apply", str(zoo_path(name)), "--program", program, "--vector", vector,
+                     "--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("input")
+    assert {"exit": code, "report": report} == GOLDEN_APPLY[key]
