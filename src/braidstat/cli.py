@@ -10,22 +10,21 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 from .coherence import ExprSyntaxError, normalize as normalize_expr, parse_expr
-from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, HermiticityError,
-                   ProgramStep, ResourceLimitError, apply_program, check_infinite_statistics,
-                   gram_matrix, _commutator_residuals, _exchange_nullity, _guard_gram,
-                   _guard_sector, _levels, _psd_report, _quotient_rank, _tower,
-                   _twisted_commutators)
+from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, ProgramStep,
+                   ResourceLimitError, apply_program, gram_matrix, _fock_checks)
 from .groups import check_transmutation
 from .modelfile import (ModelFileError, load_bicharacter_file, load_hom_file, load_model_file,
                         model_to_dict)
 from .models import check_symmetry, check_yang_baxter
-from .report import CheckReport, FAIL, PASS, SKIPPED, jsonable
+from .report import CheckReport, FAIL, PASS, jsonable
 from .transmute import check_cross_symmetric, check_relation_transport, make_transmutation
 from .words import FockVector
 
@@ -102,54 +101,32 @@ def _emit(report: dict, checks: list[CheckReport], as_json: bool) -> int:
     return code
 
 
+def _options(args, loaded) -> tuple[float, int]:
+    """``--tol`` and ``--nmax``, else the model file's options, held to the
+    rules the model file's options are held to."""
+    tol = loaded.tolerance if args.tol is None else args.tol
+    n_max = loaded.n_max if getattr(args, "nmax", None) is None else args.nmax
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
+    if n_max < 0:
+        raise ValueError(f"sector must be >= 0, got {n_max}")
+    return tol, n_max
+
+
 def cmd_check(args) -> int:
     loaded = load_model_file(args.model)
     model = loaded.model
-    tol = args.tol if args.tol is not None else loaded.tolerance
-    n_max = args.nmax if args.nmax is not None else loaded.n_max
-
-    for n in range(min(n_max, 0), n_max + 1):  # name the first sector past the guard
-        _guard_sector(model, n)
-    _guard_gram(model, n_max + 2)
-    # one ladder and one Gram pass serve every Fock check
-    ladder = list(_levels(model, n_max + 2))
-    grams = list(_tower(model, ladder))
-
-    checks: list[CheckReport] = [
-        CheckReport("bicharacter-wellformed", PASS, 0.0, None,
-                    {"group": str(model.group)}),
-    ]
+    tol, n_max = _options(args, loaded)
+    fock_checks, dims = _fock_checks(model, n_max, tol)
     normalized = model.eps.is_normalized()
-    checks.append(CheckReport("bicharacter-normalized", PASS if normalized.ok else FAIL,
-                              0.0, normalized.witness))
-    checks.append(check_yang_baxter(model, max(tol, 1e-12)))
-    checks.append(check_symmetry(model, tol))
-    checks.append(check_infinite_statistics(model, n_max, tol))
-
-    residuals = [_commutator_residuals(model, ladder, n) for n in range(n_max + 1)]
-    checks.append(_twisted_commutators(model, residuals, tol))
-    checks.append(_exchange_nullity(model, ladder, grams, residuals, tol))
-
-    dims = []
-    max_asym = 0.0
-    psd: CheckReport | None = None
-    for n, result in enumerate(grams[:n_max + 1]):
-        max_asym = max(max_asym, result.asymmetry)
-        try:
-            dims.append({"sector": n, "full": model.n_generators ** n,
-                         "quotient": _quotient_rank(result, tol)})
-        except HermiticityError:
-            dims.append({"sector": n, "full": model.n_generators ** n, "quotient": None,
-                         "status": SKIPPED})
-        rep = _psd_report(result, tol)
-        # keep the worst sector's report; a skipped sector outranks defects
-        if psd is None:
-            psd = rep
-        elif psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
-            psd = rep
-    checks.append(CheckReport.from_defect("gram-hermitian", max_asym, tol))
-    checks.append(psd)
-
+    checks = [
+        CheckReport("bicharacter-wellformed", PASS, 0.0, None, {"group": str(model.group)}),
+        CheckReport("bicharacter-normalized", PASS if normalized.ok else FAIL, 0.0,
+                    normalized.witness),
+        check_yang_baxter(model, max(tol, 1e-12)),
+        check_symmetry(model, tol),
+        *fock_checks,
+    ]
     report = {
         "command": "check",
         "input": str(args.model),
@@ -169,14 +146,14 @@ def cmd_check(args) -> int:
 def cmd_gram(args) -> int:
     loaded = load_model_file(args.model)
     model = loaded.model
-    tol = args.tol if args.tol is not None else loaded.tolerance
+    tol, _ = _options(args, loaded)
     result = gram_matrix(model, args.sector)
     checks = [CheckReport.from_defect("gram-hermitian", result.asymmetry, tol)]
     rank = None
     min_eig = None
     if checks[0].status == PASS:
-        rank = _quotient_rank(result, tol)
-        psd = _psd_report(result, tol)
+        rank = result.quotient_rank(tol)
+        psd = result.psd_report(tol)
         checks.append(psd)
         min_eig = psd.data.get("min_eigenvalue")
     report = {
@@ -216,8 +193,7 @@ def cmd_apply(args) -> int:
 def cmd_transmute(args) -> int:
     loaded = load_model_file(args.model)
     model = loaded.model
-    tol = args.tol if args.tol is not None else loaded.tolerance
-    n_max = args.nmax if args.nmax is not None else loaded.n_max
+    tol, n_max = _options(args, loaded)
     hom, _target_group = load_hom_file(args.hom, model.group)
     eps_target = load_bicharacter_file(args.target_bichar, hom.target)
 
@@ -311,9 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of :func:`main`, built on its first call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

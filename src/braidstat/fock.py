@@ -40,6 +40,7 @@ as :class:`~braidstat.words.FockVector` does.  A check's witness is the first
 candidate, in the order its loop is documented in, whose defect is at least
 ``max * (1 - 1e-12)``: defects equal in exact arithmetic may differ in their
 last bits, and the band keeps the witness where exact arithmetic puts it.
+Infinite statistics is exact by construction and reported without computing.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
@@ -54,12 +55,13 @@ has ``{i, l} == {j, k}``; see
 words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
 block-diagonal with one block per multiset and every entry between blocks is
 exactly 0.  A model that does not conserve letters gets one block holding
-every word, and runs through the same code.  Rank and positivity come from
-one ``eigvalsh`` of the Hermitian part of each block: the rank counts the
-eigenvalues with ``|lambda| >= tol * max(1, top)``, ``top`` the largest
-``|lambda|`` of the sector, which is the cut against the largest singular
-value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
-blocks only when :attr:`GramResult.matrix` is read.
+every word, and runs through the same code.  Each sector has one block
+layout (:func:`_layout`).  Rank and positivity come from one ``eigvalsh`` of
+the Hermitian part of each block: the rank counts the eigenvalues with
+``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
+sector, which is the cut against the largest singular value of the whole
+matrix.  The dense ``N^n x N^n`` matrix is filled from the blocks only when
+:attr:`GramResult.matrix` is read.
 
 Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
 ``N^n`` of words, and :data:`MAX_GRAM_BYTES` on the bytes of the largest
@@ -202,13 +204,6 @@ def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return hop.rows[pick], at, hop.vals[pick]
 
 
-def _pairing_part(model: ParticleModel, i: int, first: np.ndarray, rest: np.ndarray) -> _Sparse:
-    """The free annihilator ``a-_i``: ``<i|first[c] + 1>`` at row ``rest[c]`` of column ``c``."""
-    g = model.pairing[i - 1, first]
-    cols = np.flatnonzero(g)
-    return _Sparse(None, rest[cols], cols, g[cols])
-
-
 def _vacuum(n_gen: int) -> list[_Sparse]:
     """``b-_i`` on the vacuum, the one word of length 0: no entries."""
     empty = np.zeros(0, dtype=np.int64)
@@ -236,7 +231,9 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
                                  f"{32 * entries} bytes, over the guard of {MAX_GRAM_BYTES}")
     hops = []
     for i, plan in enumerate(plans, start=1):
-        parts = [_pairing_part(model, i, first, rest)[1:]]
+        g = model.pairing[i - 1, first]  # the free annihilator a-_i
+        cols = np.flatnonzero(g)
+        parts = [(rest[cols], cols, g[cols])]
         for columns, hop, offset, factor in plan:
             rows, at, vals = _gather(hop, child[columns])
             parts.append((offset + rows.astype(rest.dtype), columns[at], vals * factor))
@@ -332,34 +329,16 @@ def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse],
 def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float = 1e-9) -> CheckReport:
     """Free relation ``a-_i a+_j = <i|j> id`` on all basis words up to ``n_max``.
 
-    ``a-_i`` is the pairing part of the ladder recursion.  The relation holds
-    by construction, so the reported defect is exactly 0 unless the
-    implementation is broken.  The reversed composition ``a+_j a-_i`` is *not*
-    scalar; see the tests for the documented non-relation.  The witness is
-    the first in ``(n, word, i, j)`` order.
+    ``a-_i`` is the pairing part of the ladder recursion, which puts ``<i|j>``
+    exactly where the relation subtracts it, so the relation holds by
+    construction and the report is exact, as grade-diagonal Yang-Baxter's is;
+    the sector guards still apply.  The reversed composition ``a+_j a-_i`` is
+    *not* scalar; see the tests for the documented non-relation.
     """
-    n_gen = model.n_generators
-    sectors = []
     for n in range(n_max + 1):
         _guard_sector(model, n)
-        words = np.arange(n_gen ** (n + 1))
-        free = [_pairing_part(model, i, words // n_gen ** n, words % n_gen ** n)
-                for i in range(1, n_gen + 1)]
-        norms = _norms(_residual_entries(model, n, free, [], {}))
-        sectors.append(norms.reshape(n_gen, n_gen, -1).transpose(2, 0, 1))
-    defect, at = _locate(sectors)
-    witness = None
-    if at is not None:
-        n, (w, i, j) = at
-        witness = {"i": int(i) + 1, "j": int(j) + 1, "word": list(_word(w, n, n_gen))}
-    return CheckReport.from_defect("infinite-statistics", defect, tol, witness,
-                                   {"n_max": n_max, "exact": defect == 0.0})
-
-
-def _commutator_residuals(model: ParticleModel, ladder: list, n: int) -> _Sparse:
-    """The twisted commutator residuals on sector ``n``, laid out as
-    :func:`_residual_entries` lays them out."""
-    return _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
+    return CheckReport.from_defect("infinite-statistics", 0.0, tol, None,
+                                   {"n_max": n_max, "exact": True})
 
 
 def _commutator_report(defects: np.ndarray, i: int, j: int, n: int, tol: float) -> CheckReport:
@@ -378,25 +357,23 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(j)
     _guard_sector(model, n)
     n_gen = model.n_generators
-    residuals = _commutator_residuals(model, list(_levels(model, n + 1)), n)
+    ladder = list(_levels(model, n + 1))
+    residuals = _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
     return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
 
 
 def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: float) -> CheckReport:
     """The ``twisted-commutators`` row of ``check`` from the residuals of sectors
-    ``0..n_max``: over ``(i, j, n)`` in that order, the last
-    :func:`commutator_defect` report with the largest defect."""
+    ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``,
+    in that order, with the largest defect; its witness only if it fails."""
     n_gen = model.n_generators
     defects = [_norms(entries).reshape(n_gen, n_gen, -1) for entries in residuals]
-    worst = CheckReport("twisted-commutators", PASS, 0.0)
-    for i in range(1, n_gen + 1):
-        for j in range(1, n_gen + 1):
-            for n, sector in enumerate(defects):
-                rep = _commutator_report(sector, i, j, n, tol)
-                if rep.defect >= worst.defect:
-                    worst = CheckReport("twisted-commutators", rep.status, rep.defect,
-                                        rep.witness if rep.status == FAIL else None, rep.data)
-    return worst
+    worst = np.stack([d.max(axis=2, initial=0.0) for d in defects], axis=2).ravel()
+    last = len(worst) - 1 - int(np.argmax(worst[::-1] == worst.max()))
+    i, j, n = (int(k) for k in np.unravel_index(last, (n_gen, n_gen, len(defects))))
+    rep = _commutator_report(defects[n], i + 1, j + 1, n, tol)
+    return CheckReport("twisted-commutators", rep.status, rep.defect,
+                       rep.witness if rep.failed else None, rep.data)
 
 
 # ---------------------------------------------------------------------------
@@ -410,33 +387,47 @@ class GramBlock(NamedTuple):
     matrix: np.ndarray
 
 
-def _positions(n_generators: int, sector: int,
-               word_lists: Iterable[list[TensorWord]]) -> tuple[np.ndarray, np.ndarray]:
-    """For each word of the sector, by lexicographic position: its block and its row there."""
-    block = np.empty(n_generators ** sector, dtype=np.int64)
-    row = np.empty_like(block)
-    place = n_generators ** np.arange(sector - 1, -1, -1)
-    for b, words in enumerate(word_lists):
-        index = (np.array(words, dtype=np.int64).reshape(len(words), sector) - 1) @ place
-        block[index], row[index] = b, np.arange(len(words))
-    return block, row
+class _Layout(NamedTuple):
+    """The weight blocks of one sector: the word at position ``p`` is row
+    ``row[p]`` of block ``block[p]``, and block ``b`` holds the positions
+    ``order[start[b]:start[b + 1]]``, ascending."""
+
+    block: np.ndarray
+    row: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+
+
+def _layout(model: ParticleModel, m: int) -> _Layout:
+    """The blocks of sector ``m``, from word positions alone.  A word's block key
+    is the position of its sorted word, below ``N^m``, and blocks come in
+    ascending key order; a model that does not conserve letters has one block."""
+    n_gen = model.n_generators
+    positions = np.arange(n_gen ** m)
+    place = n_gen ** np.arange(m - 1, -1, -1)
+    key = (np.sort(positions[:, None] // place % n_gen, axis=1) @ place
+           if model.conserves_letters else np.zeros_like(positions))
+    _, block, counts = np.unique(key, return_inverse=True, return_counts=True)
+    order = np.argsort(block, kind="stable")
+    start = np.concatenate([[0], np.cumsum(counts)])
+    row = np.empty_like(positions)
+    row[order] = positions - start[block[order]]
+    return _Layout(block, row, order, start)
 
 
 class GramResult:
-    """The sector-``n`` Gram matrix, held as its weight blocks.
+    """The sector-``n`` Gram matrix, held as one matrix per weight block of the
+    sector's layout; entries between two blocks are exactly 0."""
 
-    Each block lists its words in lexicographic order; entries between two
-    blocks are exactly 0.
-    """
-
-    def __init__(self, sector: int, n_generators: int, blocks: list[GramBlock]):
+    def __init__(self, sector: int, n_generators: int, layout: _Layout,
+                 matrices: list[np.ndarray]):
         self.sector = sector
         self.n_generators = n_generators
-        self.blocks = blocks
-        self._block, self._row = _positions(n_generators, sector, (g.words for g in blocks))
-        self.asymmetry = max(float(np.abs(g.matrix - g.matrix.conj().T).max()) for g in blocks)
+        self._layout = layout
+        self._matrices = matrices
+        self.asymmetry = max(float(np.abs(g - g.conj().T).max()) for g in matrices)
         #: size of the largest entry, at least 1: the unit of the relative cuts
-        self.scale = max(1.0, max(float(np.abs(g.matrix).max()) for g in blocks))
+        self.scale = max(1.0, max(float(np.abs(g).max()) for g in matrices))
         self.hermitian = self.asymmetry <= 1e-9 * self.scale
 
     @property
@@ -445,19 +436,42 @@ class GramResult:
         return basis_words(self.n_generators, self.sector)
 
     @cached_property
+    def blocks(self) -> list[GramBlock]:
+        """Each block's words, in lexicographic order, with its Gram."""
+        words, positions = self.words, np.split(self._layout.order, self._layout.start[1:-1])
+        return [GramBlock([words[p] for p in at], g) for at, g in zip(positions, self._matrices)]
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the blocks."""
         size = self.n_generators ** self.sector
         dense = np.zeros((size, size), dtype=complex)
-        for b, block in enumerate(self.blocks):
-            rows = np.flatnonzero(self._block == b)
-            dense[np.ix_(rows, rows)] = block.matrix
+        for at, g in zip(np.split(self._layout.order, self._layout.start[1:-1]), self._matrices):
+            dense[np.ix_(at, at)] = g
         return dense
 
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
         """Eigenvalues of the Hermitian part of each block."""
-        return [np.linalg.eigvalsh((g.matrix + g.matrix.conj().T) / 2.0) for g in self.blocks]
+        return [np.linalg.eigvalsh((g + g.conj().T) / 2.0) for g in self._matrices]
+
+    def quotient_rank(self, tol: float) -> int:
+        """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
+        if self.asymmetry > tol * self.scale:
+            raise HermiticityError(self.asymmetry, self.sector)
+        top = max(float(np.abs(e).max()) for e in self.spectrum)
+        cut = tol * max(1.0, top)
+        return sum(int(np.count_nonzero(np.abs(e) >= cut)) for e in self.spectrum)
+
+    def psd_report(self, tol: float) -> CheckReport:
+        """``gram-psd`` on this sector; the tolerance is relative to its largest entry."""
+        if self.asymmetry > tol * self.scale:
+            return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
+                               {"sector": self.sector, "asymmetry": self.asymmetry})
+        min_eig = min(float(e.min()) for e in self.spectrum)
+        status = PASS if min_eig >= -tol * self.scale else FAIL
+        return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
+                           {"sector": self.sector, "min_eigenvalue": min_eig})
 
 
 class SectorDimension(NamedTuple):
@@ -466,47 +480,37 @@ class SectorDimension(NamedTuple):
 
 
 def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[GramResult]:
-    """The Grams of the sectors of a whole-sector ladder, from sector 0 up."""
+    """The Grams of the sectors of a whole-sector ladder, from sector 0 up;
+    see :func:`gram_tower`."""
     n_gen = model.n_generators
-    result = GramResult(0, n_gen, [GramBlock([()], np.ones((1, 1), dtype=complex))])
     for m, hops in enumerate(ladder):
+        layout = _layout(model, m)
         if m == 0:
+            result = GramResult(0, n_gen, layout, [np.ones((1, 1), dtype=complex)])
             yield result
             continue
-        # (letter, lower block) pairs of each block, by ascending letter, so
-        # that the stacked words of a block come in lexicographic order
-        parts: dict[tuple, list[tuple[int, int]]] = {}
-        for i in range(1, n_gen + 1):
-            for b, lower in enumerate(result.blocks):
-                key = tuple(sorted((i,) + lower.words[0])) if model.conserves_letters else ()
-                parts.setdefault(key, []).append((i, b))
-        stacks = list(parts.values())
-        lower_words = np.argsort(result._block, kind="stable")  # block by block, in order
-        bounds = np.searchsorted(result._block[lower_words], np.arange(len(result.blocks) + 1))
-        columns = [np.concatenate([(i - 1) * n_gen ** (m - 1) + lower_words[bounds[b]:bounds[b + 1]]
-                                   for i, b in stack]) for stack in stacks]
-        edges = np.cumsum([0] + [len(c) for c in columns])
-        # each b-_i on every column, block after block
-        entries = [_gather(hop, np.concatenate(columns)) for hop in hops]
-        cuts = [np.searchsorted(at, edges) for _, at, _ in entries]
-        blocks = []
-        for c, stack in enumerate(stacks):
-            words = [(i,) + w for i, b in stack for w in result.blocks[b].words]
-            gram = np.empty((len(words), len(words)), dtype=complex)
-            top = 0
-            for i, b in stack:
-                lower = result.blocks[b]
-                span = slice(cuts[i - 1][c], cuts[i - 1][c + 1])
-                rows, at, vals = (a[span] for a in entries[i - 1])
-                if np.any(result._block[rows] != b):
-                    raise RuntimeError(f"b-_{i} maps a word of the block of {words[0]} outside "
-                                       f"the block of {lower.words[0]}")
-                step = np.zeros((len(lower.words), len(words)), dtype=complex)
-                step[result._row[rows], at - edges[c]] = vals
-                gram[top:top + len(lower.words)] = lower.matrix @ step
-                top += len(lower.words)
-            blocks.append(GramBlock(words, gram))
-        result = GramResult(m, n_gen, blocks)
+        below, lower = result._layout, result._matrices
+        # each b-_i on every word, block after block
+        entries = [_gather(hop, layout.order) for hop in hops]
+        cuts = [np.searchsorted(at, layout.start) for _, at, _ in entries]
+        grams = []
+        for c, (lo, hi) in enumerate(zip(layout.start[:-1], layout.start[1:])):
+            gram = np.empty((hi - lo, hi - lo), dtype=complex)
+            top = lo
+            while top < hi:  # one run of rows per first letter
+                i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
+                b = below.block[rest]
+                rows, at, vals = (a[cuts[i][c]:cuts[i][c + 1]] for a in entries[i])
+                if np.any(below.block[rows] != b):
+                    raise RuntimeError(
+                        f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)} "
+                        f"outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
+                step = np.zeros((len(lower[b]), hi - lo), dtype=complex)
+                step[below.row[rows], at - lo] = vals
+                gram[top - lo:top - lo + len(lower[b])] = lower[b] @ step
+                top += len(lower[b])
+            grams.append(gram)
+        result = GramResult(m, n_gen, layout, grams)
         yield result
 
 
@@ -541,50 +545,30 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
     return _sector_gram(model, n)
 
 
-def _quotient_rank(result: GramResult, tol: float) -> int:
-    """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
-    if result.asymmetry > tol * result.scale:
-        raise HermiticityError(result.asymmetry, result.sector)
-    top = max(float(np.abs(e).max()) for e in result.spectrum)
-    cut = tol * max(1.0, top)
-    return sum(int(np.count_nonzero(np.abs(e) >= cut)) for e in result.spectrum)
-
-
-def _psd_report(result: GramResult, tol: float) -> CheckReport:
-    """``gram-psd`` on one sector Gram; the tolerance is relative to its largest entry."""
-    n = result.sector
-    if result.asymmetry > tol * result.scale:
-        return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
-                           {"sector": n, "asymmetry": result.asymmetry})
-    min_eig = min(float(e.min()) for e in result.spectrum)
-    status = PASS if min_eig >= -tol * result.scale else FAIL
-    return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
-                       {"sector": n, "min_eigenvalue": min_eig})
-
-
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
     """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
-    return SectorDimension(model.n_generators ** n, _quotient_rank(_sector_gram(model, n), tol))
+    return SectorDimension(model.n_generators ** n, _sector_gram(model, n).quotient_rank(tol))
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
     """Positive semidefiniteness of the sector Gram matrix."""
-    return _psd_report(_sector_gram(model, n), tol)
+    return _sector_gram(model, n).psd_report(tol)
 
 
 def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
     """``sqrt|v^H G v|`` of each column ``v`` of ``entries`` under the sector Gram
     form, summed block by block as a complex value."""
+    layout = gram._layout
     value = np.zeros(len(entries.start) - 1, dtype=complex)
-    where = gram._block[entries.rows]
+    where = layout.block[entries.rows]
     order = np.argsort(where, kind="stable")
-    bounds = np.searchsorted(where[order], np.arange(len(gram.blocks) + 1))
+    bounds = np.searchsorted(where[order], np.arange(len(layout.start)))
     for b in np.flatnonzero(np.diff(bounds)):
         e = order[bounds[b]:bounds[b + 1]]
         present, slot = np.unique(entries.cols[e], return_inverse=True)
-        v = np.zeros((len(gram.blocks[b].words), len(present)), dtype=complex)
-        v[gram._row[entries.rows[e]], slot] = entries.vals[e]
-        value[present] += (v.conj() * (gram.blocks[b].matrix @ v)).sum(axis=0)
+        v = np.zeros((len(gram._matrices[b]), len(present)), dtype=complex)
+        v[layout.row[entries.rows[e]], slot] = entries.vals[e]
+        value[present] += (v.conj() * (gram._matrices[b] @ v)).sum(axis=0)
     return np.sqrt(np.abs(value))
 
 
@@ -636,6 +620,34 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
         "n_max": n_max})
 
 
+def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:
+    """The Fock rows of ``check`` (infinite-statistics, twisted-commutators,
+    exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
+    skipped sector outranks defects) and the dimension rows of sectors
+    ``0..n_max``, from one ladder and one Gram pass to ``n_max + 2``."""
+    for n in range(min(n_max, 0), n_max + 1):  # name the first sector past the guard
+        _guard_sector(model, n)
+    _guard_gram(model, n_max + 2)
+    ladder = list(_levels(model, n_max + 2))
+    grams = list(_tower(model, ladder))
+    residuals = [_residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
+                 for n in range(n_max + 1)]
+    dims, psd = [], None
+    for n, result in enumerate(grams[:n_max + 1]):
+        dims.append({"sector": n, "full": model.n_generators ** n})
+        try:
+            dims[-1]["quotient"] = result.quotient_rank(tol)
+        except HermiticityError:
+            dims[-1].update(quotient=None, status=SKIPPED)
+        rep = result.psd_report(tol)
+        if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
+            psd = rep
+    asymmetry = max(result.asymmetry for result in grams[:n_max + 1])
+    return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, tol),
+            _exchange_nullity(model, ladder, grams, residuals, tol),
+            CheckReport.from_defect("gram-hermitian", asymmetry, tol), psd], dims
+
+
 def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: float = 1e-9) -> CheckReport:
     """Exchange relations between like ladder operators, modulo null states.
 
@@ -653,10 +665,7 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
     genuinely has no create-create relation.
     """
-    _guard_gram(model, n_max + 2)
-    ladder = list(_levels(model, n_max + 2))
-    residuals = [_commutator_residuals(model, ladder, n) for n in range(n_max + 1)]
-    return _exchange_nullity(model, ladder, list(_tower(model, ladder)), residuals, tol)
+    return _fock_checks(model, n_max, tol)[0][2]
 
 
 # ---------------------------------------------------------------------------

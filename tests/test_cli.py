@@ -293,3 +293,72 @@ def test_transmute_rejects_booleans_in_hom_images(tmp_path, capsys):
                            "--target-bichar", str(zoo_path("bichar_z2_half")),
                            "--out", str(tmp_path / "never.json"))
     assert code == 2 and "integer residue vectors" in err
+
+
+def _transmute_argv(out_file):
+    return ["transmute", str(zoo_path("z2z2_fermion")), "--hom", str(zoo_path("hom_z2z2_to_z2")),
+            "--target-bichar", str(zoo_path("bichar_z2_half")), "--out", str(out_file)]
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("check quon_05", "--tol", "inf", "--tol must be a finite number >= 0"),
+    ("check fermion1", "--tol", "nan", "--tol must be a finite number >= 0"),
+    ("check boson", "--tol", "-1e-3", "--tol must be a finite number >= 0"),
+    ("check boson", "--tol", "1e400", "--tol must be a finite number >= 0"),
+    ("check boson", "--nmax", "-1", "sector must be >= 0"),
+    ("gram boson", "--tol", "nan", "--tol must be a finite number >= 0"),
+    ("gram boson", "--tol", "-inf", "--tol must be a finite number >= 0"),
+    ("transmute", "--nmax", "-1", "sector must be >= 0"),
+    ("transmute", "--tol", "inf", "--tol must be a finite number >= 0"),
+    ("transmute", "--tol", "nan", "--tol must be a finite number >= 0"),
+])
+def test_bad_tol_and_nmax_are_input_errors(tmp_path, capsys, command, option, value, message):
+    # the flags follow the rules of the model file's options: a tolerance finite and
+    # >= 0, n_max an integer >= 0; accepted, inf passed every check and nan failed
+    # exact ones, and transmute wrote a model file that check then rejected
+    out_file = tmp_path / "never.json"
+    if command == "transmute":
+        argv = _transmute_argv(out_file)
+    else:
+        verb, model = command.split()
+        argv = [verb, str(zoo_path(model))] + (["--sector", "2"] if verb == "gram" else [])
+    code, out, err = run_cli(capsys, *argv, f"{option}={value}", "--json")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out_file.exists()
+
+
+def test_transmute_accepts_the_smallest_valid_flags(tmp_path, capsys):
+    out_file = tmp_path / "target.json"
+    code, _, _ = run_cli(capsys, *_transmute_argv(out_file), "--tol", "0", "--nmax", "0")
+    assert code == 0
+    options = json.loads(out_file.read_text())["options"]
+    assert (options["tolerance"], options["n_max"]) == (0.0, 0)
+
+
+def test_main_builds_its_parser_once(capsys):
+    import braidstat.cli as cli
+    run_cli(capsys, "normalize", "--expr", "A")
+    before = cli._parser.cache_info()
+    for _ in range(2):
+        assert run_cli(capsys, "normalize", "--expr", "A")[0] == 0
+    after = cli._parser.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def _private_fock_imports(module: str) -> set[str]:
+    import ast
+    from pathlib import Path
+    import braidstat
+    tree = ast.parse((Path(braidstat.__file__).parent / f"{module}.py").read_text())
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module in ("fock", "braidstat.fock") for alias in node.names
+            if alias.name.startswith("_")}
+
+
+def test_front_ends_reach_the_fock_engine_through_few_private_names():
+    # the check pipeline lives in fock: the CLI takes one entry point, and the
+    # relation transport of transmute keeps the five engine pieces it reads
+    assert len(_private_fock_imports("cli")) <= 1
+    assert _private_fock_imports("transmute") <= {"_guard_sector", "_levels", "_locate", "_norms",
+                                                   "_residual_entries"}

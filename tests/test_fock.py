@@ -42,6 +42,7 @@ def test_infinite_statistics_exact():
     for name in ("boson", "fermion3", "quon_05", "anyon_z4"):
         report = check_infinite_statistics(load_zoo(name), n_max=3)
         assert report.passed and report.defect == 0.0
+        assert (report.witness, report.data) == (None, {"n_max": 3, "exact": True})
 
 
 def test_infinite_statistics_off_diagonal_pairing():
@@ -321,6 +322,8 @@ def test_resource_guard():
     m = load_zoo("boson")
     with pytest.raises(ResourceLimitError, match="guard"):
         sector_dimension(m, 17)  # 2^17 > 100000
+    with pytest.raises(ResourceLimitError, match="2\\^17"):
+        check_infinite_statistics(m, 17)  # exact by construction, yet guarded
 
 
 def test_byte_guard_counts_the_largest_matrix_allocated():
@@ -392,7 +395,12 @@ def test_blocks_match_dense_oracle_on_the_zoo(name):
     model = load_zoo(name)
     for n in range(5 if model.n_generators == 3 else 6):
         blocks = gram_matrix(model, n).blocks
-        assert sum(len(b.words) for b in blocks) == model.n_generators ** n
+        # the blocks partition the sector, one per multiset, words in lexicographic order
+        assert sorted(w for b in blocks for w in b.words) == basis_words(model.n_generators, n)
+        multisets = [{tuple(sorted(w)) for w in b.words} for b in blocks]
+        assert all(len(m) == 1 for m in multisets)
+        assert len(set.union(*multisets)) == len(blocks)
+        assert all(b.words == sorted(b.words) for b in blocks)
         _compare_with_dense_oracle(model, n)
 
 
