@@ -31,6 +31,7 @@ from .words import FockVector
 INPUT_ERRORS = (ModelFileError, ExprSyntaxError, ResourceLimitError, ValueError, OSError)
 
 _STEP_RE = re.compile(r"^([cabx])(\d+)$")
+_STEPS = {"c": Create, "a": AnnihilateFree, "b": AnnihilateTwisted, "x": Exchange}
 
 
 def parse_program(text: str) -> list[ProgramStep]:
@@ -43,15 +44,7 @@ def parse_program(text: str) -> list[ProgramStep]:
         m = _STEP_RE.match(token)
         if not m:
             raise ValueError(f"bad program step {token!r}; expected c<i>, a<i>, b<i>, or x<k>")
-        kind, arg = m.group(1), int(m.group(2))
-        if kind == "c":
-            steps.append(Create(arg))
-        elif kind == "a":
-            steps.append(AnnihilateFree(arg))
-        elif kind == "b":
-            steps.append(AnnihilateTwisted(arg))
-        else:
-            steps.append(Exchange(arg))
+        steps.append(_STEPS[m.group(1)](int(m.group(2))))
     return steps
 
 
@@ -149,8 +142,7 @@ def cmd_gram(args) -> int:
     tol, _ = _options(args, loaded)
     result = gram_matrix(model, args.sector)
     checks = [CheckReport.from_defect("gram-hermitian", result.asymmetry, tol)]
-    rank = None
-    min_eig = None
+    rank = min_eig = None
     if checks[0].status == PASS:
         rank = result.quotient_rank(tol)
         psd = result.psd_report(tol)
@@ -242,9 +234,13 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a rejected flag is an input error: one ``error:`` line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="braidstat",
-                                     description="checks and computations for graded statistics models")
+    parser = _Parser(prog="braidstat", description="checks and computations for graded statistics models")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, model=True):
@@ -292,8 +288,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

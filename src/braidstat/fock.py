@@ -63,11 +63,16 @@ sector, which is the cut against the largest singular value of the whole
 matrix.  The dense ``N^n x N^n`` matrix is filled from the blocks only when
 :attr:`GramResult.matrix` is read.
 
+The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
+model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
+ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh``.
+:attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and amplitudes stay complex.
+
 Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
 ``N^n`` of words, and :data:`MAX_GRAM_BYTES` on the bytes of the largest
 array allocated: ``16 * rows^2`` for the largest Gram block or, for
 :func:`gram_matrix`, the dense Gram, and 32 bytes per entry (a complex value
-and two index words) for one level of a ladder.
+and two index words) for one level of a ladder; a real model allocates less.
 """
 
 from __future__ import annotations
@@ -189,7 +194,7 @@ def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Spa
     if n_rows * n_cols >= 1 << 63:  # positions of very long words: Python integers
         rows, cols = rows.astype(object), cols.astype(object)
     key, inverse = np.unique(cols * n_rows + rows, return_inverse=True)
-    summed = np.zeros(len(key), dtype=complex)
+    summed = np.zeros(len(key), dtype=vals.dtype)
     np.add.at(summed, inverse, vals)
     keep = np.abs(summed) > floor
     cols = (key[keep] // n_rows).astype(np.int64)
@@ -204,10 +209,16 @@ def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return hop.rows[pick], at, hop.vals[pick]
 
 
-def _vacuum(n_gen: int) -> list[_Sparse]:
+def _typed(model: ParticleModel, values) -> np.ndarray:
+    """``values`` in the model's scalar type, where their imaginary part is exactly 0."""
+    values = np.asarray(values)
+    return values.real if model.scalar_type is float and not values.imag.any() else values
+
+
+def _vacuum(n_gen: int, dtype: type) -> list[_Sparse]:
     """``b-_i`` on the vacuum, the one word of length 0: no entries."""
     empty = np.zeros(0, dtype=np.int64)
-    return [_Sparse(np.zeros(2, dtype=np.int64), empty, empty, empty.astype(complex))] * n_gen
+    return [_Sparse(np.zeros(2, dtype=np.int64), empty, empty, empty.astype(dtype))] * n_gen
 
 
 def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray,
@@ -221,7 +232,7 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
     n_gen = model.n_generators
     shift, sign = n_gen ** max(m - 2, 0), float(model.expansion_sign)
     by_first = [np.flatnonzero(first == j) for j in range(n_gen)]
-    plans = [[(columns, below[k - 1], (l - 1) * shift, sign * t)
+    plans = [[(columns, below[k - 1], (l - 1) * shift, _typed(model, sign * t))
               for j, columns in enumerate(by_first, start=1) for k, l, t in model.cross_terms[i, j]]
              for i in range(1, n_gen + 1)]
     entries = int(np.count_nonzero(model.pairing[:, first])) + sum(
@@ -231,7 +242,7 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
                                  f"{32 * entries} bytes, over the guard of {MAX_GRAM_BYTES}")
     hops = []
     for i, plan in enumerate(plans, start=1):
-        g = model.pairing[i - 1, first]  # the free annihilator a-_i
+        g = _typed(model, model.pairing[i - 1, first])  # the free annihilator a-_i
         cols = np.flatnonzero(g)
         parts = [(rest[cols], cols, g[cols])]
         for columns, hop, offset, factor in plan:
@@ -245,7 +256,7 @@ def _levels(model: ParticleModel, n: int) -> Iterator[list[_Sparse]]:
     """The whole-sector ``b-_i`` of sectors ``0..n``, each built when the one
     below is done; a column's position is its word's lexicographic position."""
     n_gen = model.n_generators
-    hops = _vacuum(n_gen)
+    hops = _vacuum(n_gen, model.scalar_type)
     yield hops
     for m in range(1, n + 1):
         words = np.arange(n_gen ** m)
@@ -263,7 +274,7 @@ def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVecto
     n_gen = model.n_generators
     out: dict[TensorWord, complex] = {}
     for w, a in v.items():
-        hops = _vacuum(n_gen)
+        hops = _vacuum(n_gen, model.scalar_type)
         for m in range(1, len(w) + 1):
             suffix = w[len(w) - m:]
             rest = np.array([word_index(suffix[1:], n_gen)],
@@ -317,8 +328,8 @@ def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse],
         for k, l, t in pair_terms:
             hop = below[k - 1]
             parts.append(((l - 1) * n_gen ** max(n - 1, 0) + hop.rows,
-                          ((i - 1) * n_gen + j - 1) * size + hop.cols, hop.vals * -t))
-    g = model.pairing.ravel()
+                          ((i - 1) * n_gen + j - 1) * size + hop.cols, hop.vals * _typed(model, -t)))
+    g = _typed(model, model.pairing.ravel())
     pairs = np.flatnonzero(g)
     words = np.arange(size)
     parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
@@ -439,7 +450,8 @@ class GramResult:
     def blocks(self) -> list[GramBlock]:
         """Each block's words, in lexicographic order, with its Gram."""
         words, positions = self.words, np.split(self._layout.order, self._layout.start[1:-1])
-        return [GramBlock([words[p] for p in at], g) for at, g in zip(positions, self._matrices)]
+        return [GramBlock([words[p] for p in at], g.astype(complex))
+                for at, g in zip(positions, self._matrices)]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -482,11 +494,11 @@ class SectorDimension(NamedTuple):
 def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[GramResult]:
     """The Grams of the sectors of a whole-sector ladder, from sector 0 up;
     see :func:`gram_tower`."""
-    n_gen = model.n_generators
+    n_gen, dtype = model.n_generators, model.scalar_type
     for m, hops in enumerate(ladder):
         layout = _layout(model, m)
         if m == 0:
-            result = GramResult(0, n_gen, layout, [np.ones((1, 1), dtype=complex)])
+            result = GramResult(0, n_gen, layout, [np.ones((1, 1), dtype=dtype)])
             yield result
             continue
         below, lower = result._layout, result._matrices
@@ -495,7 +507,7 @@ def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[Gr
         cuts = [np.searchsorted(at, layout.start) for _, at, _ in entries]
         grams = []
         for c, (lo, hi) in enumerate(zip(layout.start[:-1], layout.start[1:])):
-            gram = np.empty((hi - lo, hi - lo), dtype=complex)
+            gram = np.empty((hi - lo, hi - lo), dtype=dtype)
             top = lo
             while top < hi:  # one run of rows per first letter
                 i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
@@ -505,7 +517,7 @@ def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[Gr
                     raise RuntimeError(
                         f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)} "
                         f"outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
-                step = np.zeros((len(lower[b]), hi - lo), dtype=complex)
+                step = np.zeros((len(lower[b]), hi - lo), dtype=dtype)
                 step[below.row[rows], at - lo] = vals
                 gram[top - lo:top - lo + len(lower[b])] = lower[b] @ step
                 top += len(lower[b])
@@ -557,16 +569,16 @@ def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckRepo
 
 def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
     """``sqrt|v^H G v|`` of each column ``v`` of ``entries`` under the sector Gram
-    form, summed block by block as a complex value."""
+    form, summed block by block in the entries' type."""
     layout = gram._layout
-    value = np.zeros(len(entries.start) - 1, dtype=complex)
+    value = np.zeros(len(entries.start) - 1, dtype=entries.vals.dtype)
     where = layout.block[entries.rows]
     order = np.argsort(where, kind="stable")
     bounds = np.searchsorted(where[order], np.arange(len(layout.start)))
     for b in np.flatnonzero(np.diff(bounds)):
         e = order[bounds[b]:bounds[b + 1]]
         present, slot = np.unique(entries.cols[e], return_inverse=True)
-        v = np.zeros((len(gram._matrices[b]), len(present)), dtype=complex)
+        v = np.zeros((len(gram._matrices[b]), len(present)), dtype=value.dtype)
         v[layout.row[entries.rows[e]], slot] = entries.vals[e]
         value[present] += (v.conj() * (gram._matrices[b] @ v)).sum(axis=0)
     return np.sqrt(np.abs(value))
@@ -593,9 +605,10 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
         raised, lowered = [], []
         for p, (i, j) in enumerate(pairs):
             for k, l, r in [(i, j, 1.0)] + [(k, l, -r) for k, l, r in model.braid_terms[i, j]]:
+                r = _typed(model, r)
                 # column p N^n + w is also the position of the word (i, j) + w
                 raised.append((((k - 1) * n_gen + l - 1) * size + words, p * size + words,
-                               np.full(size, complex(r))))
+                               np.full(size, r, dtype=model.scalar_type)))
                 if n >= 2:
                     lowered.append((twice[k, l].rows, p * size + twice[k, l].cols,
                                     twice[k, l].vals * r))
@@ -620,18 +633,22 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
         "n_max": n_max})
 
 
-def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:
-    """The Fock rows of ``check`` (infinite-statistics, twisted-commutators,
-    exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
-    skipped sector outranks defects) and the dimension rows of sectors
-    ``0..n_max``, from one ladder and one Gram pass to ``n_max + 2``."""
+def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult], list[_Sparse]]:
+    """Guards, one ladder and Gram pass to ``n_max + 2``, and the residuals of ``0..n_max``."""
     for n in range(min(n_max, 0), n_max + 1):  # name the first sector past the guard
         _guard_sector(model, n)
     _guard_gram(model, n_max + 2)
     ladder = list(_levels(model, n_max + 2))
-    grams = list(_tower(model, ladder))
-    residuals = [_residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
-                 for n in range(n_max + 1)]
+    return ladder, list(_tower(model, ladder)), [
+        _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms) for n in range(n_max + 1)]
+
+
+def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:
+    """The Fock rows of ``check`` (infinite-statistics, twisted-commutators,
+    exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
+    skipped sector outranks defects) and the dimension rows of sectors
+    ``0..n_max``, from one :func:`_fock_pass`."""
+    ladder, grams, residuals = _fock_pass(model, n_max)
     dims, psd = [], None
     for n, result in enumerate(grams[:n_max + 1]):
         dims.append({"sector": n, "full": model.n_generators ** n})
@@ -665,7 +682,7 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
     genuinely has no create-create relation.
     """
-    return _fock_checks(model, n_max, tol)[0][2]
+    return _exchange_nullity(model, *_fock_pass(model, n_max), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,13 @@ class ParticleModel:
         return _term_table(self.cross_coupling)
 
     @cached_property
+    def scalar_type(self) -> type:
+        """The Fock layer's arithmetic: ``float`` when the pairing and every braid
+        and cross term have imaginary part exactly 0, else ``complex``."""
+        real = not any(a.imag.any() for a in (self.pairing, self.braid_coupling, self.cross_coupling))
+        return float if real else complex
+
+    @cached_property
     def conserves_letters(self) -> bool:
         """Whether the twisted annihilators keep the multiset of letters.
 

@@ -86,9 +86,12 @@ def test_gram_command(capsys):
 
 
 def test_gram_json_streams_the_matrix(tmp_path, monkeypatch):
-    # the report is written row by row; its bytes are those of
-    # json.dumps(report, sort_keys=True, indent=2) before streaming, whose
-    # SHA-256 this is, for the report on a copy of boson.json named boson.json
+    # the report is written row by row, as json.dumps(report, sort_keys=True,
+    # indent=2) would write it.  The Gram is integer (entries up to 8! = 40320)
+    # and its rank 9 exact, so every byte is pinned, on a copy of boson.json
+    # named boson.json, but the roundoff-level minimum eigenvalue and the
+    # gram-psd defect, which are held within 1e-12 * max|G| of their values
+    # from the complex128 eigvalsh of an earlier release
     import contextlib
     import hashlib
     import shutil
@@ -104,10 +107,19 @@ def test_gram_json_streams_the_matrix(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 16 * 256 * 256  # the nested lists of the whole matrix took 27 MB
-    assert hashlib.sha256(out.read_bytes()).hexdigest() \
-        == "b1937e7e363236eb9910f63783ba13fb64e365591f71f71f9d3b2a1861818e29"
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    report = json.loads(text)
+    psd = report["checks"][1]
+    assert report["results"]["rank"] == 9 and psd["name"] == "gram-psd" and psd["status"] == "pass"
+    scale = 40320
+    for got, want in ((report["results"].pop("min_eigenvalue"), -4.559261309601446e-11),
+                      (psd["data"].pop("min_eigenvalue"), -4.559261309601446e-11),
+                      (psd.pop("defect"), 4.559261309601446e-11)):
+        assert abs(got - want) <= 1e-12 * scale
+    stripped = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(stripped.encode()).hexdigest() \
+        == "5c06bf21688ed06021dbb43c508c63d203d497a6c0eab0c3132682d8e7ba8d76"
 
 
 def test_gram_text_report_prints_the_matrix_on_one_line(capsys):
@@ -326,6 +338,23 @@ def test_bad_tol_and_nmax_are_input_errors(tmp_path, capsys, command, option, va
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "boson.json", "--nmax", "1.5"],
+    ["check", "boson.json", "--tol", "-1e-3"],  # argparse reads -1e-3 as a flag
+    [],                                         # no subcommand
+])
+def test_flags_argparse_rejects_are_one_line_input_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "usage:" not in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_transmute_accepts_the_smallest_valid_flags(tmp_path, capsys):

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Exchange, FockVector,
+from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, CrossMatrix, Exchange,
+                       FockVector,
                        HermiticityError, ParticleModel, ResourceLimitError,
                        annihilate_free, annihilate_twisted, apply_program, basis_words,
                        check_braid_exchange_relations, check_infinite_statistics,
@@ -510,6 +511,64 @@ def test_checks_match_dense_oracles_on_random_models(label):
     if worst > 1e-6:
         assert report.witness == witness
     assert (worst > 1e-6) == (label != "off-diagonal-pairing")
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic type
+
+
+def test_scalar_type_of_the_zoo():
+    # +-1 gradings and real q are real; anyon_z4's phases are not
+    assert {name: load_zoo(name).scalar_type for name in ZOO_NAMES} \
+        == {name: complex if name == "anyon_z4" else float for name in ZOO_NAMES}
+
+
+@pytest.mark.parametrize("name", ["boson", "quon_05", "anyon_z4"])
+def test_engine_computes_in_the_scalar_type_and_hands_out_complex(name):
+    model = load_zoo(name)
+    dtype = np.dtype(model.scalar_type)
+    ladder, grams, residuals = fock._fock_pass(model, 2)
+    assert {hop.vals.dtype for hops in ladder for hop in hops} == {dtype}
+    assert {g.dtype for result in grams for g in result._matrices} == {dtype}
+    assert {entries.vals.dtype for entries in residuals} == {dtype}
+    result = gram_matrix(model, 3)
+    assert result.matrix.dtype == np.complex128
+    assert all(block.matrix.dtype == np.complex128 for block in result.blocks)
+    out = annihilate_twisted(model, 1, FockVector.basis((model.n_generators, 1, 1)))
+    assert not out.is_zero and all(type(a) is complex for _, a in out.items())
+
+
+def _one_complex_entry_models():
+    """Real q-swap models but for one non-real entry, in the pairing or in the
+    cross coupling."""
+    trivial = make_group([])
+    eps = Bicharacter.trivial(trivial)
+    braid = q_swap_braid(2, 0.5)
+    cross = braid.coupling.transpose(0, 1, 3, 2).copy()
+    cross[0, 1, 1, 0] = 0.4j
+    return {
+        "complex-pairing": make_model(trivial, eps, [[], []], [[1, 0.3j], [-0.3j, 1]], braid),
+        "complex-cross-term": make_model(trivial, eps, [[], []], np.eye(2), braid,
+                                         CrossMatrix(cross)),
+    }
+
+
+@pytest.mark.parametrize("label", ["complex-pairing", "complex-cross-term"])
+def test_one_non_real_entry_keeps_a_model_complex(label):
+    model = _one_complex_entry_models()[label]
+    assert model.scalar_type is complex
+    for n in range(5):
+        _compare_with_dense_oracle(model, n, rel=1e-12)
+    for n in range(4):
+        defects = np.linalg.norm(dense_commutator_residuals(model, n), axis=2)
+        for i in (1, 2):
+            for j in (1, 2):
+                assert _close(commutator_defect(model, i, j, n).defect,
+                              float(defects[i - 1, j - 1].max())), (i, j, n)
+    lines, worst, _ = dense_exchange_nullity(model, 3)
+    report = check_braid_exchange_relations(model, n_max=3)
+    assert all(_close(report.data["lines"][k], lines[k]) for k in lines), (report.data, lines)
+    assert _close(report.defect, worst)
 
 
 def test_ladder_guard_trips_before_the_level_is_allocated(monkeypatch):

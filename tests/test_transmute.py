@@ -146,3 +146,17 @@ def test_transmutation_preserves_pairing_object():
     t = make_transmutation(model, hom, eps2)
     assert t.source.n_generators == t.target.n_generators
     assert np.array_equal(t.source.pairing, t.target.pairing)
+
+
+def test_relation_transport_keeps_complex_source_phases_on_a_real_target():
+    # anyon_z4's cross phase chi = -i pushed to Z2 with the fermionic sign: the
+    # target, and its ladder, are real.  On the odd words 1^n the image reading
+    # b-_1 b+_1 - chi b+_1 b-_1 - 1 leaves -chi - 1, of size |1 - i| = sqrt 2
+    source = load_zoo("anyon_z4")
+    z2 = make_group([2])
+    t = make_transmutation(source, make_hom(source.group, z2, [[1]]),
+                           make_bicharacter(z2, [["1/2"]]))
+    assert (source.scalar_type, t.target.scalar_type) == (complex, float)
+    report = check_relation_transport(t, 3)
+    assert report.data["target_defect"] == 0.0
+    assert report.data["image_defect"] == pytest.approx(2 ** 0.5, abs=1e-12)
