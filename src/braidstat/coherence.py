@@ -19,14 +19,22 @@ is terminating and confluent; every expression has a unique normal form: the
 unit, or a right-nested chain of atoms and dualized atoms.  Two expressions
 are equal up to coherence iff their normal forms coincide — coherence never
 permutes tensor factors.
+
+The step-by-step engine reads the rules from one table, :data:`RULES`: each
+name maps to the node kind it matches, the child slot it inspects, that
+child's kind, and its rewrite.  :func:`redexes` turns the caller's rule order
+into a map from node shape to rule names once, then looks up each node once:
+nodes in preorder (a node, its left or inner subtree, its right subtree), the
+rules at one node in the caller's order.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .report import CheckReport, FAIL, PASS
 
@@ -100,51 +108,41 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_expr(text: str) -> TensorExpr:
-    """Parse the surface syntax; chained ``(x)`` associates to the left."""
+    """Parse the surface syntax; chained ``(x)`` associates to the left.
+
+    Open parentheses wait on an explicit stack, so no nesting depth overflows.
+    """
     tokens = _lex(text)
     pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
-
-    def advance() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
+    opened: list[TensorExpr | None] = []  # the chain read before each open '('
+    chain = None  # the chain read so far at the current depth
+    while True:
+        kind, value, at = tokens[pos]
         pos += 1
-        return tok
-
-    def parse_chain() -> TensorExpr:
-        node = parse_term()
-        while peek()[0] == "tensor":
-            advance()
-            node = Tensor(node, parse_term())
-        return node
-
-    def parse_term() -> TensorExpr:
-        node = parse_primary()
-        while peek()[0] == "dual":
-            advance()
-            node = Dual(node)
-        return node
-
-    def parse_primary() -> TensorExpr:
-        kind, value, at = advance()
-        if kind == "ident":
-            return UNIT if value == "I" else Atom(value)
         if kind == "lparen":
-            node = parse_chain()
-            kind2, _, at2 = advance()
-            if kind2 != "rparen":
-                raise ExprSyntaxError("expected ')'", at2)
-            return node
-        what = "end of input" if kind == "end" else repr(value)
-        raise ExprSyntaxError(f"expected an atom, 'I', or '(', found {what}", at)
-
-    node = parse_chain()
-    kind, value, at = peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {value!r}", at)
-    return node
+            opened.append(chain)
+            chain = None
+            continue
+        if kind != "ident":
+            what = "end of input" if kind == "end" else repr(value)
+            raise ExprSyntaxError(f"expected an atom, 'I', or '(', found {what}", at)
+        node = UNIT if value == "I" else Atom(value)
+        while True:  # node is a complete primary: take its duals, then what follows
+            while tokens[pos][0] == "dual":
+                pos += 1
+                node = Dual(node)
+            chain = node if chain is None else Tensor(chain, node)
+            kind, value, at = tokens[pos]
+            pos += 1
+            if kind == "tensor":
+                break
+            if not opened:
+                if kind != "end":
+                    raise ExprSyntaxError(f"unexpected trailing input {value!r}", at)
+                return chain
+            if kind != "rparen":
+                raise ExprSyntaxError("expected ')'", at)
+            node, chain = chain, opened.pop()
 
 
 def render_expr(e: TensorExpr) -> str:
@@ -210,20 +208,16 @@ class NormalForm:
 def normalize(e: TensorExpr) -> NormalForm:
     """Unique normal form of an expression under the rewrite rules."""
     leaves: list[tuple[str, bool]] = []
-
-    def walk(node: TensorExpr, dual: bool) -> None:
+    stack = [(e, False)]  # (node, under an odd number of duals), explicit so no depth overflows
+    while stack:
+        node, dual = stack.pop()
         if isinstance(node, Atom):
             leaves.append((node.name, dual))
-        elif isinstance(node, Unit):
-            pass
         elif isinstance(node, Dual):
-            walk(node.inner, not dual)
-        else:
+            stack.append((node.inner, not dual))
+        elif isinstance(node, Tensor):
             first, second = (node.right, node.left) if dual else (node.left, node.right)
-            walk(first, dual)
-            walk(second, dual)
-
-    walk(e, False)
+            stack += ((second, dual), (first, dual))
     return NormalForm(tuple(leaves))
 
 
@@ -262,72 +256,72 @@ def equal_up_to_coherence(e1: TensorExpr, e2: TensorExpr) -> bool:
 # Step-by-step rewrite engine (used to validate confluence by fuzzing)
 
 
-def _rule_assoc(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Tensor) and isinstance(e.left, Tensor):
-        return Tensor(e.left.left, Tensor(e.left.right, e.right))
-    return None
-
-
-def _rule_unit_left(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Tensor) and isinstance(e.left, Unit):
-        return e.right
-    return None
-
-
-def _rule_unit_right(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Tensor) and isinstance(e.right, Unit):
-        return e.left
-    return None
-
-
-def _rule_dual_tensor(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Dual) and isinstance(e.inner, Tensor):
-        return Tensor(Dual(e.inner.right), Dual(e.inner.left))
-    return None
-
-
-def _rule_dual_dual(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Dual) and isinstance(e.inner, Dual):
-        return e.inner.inner
-    return None
-
-
-def _rule_dual_unit(e: TensorExpr) -> TensorExpr | None:
-    if isinstance(e, Dual) and isinstance(e.inner, Unit):
-        return UNIT
-    return None
-
-
-RULES: dict[str, Callable[[TensorExpr], TensorExpr | None]] = {
-    "assoc": _rule_assoc,
-    "unit-left": _rule_unit_left,
-    "unit-right": _rule_unit_right,
-    "dual-tensor": _rule_dual_tensor,
-    "dual-dual": _rule_dual_dual,
-    "dual-unit": _rule_dual_unit,
+#: name -> (node kind, child slot, child kind, rewrite): a rule applies at a node
+#: of its kind whose child in that slot has the child kind
+RULES: dict[str, tuple[type, str, type, Callable[..., TensorExpr]]] = {
+    "assoc": (Tensor, "left", Tensor, lambda e: Tensor(e.left.left, Tensor(e.left.right, e.right))),
+    "unit-left": (Tensor, "left", Unit, lambda e: e.right),
+    "unit-right": (Tensor, "right", Unit, lambda e: e.left),
+    "dual-tensor": (Dual, "inner", Tensor,
+                    lambda e: Tensor(Dual(e.inner.right), Dual(e.inner.left))),
+    "dual-dual": (Dual, "inner", Dual, lambda e: e.inner.inner),
+    "dual-unit": (Dual, "inner", Unit, lambda e: UNIT),
 }
 
 DEFAULT_RULES: tuple[str, ...] = tuple(RULES)
 
 Path = tuple[int, ...]
 
+_KINDS = (Atom, Unit, Tensor, Dual)
 
-def _subexpressions(e: TensorExpr, path: Path = ()) -> Iterator[tuple[Path, TensorExpr]]:
-    yield path, e
-    if isinstance(e, Tensor):
-        yield from _subexpressions(e.left, path + (0,))
-        yield from _subexpressions(e.right, path + (1,))
-    elif isinstance(e, Dual):
-        yield from _subexpressions(e.inner, path + (0,))
+
+def _check_rules(rules: Sequence[str]) -> tuple[str, ...]:
+    rules = tuple(rules)
+    for name in rules:
+        if name not in RULES:
+            raise ValueError(f"unknown rewrite rule {name!r}; the rules are {', '.join(RULES)}")
+    return rules
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_table(rules: tuple[str, ...]) -> dict[tuple[type, ...], tuple[str, ...]]:
+    """``(Tensor, left kind, right kind)`` or ``(Dual, inner kind)`` -> the rules
+    that apply at such a node, in the order of ``rules``."""
+    rules = _check_rules(rules)
+    shapes = [(Tensor, {"left": left, "right": right}) for left in _KINDS for right in _KINDS]
+    shapes += [(Dual, {"inner": inner}) for inner in _KINDS]
+    table = {}
+    for kind, children in shapes:
+        names = tuple(name for name in rules if RULES[name][0] is kind
+                      and children.get(RULES[name][1]) is RULES[name][2])
+        if names:
+            table[(kind, *children.values())] = names
+    return table
 
 
 def redexes(e: TensorExpr, rules: Sequence[str] = DEFAULT_RULES) -> list[tuple[Path, str]]:
-    """All (position, rule) pairs where a rule applies, in preorder."""
+    """All (position, rule) pairs where a rule applies: nodes in preorder, and
+    the rules at one node in the order of ``rules``."""
+    table = _scan_table(tuple(rules))
     found = []
-    for path, node in _subexpressions(e):
-        for name in rules:
-            if RULES[name](node) is not None:
-                found.append((path, name))
+    # only Tensor and Dual nodes go on the stack: a leaf holds no redex
+    stack = [((), e)] if type(e) is Tensor or type(e) is Dual else []
+    while stack:
+        path, node = stack.pop()
+        if type(node) is Tensor:
+            left, right = node.left, node.right
+            names = table.get((Tensor, type(left), type(right)), ())
+            if type(right) is Tensor or type(right) is Dual:
+                stack.append((path + (1,), right))
+            if type(left) is Tensor or type(left) is Dual:
+                stack.append((path + (0,), left))
+        else:
+            inner = node.inner
+            names = table.get((Dual, type(inner)), ())
+            if type(inner) is Tensor or type(inner) is Dual:
+                stack.append((path + (0,), inner))
+        for name in names:
+            found.append((path, name))
     return found
 
 
@@ -351,11 +345,12 @@ def _subexpr_at(e: TensorExpr, path: Path) -> TensorExpr:
 
 
 def apply_rule(e: TensorExpr, path: Path, rule: str) -> TensorExpr:
+    _check_rules((rule,))
+    kind, slot, child, rewrite = RULES[rule]
     node = _subexpr_at(e, path)
-    rewritten = RULES[rule](node)
-    if rewritten is None:
+    if type(node) is not kind or type(getattr(node, slot)) is not child:
         raise ValueError(f"rule {rule} does not apply at {path}")
-    return _replace(e, path, rewritten)
+    return _replace(e, path, rewrite(node))
 
 
 def rewrite_normalize(e: TensorExpr,
@@ -415,6 +410,7 @@ def coherence_fuzz(seed: int, size: int, trials: int,
         raise ValueError("trials must be positive")
     if size < 0:
         raise ValueError("size must be >= 0")
+    rules = _check_rules(rules)
     rng = random.Random(seed)
     failures = 0
     witness = None

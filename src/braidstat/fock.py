@@ -70,9 +70,10 @@ ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh`
 
 Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
 ``N^n`` of words, and :data:`MAX_GRAM_BYTES` on the bytes of the largest
-array allocated: ``16 * rows^2`` for the largest Gram block or, for
-:func:`gram_matrix`, the dense Gram, and 32 bytes per entry (a complex value
-and two index words) for one level of a ladder; a real model allocates less.
+array allocated: ``rows^2`` entries of the model's scalar type (8 or 16 bytes)
+for the largest Gram block or, for :func:`gram_matrix`, 16 bytes per entry of
+the complex dense Gram, and, for one level of a ladder, a value and two index
+words per entry (24 or 32 bytes).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 #: walks; their whole-sector ladders reach one or two sectors past it.
 MAX_SECTOR_SIZE = 100_000
 #: Hard guard on the bytes of the largest array that a sector computation
-#: allocates: a Gram matrix (16 per complex entry) or one ladder level.
+#: allocates: a Gram matrix or one ladder level.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -135,11 +136,23 @@ def _guard_gram(model: ParticleModel, n: int, dense: bool = False) -> None:
         q, r = divmod(n, n_gen)
         rows = math.factorial(n) // (math.factorial(q + 1) ** r
                                      * math.factorial(q) ** (n_gen - r))
-    if 16 * rows * rows > MAX_GRAM_BYTES:
+    # the blocks are built in the model's scalar type, the dense Gram is complex
+    dtype = np.dtype(complex if dense else model.scalar_type)
+    size = dtype.itemsize * rows * rows
+    if size > MAX_GRAM_BYTES:
         raise ResourceLimitError(
-            f"a {rows}x{rows} complex Gram matrix in sector {n} needs {16 * rows * rows} bytes, "
+            f"a {rows}x{rows} {dtype} Gram matrix in sector {n} needs {size} bytes, "
             f"over the guard of {MAX_GRAM_BYTES}"
         )
+
+
+def _guard_ladder(model: ParticleModel, m: int, entries: int) -> None:
+    """The byte guard on one ladder level of ``entries`` entries: a value of
+    the model's scalar type and two int64 index words each."""
+    size = (np.dtype(model.scalar_type).itemsize + 16) * entries
+    if size > MAX_GRAM_BYTES:
+        raise ResourceLimitError(f"the annihilators on sector {m} have {entries} entries, "
+                                 f"{size} bytes, over the guard of {MAX_GRAM_BYTES}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +250,7 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
              for i in range(1, n_gen + 1)]
     entries = int(np.count_nonzero(model.pairing[:, first])) + sum(
         int(np.diff(hop.start)[child[columns]].sum()) for plan in plans for columns, hop, _, _ in plan)
-    if 32 * entries > MAX_GRAM_BYTES:
-        raise ResourceLimitError(f"the annihilators on sector {m} have {entries} entries, "
-                                 f"{32 * entries} bytes, over the guard of {MAX_GRAM_BYTES}")
+    _guard_ladder(model, m, entries)
     hops = []
     for i, plan in enumerate(plans, start=1):
         g = _typed(model, model.pairing[i - 1, first])  # the free annihilator a-_i

@@ -15,7 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
-from braidstat import Bicharacter, GroupHom, ParticleModel, unit_complex
+from braidstat import (Atom, Bicharacter, Dual, GroupHom, ParticleModel, Tensor, UNIT, Unit,
+                       unit_complex)
 
 
 def permutation_gram_entry(model: ParticleModel, row_word, col_word) -> complex:
@@ -240,3 +241,58 @@ def exhaustive_normalized(eps: Bicharacter) -> bool:
 def exhaustive_transport_holds(hom: GroupHom, eps: Bicharacter, eps_target: Bicharacter) -> bool:
     return all(eps.phase(a, b) == eps_target.phase(hom.apply(a), hom.apply(b))
                for a in hom.source.elements() for b in hom.source.elements())
+
+
+# The rewrite rules of the braidstat.coherence docstring, one entry each:
+# name -> (does the rule apply at this node?, the node it rewrites to)
+COHERENCE_RULES = {
+    # (a (x) b) (x) c  ->  a (x) (b (x) c)
+    "assoc": (lambda e: isinstance(e, Tensor) and isinstance(e.left, Tensor),
+              lambda e: Tensor(e.left.left, Tensor(e.left.right, e.right))),
+    # I (x) a  ->  a
+    "unit-left": (lambda e: isinstance(e, Tensor) and isinstance(e.left, Unit),
+                  lambda e: e.right),
+    # a (x) I  ->  a
+    "unit-right": (lambda e: isinstance(e, Tensor) and isinstance(e.right, Unit),
+                   lambda e: e.left),
+    # (a (x) b)^  ->  b^ (x) a^
+    "dual-tensor": (lambda e: isinstance(e, Dual) and isinstance(e.inner, Tensor),
+                    lambda e: Tensor(Dual(e.inner.right), Dual(e.inner.left))),
+    # a^^  ->  a
+    "dual-dual": (lambda e: isinstance(e, Dual) and isinstance(e.inner, Dual),
+                  lambda e: e.inner.inner),
+    # I^  ->  I
+    "dual-unit": (lambda e: isinstance(e, Dual) and isinstance(e.inner, Unit),
+                  lambda e: UNIT),
+}
+
+
+def _children(e) -> tuple:
+    if isinstance(e, Tensor):
+        return (e.left, e.right)
+    return (e.inner,) if isinstance(e, Dual) else ()
+
+
+def reference_redexes(e, rules) -> list[tuple[tuple[int, ...], str]]:
+    """Every ``(path, rule)`` where a rule applies: recursive preorder (a node,
+    then each child's subtree), the rules at one node in the order given."""
+    found = [((), name) for name in rules if COHERENCE_RULES[name][0](e)]
+    for k, child in enumerate(_children(e)):
+        found += [((k,) + path, name) for path, name in reference_redexes(child, rules)]
+    return found
+
+
+def reference_rewrite(e, path, rule):
+    """``e`` with the rule applied at ``path``."""
+    if not path:
+        return COHERENCE_RULES[rule][1](e)
+    children = list(_children(e))
+    children[path[0]] = reference_rewrite(children[path[0]], path[1:], rule)
+    return Tensor(*children) if isinstance(e, Tensor) else Dual(*children)
+
+
+def reference_rewrite_normalize(e, rules, rng):
+    """Rewrite at a redex drawn by ``rng.choice`` until none is left."""
+    while candidates := reference_redexes(e, rules):
+        e = reference_rewrite(e, *rng.choice(candidates))
+    return e

@@ -218,6 +218,16 @@ def test_normalize_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr, normal_form", [
+    (" (x) ".join(["A"] * 1500), " (x) ".join(["A"] * 1500)),
+    ("A" + "^" * 5000, "A"),
+    ("(" * 3000 + "A (x) B" + ")" * 3000 + "^", "B^ (x) A^"),
+], ids=["chain-1500", "duals-5000", "parens-3000"])
+def test_normalize_command_takes_deep_expressions(capsys, expr, normal_form):
+    code, out, err = run_cli(capsys, "normalize", "--expr", expr)
+    assert (code, out.strip(), err) == (0, normal_form, "")
+
+
 def test_reports_are_deterministic(capsys):
     outputs = []
     for _ in range(2):

@@ -3,10 +3,19 @@ from collections import Counter
 
 import pytest
 
-from braidstat import (Atom, Dual, ExprSyntaxError, Tensor, UNIT, coherence_fuzz,
-                       equal_up_to_coherence, normalize, parse_expr, render_expr)
-from braidstat.coherence import (DEFAULT_RULES, RewriteLoopError, expr_to_normal_form,
-                                 node_count, random_expr, redexes, rewrite_normalize)
+from braidstat import (Atom, Dual, ExprSyntaxError, Tensor, UNIT, coherence,
+                       coherence_fuzz, equal_up_to_coherence, normalize, parse_expr, render_expr)
+from braidstat.coherence import (DEFAULT_RULES, RewriteLoopError, apply_rule,
+                                 expr_to_normal_form, node_count, random_expr, redexes,
+                                 rewrite_normalize)
+
+from oracles import reference_redexes, reference_rewrite_normalize
+
+RULE_ORDERS = {
+    "default": DEFAULT_RULES,
+    "without dual-dual": tuple(r for r in DEFAULT_RULES if r != "dual-dual"),
+    "reversed": tuple(reversed(DEFAULT_RULES)),
+}
 
 
 def test_parse_examples():
@@ -147,3 +156,70 @@ def test_render_round_trips():
 
 def test_node_count():
     assert node_count(parse_expr("A (x) B^")) == 4
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_redexes_match_the_reference_enumerator(order):
+    rules = RULE_ORDERS[order]
+    rng = random.Random(11)
+    for _ in range(400):
+        e = random_expr(rng, rng.randint(1, 30))
+        assert redexes(e, rules) == reference_redexes(e, rules), render_expr(e)
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_seeded_rewriting_matches_the_reference_loop(order):
+    rules = RULE_ORDERS[order]
+    rng = random.Random(12)
+    for k in range(150):
+        e = random_expr(rng, rng.randint(1, 25))
+        ours, theirs = random.Random(k), random.Random(k)
+        assert rewrite_normalize(e, rules, rng=ours) \
+            == reference_rewrite_normalize(e, rules, theirs), render_expr(e)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_unknown_rule_names_are_value_errors():
+    e = parse_expr("(A (x) B)^")
+    for call in (lambda: redexes(e, ("assoc", "bogus")),
+                 lambda: rewrite_normalize(e, ("bogus",)),
+                 lambda: coherence_fuzz(1, 10, 5, rules=("bogus",)),
+                 lambda: apply_rule(e, (), "bogus")):
+        with pytest.raises(ValueError, match="unknown rewrite rule 'bogus'"):
+            call()
+    with pytest.raises(ValueError, match="does not apply"):
+        apply_rule(e, (), "assoc")
+
+
+def test_every_scan_but_the_last_is_followed_by_one_step(monkeypatch):
+    # the benchmark's traced run counts scans and steps by wrapping these two names
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("redexes", "apply_rule"):
+        monkeypatch.setattr(coherence, name, counted(name, getattr(coherence, name)))
+    rng = random.Random(13)
+    for _ in range(50):
+        counts.clear()
+        e = random_expr(rng, rng.randint(1, 25))
+        rewrite_normalize(e, rng=rng)
+        assert counts["redexes"] == counts["apply_rule"] + 1
+    counts.clear()
+    coherence_fuzz(seed=1, size=10, trials=20)
+    assert counts["redexes"] == counts["apply_rule"] + 2 * 20
+    assert counts["apply_rule"] > 0
+
+
+def test_deep_expressions_parse_and_normalize():
+    chain = " (x) ".join(["A", "B^"] * 1500)
+    assert normalize(parse_expr(chain)).factors == (("A", False), ("B", True)) * 1500
+    assert normalize(parse_expr("A" + "^" * 5001)).render() == "A^"
+    nested = "(" * 3000 + "A (x) B^" + ")" * 3000 + "^"
+    assert normalize(parse_expr(nested)).render() == "B (x) A^"
+    with pytest.raises(ExprSyntaxError, match="position 3007"):
+        parse_expr("(" * 3000 + "A (x) B")

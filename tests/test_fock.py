@@ -12,7 +12,7 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
                        make_bicharacter, make_group, make_model, q_swap_braid,
                        sector_dimension, ZOO_NAMES)
 from braidstat import fock
-from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram
+from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram, _guard_ladder
 
 from oracles import (banded_witness, bosonic_dimension, dense_annihilators,
                      dense_commutator_residuals, dense_exchange_nullity, dense_gram,
@@ -336,9 +336,29 @@ def test_byte_guard_counts_the_largest_matrix_allocated():
     _guard_gram(f3, 8)                           # largest block 8!/(3!3!2!) = 560 rows,
     with pytest.raises(ResourceLimitError, match=str(MAX_GRAM_BYTES)):
         _guard_gram(f3, 8, dense=True)           # while the dense Gram would take 689 MB
-    with pytest.raises(ResourceLimitError, match="guard"):
+    with pytest.raises(ResourceLimitError, match="12870x12870 float64"):
         _guard_gram(load_zoo("boson"), 16)       # largest block C(16, 8) = 12870 rows
-    _guard_gram(load_zoo("boson"), 14)           # C(14, 7) = 3432 rows, 188 MB
+    _guard_gram(load_zoo("boson"), 14)           # C(14, 7) = 3432 rows, 94 MB
+
+
+def test_byte_guards_count_the_scalar_type():
+    # only the guards run; the largest block of sector 10 on three letters has
+    # 10!/(4!3!3!) = 4200 rows: 141 MB of float64, 282 MB of complex128
+    z4 = make_group([4])
+    anyons = make_model(z4, make_bicharacter(z4, [["1/4"]]), [[1]] * 3, np.eye(3))
+    f3 = load_zoo("fermion3")
+    assert (f3.scalar_type, anyons.scalar_type) == (float, complex)
+    _guard_gram(f3, 10)
+    with pytest.raises(ResourceLimitError, match="4200x4200 complex128 .* 282240000 bytes"):
+        _guard_gram(anyons, 10)
+    # a ladder entry is a value and two int64 index words
+    entries = MAX_GRAM_BYTES // 24
+    _guard_ladder(f3, 9, entries)
+    with pytest.raises(ResourceLimitError, match=f"{24 * (entries + 1)} bytes"):
+        _guard_ladder(f3, 9, entries + 1)
+    _guard_ladder(anyons, 9, MAX_GRAM_BYTES // 32)
+    with pytest.raises(ResourceLimitError, match=f"{32 * entries} bytes"):
+        _guard_ladder(anyons, 9, entries)
 
 
 # ---------------------------------------------------------------------------
