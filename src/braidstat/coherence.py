@@ -146,31 +146,30 @@ def parse_expr(text: str) -> TensorExpr:
 
 
 def render_expr(e: TensorExpr) -> str:
-    """Print an expression in the surface syntax (round-trips through parse)."""
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, Unit):
-        return "I"
-    if isinstance(e, Dual):
-        inner = render_expr(e.inner)
-        if isinstance(e.inner, Tensor):
-            inner = f"({inner})"
-        return inner + "^"
-    left = render_expr(e.left)
-    if isinstance(e.left, Tensor):
-        left = f"({left})"
-    right = render_expr(e.right)
-    if isinstance(e.right, Tensor):
-        right = f"({right})"
-    return f"{left} (x) {right}"
+    """Print an expression in the surface syntax (round-trips through parse).
+
+    Nodes and text wait on an explicit stack, so no nesting depth overflows.
+    """
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Tensor, Dual)):
+            parts = (node.left, " (x) ", node.right) if isinstance(node, Tensor) else (node.inner, "^")
+            for part in reversed(parts):  # a tensor operand goes in parentheses
+                stack += (")", part, "(") if isinstance(part, Tensor) else (part,)
+        else:
+            out.append(node if isinstance(node, str) else "I" if isinstance(node, Unit) else node.name)
+    return "".join(out)
 
 
 def node_count(e: TensorExpr) -> int:
-    if isinstance(e, Tensor):
-        return 1 + node_count(e.left) + node_count(e.right)
-    if isinstance(e, Dual):
-        return 1 + node_count(e.inner)
-    return 1
+    nodes = [e]
+    for node in nodes:  # the list grows while it is read, so no depth overflows
+        if type(node) is Tensor:
+            nodes += (node.left, node.right)
+        elif type(node) is Dual:
+            nodes.append(node.inner)
+    return len(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ per letter, through the model's cross term table
 
 with ``s = +1`` by default (``expansion_sign`` on the model flips it).  A
 grade-diagonal model has the single term ``(i, j, eps(grade_j, -grade_i))``
-per pair, so the step pays one exchange phase per letter passed.  By
-construction this makes the twisted commutation relation
+per pair, so the step pays one exchange phase per letter passed.  The
+recursion gives the residual of the twisted commutation relation
 
-    b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k = <i|j> * id
+    b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> = (1 - s)(b-_i b+_j - <i|j>),
 
-close exactly; :func:`commutator_defect` verifies it numerically.
+so the relation closes exactly, by construction, for ``s = +1``.
 
 One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
 matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
@@ -85,7 +85,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import ParticleModel, braid_on_word
+from .models import ParticleModel, _action_matrix, braid_on_word
 from .report import CheckReport, FAIL, PASS, SKIPPED
 from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 
@@ -115,19 +115,20 @@ class HermiticityError(ValueError):
         )
 
 
-def _guard_sector(model: ParticleModel, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"sector must be >= 0, got {n}")
-    if model.n_generators ** n > MAX_SECTOR_SIZE:
-        raise ResourceLimitError(
-            f"sector size {model.n_generators}^{n} exceeds the guard of {MAX_SECTOR_SIZE}"
-        )
+def _guard_sectors(model: ParticleModel, n_max: int) -> None:
+    """The word guard on sectors ``0..n_max``, naming the first sector past it."""
+    if n_max < 0:
+        raise ValueError(f"sector must be >= 0, got {n_max}")
+    n_gen = model.n_generators
+    if n_gen ** n_max > MAX_SECTOR_SIZE:
+        n = next(n for n in range(n_max + 1) if n_gen ** n > MAX_SECTOR_SIZE)
+        raise ResourceLimitError(f"sector size {n_gen}^{n} exceeds the guard of {MAX_SECTOR_SIZE}")
 
 
 def _guard_gram(model: ParticleModel, n: int, dense: bool = False) -> None:
     """Both guards, before any Gram of sector ``n`` is built: the largest
     matrix is the dense Gram if ``dense``, else the largest weight block."""
-    _guard_sector(model, n)
+    _guard_sectors(model, n)
     n_gen = model.n_generators
     if dense or not model.conserves_letters:
         rows = n_gen ** n
@@ -220,6 +221,12 @@ def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     at = np.repeat(np.arange(len(columns)), counts)
     pick = np.arange(len(at)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     return hop.rows[pick], at, hop.vals[pick]
+
+
+def _product(outer: _Sparse, inner: _Sparse, offset: int = 0) -> tuple:
+    """The unsummed entries of ``outer @ inner``, columns shifted by ``offset``."""
+    rows, at, vals = _gather(outer, inner.rows)
+    return rows, offset + inner.cols[at], vals * inner.vals[at]
 
 
 def _typed(model: ParticleModel, values) -> np.ndarray:
@@ -322,25 +329,22 @@ def _norms(entries: _Sparse) -> np.ndarray:
                                minlength=len(entries.start) - 1))
 
 
-def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse],
-                      below: Sequence[_Sparse], terms: dict) -> _Sparse:
-    """``a-_i b+_j - sum_{(k, l, t) in terms[i, j]} t b+_l b-_k - <i|j>`` on sector ``n``.
+def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse]) -> _Sparse:
+    """``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``, read
+    off the recursion as ``(1 - s)(b-_i b+_j - <i|j>)``; for ``s = +1`` it has
+    no entries.
 
-    ``lowering[i - 1]`` is ``a-_i`` on sector ``n + 1`` and ``below[k - 1]`` is
-    ``b-_k`` on sector ``n``.  Column ``((i - 1) N + j - 1) N^n + w`` holds the
-    residual of ``(i, j)`` on word ``w``; entries up to ``PRUNE_EPS`` are dropped.
+    ``lowering[i - 1]`` is ``b-_i`` on sector ``n + 1``.  Column
+    ``((i - 1) N + j - 1) N^n + w`` holds the residual of ``(i, j)`` on word
+    ``w``; entries up to ``PRUNE_EPS`` are dropped.
     """
     n_gen = model.n_generators
     size = n_gen ** n
-    # column j N^n + w of a-_i on sector n + 1 is a-_i b+_j on w
-    parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, hop.vals)
-             for i, hop in enumerate(lowering, start=1)]
-    for (i, j), pair_terms in terms.items():
-        for k, l, t in pair_terms:
-            hop = below[k - 1]
-            parts.append(((l - 1) * n_gen ** max(n - 1, 0) + hop.rows,
-                          ((i - 1) * n_gen + j - 1) * size + hop.cols, hop.vals * _typed(model, -t)))
-    g = _typed(model, model.pairing.ravel())
+    factor = 1 - model.expansion_sign
+    # column j N^n + w of b-_i on sector n + 1 is b-_i b+_j on w
+    parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, factor * hop.vals)
+             for i, hop in enumerate(lowering if factor else [], start=1)]
+    g = _typed(model, factor * model.pairing.ravel())
     pairs = np.flatnonzero(g)
     words = np.arange(size)
     parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
@@ -357,8 +361,7 @@ def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float =
     the sector guards still apply.  The reversed composition ``a+_j a-_i`` is
     *not* scalar; see the tests for the documented non-relation.
     """
-    for n in range(n_max + 1):
-        _guard_sector(model, n)
+    _guard_sectors(model, n_max)
     return CheckReport.from_defect("infinite-statistics", 0.0, tol, None,
                                    {"n_max": n_max, "exact": True})
 
@@ -377,10 +380,10 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     the witness is the first word in lexicographic order."""
     model._check_index(i)
     model._check_index(j)
-    _guard_sector(model, n)
+    _guard_sectors(model, n)
     n_gen = model.n_generators
     ladder = list(_levels(model, n + 1))
-    residuals = _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms)
+    residuals = _residual_entries(model, n, ladder[n + 1])
     return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
 
 
@@ -600,35 +603,28 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
     """:func:`check_braid_exchange_relations` on a ladder, the Grams of sectors
     ``0..n_max + 2`` and the twisted commutator residuals of sectors ``0..n_max``."""
     n_gen = model.n_generators
-    n_max = len(residuals) - 1
-    pairs = [(i, j) for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
+    n_pairs, n_max = n_gen * n_gen, len(residuals) - 1
     lines = ("create-create", "annihilate-annihilate", "mixed")
+    # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
+    relation = _typed(model, np.eye(n_pairs) - _action_matrix(model.braid_coupling))
+    kl, ij = np.nonzero(relation)
     sectors = []
     for n in range(n_max + 1):
         size = n_gen ** n
         words = np.arange(size)
-        twice = {}  # b-_k b-_l on sector n
-        for k, l in pairs if n >= 2 else ():
-            inner = ladder[n][l - 1]
-            rows, at, vals = _gather(ladder[n - 1][k - 1], inner.rows)
-            twice[k, l] = _coalesce([(rows, inner.cols[at], vals * inner.vals[at])],
-                                    size // len(pairs), size, PRUNE_EPS)
-        raised, lowered = [], []
-        for p, (i, j) in enumerate(pairs):
-            for k, l, r in [(i, j, 1.0)] + [(k, l, -r) for k, l, r in model.braid_terms[i, j]]:
-                r = _typed(model, r)
-                # column p N^n + w is also the position of the word (i, j) + w
-                raised.append((((k - 1) * n_gen + l - 1) * size + words, p * size + words,
-                               np.full(size, r, dtype=model.scalar_type)))
-                if n >= 2:
-                    lowered.append((twice[k, l].rows, p * size + twice[k, l].cols,
-                                    twice[k, l].vals * r))
-        defects = np.zeros((3, len(pairs) * size))
-        defects[0] = _gram_norms(grams[n + 2],
-                                 _coalesce(raised, len(pairs) * size, len(pairs) * size, PRUNE_EPS))
+        defects = np.zeros((3, n_pairs * size))
+        # C (x) id: column p N^n + w is also the position of the word (i, j) + w
+        raised = _coalesce([((kl[:, None] * size + words).ravel(), (ij[:, None] * size + words).ravel(),
+                             np.repeat(relation[kl, ij], size))],
+                           n_pairs * size, n_pairs * size, PRUNE_EPS)
+        defects[0] = _gram_norms(grams[n + 2], raised)
         if n >= 2:
-            defects[1] = _gram_norms(grams[n - 2], _coalesce(lowered, size // len(pairs),
-                                                             len(pairs) * size, PRUNE_EPS))
+            # column ((k - 1) N + l - 1) N^n + w: b-_k b-_l on w
+            twice = _coalesce([_product(ladder[n - 1][k], inner, (k * n_gen + l) * size)
+                               for k in range(n_gen) for l, inner in enumerate(ladder[n])],
+                              size // n_pairs, n_pairs * size, PRUNE_EPS)
+            defects[1] = _gram_norms(grams[n - 2], _coalesce([_product(twice, raised)], size // n_pairs,
+                                                             n_pairs * size, PRUNE_EPS))
         defects[2] = _gram_norms(grams[n], residuals[n])
         # loop order: word, i, j, line
         sectors.append(defects.reshape(3, n_gen, n_gen, size).transpose(3, 1, 2, 0))
@@ -646,12 +642,11 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
 
 def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult], list[_Sparse]]:
     """Guards, one ladder and Gram pass to ``n_max + 2``, and the residuals of ``0..n_max``."""
-    for n in range(min(n_max, 0), n_max + 1):  # name the first sector past the guard
-        _guard_sector(model, n)
+    _guard_sectors(model, n_max)
     _guard_gram(model, n_max + 2)
     ladder = list(_levels(model, n_max + 2))
     return ladder, list(_tower(model, ladder)), [
-        _residual_entries(model, n, ladder[n + 1], ladder[n], model.cross_terms) for n in range(n_max + 1)]
+        _residual_entries(model, n, ladder[n + 1]) for n in range(n_max + 1)]
 
 
 def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:

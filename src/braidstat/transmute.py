@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import _guard_sector, _levels, _locate, _norms, _residual_entries
+from .fock import _guard_sectors, _levels, _locate, _norms
 from .groups import Bicharacter, GroupHom, GroupMismatchError
 from .models import DERIVED_CROSS, GRADE_DIAGONAL, ModelSpecError, ParticleModel, make_model
 from .report import CheckReport
@@ -83,33 +83,32 @@ def check_cross_symmetric(t: Transmutation, tol: float = 1e-9) -> CheckReport:
 def check_relation_transport(t: Transmutation, n_max: int = 3, tol: float = 1e-9) -> CheckReport:
     """Twisted commutation relations carried to the target model.
 
-    Two readings are computed from one ladder of the target model: the target
-    model's own relations (its own cross phases) and the functor-image
-    reading, where the target operators are twisted with the *source* cross
-    phases, ``b-_i b+_j - chi_source(i, j) b+_j b-_i - <i|j>``.  They coincide
-    exactly when :func:`check_cross_symmetric` passes; the pass/fail status
-    follows the target's own relations.  The witness is the first in
-    ``(i, j, sector, word)`` order, within the ladder engine's witness band.
+    Two readings are checked: the target model's own relations (its own cross
+    phases) and the functor-image reading, which twists the target operators
+    with the *source* cross phases, ``b-_i b+_j - chi_source(i, j) b+_j b-_i -
+    <i|j>``.  They coincide exactly when :func:`check_cross_symmetric` passes;
+    the pass/fail status follows the target's own relations.  Both models are
+    grade-diagonal, so by the ladder recursion a reading twisted with ``chi``
+    leaves ``(s chi_target(i, j) - chi(i, j)) (j, b-_i w)`` on a word ``w``;
+    prepending ``j`` keeps the norm, so one ladder to ``n_max`` gives every
+    defect.  The witness is the first in ``(i, j, sector, word)`` order, within
+    the ladder engine's witness band.
     """
     source, target = t.source, t.target
     n_gen = target.n_generators
-    for n in range(n_max + 1):
-        _guard_sector(target, n)
-    image_terms = {(i, j): ((i, j, complex(source.cross_phase(i, j))),)
-                   for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)}
-    ladder = list(_levels(target, n_max + 1))
-    own, image = [], []
-    for n in range(n_max + 1):
-        for terms, out in ((target.cross_terms, own), (image_terms, image)):
-            entries = _residual_entries(target, n, ladder[n + 1], ladder[n], terms)
-            out.append(_norms(entries).reshape(n_gen * n_gen, -1))
+    _guard_sectors(target, n_max)
+    norms = [[_norms(hop) for hop in hops] for hops in _levels(target, n_max)]
+    pairs = [(i, j) for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
     # loop order: i, j, sector, word
-    target_defect, at = _locate([d[p] for p in range(n_gen * n_gen) for d in own])
+    own, image = ([abs(target.expansion_sign * complex(target.cross_phase(i, j))
+                       - complex(model.cross_phase(i, j))) * norms[n][i - 1]
+                   for i, j in pairs for n in range(n_max + 1)] for model in (target, source))
+    target_defect, at = _locate(own)
     witness = None
     if at is not None:
         pair, sector = divmod(at[0], n_max + 1)
         witness = {"i": pair // n_gen + 1, "j": pair % n_gen + 1, "sector": sector}
-    image_defect = max((float(d.max()) for d in image), default=0.0)
+    image_defect = max(float(d.max()) for d in image)
     return CheckReport.from_defect("relation-transport", target_defect, tol, witness,
                                    {"target_defect": target_defect, "image_defect": image_defect,
                                     "n_max": n_max})

@@ -103,10 +103,14 @@ def _prepend(size: int, letter: int, n: int) -> np.ndarray:
     return out
 
 
-def dense_commutator_residuals(model: ParticleModel, n: int) -> np.ndarray:
+def dense_commutator_residuals(model: ParticleModel, n: int, cross=None) -> np.ndarray:
     """``R[i, j]`` of ``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> id`` on
-    sector ``n``, as dense ``N^n x N^n`` matrices, from :func:`dense_annihilators`."""
+    sector ``n``, as dense ``N^n x N^n`` matrices, from :func:`dense_annihilators`.
+
+    ``T`` is the model's cross coupling unless another is given as ``cross``;
+    the ``b-`` are the model's either way."""
     size = model.n_generators
+    cross = model.cross_coupling if cross is None else cross
     ladder = dense_annihilators(model, n + 1)
     out = np.zeros((size, size, size ** n, size ** n), dtype=complex)
     for i in range(size):
@@ -114,7 +118,7 @@ def dense_commutator_residuals(model: ParticleModel, n: int) -> np.ndarray:
             out[i, j] = ladder[n + 1][i] @ _prepend(size, j, n) - model.pairing[i, j] * np.eye(size ** n)
             for k in range(size):
                 for l in range(size):
-                    t = model.cross_coupling[i, j, k, l]
+                    t = cross[i, j, k, l]
                     if t != 0 and n > 0:
                         out[i, j] -= t * _prepend(size, l, n - 1) @ ladder[n][k]
     return out

@@ -397,7 +397,6 @@ def _private_fock_imports(module: str) -> set[str]:
 
 def test_front_ends_reach_the_fock_engine_through_few_private_names():
     # the check pipeline lives in fock: the CLI takes one entry point, and the
-    # relation transport of transmute keeps the five engine pieces it reads
+    # relation transport of transmute reads the ladder's norms, not residuals
     assert len(_private_fock_imports("cli")) <= 1
-    assert _private_fock_imports("transmute") <= {"_guard_sector", "_levels", "_locate", "_norms",
-                                                   "_residual_entries"}
+    assert _private_fock_imports("transmute") <= {"_guard_sectors", "_levels", "_locate", "_norms"}

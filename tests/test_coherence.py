@@ -219,6 +219,15 @@ def test_deep_expressions_parse_and_normalize():
     chain = " (x) ".join(["A", "B^"] * 1500)
     assert normalize(parse_expr(chain)).factors == (("A", False), ("B", True)) * 1500
     assert normalize(parse_expr("A" + "^" * 5001)).render() == "A^"
+    # rendered and counted as deep as they parse; a chain nests to the left
+    atoms = ["A", "B^"] * 750
+    chained = parse_expr(" (x) ".join(atoms))
+    rendered = render_expr(chained)
+    assert rendered == "(" * 1498 + "A (x) B^" + "".join(f") (x) {a}" for a in atoms[2:])
+    assert normalize(parse_expr(rendered)) == normalize(chained)
+    assert node_count(chained) == 1500 + 750 + 1499
+    duals = parse_expr("A" + "^" * 5000)
+    assert (render_expr(duals), node_count(duals)) == ("A" + "^" * 5000, 5001)
     nested = "(" * 3000 + "A (x) B^" + ")" * 3000 + "^"
     assert normalize(parse_expr(nested)).render() == "B (x) A^"
     with pytest.raises(ExprSyntaxError, match="position 3007"):

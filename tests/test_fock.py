@@ -325,6 +325,19 @@ def test_resource_guard():
         sector_dimension(m, 17)  # 2^17 > 100000
     with pytest.raises(ResourceLimitError, match="2\\^17"):
         check_infinite_statistics(m, 17)  # exact by construction, yet guarded
+    with pytest.raises(ResourceLimitError, match="2\\^17 "):
+        check_infinite_statistics(m, 40)  # the first sector past the guard is named
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: check_infinite_statistics(m, -1),
+    lambda m: check_braid_exchange_relations(m, -1),
+    lambda m: commutator_defect(m, 1, 1, -1),
+    lambda m: sector_dimension(m, -1),
+], ids=["infinite-statistics", "exchange-relations", "commutator-defect", "sector-dimension"])
+def test_negative_n_max_is_rejected(call):
+    with pytest.raises(ValueError, match="sector must be >= 0, got -1"):
+        call(load_zoo("fermion1"))
 
 
 def test_byte_guard_counts_the_largest_matrix_allocated():

@@ -21,6 +21,14 @@ before the Fock checks moved to the ladder engine.
 Statuses, witnesses, sector dimensions and every other non-float field must
 match exactly; floats (defects, minimum eigenvalues, tolerances) within 1e-12.
 
+``golden/check_reports_minus.json`` holds, per model and depth, the exit code
+and the report of ``braidstat check --json`` on fermion2 and quon_05 with the
+option ``"expansion_sign": "-"``, at the file's own ``n_max`` (4) and at
+``--nmax 5``: the one expansion whose twisted commutation residual is not
+exactly 0.  It was produced before that residual was read off the ladder
+recursion in place of a replay of the cross terms.  Floats are compared
+within 1e-12, everything else exactly.
+
 ``golden/apply_reports.json`` holds ``braidstat apply --json``, without
 ``input``, for two words longer than a whole-sector computation admits: ``b1;b2``
 on a fermion3 word of 11 letters and ``b1`` on a quon_05 word of 18 letters,
@@ -40,6 +48,7 @@ GOLDEN = json.loads((GOLDEN_DIR / "check_reports.json").read_text())
 GOLDEN_TRANSMUTE = json.loads((GOLDEN_DIR / "transmute_reports.json").read_text())
 GOLDEN_DEEP = json.loads((GOLDEN_DIR / "check_reports_nmax5.json").read_text())
 GOLDEN_APPLY = json.loads((GOLDEN_DIR / "apply_reports.json").read_text())
+GOLDEN_MINUS = json.loads((GOLDEN_DIR / "check_reports_minus.json").read_text())
 TRANSMUTATIONS = (("z2z2_fermion", "hom_z2z2_to_z2", "bichar_z2_half"),
                   ("fermion1", "hom_z2_to_z4", "bichar_z4_quarter"))
 
@@ -113,3 +122,18 @@ def test_apply_report_matches_golden(key, capsys):
     report = json.loads(capsys.readouterr().out)
     report.pop("input")
     assert {"exit": code, "report": report} == GOLDEN_APPLY[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_MINUS))
+def test_minus_expansion_check_report_matches_golden(key, tmp_path, capsys):
+    name, _, n_max = key.partition("@")
+    doc = json.loads(zoo_path(name).read_text())
+    doc["options"] = {"expansion_sign": "-"}
+    path = tmp_path / f"{name}_minus.json"
+    path.write_text(json.dumps(doc))
+    code = cli_main(["check", str(path), "--json"] + (["--nmax", n_max] if n_max else []))
+    report = json.loads(capsys.readouterr().out)
+    report.pop("input")
+    assert_matches({"exit": code, "report": report}, GOLDEN_MINUS[key])
+    twisted = next(row for row in report["checks"] if row["name"] == "twisted-commutators")
+    assert twisted["status"] == "fail" and twisted["defect"] > 0.5

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from braidstat import (ModelSpecError, check_cross_symmetric, check_relation_transport,
-                       check_transmutation, gram_matrix, load_zoo, make_bicharacter, make_group,
-                       make_hom, make_transmutation, transmute_model)
+from braidstat import (Bicharacter, ModelSpecError, check_cross_symmetric,
+                       check_relation_transport, check_transmutation, gram_matrix, load_zoo,
+                       make_bicharacter, make_group, make_hom, make_model, make_transmutation,
+                       transmute_model, zoo_path)
+from braidstat.modelfile import load_bicharacter_file, load_hom_file
+
+from oracles import banded_witness, dense_commutator_residuals
 
 
 def z2z2_setup():
@@ -160,3 +164,54 @@ def test_relation_transport_keeps_complex_source_phases_on_a_real_target():
     report = check_relation_transport(t, 3)
     assert report.data["target_defect"] == 0.0
     assert report.data["image_defect"] == pytest.approx(2 ** 0.5, abs=1e-12)
+
+
+def _transmutations():
+    """Both bundled transmutations, anyon_z4 pushed to Z2 with the fermionic
+    sign, and fermion2 with the alternating expansion and the pairing diag(1, 2),
+    so that its two letters differ, pushed to the trivial group."""
+    out = {}
+    for source, hom, bichar in (("z2z2_fermion", "hom_z2z2_to_z2", "bichar_z2_half"),
+                                ("fermion1", "hom_z2_to_z4", "bichar_z4_quarter")):
+        model = load_zoo(source)
+        h, target = load_hom_file(zoo_path(hom), model.group)
+        out[f"{source}->{hom}"] = make_transmutation(model, h, load_bicharacter_file(zoo_path(bichar),
+                                                                                     target))
+    anyon, z2 = load_zoo("anyon_z4"), make_group([2])
+    out["anyon_z4->Z2"] = make_transmutation(anyon, make_hom(anyon.group, z2, [[1]]),
+                                             make_bicharacter(z2, [["1/2"]]))
+    f2, trivial = load_zoo("fermion2"), make_group([])
+    minus = make_model(f2.group, f2.eps, f2.grades, np.diag([1.0, 2.0]), expansion_sign=-1)
+    out["fermion2(s=-1)->trivial"] = make_transmutation(minus, make_hom(f2.group, trivial, [[]]),
+                                                        Bicharacter.trivial(trivial))
+    return out
+
+
+@pytest.mark.parametrize("n_max", range(4))
+@pytest.mark.parametrize("label", sorted(_transmutations()))
+def test_relation_transport_matches_the_dense_oracle(label, n_max):
+    t = _transmutations()[label]
+    report = check_relation_transport(t, n_max)
+    # defects per word, in (i, j, sector, word) order
+    own, image = ([np.linalg.norm(dense_commutator_residuals(t.target, n, cross)[i, j], axis=0)
+                   for i in range(t.target.n_generators) for j in range(t.target.n_generators)
+                   for n in range(n_max + 1)]
+                  for cross in (t.target.cross_coupling, t.source.cross_coupling))
+    worst, at = banded_witness(own)
+    for key, want in (("target_defect", worst), ("image_defect", max(float(d.max()) for d in image))):
+        assert abs(report.data[key] - want) <= 1e-12 * max(1.0, want), (key, report.data, want)
+    assert report.defect == report.data["target_defect"]
+    if worst > 1e-6:
+        pair, sector = divmod(at[0], n_max + 1)
+        n_gen = t.target.n_generators
+        assert report.witness == {"i": pair // n_gen + 1, "j": pair % n_gen + 1, "sector": sector}
+    else:
+        assert report.witness is None and report.passed
+    # the alternating expansion leaves a residual from sector 1 on; the others close
+    assert (worst > 1e-6) == (label == "fermion2(s=-1)->trivial" and n_max >= 1)
+
+
+def test_negative_n_max_is_rejected():
+    t = _transmutations()["fermion1->hom_z2_to_z4"]
+    with pytest.raises(ValueError, match="sector must be >= 0, got -1"):
+        check_relation_transport(t, -1)
