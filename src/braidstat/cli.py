@@ -4,7 +4,8 @@ Commands: ``check``, ``gram``, ``apply``, ``transmute``, ``normalize``.
 Exit codes: 0 all executed checks pass, 1 some check failed, 2 input error.
 ``--json`` switches standard output to a machine-readable report
 ``{"checks": [...], "results": {...}}``; reports are deterministic for
-identical inputs.
+identical inputs.  Each command imports the modules it runs when it runs, so
+``normalize`` loads neither numpy nor the Fock layer.
 """
 
 from __future__ import annotations
@@ -16,27 +17,23 @@ import math
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .coherence import ExprSyntaxError, normalize as normalize_expr, parse_expr
-from .fock import (AnnihilateFree, AnnihilateTwisted, Create, Exchange, ProgramStep,
-                   ResourceLimitError, apply_program, gram_matrix, _fock_checks)
-from .groups import check_transmutation
-from .modelfile import (ModelFileError, load_bicharacter_file, load_hom_file, load_model_file,
-                        model_to_dict)
-from .models import check_symmetry, check_yang_baxter
-from .report import CheckReport, FAIL, PASS, jsonable
-from .transmute import check_cross_symmetric, check_relation_transport, make_transmutation
-from .words import FockVector
+from .report import FAIL, PASS, CheckReport, jsonable
 
-INPUT_ERRORS = (ModelFileError, ExprSyntaxError, ResourceLimitError, ValueError, OSError)
+if TYPE_CHECKING:
+    from .fock import ProgramStep
+    from .words import FockVector
+INPUT_ERRORS = (ValueError, OSError)
 
 _STEP_RE = re.compile(r"^([cabx])(\d+)$")
-_STEPS = {"c": Create, "a": AnnihilateFree, "b": AnnihilateTwisted, "x": Exchange}
 
 
 def parse_program(text: str) -> list[ProgramStep]:
     """Parse ``"c1;a2;b1;x1"``: c=create, a=free annihilate, b=twisted, x=exchange."""
-    steps: list[ProgramStep] = []
+    from .fock import AnnihilateFree, AnnihilateTwisted, Create, Exchange
+    steps = {"c": Create, "a": AnnihilateFree, "b": AnnihilateTwisted, "x": Exchange}
+    program: list[ProgramStep] = []
     for raw in text.split(";"):
         token = raw.strip()
         if not token:
@@ -44,12 +41,13 @@ def parse_program(text: str) -> list[ProgramStep]:
         m = _STEP_RE.match(token)
         if not m:
             raise ValueError(f"bad program step {token!r}; expected c<i>, a<i>, b<i>, or x<k>")
-        steps.append(_STEPS[m.group(1)](int(m.group(2))))
-    return steps
+        program.append(steps[m.group(1)](int(m.group(2))))
+    return program
 
 
 def parse_vector(text: str) -> FockVector:
     """Empty string is the vacuum; otherwise comma-separated letters of one word."""
+    from .words import FockVector
     if not text.strip():
         return FockVector.vacuum()
     letters = [int(tok) for tok in text.split(",")]
@@ -78,20 +76,23 @@ def _dump(value, indent: int | None = None) -> None:
     sys.stdout.write("\n")
 
 
-def _emit(report: dict, checks: list[CheckReport], as_json: bool) -> int:
-    code = 1 if any(c.status == FAIL for c in checks) else 0
-    if as_json:
-        _dump(report, indent=2)
+def _emit(args, checks: list[CheckReport], results: dict) -> int:
+    """Print the report of one command; exit 1 when a check failed, else 0."""
+    if args.json:
+        _dump({"command": args.command,
+               "input": str(args.model) if "model" in args else args.expr,
+               "checks": [c.as_dict() for c in checks],
+               "results": results}, indent=2)
     else:
         for check in checks:
             line = f"  {check.status.upper():7s} {check.name:24s} defect={check.defect:.3e}"
             if check.status != PASS and check.witness is not None:
                 line += f"  witness={json.dumps(jsonable(check.witness), sort_keys=True)}"
             print(line)
-        for key, value in report.get("results", {}).items():
+        for key, value in results.items():
             sys.stdout.write(f"  {key}: ")
             _dump(value)
-    return code
+    return 1 if any(c.status == FAIL for c in checks) else 0
 
 
 def _options(args, loaded) -> tuple[float, int]:
@@ -107,6 +108,9 @@ def _options(args, loaded) -> tuple[float, int]:
 
 
 def cmd_check(args) -> int:
+    from .fock import _fock_checks
+    from .modelfile import load_model_file
+    from .models import check_symmetry, check_yang_baxter
     loaded = load_model_file(args.model)
     model = loaded.model
     tol, n_max = _options(args, loaded)
@@ -120,23 +124,19 @@ def cmd_check(args) -> int:
         check_symmetry(model, tol),
         *fock_checks,
     ]
-    report = {
-        "command": "check",
-        "input": str(args.model),
-        "checks": [c.as_dict() for c in checks],
-        "results": {
-            "sector_dimensions": dims,
-            "model": {"generators": model.n_generators,
-                      "group_orders": list(model.group.orders),
-                      "braid": "grade-diagonal" if model.is_grade_diagonal else "matrix"},
-            "tolerance": tol,
-            "n_max": n_max,
-        },
-    }
-    return _emit(report, checks, args.json)
+    return _emit(args, checks, {
+        "sector_dimensions": dims,
+        "model": {"generators": model.n_generators,
+                  "group_orders": list(model.group.orders),
+                  "braid": "grade-diagonal" if model.is_grade_diagonal else "matrix"},
+        "tolerance": tol,
+        "n_max": n_max,
+    })
 
 
 def cmd_gram(args) -> int:
+    from .fock import gram_matrix
+    from .modelfile import load_model_file
     loaded = load_model_file(args.model)
     model = loaded.model
     tol, _ = _options(args, loaded)
@@ -148,41 +148,34 @@ def cmd_gram(args) -> int:
         psd = result.psd_report(tol)
         checks.append(psd)
         min_eig = psd.data.get("min_eigenvalue")
-    report = {
-        "command": "gram",
-        "input": str(args.model),
-        "checks": [c.as_dict() for c in checks],
-        "results": {
-            "sector": args.sector,
-            "full": model.n_generators ** args.sector,
-            "rank": rank,
-            "min_eigenvalue": min_eig,
-            "basis": [list(w) for w in result.words],
-            "matrix": _Rows(result.matrix),
-        },
-    }
-    return _emit(report, checks, args.json)
+    return _emit(args, checks, {
+        "sector": args.sector,
+        "full": model.n_generators ** args.sector,
+        "rank": rank,
+        "min_eigenvalue": min_eig,
+        "basis": [list(w) for w in result.words],
+        "matrix": _Rows(result.matrix),
+    })
 
 
 def cmd_apply(args) -> int:
+    from .fock import apply_program
+    from .modelfile import load_model_file
     loaded = load_model_file(args.model)
     program = parse_program(args.program)
     vector = parse_vector(args.vector)
     out = apply_program(loaded.model, program, vector)
-    report = {
-        "command": "apply",
-        "input": str(args.model),
-        "checks": [],
-        "results": {
-            "program": args.program,
-            "vector": [{"word": list(w), "amplitude": [a.real, a.imag]}
-                       for w, a in out.sorted_items()],
-        },
-    }
-    return _emit(report, [], args.json)
+    return _emit(args, [], {
+        "program": args.program,
+        "vector": [{"word": list(w), "amplitude": [a.real, a.imag]}
+                   for w, a in out.sorted_items()],
+    })
 
 
 def cmd_transmute(args) -> int:
+    from .groups import check_transmutation
+    from .modelfile import load_bicharacter_file, load_hom_file, load_model_file, model_to_dict
+    from .transmute import check_cross_symmetric, check_relation_transport, make_transmutation
     loaded = load_model_file(args.model)
     model = loaded.model
     tol, n_max = _options(args, loaded)
@@ -204,34 +197,21 @@ def cmd_transmute(args) -> int:
         out_path = Path(args.out) if args.out else Path(Path(args.model).stem + ".transmuted.json")
         out_path.write_text(json.dumps(model_to_dict(t.target, tol, n_max),
                                        sort_keys=True, indent=2) + "\n")
-    report = {
-        "command": "transmute",
-        "input": str(args.model),
-        "checks": [c.as_dict() for c in checks],
-        "results": {
-            "hom_images": [list(im.residues) for im in hom.images],
-            "target_group": list(hom.target.orders),
-            "target_grades": [list(g.residues) for g in t.target.grades],
-            "output_file": str(out_path) if out_path else None,
-        },
-    }
-    return _emit(report, checks, args.json)
+    return _emit(args, checks, {
+        "hom_images": [list(im.residues) for im in hom.images],
+        "target_group": list(hom.target.orders),
+        "target_grades": [list(g.residues) for g in t.target.grades],
+        "output_file": str(out_path) if out_path else None,
+    })
 
 
 def cmd_normalize(args) -> int:
-    expr = parse_expr(args.expr)
-    nf = normalize_expr(expr)
-    report = {
-        "command": "normalize",
-        "input": args.expr,
-        "checks": [],
-        "results": {"normal_form": nf.render(), "is_unit": nf.is_unit},
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
+    from .coherence import normalize, parse_expr
+    nf = normalize(parse_expr(args.expr))
+    if not args.json:
         print(nf.render())
-    return 0
+        return 0
+    return _emit(args, [], {"normal_form": nf.render(), "is_unit": nf.is_unit})
 
 
 class _Parser(argparse.ArgumentParser):

@@ -324,32 +324,30 @@ def redexes(e: TensorExpr, rules: Sequence[str] = DEFAULT_RULES) -> list[tuple[P
     return found
 
 
-def _replace(e: TensorExpr, path: Path, new: TensorExpr) -> TensorExpr:
-    if not path:
-        return new
-    head, rest = path[0], path[1:]
-    if isinstance(e, Tensor):
-        if head == 0:
-            return Tensor(_replace(e.left, rest, new), e.right)
-        return Tensor(e.left, _replace(e.right, rest, new))
-    if isinstance(e, Dual):
-        return Dual(_replace(e.inner, rest, new))
-    raise ValueError("path descends into a leaf")
-
-
-def _subexpr_at(e: TensorExpr, path: Path) -> TensorExpr:
-    for step in path:
-        e = (e.left, e.right)[step] if isinstance(e, Tensor) else e.inner
-    return e
-
-
 def apply_rule(e: TensorExpr, path: Path, rule: str) -> TensorExpr:
+    """Rewrite the node at ``path`` by ``rule``.  The walk down keeps the
+    ancestors and the walk back up rebuilds them, so no path depth recurses."""
     _check_rules((rule,))
     kind, slot, child, rewrite = RULES[rule]
-    node = _subexpr_at(e, path)
+    ancestors = []
+    node = e
+    for step in path:
+        ancestors.append((node, step))
+        if type(node) is Tensor:
+            node = node.right if step else node.left
+        elif type(node) is Dual:
+            node = node.inner
+        else:
+            raise ValueError("path descends into a leaf")
     if type(node) is not kind or type(getattr(node, slot)) is not child:
         raise ValueError(f"rule {rule} does not apply at {path}")
-    return _replace(e, path, rewrite(node))
+    node = rewrite(node)
+    for parent, step in reversed(ancestors):
+        if type(parent) is Dual:
+            node = Dual(node)
+        else:
+            node = Tensor(parent.left, node) if step else Tensor(node, parent.right)
+    return node
 
 
 def rewrite_normalize(e: TensorExpr,

@@ -163,12 +163,16 @@ def _guard_ladder(model: ParticleModel, m: int, entries: int) -> None:
 def create(model: ParticleModel, i: int, v: FockVector) -> FockVector:
     """Left-prepend generator ``i`` to every word, linearly."""
     model._check_index(i)
+    for w, _ in v.items():
+        model.check_word(w)
     return FockVector({(i,) + w: a for w, a in v.items()})
 
 
 def annihilate_free(model: ParticleModel, i: int, v: FockVector) -> FockVector:
     """Pair dual letter ``i`` with the first letter only; the vacuum maps to 0."""
     model._check_index(i)
+    for w, _ in v.items():
+        model.check_word(w)
     out: dict[TensorWord, complex] = {}
     for w, a in v.items():
         if not w:
@@ -721,6 +725,8 @@ ProgramStep = Create | AnnihilateFree | AnnihilateTwisted | Exchange
 def apply_program(model: ParticleModel, program: Sequence[ProgramStep], v: FockVector) -> FockVector:
     """Run elementary steps left to right.  Composite creations are realized
     as consecutive :class:`Create` steps."""
+    for w, _ in v.items():
+        model.check_word(w)
     state = v
     for step in program:
         if isinstance(step, Create):

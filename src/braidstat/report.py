@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -62,14 +60,13 @@ def jsonable(value: Any) -> Any:
         return [value.real, value.imag]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.generic):
-        return jsonable(value.item())
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
+    tolist = getattr(value, "tolist", None)
+    if tolist is not None:  # numpy arrays and scalars, read without importing numpy
+        return jsonable(tolist())
     # Domain objects: phases and group elements expose exact fields.
     exponent = getattr(value, "exponent", None)
     if isinstance(exponent, Fraction):

@@ -15,7 +15,6 @@ Auxiliary fixtures ``hom_*`` / ``bichar_*`` feed the ``transmute`` command.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .modelfile import LoadedModel, load_model_file
@@ -42,8 +41,7 @@ SYMMETRIC_NAMES = ("boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion")
 
 def zoo_path(name: str) -> Path:
     """Filesystem path of a bundled fixture (model, hom, or bicharacter)."""
-    candidate = resources.files("braidstat").joinpath("zoo", f"{name}.json")
-    path = Path(str(candidate))
+    path = Path(__file__).with_name("zoo") / f"{name}.json"
     if not path.exists():
         raise KeyError(f"no bundled fixture named {name!r}")
     return path

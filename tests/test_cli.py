@@ -162,6 +162,15 @@ def test_apply_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("program, vector, letter", [("c1", "0,7", 0), ("a1", "2,9", 9),
+                                                     ("", "9", 9)])
+def test_apply_rejects_letters_the_model_lacks(capsys, program, vector, letter):
+    code, out, err = run_cli(capsys, "apply", str(zoo_path("fermion2")),
+                             "--program", program, "--vector", vector)
+    assert (code, out) == (2, "")
+    assert err == f"error: generator index {letter} out of range 1..2\n"
+
+
 def test_transmute_command(tmp_path, capsys):
     out_file = tmp_path / "target.json"
     code, out, _ = run_cli(capsys, "transmute", str(zoo_path("z2z2_fermion")),

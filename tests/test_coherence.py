@@ -189,6 +189,8 @@ def test_unknown_rule_names_are_value_errors():
             call()
     with pytest.raises(ValueError, match="does not apply"):
         apply_rule(e, (), "assoc")
+    with pytest.raises(ValueError, match="path descends into a leaf"):
+        apply_rule(e, (0, 0, 0), "dual-dual")
 
 
 def test_every_scan_but_the_last_is_followed_by_one_step(monkeypatch):
@@ -232,3 +234,11 @@ def test_deep_expressions_parse_and_normalize():
     assert normalize(parse_expr(nested)).render() == "B (x) A^"
     with pytest.raises(ExprSyntaxError, match="position 3007"):
         parse_expr("(" * 3000 + "A (x) B")
+    # a rewrite step as deep as the expression: the deepest redex, and a random
+    # one, whose run the step cap stops after one step to keep the test short
+    deep = parse_expr("A" + "^" * 3001)
+    path, rule = max(redexes(deep), key=lambda found: len(found[0]))
+    assert (len(path), rule) == (2999, "dual-dual")
+    assert render_expr(apply_rule(deep, path, rule)) == "A" + "^" * 2999
+    with pytest.raises(RewriteLoopError, match="exceeded 1 rewrite steps"):
+        rewrite_normalize(deep, rng=random.Random(1), max_steps=1)

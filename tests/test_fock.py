@@ -641,6 +641,17 @@ def test_apply_program_errors():
         apply_program(m, [Exchange(1)], FockVector.vacuum())
 
 
+def test_operators_check_the_letters_of_their_input():
+    # a letter the model does not have is an error, not a word carried along
+    m = load_zoo("fermion2")
+    calls = [lambda v: create(m, 1, v), lambda v: annihilate_free(m, 1, v),
+             lambda v: apply_program(m, [], v), lambda v: apply_program(m, [Create(1)], v)]
+    for call in calls:
+        for word, letter in (((0, 7), 0), ((2, 9), 9), ((9,), 9)):
+            with pytest.raises(ValueError, match=f"generator index {letter} out of range 1..2"):
+                call(FockVector.basis(word))
+
+
 def test_fock_vector_prunes_tiny_amplitudes():
     v = FockVector({(1,): 1e-16, (2,): 1.0})
     assert v.sorted_items() == [((2,), 1.0)]
