@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -95,25 +94,21 @@ def _emit(args, checks: list[CheckReport], results: dict) -> int:
     return 1 if any(c.status == FAIL for c in checks) else 0
 
 
-def _options(args, loaded) -> tuple[float, int]:
-    """``--tol`` and ``--nmax``, else the model file's options, held to the
-    rules the model file's options are held to."""
-    tol = loaded.tolerance if args.tol is None else args.tol
-    n_max = loaded.n_max if getattr(args, "nmax", None) is None else args.nmax
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
-    if n_max < 0:
-        raise ValueError(f"sector must be >= 0, got {n_max}")
-    return tol, n_max
+def _model(args):
+    """The model of ``args.model`` with its tolerance and ``n_max``: ``--tol`` and
+    ``--nmax`` where given, else the file's options.  ``--tol`` is held to the
+    file's tolerance rule; the sector guard rejects a negative ``--nmax``."""
+    from .modelfile import _tolerance, load_model_file
+    loaded = load_model_file(args.model)
+    tol, n_max = getattr(args, "tol", None), getattr(args, "nmax", None)
+    return (loaded.model, loaded.tolerance if tol is None else _tolerance(tol, "--tol"),
+            loaded.n_max if n_max is None else n_max)
 
 
 def cmd_check(args) -> int:
     from .fock import _fock_checks
-    from .modelfile import load_model_file
     from .models import check_symmetry, check_yang_baxter
-    loaded = load_model_file(args.model)
-    model = loaded.model
-    tol, n_max = _options(args, loaded)
+    model, tol, n_max = _model(args)
     fock_checks, dims = _fock_checks(model, n_max, tol)
     normalized = model.eps.is_normalized()
     checks = [
@@ -136,10 +131,7 @@ def cmd_check(args) -> int:
 
 def cmd_gram(args) -> int:
     from .fock import gram_matrix
-    from .modelfile import load_model_file
-    loaded = load_model_file(args.model)
-    model = loaded.model
-    tol, _ = _options(args, loaded)
+    model, tol, _ = _model(args)
     result = gram_matrix(model, args.sector)
     checks = [CheckReport.from_defect("gram-hermitian", result.asymmetry, tol)]
     rank = min_eig = None
@@ -160,11 +152,10 @@ def cmd_gram(args) -> int:
 
 def cmd_apply(args) -> int:
     from .fock import apply_program
-    from .modelfile import load_model_file
-    loaded = load_model_file(args.model)
+    model, _, _ = _model(args)
     program = parse_program(args.program)
     vector = parse_vector(args.vector)
-    out = apply_program(loaded.model, program, vector)
+    out = apply_program(model, program, vector)
     return _emit(args, [], {
         "program": args.program,
         "vector": [{"word": list(w), "amplitude": [a.real, a.imag]}
@@ -174,11 +165,9 @@ def cmd_apply(args) -> int:
 
 def cmd_transmute(args) -> int:
     from .groups import check_transmutation
-    from .modelfile import load_bicharacter_file, load_hom_file, load_model_file, model_to_dict
+    from .modelfile import load_bicharacter_file, load_hom_file, model_to_dict
     from .transmute import check_cross_symmetric, check_relation_transport, make_transmutation
-    loaded = load_model_file(args.model)
-    model = loaded.model
-    tol, n_max = _options(args, loaded)
+    model, tol, n_max = _model(args)
     hom, _target_group = load_hom_file(args.hom, model.group)
     eps_target = load_bicharacter_file(args.target_bichar, hom.target)
 

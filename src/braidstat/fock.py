@@ -116,12 +116,14 @@ class HermiticityError(ValueError):
 
 
 def _guard_sectors(model: ParticleModel, n_max: int) -> None:
-    """The word guard on sectors ``0..n_max``, naming the first sector past it."""
+    """The word guard on sectors ``0..n_max``, naming the first sector past it.
+    The size grows from 1 and stops there, so a deep ``n_max`` costs a few steps."""
     if n_max < 0:
         raise ValueError(f"sector must be >= 0, got {n_max}")
-    n_gen = model.n_generators
-    if n_gen ** n_max > MAX_SECTOR_SIZE:
-        n = next(n for n in range(n_max + 1) if n_gen ** n > MAX_SECTOR_SIZE)
+    n_gen, n, size = model.n_generators, 0, 1
+    while n < n_max and n_gen > 1 and size <= MAX_SECTOR_SIZE:
+        n, size = n + 1, size * n_gen
+    if size > MAX_SECTOR_SIZE:
         raise ResourceLimitError(f"sector size {n_gen}^{n} exceeds the guard of {MAX_SECTOR_SIZE}")
 
 
@@ -577,7 +579,8 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
 
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
     """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
-    return SectorDimension(model.n_generators ** n, _sector_gram(model, n).quotient_rank(tol))
+    rank = _sector_gram(model, n).quotient_rank(tol)  # guards sector n before N^n is built
+    return SectorDimension(model.n_generators ** n, rank)
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:

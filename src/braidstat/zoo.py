@@ -16,9 +16,11 @@ Auxiliary fixtures ``hom_*`` / ``bichar_*`` feed the ``transmute`` command.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .modelfile import LoadedModel, load_model_file
-from .models import ParticleModel
+if TYPE_CHECKING:
+    from .modelfile import LoadedModel
+    from .models import ParticleModel
 
 ZOO_NAMES = (
     "boson",
@@ -52,6 +54,7 @@ def load_zoo(name: str) -> ParticleModel:
 
 
 def load_zoo_full(name: str) -> LoadedModel:
+    from .modelfile import load_model_file
     if name not in ZOO_NAMES:
         raise KeyError(f"no bundled model named {name!r}; known: {', '.join(ZOO_NAMES)}")
     return load_model_file(zoo_path(name))

@@ -409,3 +409,59 @@ def test_front_ends_reach_the_fock_engine_through_few_private_names():
     # relation transport of transmute reads the ladder's norms, not residuals
     assert len(_private_fock_imports("cli")) <= 1
     assert _private_fock_imports("transmute") <= {"_guard_sectors", "_levels", "_locate", "_norms"}
+
+
+def _set_cross_entry(doc, value):
+    doc["cross"] = {"kind": "matrix", "T": [row[:] for row in doc["braid"]["R"]]}
+    doc["cross"]["T"][0][0] = value
+
+
+#: edits of quon_05 that put a value into each kind of numeric field
+_NUMERIC_FIELDS = {
+    "pairing-number": lambda doc, value: doc["generators"]["pairing"][0].__setitem__(0, value),
+    "pairing-pair": lambda doc, value: doc["generators"]["pairing"][0].__setitem__(0, [0, value]),
+    "braid.R": lambda doc, value: doc["braid"]["R"][0].__setitem__(0, value),
+    "cross.T": _set_cross_entry,
+    "tolerance": lambda doc, value: doc.setdefault("options", {}).__setitem__("tolerance", value),
+}
+
+
+def _boundary_case(tmp_path, case):
+    """The argv that reads one out-of-range input, and the file that holds it."""
+    transmute = ["transmute", str(zoo_path("fermion1")), "--out", str(tmp_path / "never.json")]
+    if case == "hom-target-order-0":
+        bad = tmp_path / "hom.json"
+        bad.write_text(json.dumps({"target": {"orders": [0]}, "images": [[1]]}))
+        return transmute + ["--hom", str(bad), "--target-bichar", str(zoo_path("bichar_z2_half"))], bad
+    if case == "bicharacter-without-Q":
+        bad = tmp_path / "bichar.json"
+        bad.write_text(json.dumps({"P": [["1/2"]]}))
+        return transmute + ["--hom", str(zoo_path("hom_z2_to_z4")), "--target-bichar", str(bad)], bad
+    if case == "group-order-0":
+        bad = _write_zoo_copy(tmp_path, "fermion1",
+                              lambda doc: doc["group"].__setitem__("orders", [0]))
+        return ["check", str(bad)], bad
+    field, value = case.split("=")
+    # json writes float("inf") as Infinity, so the literal 1e400 goes in as text
+    bad = _write_zoo_copy(tmp_path, "quon_05", lambda doc: _NUMERIC_FIELDS[field](
+        doc, 10 ** 400 if value == "10**400" else "@1e400@"))
+    bad.write_text(bad.read_text().replace('"@1e400@"', "1e400"))
+    return ["check", str(bad)], bad
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", [f"{field}={value}" for field in _NUMERIC_FIELDS
+                                  for value in ("10**400", "1e400")]
+                         + ["group-order-0", "hom-target-order-0", "bicharacter-without-Q"])
+def test_out_of_range_input_is_one_error_line_naming_its_file(tmp_path, capsys, case):
+    # json reads the literal 1e400 as inf, and 10**400 lies past the float range:
+    # accepted, they gave OverflowError tracebacks, numpy warnings, or a full report
+    # from an infinite exchange matrix
+    argv, bad = _boundary_case(tmp_path, case)
+    if "=" in case:
+        assert ("1e400" if case.endswith("1e400") else "0" * 400) in bad.read_text()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "never.json").exists()

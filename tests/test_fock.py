@@ -340,6 +340,23 @@ def test_negative_n_max_is_rejected(call):
         call(load_zoo("fermion1"))
 
 
+@pytest.mark.parametrize("call", [fock._guard_sectors, sector_dimension],
+                         ids=["guard-sectors", "sector-dimension"])
+def test_sector_guard_builds_no_huge_power(call):
+    # 2^(10^8) has 10^8 bits: building it before the guard refused the sector
+    # took 47 MB in the guard and 60 MB in sector_dimension
+    import tracemalloc
+    boson = load_zoo("boson")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"sector size 2\^17 exceeds the guard"):
+            call(boson, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_byte_guard_counts_the_largest_matrix_allocated():
     # only the guard runs here: each call raises, or returns, before any Gram is built
     f3 = load_zoo("fermion3")

@@ -60,6 +60,13 @@ def test_normalize_runs_without_numpy():
     assert loaded[1] == ["braidstat.cli", "braidstat.coherence", "braidstat.report"]
 
 
+def test_zoo_path_loads_only_the_zoo_module():
+    loaded = _fresh("import braidstat\n"
+                    "braidstat.zoo_path('boson')\n"
+                    f"print(json.dumps({_LOADED}))")
+    assert loaded == ["braidstat.zoo"]
+
+
 def test_public_names_are_unchanged_and_resolve_to_their_modules():
     homes = _fresh(
         "import importlib, braidstat\n"

@@ -84,6 +84,10 @@ def test_load_file_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ModelFileError, match="JSON"):
         load_model_file(bad)
+    # json's parser recurses once per level of nesting
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ModelFileError, match="not valid JSON: maximum recursion depth"):
+        load_model_file(bad)
 
 
 def test_expansion_sign_option(tmp_path):

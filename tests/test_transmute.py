@@ -96,6 +96,25 @@ def test_relation_transport_z2z2():
     assert report.data["image_defect"] <= 1e-12
 
 
+def test_relation_transport_reads_each_pair_phase_once(monkeypatch):
+    from braidstat import ParticleModel
+    model, hom, eps2 = z2z2_setup()
+    t = make_transmutation(model, hom, eps2)
+    check_relation_transport(t, n_max=4)  # builds the target's cached hop term table
+    calls = []
+    phase = ParticleModel.cross_phase
+
+    def counted(self, i, j):
+        calls.append((self is t.target, i, j))
+        return phase(self, i, j)
+
+    monkeypatch.setattr(ParticleModel, "cross_phase", counted)
+    assert check_relation_transport(t, n_max=4).passed
+    # one read of each pair on each model; the sector loop read them 80 times
+    assert sorted(calls) == sorted((mine, i, j) for mine in (False, True)
+                                   for i in (1, 2) for j in (1, 2))
+
+
 def test_relation_transport_to_trivial_group():
     from braidstat import Bicharacter
     model = load_zoo("fermion2")
