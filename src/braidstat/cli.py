@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -76,21 +77,26 @@ def _dump(value, indent: int | None = None) -> None:
 
 
 def _emit(args, checks: list[CheckReport], results: dict) -> int:
-    """Print the report of one command; exit 1 when a check failed, else 0."""
-    if args.json:
-        _dump({"command": args.command,
-               "input": str(args.model) if "model" in args else args.expr,
-               "checks": [c.as_dict() for c in checks],
-               "results": results}, indent=2)
-    else:
-        for check in checks:
-            line = f"  {check.status.upper():7s} {check.name:24s} defect={check.defect:.3e}"
-            if check.status != PASS and check.witness is not None:
-                line += f"  witness={json.dumps(jsonable(check.witness), sort_keys=True)}"
-            print(line)
-        for key, value in results.items():
-            sys.stdout.write(f"  {key}: ")
-            _dump(value)
+    """Print the report of one command; exit 1 when a check failed, else 0, even
+    if the reader closes the pipe before the report ends."""
+    try:
+        if args.json:
+            _dump({"command": args.command,
+                   "input": str(args.model) if "model" in args else args.expr,
+                   "checks": [c.as_dict() for c in checks],
+                   "results": results}, indent=2)
+        else:
+            for check in checks:
+                line = f"  {check.status.upper():7s} {check.name:24s} defect={check.defect:.3e}"
+                if check.status != PASS and check.witness is not None:
+                    line += f"  witness={json.dumps(jsonable(check.witness), sort_keys=True)}"
+                print(line)
+            for key, value in results.items():
+                sys.stdout.write(f"  {key}: ")
+                _dump(value)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to the null device, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if any(c.status == FAIL for c in checks) else 0
 
 

@@ -56,8 +56,12 @@ words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
 block-diagonal with one block per multiset and every entry between blocks is
 exactly 0.  A model that does not conserve letters gets one block holding
 every word, and runs through the same code.  Each sector has one block
-layout (:func:`_layout`).  Rank and positivity come from one ``eigvalsh`` of
-the Hermitian part of each block: the rank counts the eigenvalues with
+layout (:func:`_layout`).  One exact rule skips work: a block whose lower
+blocks are all exactly 0 is exactly 0, so its products are skipped, and once a
+whole sector is 0 the tower builds no further ladder level.  Rank and
+positivity come from the eigenvalues of the Hermitian part of each block:
+exact zeros for a zero block, the real entry of a 1x1 block, one ``eigvalsh``
+for any other.  The rank counts the eigenvalues with
 ``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
 sector, which is the cut against the largest singular value of the whole
 matrix.  The dense ``N^n x N^n`` matrix is filled from the blocks only when
@@ -73,7 +77,8 @@ Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
 array allocated: ``rows^2`` entries of the model's scalar type (8 or 16 bytes)
 for the largest Gram block or, for :func:`gram_matrix`, 16 bytes per entry of
 the complex dense Gram, and, for one level of a ladder, a value and two index
-words per entry (24 or 32 bytes).
+words per entry (24 or 32 bytes).  A ladder level, a Gram block or a spectrum
+that overflows the float range raises :class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +107,10 @@ _WITNESS_BAND = 1e-12
 
 class ResourceLimitError(ValueError):
     """A sector computation would exceed the desk-scale resource guard."""
+
+
+class NonFiniteError(ValueError):
+    """A ladder level, a Gram block or its spectrum overflowed to a non-finite number."""
 
 
 class HermiticityError(ValueError):
@@ -265,14 +274,17 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
         int(np.diff(hop.start)[child[columns]].sum()) for plan in plans for columns, hop, _, _ in plan)
     _guard_ladder(model, m, entries)
     hops = []
-    for i, plan in enumerate(plans, start=1):
-        g = _typed(model, model.pairing[i - 1, first])  # the free annihilator a-_i
-        cols = np.flatnonzero(g)
-        parts = [(rest[cols], cols, g[cols])]
-        for columns, hop, offset, factor in plan:
-            rows, at, vals = _gather(hop, child[columns])
-            parts.append((offset + rows.astype(rest.dtype), columns[at], vals * factor))
-        hops.append(_coalesce(parts, n_gen ** (m - 1), len(first)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
+        for i, plan in enumerate(plans, start=1):
+            g = _typed(model, model.pairing[i - 1, first])  # the free annihilator a-_i
+            cols = np.flatnonzero(g)
+            parts = [(rest[cols], cols, g[cols])]
+            for columns, hop, offset, factor in plan:
+                rows, at, vals = _gather(hop, child[columns])
+                parts.append((offset + rows.astype(rest.dtype), columns[at], vals * factor))
+            hops.append(_coalesce(parts, n_gen ** (m - 1), len(first)))
+    if not all(np.isfinite(hop.vals).all() for hop in hops):
+        raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
     return hops
 
 
@@ -448,7 +460,8 @@ def _layout(model: ParticleModel, m: int) -> _Layout:
 
 class GramResult:
     """The sector-``n`` Gram matrix, held as one matrix per weight block of the
-    sector's layout; entries between two blocks are exactly 0."""
+    sector's layout; entries between two blocks are exactly 0.  A block with a
+    non-finite entry raises :class:`NonFiniteError`."""
 
     def __init__(self, sector: int, n_generators: int, layout: _Layout,
                  matrices: list[np.ndarray]):
@@ -456,9 +469,15 @@ class GramResult:
         self.n_generators = n_generators
         self._layout = layout
         self._matrices = matrices
-        self.asymmetry = max(float(np.abs(g - g.conj().T).max()) for g in matrices)
+        tops = [float(np.abs(g).max()) for g in matrices]  # NaN or inf if an entry is
+        if not all(map(math.isfinite, tops)):
+            raise NonFiniteError(f"the Gram blocks of sector {sector} overflow the float range")
+        #: per block: does it hold an entry that is not exactly 0?
+        self._nonzero = [top > 0.0 for top in tops]
+        self.asymmetry = max((float(np.abs(g - g.conj().T).max())
+                              for g, nonzero in zip(matrices, self._nonzero) if nonzero), default=0.0)
         #: size of the largest entry, at least 1: the unit of the relative cuts
-        self.scale = max(1.0, max(float(np.abs(g).max()) for g in matrices))
+        self.scale = max(1.0, *tops)
         self.hermitian = self.asymmetry <= 1e-9 * self.scale
 
     @property
@@ -484,8 +503,14 @@ class GramResult:
 
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
-        """Eigenvalues of the Hermitian part of each block."""
-        return [np.linalg.eigvalsh((g + g.conj().T) / 2.0) for g in self._matrices]
+        """Eigenvalues of the Hermitian part of each block: exact zeros for a
+        block that is exactly 0, the real entry of a 1x1 block, else ``eigvalsh``."""
+        spectrum = [np.zeros(len(g)) if not nonzero else np.array([g[0, 0].real]) if len(g) == 1
+                    else np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0)  # halved first: no overflow
+                    for g, nonzero in zip(self._matrices, self._nonzero)]
+        if not all(np.isfinite(e).all() for e in spectrum):
+            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
+        return spectrum
 
     def quotient_rank(self, tol: float) -> int:
         """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
@@ -511,37 +536,43 @@ class SectorDimension(NamedTuple):
     quotient: int
 
 
-def _tower(model: ParticleModel, ladder: Iterable[list[_Sparse]]) -> Iterator[GramResult]:
-    """The Grams of the sectors of a whole-sector ladder, from sector 0 up;
-    see :func:`gram_tower`."""
+def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Iterator[GramResult]:
+    """The Grams of sectors ``0..n``, from sector 0 up, drawing the levels of a
+    whole-sector ladder with ``next`` only while the sector below has a nonzero
+    block; see :func:`gram_tower`."""
     n_gen, dtype = model.n_generators, model.scalar_type
-    for m, hops in enumerate(ladder):
-        layout = _layout(model, m)
-        if m == 0:
-            result = GramResult(0, n_gen, layout, [np.ones((1, 1), dtype=dtype)])
+    next(ladder)  # b-_i on the vacuum: no entries
+    result = GramResult(0, n_gen, _layout(model, 0), [np.ones((1, 1), dtype=dtype)])
+    yield result
+    for m in range(1, n + 1):
+        layout, below, lower = _layout(model, m), result._layout, result._matrices
+        grams = [np.zeros((hi - lo, hi - lo), dtype=dtype)
+                 for lo, hi in zip(layout.start[:-1], layout.start[1:])]
+        # a block whose lower blocks are all exactly 0 is exactly 0: its product
+        # is skipped, and once every block below is 0 no level is drawn
+        if not any(result._nonzero):
+            result = GramResult(m, n_gen, layout, grams)
             yield result
             continue
-        below, lower = result._layout, result._matrices
         # each b-_i on every word, block after block
-        entries = [_gather(hop, layout.order) for hop in hops]
+        entries = [_gather(hop, layout.order) for hop in next(ladder)]
         cuts = [np.searchsorted(at, layout.start) for _, at, _ in entries]
-        grams = []
-        for c, (lo, hi) in enumerate(zip(layout.start[:-1], layout.start[1:])):
-            gram = np.empty((hi - lo, hi - lo), dtype=dtype)
-            top = lo
-            while top < hi:  # one run of rows per first letter
-                i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
-                b = below.block[rest]
-                rows, at, vals = (a[cuts[i][c]:cuts[i][c + 1]] for a in entries[i])
-                if np.any(below.block[rows] != b):
-                    raise RuntimeError(
-                        f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)} "
-                        f"outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
-                step = np.zeros((len(lower[b]), hi - lo), dtype=dtype)
-                step[below.row[rows], at - lo] = vals
-                gram[top - lo:top - lo + len(lower[b])] = lower[b] @ step
-                top += len(lower[b])
-            grams.append(gram)
+        with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
+            for c, (lo, hi) in enumerate(zip(layout.start[:-1], layout.start[1:])):
+                top = lo
+                while top < hi:  # one run of rows per first letter
+                    i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
+                    b = below.block[rest]
+                    rows, at, vals = (a[cuts[i][c]:cuts[i][c + 1]] for a in entries[i])
+                    if np.any(below.block[rows] != b):
+                        raise RuntimeError(
+                            f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)}"
+                            f" outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
+                    if result._nonzero[b]:
+                        step = np.zeros((len(lower[b]), hi - lo), dtype=dtype)
+                        step[below.row[rows], at - lo] = vals
+                        grams[c][top - lo:top - lo + len(lower[b])] = lower[b] @ step
+                    top += len(lower[b])
         result = GramResult(m, n_gen, layout, grams)
         yield result
 
@@ -554,11 +585,14 @@ def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
     the rows of block ``M`` whose word starts with ``i`` equal
     ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
     A model that does not conserve letters has one block per sector, which
-    makes this the dense recursion.  Each level of the ladder is built when
-    its sector is reached and dropped after it.
+    makes this the dense recursion.  A product whose ``G_{M-{i}}`` is exactly
+    0 is skipped, its rows being exactly 0.  Each level of the ladder is built
+    when its sector is reached and dropped after it, until a sector comes out
+    exactly 0: every sector above it is then yielded as zero blocks, and no
+    further level is built.
     """
     _guard_gram(model, n)
-    yield from _tower(model, _levels(model, n))
+    yield from _tower(model, _levels(model, n), n)
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
@@ -652,7 +686,7 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult]
     _guard_sectors(model, n_max)
     _guard_gram(model, n_max + 2)
     ladder = list(_levels(model, n_max + 2))
-    return ladder, list(_tower(model, ladder)), [
+    return ladder, list(_tower(model, iter(ladder), n_max + 2)), [
         _residual_entries(model, n, ladder[n + 1]) for n in range(n_max + 1)]
 
 

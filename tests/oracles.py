@@ -202,6 +202,22 @@ def fermionic_dimension(n_generators: int, n: int) -> int:
     return math.comb(n_generators, n) if n <= n_generators else 0
 
 
+def colour_symmetric_dimension(model: ParticleModel, n: int) -> int:
+    """``[t^n] prod_{chi(i,i)=+1} (1 - t)^-1 * prod_{chi(i,i)=-1} (1 + t)``: the
+    sector-``n`` dimension of a colour-symmetric grade-diagonal model, whose
+    Gram is ``n!`` times the colour symmetrizer (Scheunert, J. Math. Phys. 20,
+    1979).  A letter of self-phase ``chi(i, i) = eps(grade_i, grade_i) = +1``
+    may repeat; one of self-phase -1 appears at most once."""
+    coefficients = [1] + [0] * n
+    for i in range(1, model.n_generators + 1):
+        exponent = model.eps.phase(model.grade(i), model.grade(i)).exponent % 1
+        assert exponent in (0, Fraction(1, 2)), f"chi({i}, {i}) is not +-1"
+        # times (1 - t)^-1: running sums, upward; times (1 + t): downward
+        for k in range(1, n + 1) if exponent == 0 else range(n, 0, -1):
+            coefficients[k] += coefficients[k - 1]
+    return coefficients[n]
+
+
 def exponent_table(eps: Bicharacter) -> tuple[np.ndarray, int, list]:
     """Integer exponent table ``E[a, b] = L * phase_exponent(a, b)`` mod ``L``.
 

@@ -465,3 +465,33 @@ def test_out_of_range_input_is_one_error_line_naming_its_file(tmp_path, capsys, 
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
     assert "Traceback" not in err and "Warning" not in err
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, argv, message", [
+    ("quon_05", ["check"], "the annihilators of sector 4 "),
+    ("fermion2", ["check"], "the Gram blocks of sector 3 "),
+    ("fermion2", ["gram", "--sector", "2"], "the eigenvalues of sector 2 "),
+])
+def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, message):
+    # finite entries whose products overflow: they gave numpy warnings, then
+    # "Eigenvalues did not converge" or a wrong rank
+    path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__(
+        "pairing", [[1e308, 0], [0, 1]]))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["gram", str(zoo_path("boson")), "--sector", "6", "--json"], 0),
+    (["check", str(zoo_path("anyon_z4")), "--nmax", "1200", "--json"], 1),
+])
+def test_a_closed_pipe_keeps_the_verdict(argv, verdict):
+    # the reader takes 10 bytes of a report of more than a pipe's 64 KiB and closes
+    proc = subprocess.Popen([sys.executable, "-m", "braidstat", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (len(head), proc.wait(), err) == (10, verdict, b"")

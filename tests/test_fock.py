@@ -14,10 +14,10 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
 from braidstat import fock
 from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram, _guard_ladder
 
-from oracles import (banded_witness, bosonic_dimension, dense_annihilators,
-                     dense_commutator_residuals, dense_exchange_nullity, dense_gram,
-                     fermionic_dimension, permutation_gram_entry, q_factorial, quon_gram_entry,
-                     svd_rank)
+from oracles import (banded_witness, bosonic_dimension, colour_symmetric_dimension,
+                     dense_annihilators, dense_commutator_residuals, dense_exchange_nullity,
+                     dense_gram, fermionic_dimension, permutation_gram_entry, q_factorial,
+                     quon_gram_entry, svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +491,83 @@ def test_fermion3_sector_8_never_allocates_the_dense_gram():
     finally:
         tracemalloc.stop()
     assert peak < 100e6  # the dense 6561x6561 Gram alone takes 689 MB
+
+
+@pytest.mark.parametrize("name", ["boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"])
+def test_sector_dimensions_of_colour_symmetric_models(name):
+    model = load_zoo(name)
+    assert model.is_grade_diagonal and model.eps.is_normalized().ok  # chi(i,j) chi(j,i) = 1
+    for n in range(9):
+        assert sector_dimension(model, n) == (model.n_generators ** n,
+                                              colour_symmetric_dimension(model, n)), n
+
+
+def test_zero_sectors_draw_no_further_ladder_level():
+    # fermion3's Gram is exactly 0 from sector 4 on, so no block of sector 5
+    # reads a product: the tower stops drawing levels after sector 4
+    model = load_zoo("fermion3")
+    drawn = []
+
+    def counting(ladder):
+        for m, hops in enumerate(ladder):
+            drawn.append(m)
+            yield hops
+
+    grams = list(fock._tower(model, counting(fock._levels(model, 8)), 8))
+    assert drawn == [0, 1, 2, 3, 4]
+    assert [result.sector for result in grams] == list(range(9))
+    assert [any(result._nonzero) for result in grams] == [True] * 4 + [False] * 5
+    for n in range(4, 7):
+        assert np.array_equal(grams[n].matrix, dense_gram(model, n)), n
+    for result in grams[4:]:
+        assert [len(g) for g in result._matrices] == list(np.diff(result._layout.start))
+        assert not any(g.any() for g in result._matrices)
+        assert all(e.tolist() == [0.0] * len(e) for e in result.spectrum)
+        assert (result.asymmetry, result.scale) == (0.0, 1.0)
+
+
+def test_spectrum_is_exact_for_zero_and_1x1_blocks(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    # some blocks of fermion3's sector 3 are 0, the 1x1 blocks of boson hold n!
+    # and anyon_z4's, one per sector, are complex
+    for result in (gram_matrix(load_zoo("fermion3"), 3), gram_matrix(load_zoo("boson"), 6),
+                   gram_matrix(load_zoo("anyon_z4"), 5)):
+        shapes.clear()
+        for g, e in zip(result._matrices, result.spectrum):
+            if not g.any():
+                assert e.tolist() == [0.0] * len(g)
+            elif len(g) == 1:
+                assert e.tolist() == [g[0, 0].real]
+        assert shapes == [g.shape for g in result._matrices if g.any() and len(g) > 1]
+    assert gram_matrix(load_zoo("boson"), 6).spectrum[0].tolist() == [720.0]
+    # a block with one off-diagonal entry is not 0: its Hermitian part has eigenvalues -1/2, 1/2
+    model = _mixing_models()["random-R"]
+    one = fock.GramResult(1, 2, fock._layout(model, 1), [np.array([[0.0, 0.0], [1.0, 0.0]])])
+    shapes.clear()
+    assert one.spectrum[0].tolist() == [-0.5, 0.5]
+    assert shapes == [(2, 2)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_ladders_and_grams_name_their_sector():
+    # finite pairings whose products overflow: the quon ladder reaches inf at
+    # sector 4 and its Gram at sector 2; fermion2's Gram reaches NaN at sector 3
+    trivial, z2 = make_group([]), make_group([2])
+    big = [[1e308, 0], [0, 1]]
+    quon = make_model(trivial, Bicharacter.trivial(trivial), [[], []], big, q_swap_braid(2, 0.5))
+    with pytest.raises(fock.NonFiniteError, match="the annihilators of sector 4 "):
+        commutator_defect(quon, 1, 1, 3)
+    with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 2 "):
+        sector_dimension(quon, 5)
+    fermion2 = make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1], [1]], big)
+    with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 3 "):
+        gram_psd_check(fermion2, 4)
+    # sector 2 holds the finite block [[1e308, -1e308], [-1e308, 1e308]], of eigenvalue 2e308
+    with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 2 "):
+        sector_dimension(fermion2, 2)
+    assert gram_psd_check(fermion2, 1).passed
 
 
 def test_no_ladder_outlives_a_call():
