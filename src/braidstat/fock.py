@@ -60,12 +60,11 @@ layout (:func:`_layout`).  One exact rule skips work: a block whose lower
 blocks are all exactly 0 is exactly 0, so its products are skipped, and once a
 whole sector is 0 the tower builds no further ladder level.  Rank and
 positivity come from the eigenvalues of the Hermitian part of each block:
-exact zeros for a zero block, the real entry of a 1x1 block, one ``eigvalsh``
-for any other.  The rank counts the eigenvalues with
-``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
-sector, which is the cut against the largest singular value of the whole
-matrix.  The dense ``N^n x N^n`` matrix is filled from the blocks only when
-:attr:`GramResult.matrix` is read.
+exact zeros for a zero block, one ``eigvalsh`` for any other.  The rank counts
+the eigenvalues with ``|lambda| >= tol * max(1, top)``, ``top`` the largest
+``|lambda|`` of the sector, which is the cut against the largest singular
+value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
+blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -469,13 +468,15 @@ class GramResult:
         self.n_generators = n_generators
         self._layout = layout
         self._matrices = matrices
-        tops = [float(np.abs(g).max()) for g in matrices]  # NaN or inf if an entry is
-        if not all(map(math.isfinite, tops)):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
+            tops = [float(np.abs(g).max()) for g in matrices]
+            #: per block: does it hold an entry that is not exactly 0?
+            self._nonzero = [top > 0.0 for top in tops]
+            # halved first, as in spectrum: g - g^H may overflow where its halves do not
+            self.asymmetry = max((2.0 * float(np.abs(g / 2.0 - g.conj().T / 2.0).max())
+                                  for g, nonzero in zip(matrices, self._nonzero) if nonzero), default=0.0)
+        if not all(map(math.isfinite, tops + [self.asymmetry])):
             raise NonFiniteError(f"the Gram blocks of sector {sector} overflow the float range")
-        #: per block: does it hold an entry that is not exactly 0?
-        self._nonzero = [top > 0.0 for top in tops]
-        self.asymmetry = max((float(np.abs(g - g.conj().T).max())
-                              for g, nonzero in zip(matrices, self._nonzero) if nonzero), default=0.0)
         #: size of the largest entry, at least 1: the unit of the relative cuts
         self.scale = max(1.0, *tops)
         self.hermitian = self.asymmetry <= 1e-9 * self.scale
@@ -504,10 +505,9 @@ class GramResult:
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
         """Eigenvalues of the Hermitian part of each block: exact zeros for a
-        block that is exactly 0, the real entry of a 1x1 block, else ``eigvalsh``."""
-        spectrum = [np.zeros(len(g)) if not nonzero else np.array([g[0, 0].real]) if len(g) == 1
-                    else np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0)  # halved first: no overflow
-                    for g, nonzero in zip(self._matrices, self._nonzero)]
+        block that is exactly 0, else ``eigvalsh``."""
+        spectrum = [np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0) if nonzero  # halved first: no overflow
+                    else np.zeros(len(g)) for g, nonzero in zip(self._matrices, self._nonzero)]
         if not all(np.isfinite(e).all() for e in spectrum):
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return spectrum

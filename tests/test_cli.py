@@ -467,17 +467,24 @@ def test_out_of_range_input_is_one_error_line_naming_its_file(tmp_path, capsys, 
     assert not (tmp_path / "never.json").exists()
 
 
+_BIG = [[1e308, 0], [0, 1]]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, argv, message", [
-    ("quon_05", ["check"], "the annihilators of sector 4 "),
-    ("fermion2", ["check"], "the Gram blocks of sector 3 "),
-    ("fermion2", ["gram", "--sector", "2"], "the eigenvalues of sector 2 "),
+@pytest.mark.parametrize("name, argv, pairing, message", [
+    ("quon_05", ["check"], _BIG, "the annihilators of sector 4 "),
+    ("fermion2", ["check"], _BIG, "the Gram blocks of sector 3 "),
+    ("fermion2", ["gram", "--sector", "2"], _BIG, "the eigenvalues of sector 2 "),
+    # finite complex entries whose modulus lies past the float range
+    ("fermion2", ["gram", "--sector", "1"], [[1, [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], 1]],
+     "the Gram blocks of sector 1 "),
+    # a non-Hermitian block whose asymmetry lies past the float range
+    ("fermion2", ["check"], [[1, 1e308], [-1e308, 1]], "the Gram blocks of sector 1 "),
 ])
-def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, message):
+def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, pairing, message):
     # finite entries whose products overflow: they gave numpy warnings, then
-    # "Eigenvalues did not converge" or a wrong rank
-    path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__(
-        "pairing", [[1e308, 0], [0, 1]]))
+    # "Eigenvalues did not converge", a wrong rank or an infinite asymmetry
+    path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__("pairing", pairing))
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")

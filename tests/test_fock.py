@@ -526,21 +526,20 @@ def test_zero_sectors_draw_no_further_ladder_level():
         assert (result.asymmetry, result.scale) == (0.0, 1.0)
 
 
-def test_spectrum_is_exact_for_zero_and_1x1_blocks(monkeypatch):
+def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-    # some blocks of fermion3's sector 3 are 0, the 1x1 blocks of boson hold n!
-    # and anyon_z4's, one per sector, are complex
+    # some blocks of fermion3's sector 3 are 0, boson's are all nonzero and
+    # anyon_z4's are complex
     for result in (gram_matrix(load_zoo("fermion3"), 3), gram_matrix(load_zoo("boson"), 6),
                    gram_matrix(load_zoo("anyon_z4"), 5)):
         shapes.clear()
         for g, e in zip(result._matrices, result.spectrum):
             if not g.any():
                 assert e.tolist() == [0.0] * len(g)
-            elif len(g) == 1:
-                assert e.tolist() == [g[0, 0].real]
-        assert shapes == [g.shape for g in result._matrices if g.any() and len(g) > 1]
+        assert shapes == [g.shape for g in result._matrices if g.any()]
+    # eigvalsh of a 1x1 block is its real entry
     assert gram_matrix(load_zoo("boson"), 6).spectrum[0].tolist() == [720.0]
     # a block with one off-diagonal entry is not 0: its Hermitian part has eigenvalues -1/2, 1/2
     model = _mixing_models()["random-R"]
