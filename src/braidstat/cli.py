@@ -76,15 +76,17 @@ def _dump(value, indent: int | None = None) -> None:
     sys.stdout.write("\n")
 
 
-def _emit(args, checks: list[CheckReport], results: dict) -> int:
-    """Print the report of one command; exit 1 when a check failed, else 0, even
-    if the reader closes the pipe before the report ends."""
+def _emit(args, checks: list[CheckReport], results: dict, text: str | None = None) -> int:
+    """Print a command's report, in text mode ``text`` where given; exit 1 when a
+    check failed, else 0, even if the reader closes the pipe before the report ends."""
     try:
         if args.json:
             _dump({"command": args.command,
                    "input": str(args.model) if "model" in args else args.expr,
                    "checks": [c.as_dict() for c in checks],
                    "results": results}, indent=2)
+        elif text is not None:
+            print(text)
         else:
             for check in checks:
                 line = f"  {check.status.upper():7s} {check.name:24s} defect={check.defect:.3e}"
@@ -139,7 +141,8 @@ def cmd_gram(args) -> int:
     from .fock import gram_matrix
     model, tol, _ = _model(args)
     result = gram_matrix(model, args.sector)
-    checks = [CheckReport.from_defect("gram-hermitian", result.asymmetry, tol)]
+    checks = [CheckReport("gram-hermitian", PASS if result.hermitian_within(tol) else FAIL,
+                          result.asymmetry)]
     rank = min_eig = None
     if checks[0].status == PASS:
         rank = result.quotient_rank(tol)
@@ -203,10 +206,8 @@ def cmd_transmute(args) -> int:
 def cmd_normalize(args) -> int:
     from .coherence import normalize, parse_expr
     nf = normalize(parse_expr(args.expr))
-    if not args.json:
-        print(nf.render())
-        return 0
-    return _emit(args, [], {"normal_form": nf.render(), "is_unit": nf.is_unit})
+    form = nf.render()
+    return _emit(args, [], {"normal_form": form, "is_unit": nf.is_unit}, form)
 
 
 class _Parser(argparse.ArgumentParser):

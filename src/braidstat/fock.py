@@ -44,9 +44,9 @@ Infinite statistics is exact by construction and reported without computing.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
-dimension of the physical (null-state-free) sector.  :func:`gram_tower`
-yields the Grams of sectors ``0..n`` from one pass of the recursion, so a
-caller that needs several sectors builds each of them once.
+dimension of the physical (null-state-free) sector.  One pass of the
+recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
+builds each sector once.
 
 The Gram is built and analysed in weight blocks.  When the model conserves
 letters (diagonal pairing, and every cross term ``(k, l, t)`` of ``T(i, j)``
@@ -56,11 +56,11 @@ words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
 block-diagonal with one block per multiset and every entry between blocks is
 exactly 0.  A model that does not conserve letters gets one block holding
 every word, and runs through the same code.  Each sector has one block
-layout (:func:`_layout`).  One exact rule skips work: a block whose lower
-blocks are all exactly 0 is exactly 0, so its products are skipped, and once a
-whole sector is 0 the tower builds no further ladder level.  Rank and
-positivity come from the eigenvalues of the Hermitian part of each block:
-exact zeros for a zero block, one ``eigvalsh`` for any other.  The rank counts
+layout (:func:`_layout`).  A block that is exactly 0 is not stored, every
+reader takes a missing block as exactly 0, and once a whole sector stores no
+block the tower builds no further ladder level.  Rank and positivity come from
+the eigenvalues of the Hermitian part of each block: exact zeros for a missing
+block, one ``eigvalsh`` for a stored one.  The rank counts
 the eigenvalues with ``|lambda| >= tol * max(1, top)``, ``top`` the largest
 ``|lambda|`` of the sector, which is the cut against the largest singular
 value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
@@ -459,27 +459,30 @@ def _layout(model: ParticleModel, m: int) -> _Layout:
 
 class GramResult:
     """The sector-``n`` Gram matrix, held as one matrix per weight block of the
-    sector's layout; entries between two blocks are exactly 0.  A block with a
-    non-finite entry raises :class:`NonFiniteError`."""
+    sector's layout; entries between two blocks are exactly 0.  Only blocks with
+    an entry that is not exactly 0 are stored, by ascending block number; a
+    missing block is exactly 0.  A non-finite entry raises :class:`NonFiniteError`."""
 
     def __init__(self, sector: int, n_generators: int, layout: _Layout,
-                 matrices: list[np.ndarray]):
+                 matrices: dict[int, np.ndarray]):
         self.sector = sector
         self.n_generators = n_generators
         self._layout = layout
-        self._matrices = matrices
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-            tops = [float(np.abs(g).max()) for g in matrices]
-            #: per block: does it hold an entry that is not exactly 0?
-            self._nonzero = [top > 0.0 for top in tops]
+            tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
+            self._matrices = {b: g for b, g in matrices.items() if tops[b] > 0.0}
             # halved first, as in spectrum: g - g^H may overflow where its halves do not
             self.asymmetry = max((2.0 * float(np.abs(g / 2.0 - g.conj().T / 2.0).max())
-                                  for g, nonzero in zip(matrices, self._nonzero) if nonzero), default=0.0)
-        if not all(map(math.isfinite, tops + [self.asymmetry])):
+                                  for g in self._matrices.values()), default=0.0)
+        if not all(map(math.isfinite, [*tops.values(), self.asymmetry])):
             raise NonFiniteError(f"the Gram blocks of sector {sector} overflow the float range")
         #: size of the largest entry, at least 1: the unit of the relative cuts
-        self.scale = max(1.0, *tops)
-        self.hermitian = self.asymmetry <= 1e-9 * self.scale
+        self.scale = max([1.0, *tops.values()])
+        self.hermitian = self.hermitian_within(1e-9)
+
+    def hermitian_within(self, tol: float) -> bool:
+        """The one Hermiticity cut, of the rank and the ``gram-psd`` and ``gram-hermitian`` rows."""
+        return self.asymmetry <= tol * self.scale
 
     @property
     def words(self) -> list[TensorWord]:
@@ -490,31 +493,33 @@ class GramResult:
     def blocks(self) -> list[GramBlock]:
         """Each block's words, in lexicographic order, with its Gram."""
         words, positions = self.words, np.split(self._layout.order, self._layout.start[1:-1])
-        return [GramBlock([words[p] for p in at], g.astype(complex))
-                for at, g in zip(positions, self._matrices)]
+        return [GramBlock([words[p] for p in at], self._matrices[b].astype(complex)
+                          if b in self._matrices else np.zeros((len(at), len(at)), dtype=complex))
+                for b, at in enumerate(positions)]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the blocks."""
+        """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the stored blocks."""
         size = self.n_generators ** self.sector
         dense = np.zeros((size, size), dtype=complex)
-        for at, g in zip(np.split(self._layout.order, self._layout.start[1:-1]), self._matrices):
-            dense[np.ix_(at, at)] = g
+        positions = np.split(self._layout.order, self._layout.start[1:-1])
+        for b, g in self._matrices.items():
+            dense[np.ix_(positions[b], positions[b])] = g
         return dense
 
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
-        """Eigenvalues of the Hermitian part of each block: exact zeros for a
-        block that is exactly 0, else ``eigvalsh``."""
-        spectrum = [np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0) if nonzero  # halved first: no overflow
-                    else np.zeros(len(g)) for g, nonzero in zip(self._matrices, self._nonzero)]
+        """Eigenvalues of each block's Hermitian part: exact zeros for a missing block."""
+        spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
+        for b, g in self._matrices.items():
+            spectrum[b] = np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0)  # halved first: no overflow
         if not all(np.isfinite(e).all() for e in spectrum):
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return spectrum
 
     def quotient_rank(self, tol: float) -> int:
         """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
-        if self.asymmetry > tol * self.scale:
+        if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
         top = max(float(np.abs(e).max()) for e in self.spectrum)
         cut = tol * max(1.0, top)
@@ -522,7 +527,7 @@ class GramResult:
 
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector; the tolerance is relative to its largest entry."""
-        if self.asymmetry > tol * self.scale:
+        if not self.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
                                {"sector": self.sector, "asymmetry": self.asymmetry})
         min_eig = min(float(e.min()) for e in self.spectrum)
@@ -537,20 +542,27 @@ class SectorDimension(NamedTuple):
 
 
 def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Iterator[GramResult]:
-    """The Grams of sectors ``0..n``, from sector 0 up, drawing the levels of a
-    whole-sector ladder with ``next`` only while the sector below has a nonzero
-    block; see :func:`gram_tower`."""
+    """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
+
+    Built iteratively, block by block: with ``B_i`` the matrix of ``b-_i``
+    from block ``M`` of sector ``m`` to block ``M - {i}`` of sector ``m-1``,
+    the rows of block ``M`` whose word starts with ``i`` equal
+    ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
+    A model that does not conserve letters has one block per sector, which
+    makes this the dense recursion.  A block that is exactly 0 is not stored:
+    the products of a missing ``G_{M-{i}}`` are skipped, and a block is
+    allocated when a product first writes into it.  One level of ``ladder`` is
+    drawn per sector until a sector stores no block; the sectors above it
+    store none either, and draw no level.
+    """
     n_gen, dtype = model.n_generators, model.scalar_type
     next(ladder)  # b-_i on the vacuum: no entries
-    result = GramResult(0, n_gen, _layout(model, 0), [np.ones((1, 1), dtype=dtype)])
+    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)})
     yield result
     for m in range(1, n + 1):
         layout, below, lower = _layout(model, m), result._layout, result._matrices
-        grams = [np.zeros((hi - lo, hi - lo), dtype=dtype)
-                 for lo, hi in zip(layout.start[:-1], layout.start[1:])]
-        # a block whose lower blocks are all exactly 0 is exactly 0: its product
-        # is skipped, and once every block below is 0 no level is drawn
-        if not any(result._nonzero):
+        grams: dict[int, np.ndarray] = {}
+        if not lower:
             result = GramResult(m, n_gen, layout, grams)
             yield result
             continue
@@ -568,35 +580,21 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
                         raise RuntimeError(
                             f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)}"
                             f" outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
-                    if result._nonzero[b]:
-                        step = np.zeros((len(lower[b]), hi - lo), dtype=dtype)
+                    run = below.start[b + 1] - below.start[b]
+                    if b in lower:
+                        step = np.zeros((run, hi - lo), dtype=dtype)
                         step[below.row[rows], at - lo] = vals
-                        grams[c][top - lo:top - lo + len(lower[b])] = lower[b] @ step
-                    top += len(lower[b])
+                        if c not in grams:
+                            grams[c] = np.zeros((hi - lo, hi - lo), dtype=dtype)
+                        grams[c][top - lo:top - lo + run] = lower[b] @ step
+                    top += run
         result = GramResult(m, n_gen, layout, grams)
         yield result
 
 
-def gram_tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
-    """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
-
-    Built iteratively, block by block: with ``B_i`` the matrix of ``b-_i``
-    from block ``M`` of sector ``m`` to block ``M - {i}`` of sector ``m-1``,
-    the rows of block ``M`` whose word starts with ``i`` equal
-    ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
-    A model that does not conserve letters has one block per sector, which
-    makes this the dense recursion.  A product whose ``G_{M-{i}}`` is exactly
-    0 is skipped, its rows being exactly 0.  Each level of the ladder is built
-    when its sector is reached and dropped after it, until a sector comes out
-    exactly 0: every sector above it is then yielded as zero blocks, and no
-    further level is built.
-    """
-    _guard_gram(model, n)
-    yield from _tower(model, _levels(model, n), n)
-
-
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
-    for result in gram_tower(model, n):
+    _guard_gram(model, n)
+    for result in _tower(model, _levels(model, n), n):
         pass
     return result
 
@@ -630,12 +628,12 @@ def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
     where = layout.block[entries.rows]
     order = np.argsort(where, kind="stable")
     bounds = np.searchsorted(where[order], np.arange(len(layout.start)))
-    for b in np.flatnonzero(np.diff(bounds)):
+    for b, g in gram._matrices.items():  # a missing block is exactly 0 and adds exactly 0
         e = order[bounds[b]:bounds[b + 1]]
         present, slot = np.unique(entries.cols[e], return_inverse=True)
-        v = np.zeros((len(gram._matrices[b]), len(present)), dtype=value.dtype)
+        v = np.zeros((len(g), len(present)), dtype=value.dtype)
         v[layout.row[entries.rows[e]], slot] = entries.vals[e]
-        value[present] += (v.conj() * (gram._matrices[b] @ v)).sum(axis=0)
+        value[present] += (v.conj() * (g @ v)).sum(axis=0)
     return np.sqrt(np.abs(value))
 
 
@@ -706,10 +704,11 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
         rep = result.psd_report(tol)
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
+    hermitian = all(result.hermitian_within(tol) for result in grams[:n_max + 1])
     asymmetry = max(result.asymmetry for result in grams[:n_max + 1])
     return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, tol),
             _exchange_nullity(model, ladder, grams, residuals, tol),
-            CheckReport.from_defect("gram-hermitian", asymmetry, tol), psd], dims
+            CheckReport("gram-hermitian", PASS if hermitian else FAIL, asymmetry), psd], dims
 
 
 def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: float = 1e-9) -> CheckReport:

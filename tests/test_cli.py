@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -502,3 +503,40 @@ def test_a_closed_pipe_keeps_the_verdict(argv, verdict):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (len(head), proc.wait(), err) == (10, verdict, b"")
+
+
+@pytest.mark.parametrize("argv", [[], ["--json"]], ids=["text", "json"])
+def test_normalize_into_a_closed_pipe_exits_0(argv):
+    # as in `braidstat normalize ... | true`: the reader is gone before the form is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "braidstat", "normalize", "--expr", "(A (x) B)^", *argv],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("name, scale, argv", [
+    # entries near 4e7 leave a roundoff asymmetry of 2.8e-9, over an absolute cut of 1e-9
+    ("quon_09", 7, ["check", "--nmax", "6"]),
+    ("quon_09", 7, ["gram", "--sector", "6"]),
+    # entries near 1e18 leave one of 1024
+    ("quon_05", 1e3, ["check", "--nmax", "6"]),
+    ("quon_05", 1e3, ["gram", "--sector", "6"]),
+])
+def test_gram_hermitian_cut_is_relative_to_the_largest_entry(tmp_path, capsys, name, scale, argv):
+    path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__(
+        "pairing", [[scale, 0], [0, scale]]))
+    code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--json")
+    report = json.loads(out)
+    rows = {c["name"]: c for c in report["checks"]}
+    # the row keeps the absolute asymmetry as its defect, and passes as the rank does
+    assert rows["gram-hermitian"]["status"] == "pass" and rows["gram-hermitian"]["defect"] > 1e-9
+    assert rows["gram-psd"]["status"] == "pass"
+    if argv[0] == "gram":
+        assert (code, report["results"]["rank"]) == (0, 64)
+    else:
+        assert [row["quotient"] for row in report["results"]["sector_dimensions"]] \
+            == [2 ** n for n in range(7)]

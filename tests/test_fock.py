@@ -516,14 +516,34 @@ def test_zero_sectors_draw_no_further_ladder_level():
     grams = list(fock._tower(model, counting(fock._levels(model, 8)), 8))
     assert drawn == [0, 1, 2, 3, 4]
     assert [result.sector for result in grams] == list(range(9))
-    assert [any(result._nonzero) for result in grams] == [True] * 4 + [False] * 5
+    # a zero sector stores no block
+    assert [len(result._matrices) > 0 for result in grams] == [True] * 4 + [False] * 5
     for n in range(4, 7):
         assert np.array_equal(grams[n].matrix, dense_gram(model, n)), n
     for result in grams[4:]:
-        assert [len(g) for g in result._matrices] == list(np.diff(result._layout.start))
-        assert not any(g.any() for g in result._matrices)
+        rows = list(np.diff(result._layout.start))
+        assert result._matrices == {}
+        assert [len(e) for e in result.spectrum] == rows
         assert all(e.tolist() == [0.0] * len(e) for e in result.spectrum)
+        assert [block.matrix.shape for block in result.blocks] == [(r, r) for r in rows]
+        assert all(block.matrix.dtype == np.complex128 and not block.matrix.any()
+                   for block in result.blocks)
         assert (result.asymmetry, result.scale) == (0.0, 1.0)
+
+
+def test_zero_blocks_are_never_allocated():
+    # fermion3's sector-10 Gram is exactly 0, in blocks of up to 4,200 rows:
+    # allocated as zeros, they took 1,342 MiB under tracemalloc
+    import tracemalloc
+    model = load_zoo("fermion3")
+    tracemalloc.start()
+    try:
+        dim, psd = sector_dimension(model, 10), gram_psd_check(model, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == (3 ** 10, 0) and psd.passed and psd.data["min_eigenvalue"] == 0.0
+    assert peak <= 32 << 20
 
 
 def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
@@ -535,15 +555,16 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     for result in (gram_matrix(load_zoo("fermion3"), 3), gram_matrix(load_zoo("boson"), 6),
                    gram_matrix(load_zoo("anyon_z4"), 5)):
         shapes.clear()
-        for g, e in zip(result._matrices, result.spectrum):
-            if not g.any():
-                assert e.tolist() == [0.0] * len(g)
-        assert shapes == [g.shape for g in result._matrices if g.any()]
+        for b, (rows, e) in enumerate(zip(np.diff(result._layout.start), result.spectrum)):
+            if b not in result._matrices:
+                assert e.tolist() == [0.0] * rows
+        assert all(g.any() for g in result._matrices.values())
+        assert shapes == [g.shape for g in result._matrices.values()]
     # eigvalsh of a 1x1 block is its real entry
     assert gram_matrix(load_zoo("boson"), 6).spectrum[0].tolist() == [720.0]
     # a block with one off-diagonal entry is not 0: its Hermitian part has eigenvalues -1/2, 1/2
     model = _mixing_models()["random-R"]
-    one = fock.GramResult(1, 2, fock._layout(model, 1), [np.array([[0.0, 0.0], [1.0, 0.0]])])
+    one = fock.GramResult(1, 2, fock._layout(model, 1), {0: np.array([[0.0, 0.0], [1.0, 0.0]])})
     shapes.clear()
     assert one.spectrum[0].tolist() == [-0.5, 0.5]
     assert shapes == [(2, 2)]
@@ -655,7 +676,7 @@ def test_engine_computes_in_the_scalar_type_and_hands_out_complex(name):
     dtype = np.dtype(model.scalar_type)
     ladder, grams, residuals = fock._fock_pass(model, 2)
     assert {hop.vals.dtype for hops in ladder for hop in hops} == {dtype}
-    assert {g.dtype for result in grams for g in result._matrices} == {dtype}
+    assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
     assert {entries.vals.dtype for entries in residuals} == {dtype}
     result = gram_matrix(model, 3)
     assert result.matrix.dtype == np.complex128
