@@ -16,7 +16,8 @@ recursion gives the residual of the twisted commutation relation
 
     b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> = (1 - s)(b-_i b+_j - <i|j>),
 
-so the relation closes exactly, by construction, for ``s = +1``.
+so the relation closes exactly, by construction, for ``s = +1``: that residual
+is empty and not built, and the ``mixed`` exchange line takes no Gram norm of it.
 
 One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
 matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
@@ -25,14 +26,15 @@ recursion above, read column block by column block:
 
     B_i^(m)[:, j.] = <i|j> I + s * sum_{(k, l, t) in T(i, j)} t * (prepend l) B_k^(m-1)
 
-Entries that land on the same ``(row, column)`` are summed in the order in
-which the recursion lists them: the pairing first, then the terms of
-``T(i, j)`` in order.  The checks and the Gram tower ask for whole sectors,
-every word of length ``m``; :func:`annihilate_twisted` asks only for the
-suffixes of its input words, so it works on words far longer than a whole
-sector could hold.  Each public call builds its own ladder and drops it when
-it returns; none is kept on the model or in a module.  Indices are validated
-where input enters, in the public functions; the engine does no checks.
+Entries that land on the same ``(row, column)`` are summed from 0 in the order
+in which the recursion lists them: the pairing first, then the terms of
+``T(i, j)`` in order (``np.bincount`` over a stable sort, real and imaginary
+parts apart, as ``np.add.at`` would).  The checks and the Gram tower ask for
+whole sectors, every word of length ``m``; :func:`annihilate_twisted` asks only
+for the suffixes of its input words, so it works on words far longer than a
+whole sector could hold.  Each public call builds its own ladder and drops it
+when it returns; none is kept on the model or in a module.  Indices are
+validated where input enters, in the public functions; the engine does no checks.
 
 The checks read the ladder one sector at a time, for every pair ``(i, j)`` at
 once.  A residual keeps the entries above :data:`~braidstat.words.PRUNE_EPS`,
@@ -72,12 +74,12 @@ ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh`
 :attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and amplitudes stay complex.
 
 Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
-``N^n`` of words, and :data:`MAX_GRAM_BYTES` on the bytes of the largest
-array allocated: ``rows^2`` entries of the model's scalar type (8 or 16 bytes)
-for the largest Gram block or, for :func:`gram_matrix`, 16 bytes per entry of
-the complex dense Gram, and, for one level of a ladder, a value and two index
-words per entry (24 or 32 bytes).  A ladder level, a Gram block or a spectrum
-that overflows the float range raises :class:`NonFiniteError`, naming the sector.
+``N^n`` of words, and :data:`MAX_GRAM_BYTES` on bytes: before a Gram is built,
+of its largest block (``rows^2`` entries of the scalar type, 8 or 16 bytes) or,
+for :func:`gram_matrix`, of the complex dense Gram (16 bytes per entry); as the
+tower runs, of all the Gram blocks it has allocated; and of a ladder level, 24
+or 32 bytes per entry.  A ladder level, a Gram block or a spectrum that
+overflows the float range raises :class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 #: Hard guard on the number N^n of words of a sector that a check or a Gram
 #: walks; their whole-sector ladders reach one or two sectors past it.
 MAX_SECTOR_SIZE = 100_000
-#: Hard guard on the bytes of the largest array that a sector computation
-#: allocates: a Gram matrix or one ladder level.
+#: Hard guard on the bytes that a sector computation allocates: its largest
+#: Gram matrix, all the Gram blocks of its tower, or one ladder level.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -214,16 +216,28 @@ def _word(index, length: int, n_gen: int) -> TensorWord:
     return tuple(index // n_gen ** p % n_gen + 1 for p in reversed(range(length)))
 
 
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of ``key``, the sorted keys, whether each opens a run
+    of equal keys, and its run's number."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))[:len(key)]
+    return order, key, new, new.cumsum() - 1
+
+
 def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Sparse:
     """The operator with the entries of ``parts``, triples ``(rows, cols,
     values)``: entries at one ``(row, col)`` are summed in the order given, and
     sums of magnitude up to ``floor`` are dropped."""
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
     if n_rows * n_cols >= 1 << 63:  # positions of very long words: Python integers
         rows, cols = rows.astype(object), cols.astype(object)
-    key, inverse = np.unique(cols * n_rows + rows, return_inverse=True)
+    order, key, new, run = _runs(cols * n_rows + rows)
+    key, vals = key[new], vals[order]
     summed = np.zeros(len(key), dtype=vals.dtype)
-    np.add.at(summed, inverse, vals)
+    summed.real = np.bincount(run, weights=vals.real, minlength=len(key))
+    if summed.dtype.kind == "c":
+        summed.imag = np.bincount(run, weights=vals.imag, minlength=len(key))
     keep = np.abs(summed) > floor
     cols = (key[keep] // n_rows).astype(np.int64)
     return _Sparse(np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep])
@@ -232,8 +246,8 @@ def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Spa
 def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries of ``hop`` in ``columns``: rows, index into ``columns``, values."""
     lo, counts = hop.start[columns], hop.start[columns + 1] - hop.start[columns]
-    at = np.repeat(np.arange(len(columns)), counts)
-    pick = np.arange(len(at)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    at = np.arange(len(columns)).repeat(counts)
+    pick = np.arange(len(at)) + (lo - counts.cumsum() + counts).repeat(counts)
     return hop.rows[pick], at, hop.vals[pick]
 
 
@@ -249,54 +263,55 @@ def _typed(model: ParticleModel, values) -> np.ndarray:
     return values.real if model.scalar_type is float and not values.imag.any() else values
 
 
-def _vacuum(n_gen: int, dtype: type) -> list[_Sparse]:
-    """``b-_i`` on the vacuum, the one word of length 0: no entries."""
+def _empty(n_cols: int, dtype: type) -> _Sparse:
+    """An operator with ``n_cols`` columns and no entries, as ``b-_i`` on the vacuum."""
     empty = np.zeros(0, dtype=np.int64)
-    return [_Sparse(np.zeros(2, dtype=np.int64), empty, empty, empty.astype(dtype))] * n_gen
+    return _Sparse(np.zeros(n_cols + 1, dtype=np.int64), empty, empty, empty.astype(dtype))
 
 
 def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray,
-           child: np.ndarray, rest: np.ndarray) -> list[_Sparse]:
+           rest: np.ndarray, base: dict[int, int]) -> list[_Sparse]:
     """``b-_i`` for every ``i`` on words of length ``m``, by the recursion.
 
     Column ``c`` is the word of first letter ``first[c] + 1`` followed by the
-    word of column ``child[c]`` of ``below``, which has position ``rest[c]``
-    among the words of length ``m - 1``.
+    word of position ``rest[c]`` among the words of length ``m - 1``; the words
+    of first letter ``j`` are the columns ``base[j] + c``, ``c`` a column of
+    ``below``, so a term reads each entry of ``below`` once, in order.
     """
-    n_gen = model.n_generators
+    n_gen, n_cols, real = model.n_generators, len(first), model.scalar_type is float
     shift, sign = n_gen ** max(m - 2, 0), float(model.expansion_sign)
-    by_first = [np.flatnonzero(first == j) for j in range(n_gen)]
-    plans = [[(columns, below[k - 1], (l - 1) * shift, _typed(model, sign * t))
-              for j, columns in enumerate(by_first, start=1) for k, l, t in model.cross_terms[i, j]]
+    plans = [[(below[k - 1], (l - 1) * shift, base[j], (sign * t).real if real else sign * t)
+              for j in sorted(base) for k, l, t in model.cross_terms[i, j]]
              for i in range(1, n_gen + 1)]
     entries = int(np.count_nonzero(model.pairing[:, first])) + sum(
-        int(np.diff(hop.start)[child[columns]].sum()) for plan in plans for columns, hop, _, _ in plan)
+        len(hop.vals) for plan in plans for hop, _, _, _ in plan)
     _guard_ladder(model, m, entries)
-    hops = []
+    parts, pairing = [], _typed(model, model.pairing[:, first])  # the free annihilators a-_i
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-        for i, plan in enumerate(plans, start=1):
-            g = _typed(model, model.pairing[i - 1, first])  # the free annihilator a-_i
-            cols = np.flatnonzero(g)
-            parts = [(rest[cols], cols, g[cols])]
-            for columns, hop, offset, factor in plan:
-                rows, at, vals = _gather(hop, child[columns])
-                parts.append((offset + rows.astype(rest.dtype), columns[at], vals * factor))
-            hops.append(_coalesce(parts, n_gen ** (m - 1), len(first)))
-    if not all(np.isfinite(hop.vals).all() for hop in hops):
+        for i, plan in enumerate(plans):  # b-_{i + 1} on column c is column i * n_cols + c
+            cols = np.flatnonzero(pairing[i])
+            parts.append((rest[cols], i * n_cols + cols, pairing[i, cols]))
+            parts += [(offset + hop.rows.astype(rest.dtype, copy=False), i * n_cols + column + hop.cols,
+                       hop.vals * factor) for hop, offset, column, factor in plan]
+        level = _coalesce(parts, n_gen ** (m - 1), n_gen * n_cols)
+    if not np.isfinite(level.vals).all():
         raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
-    return hops
+    cuts = level.start[::n_cols].tolist()
+    return [_Sparse(level.start[i * n_cols:(i + 1) * n_cols + 1] - lo, level.rows[lo:hi],
+                    level.cols[lo:hi] - i * n_cols, level.vals[lo:hi])
+            for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
 
 
 def _levels(model: ParticleModel, n: int) -> Iterator[list[_Sparse]]:
     """The whole-sector ``b-_i`` of sectors ``0..n``, each built when the one
     below is done; a column's position is its word's lexicographic position."""
     n_gen = model.n_generators
-    hops = _vacuum(n_gen, model.scalar_type)
+    hops = [_empty(1, model.scalar_type)] * n_gen
     yield hops
     for m in range(1, n + 1):
-        words = np.arange(n_gen ** m)
-        rest = words % n_gen ** (m - 1)
-        hops = _level(model, hops, m, words // n_gen ** (m - 1), rest, rest)
+        span = n_gen ** (m - 1)
+        hops = _level(model, hops, m, *np.divmod(np.arange(n_gen * span), span),
+                      {j: (j - 1) * span for j in range(1, n_gen + 1)})
         yield hops
 
 
@@ -309,13 +324,12 @@ def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVecto
     n_gen = model.n_generators
     out: dict[TensorWord, complex] = {}
     for w, a in v.items():
-        hops = _vacuum(n_gen, model.scalar_type)
+        hops = [_empty(1, model.scalar_type)] * n_gen
         for m in range(1, len(w) + 1):
             suffix = w[len(w) - m:]
             rest = np.array([word_index(suffix[1:], n_gen)],
                             dtype=np.int64 if n_gen ** m < 1 << 63 else object)
-            hops = _level(model, hops, m, np.array([suffix[0] - 1]), np.zeros(1, dtype=np.int64),
-                          rest)
+            hops = _level(model, hops, m, np.array([suffix[0] - 1]), rest, {suffix[0]: 0})
         for row, amp in zip(hops[i - 1].rows.tolist(), hops[i - 1].vals.tolist()):
             w2 = _word(row, len(w) - 1, n_gen)
             out[w2] = out.get(w2, 0.0) + amp * a
@@ -346,21 +360,22 @@ def _norms(entries: _Sparse) -> np.ndarray:
                                minlength=len(entries.start) - 1))
 
 
-def _residual_entries(model: ParticleModel, n: int, lowering: Sequence[_Sparse]) -> _Sparse:
+def _residual_entries(model: ParticleModel, n: int, ladder: Sequence[list[_Sparse]]) -> _Sparse:
     """``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``, read
     off the recursion as ``(1 - s)(b-_i b+_j - <i|j>)``; for ``s = +1`` it has
-    no entries.
+    no entries, and neither it nor ``ladder`` is read.
 
-    ``lowering[i - 1]`` is ``b-_i`` on sector ``n + 1``.  Column
+    ``ladder[n + 1][i - 1]`` is ``b-_i`` on sector ``n + 1``.  Column
     ``((i - 1) N + j - 1) N^n + w`` holds the residual of ``(i, j)`` on word
     ``w``; entries up to ``PRUNE_EPS`` are dropped.
     """
-    n_gen = model.n_generators
+    n_gen, factor = model.n_generators, 1 - model.expansion_sign
     size = n_gen ** n
-    factor = 1 - model.expansion_sign
+    if not factor:
+        return _empty(n_gen ** (n + 2), model.scalar_type)
     # column j N^n + w of b-_i on sector n + 1 is b-_i b+_j on w
     parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, factor * hop.vals)
-             for i, hop in enumerate(lowering if factor else [], start=1)]
+             for i, hop in enumerate(ladder[n + 1], start=1)]
     g = _typed(model, factor * model.pairing.ravel())
     pairs = np.flatnonzero(g)
     words = np.arange(size)
@@ -399,8 +414,7 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(j)
     _guard_sectors(model, n)
     n_gen = model.n_generators
-    ladder = list(_levels(model, n + 1))
-    residuals = _residual_entries(model, n, ladder[n + 1])
+    residuals = _residual_entries(model, n, list(_levels(model, n + 1)))
     return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
 
 
@@ -449,11 +463,10 @@ def _layout(model: ParticleModel, m: int) -> _Layout:
     place = n_gen ** np.arange(m - 1, -1, -1)
     key = (np.sort(positions[:, None] // place % n_gen, axis=1) @ place
            if model.conserves_letters else np.zeros_like(positions))
-    _, block, counts = np.unique(key, return_inverse=True, return_counts=True)
-    order = np.argsort(block, kind="stable")
-    start = np.concatenate([[0], np.cumsum(counts)])
-    row = np.empty_like(positions)
-    row[order] = positions - start[block[order]]
+    order, _, new, run = _runs(key)
+    start = np.append(np.flatnonzero(new), len(key))
+    block, row = np.empty_like(positions), np.empty_like(positions)
+    block[order], row[order] = run, positions - start[run]
     return _Layout(block, row, order, start)
 
 
@@ -513,7 +526,7 @@ class GramResult:
         spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
         for b, g in self._matrices.items():
             spectrum[b] = np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0)  # halved first: no overflow
-        if not all(np.isfinite(e).all() for e in spectrum):
+        if not np.isfinite(np.concatenate(spectrum)).all():
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return spectrum
 
@@ -521,16 +534,16 @@ class GramResult:
         """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
         if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
-        top = max(float(np.abs(e).max()) for e in self.spectrum)
-        cut = tol * max(1.0, top)
-        return sum(int(np.count_nonzero(np.abs(e) >= cut)) for e in self.spectrum)
+        magnitude = np.abs(np.concatenate(self.spectrum))
+        cut = tol * max(1.0, float(magnitude.max()))
+        return int(np.count_nonzero(magnitude >= cut))
 
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector; the tolerance is relative to its largest entry."""
         if not self.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
                                {"sector": self.sector, "asymmetry": self.asymmetry})
-        min_eig = min(float(e.min()) for e in self.spectrum)
+        min_eig = float(np.concatenate(self.spectrum).min())
         status = PASS if min_eig >= -tol * self.scale else FAIL
         return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
                            {"sector": self.sector, "min_eigenvalue": min_eig})
@@ -553,12 +566,14 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
     the products of a missing ``G_{M-{i}}`` are skipped, and a block is
     allocated when a product first writes into it.  One level of ``ladder`` is
     drawn per sector until a sector stores no block; the sectors above it
-    store none either, and draw no level.
+    store none either, and draw no level.  The byte guard counts every block
+    allocated so far, which bounds what the tower and its caller hold at once.
     """
-    n_gen, dtype = model.n_generators, model.scalar_type
+    n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
     next(ladder)  # b-_i on the vacuum: no entries
     result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)})
     yield result
+    total = itemsize  # bytes of the blocks allocated so far
     for m in range(1, n + 1):
         layout, below, lower = _layout(model, m), result._layout, result._matrices
         grams: dict[int, np.ndarray] = {}
@@ -566,25 +581,32 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
             result = GramResult(m, n_gen, layout, grams)
             yield result
             continue
-        # each b-_i on every word, block after block
-        entries = [_gather(hop, layout.order) for hop in next(ladder)]
-        cuts = [np.searchsorted(at, layout.start) for _, at, _ in entries]
+        # each b-_i on every word, block after block: lower block and row, column in block, value
+        gathered = [_gather(hop, layout.order) for hop in next(ladder)]
+        entries = [(below.block[rows], below.row[rows], layout.row[layout.order[at]], vals)
+                   for rows, at, vals in gathered]
+        cuts = [np.searchsorted(at, layout.start).tolist() for _, at, _ in gathered]
         with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
-            for c, (lo, hi) in enumerate(zip(layout.start[:-1], layout.start[1:])):
+            for c, (lo, hi) in enumerate(zip(layout.start[:-1].tolist(), layout.start[1:].tolist())):
                 top = lo
                 while top < hi:  # one run of rows per first letter
                     i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
-                    b = below.block[rest]
-                    rows, at, vals = (a[cuts[i][c]:cuts[i][c + 1]] for a in entries[i])
-                    if np.any(below.block[rows] != b):
+                    b = int(below.block[rest])
+                    at = slice(cuts[i][c], cuts[i][c + 1])
+                    blocks, rows, cols, vals = [a[at] for a in entries[i]]
+                    if (blocks != b).any():
                         raise RuntimeError(
                             f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)}"
                             f" outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
                     run = below.start[b + 1] - below.start[b]
                     if b in lower:
                         step = np.zeros((run, hi - lo), dtype=dtype)
-                        step[below.row[rows], at - lo] = vals
+                        step[rows, cols] = vals
                         if c not in grams:
+                            total += itemsize * (hi - lo) ** 2
+                            if total > MAX_GRAM_BYTES:
+                                raise ResourceLimitError(f"the Gram blocks of sectors 0..{m} need {total}"
+                                                         f" bytes, over the guard of {MAX_GRAM_BYTES}")
                             grams[c] = np.zeros((hi - lo, hi - lo), dtype=dtype)
                         grams[c][top - lo:top - lo + run] = lower[b] @ step
                     top += run
@@ -623,16 +645,18 @@ def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckRepo
 def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
     """``sqrt|v^H G v|`` of each column ``v`` of ``entries`` under the sector Gram
     form, summed block by block in the entries' type."""
-    layout = gram._layout
-    value = np.zeros(len(entries.start) - 1, dtype=entries.vals.dtype)
-    where = layout.block[entries.rows]
-    order = np.argsort(where, kind="stable")
-    bounds = np.searchsorted(where[order], np.arange(len(layout.start)))
+    layout, n_cols = gram._layout, len(entries.start) - 1
+    value = np.zeros(n_cols, dtype=entries.vals.dtype)
+    order, key, new, run = _runs(layout.block[entries.rows] * n_cols + entries.cols)
+    rows, cols, vals = layout.row[entries.rows[order]], entries.cols[order], entries.vals[order]
+    bounds = np.searchsorted(key, np.arange(len(layout.start)) * n_cols).tolist()
     for b, g in gram._matrices.items():  # a missing block is exactly 0 and adds exactly 0
-        e = order[bounds[b]:bounds[b + 1]]
-        present, slot = np.unique(entries.cols[e], return_inverse=True)
+        lo, hi = bounds[b], bounds[b + 1]
+        if lo == hi:
+            continue
+        present = cols[lo:hi][new[lo:hi]]
         v = np.zeros((len(g), len(present)), dtype=value.dtype)
-        v[layout.row[entries.rows[e]], slot] = entries.vals[e]
+        v[rows[lo:hi], run[lo:hi] - run[lo]] = vals[lo:hi]
         value[present] += (v.conj() * (g @ v)).sum(axis=0)
     return np.sqrt(np.abs(value))
 
@@ -646,16 +670,16 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
     lines = ("create-create", "annihilate-annihilate", "mixed")
     # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
     relation = _typed(model, np.eye(n_pairs) - _action_matrix(model.braid_coupling))
-    kl, ij = np.nonzero(relation)
+    ij, kl = np.nonzero(np.abs(relation.T) > PRUNE_EPS)  # by column, then row
     sectors = []
     for n in range(n_max + 1):
         size = n_gen ** n
-        words = np.arange(size)
         defects = np.zeros((3, n_pairs * size))
         # C (x) id: column p N^n + w is also the position of the word (i, j) + w
-        raised = _coalesce([((kl[:, None] * size + words).ravel(), (ij[:, None] * size + words).ravel(),
-                             np.repeat(relation[kl, ij], size))],
-                           n_pairs * size, n_pairs * size, PRUNE_EPS)
+        rows, cols = ((a[:, None] * size + np.arange(size)).ravel() for a in (kl, ij))
+        order = cols.argsort(kind="stable")  # by column, then row
+        raised = _Sparse(np.searchsorted(cols[order], np.arange(n_pairs * size + 1)), rows[order],
+                         cols[order], np.repeat(relation[kl, ij], size)[order])
         defects[0] = _gram_norms(grams[n + 2], raised)
         if n >= 2:
             # column ((k - 1) N + l - 1) N^n + w: b-_k b-_l on w
@@ -664,7 +688,8 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
                               size // n_pairs, n_pairs * size, PRUNE_EPS)
             defects[1] = _gram_norms(grams[n - 2], _coalesce([_product(twice, raised)], size // n_pairs,
                                                              n_pairs * size, PRUNE_EPS))
-        defects[2] = _gram_norms(grams[n], residuals[n])
+        if len(residuals[n].vals):  # s = +1 has no residual: exact zeros
+            defects[2] = _gram_norms(grams[n], residuals[n])
         # loop order: word, i, j, line
         sectors.append(defects.reshape(3, n_gen, n_gen, size).transpose(3, 1, 2, 0))
     worst, at = _locate(sectors)
@@ -685,7 +710,7 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult]
     _guard_gram(model, n_max + 2)
     ladder = list(_levels(model, n_max + 2))
     return ladder, list(_tower(model, iter(ladder), n_max + 2)), [
-        _residual_entries(model, n, ladder[n + 1]) for n in range(n_max + 1)]
+        _residual_entries(model, n, ladder) for n in range(n_max + 1)]
 
 
 def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:

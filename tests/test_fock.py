@@ -10,7 +10,7 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
                        check_braid_exchange_relations, check_infinite_statistics,
                        commutator_defect, create, gram_matrix, gram_psd_check, load_zoo,
                        make_bicharacter, make_group, make_model, q_swap_braid,
-                       sector_dimension, ZOO_NAMES)
+                       sector_dimension, zoo_path, ZOO_NAMES)
 from braidstat import fock
 from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram, _guard_ladder
 
@@ -391,6 +391,28 @@ def test_byte_guards_count_the_scalar_type():
         _guard_ladder(anyons, 9, entries)
 
 
+def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
+    # quon_05's sector m stores blocks of C(m, k) rows, C(2m, m) entries of 8
+    # bytes in all: 4,707 entries for sectors 0..7, and 12,870 at sector 8,
+    # whose largest block has 70 rows
+    from braidstat.cli import main as cli_main
+    model = load_zoo("quon_05")
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 100_000)
+    _guard_gram(model, 8)                        # the largest block, 39,200 bytes, passes
+    assert sector_dimension(model, 7) == (128, 128)
+    with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.8 need 108736 bytes"):
+        sector_dimension(model, 8)               # 37,656 bytes below, then blocks of 8, 512,
+                                                 # 6,272, 25,088 and 39,200 bytes
+    # a Fock pass to sector 7: sectors 0..6 hold 10,200 bytes, and sector 7's
+    # blocks take 8, 392, 3,528, 9,800 and 9,800 bytes before the guard trips
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 30_000)
+    _guard_gram(model, 7)
+    with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.7 need 33728 bytes"):
+        check_braid_exchange_relations(model, n_max=5)
+    assert cli_main(["check", str(zoo_path("quon_05")), "--nmax", "5"]) == 2
+    assert "sectors 0..7 need 33728 bytes" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # weight blocks
 
@@ -627,6 +649,95 @@ def test_ladder_equals_dense_annihilators_on_the_zoo(name):
     for m, hops in enumerate(list(fock._levels(model, n))[1:], start=1):
         for i, hop in enumerate(hops):
             assert np.array_equal(_dense(hop, expected[m][i].shape), expected[m][i]), (m, i)
+
+
+def _coalesce_reference(parts, n_rows, n_cols, floor=0.0):
+    """Coalescing as np.unique and np.add.at do it: the sums start at 0 and add
+    each position's entries in the order given."""
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    if n_rows * n_cols >= 1 << 63:
+        rows, cols = rows.astype(object), cols.astype(object)
+    key, inverse = np.unique(cols * n_rows + rows, return_inverse=True)
+    summed = np.zeros(len(key), dtype=vals.dtype)
+    np.add.at(summed, inverse, vals)
+    keep = np.abs(summed) > floor
+    cols = (key[keep] // n_rows).astype(np.int64)
+    return np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep]
+
+
+def _random_parts(rng, n_rows, n_cols, dtype, sizes):
+    """Parts whose entries repeat few positions, with magnitudes far apart, so
+    that the order of summation shows in the last bits, and with signed zeros."""
+    parts = []
+    for size in sizes:
+        vals = rng.choice([1e16, 1.0, -1e16, 3e-16, -1e-16, -0.0, 0.1], size) * rng.random(size)
+        if dtype is complex:
+            vals = vals + 1j * rng.choice([1e16, -1.0, -1e16, 0.0, 2e-16], size)
+        parts.append((rng.integers(0, 3, size) * (n_rows // 3), rng.integers(0, n_cols, size), vals))
+    return parts
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("floor", [0.0, fock.PRUNE_EPS, 0.5])
+@pytest.mark.parametrize("n_rows", [6, 1 << 60], ids=["int64", "object"])
+def test_coalesce_equals_unique_and_add_at_bit_for_bit(dtype, floor, n_rows):
+    rng = np.random.default_rng(20261019)
+    n_cols = 8  # 2^63 positions and more are Python integers
+    for sizes in ([40, 0, 25, 60], [0], [0, 0], [1], [200]):
+        parts = _random_parts(rng, n_rows, n_cols, dtype, sizes)
+        got, want = fock._coalesce(parts, n_rows, n_cols, floor), \
+            _coalesce_reference(parts, n_rows, n_cols, floor)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, sizes
+            assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist(), sizes
+
+
+def _minus_models():
+    """Letter-conserving models with ``s = -1``, on two and three generators."""
+    trivial, z2 = make_group([]), make_group([2])
+    return {
+        "quon-minus": make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                                 q_swap_braid(2, 0.5), expansion_sign=-1),
+        "fermion3-minus": make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1]] * 3, np.eye(3),
+                                     expansion_sign=-1),
+    }
+
+
+@pytest.mark.parametrize("label", ["random-R", "minus-expansion", "off-diagonal-pairing",
+                                   "self-adjoint-T", "quon-minus", "fermion3-minus"])
+def test_whole_sector_level_equals_the_suffix_ladder(label, monkeypatch):
+    # random-R has s = +1, minus-expansion the same R with s = -1; no model of
+    # _mixing_models conserves letters
+    model = {**_mixing_models(), **_minus_models()}[label]
+    n_gen = model.n_generators
+    # per level: the entries the ladder guard counts, and those coalesced into the b-_i
+    guarded, built = [], []
+    coalesce = fock._coalesce
+
+    def guard(model, m, entries):
+        guarded.append(entries)
+        built.append(0)
+
+    def counting(parts, *args):
+        built[-1] += sum(len(p[0]) for p in parts)
+        return coalesce(parts, *args)
+
+    monkeypatch.setattr(fock, "_guard_ladder", guard)
+    monkeypatch.setattr(fock, "_coalesce", counting)
+    depth = 4 if n_gen == 2 else 3
+    ladder = list(fock._levels(model, depth))
+    assert guarded == built and len(built) == depth
+    for m in range(1, depth + 1):
+        for w, word in enumerate(basis_words(n_gen, m)):
+            for i, hop in enumerate(ladder[m], start=1):
+                guarded[:], built[:] = [], []
+                got = annihilate_twisted(model, i, FockVector.basis(word))
+                assert guarded == built and len(built) == m
+                column = slice(hop.start[w], hop.start[w + 1])
+                want = {basis_words(n_gen, m - 1)[r]: complex(v)
+                        for r, v in zip(hop.rows[column], hop.vals[column])
+                        if abs(v) > fock.PRUNE_EPS}
+                assert dict(got.items()) == want, (m, word, i)
 
 
 def _close(got, want):
