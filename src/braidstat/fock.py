@@ -17,7 +17,8 @@ recursion gives the residual of the twisted commutation relation
     b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> = (1 - s)(b-_i b+_j - <i|j>),
 
 so the relation closes exactly, by construction, for ``s = +1``: that residual
-is empty and not built, and the ``mixed`` exchange line takes no Gram norm of it.
+is empty and not built, the ``mixed`` exchange line takes no Gram norm of it,
+and :func:`commutator_defect` builds no ladder for it.
 
 One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
 matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
@@ -73,13 +74,16 @@ model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
 ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh``.
 :attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and amplitudes stay complex.
 
-Two guards bound a sector computation: :data:`MAX_SECTOR_SIZE` on the number
-``N^n`` of words, and :data:`MAX_GRAM_BYTES` on bytes: before a Gram is built,
-of its largest block (``rows^2`` entries of the scalar type, 8 or 16 bytes) or,
-for :func:`gram_matrix`, of the complex dense Gram (16 bytes per entry); as the
-tower runs, of all the Gram blocks it has allocated; and of a ladder level, 24
-or 32 bytes per entry.  A ladder level, a Gram block or a spectrum that
-overflows the float range raises :class:`NonFiniteError`, naming the sector.
+Before a sector computation runs, :data:`MAX_SECTOR_SIZE` bounds both the
+number ``N^n`` of its words and their length ``n``.  :data:`MAX_GRAM_BYTES`
+bounds, as they are allocated, the Gram blocks the tower holds, counted from
+sector 0 up at 8 or 16 bytes per entry of the scalar type, and one ladder
+level, at 24 or 32 bytes per entry; before anything is built, it bounds the
+complex dense Gram of :func:`gram_matrix`, at 16 bytes per entry.  These bound
+the Gram blocks and the ladder levels, not the process: temporaries and the
+ladder levels kept beside the blocks come on top.  A ladder level, a Gram block
+or a spectrum that overflows the float range raises :class:`NonFiniteError`,
+naming the sector.
 """
 
 from __future__ import annotations
@@ -96,10 +100,11 @@ from .report import CheckReport, FAIL, PASS, SKIPPED
 from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 
 #: Hard guard on the number N^n of words of a sector that a check or a Gram
-#: walks; their whole-sector ladders reach one or two sectors past it.
+#: walks, and on their length n; their whole-sector ladders reach one or two
+#: sectors past it.
 MAX_SECTOR_SIZE = 100_000
-#: Hard guard on the bytes that a sector computation allocates: its largest
-#: Gram matrix, all the Gram blocks of its tower, or one ladder level.
+#: Hard guard on bytes: of all the Gram blocks a tower has allocated, of one
+#: ladder level, and of the dense Gram that :func:`gram_matrix` can fill.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -126,8 +131,9 @@ class HermiticityError(ValueError):
 
 
 def _guard_sectors(model: ParticleModel, n_max: int) -> None:
-    """The word guard on sectors ``0..n_max``, naming the first sector past it.
-    The size grows from 1 and stops there, so a deep ``n_max`` costs a few steps."""
+    """The word guards on sectors ``0..n_max``, naming the first sector past the
+    count.  The size grows from 1 and stops there, so a deep ``n_max`` costs a
+    few steps; one generator has one word per sector, so only its length counts."""
     if n_max < 0:
         raise ValueError(f"sector must be >= 0, got {n_max}")
     n_gen, n, size = model.n_generators, 0, 1
@@ -135,28 +141,8 @@ def _guard_sectors(model: ParticleModel, n_max: int) -> None:
         n, size = n + 1, size * n_gen
     if size > MAX_SECTOR_SIZE:
         raise ResourceLimitError(f"sector size {n_gen}^{n} exceeds the guard of {MAX_SECTOR_SIZE}")
-
-
-def _guard_gram(model: ParticleModel, n: int, dense: bool = False) -> None:
-    """Both guards, before any Gram of sector ``n`` is built: the largest
-    matrix is the dense Gram if ``dense``, else the largest weight block."""
-    _guard_sectors(model, n)
-    n_gen = model.n_generators
-    if dense or not model.conserves_letters:
-        rows = n_gen ** n
-    else:
-        # the multinomial n! / prod(c_i!) is largest for the most even counts
-        q, r = divmod(n, n_gen)
-        rows = math.factorial(n) // (math.factorial(q + 1) ** r
-                                     * math.factorial(q) ** (n_gen - r))
-    # the blocks are built in the model's scalar type, the dense Gram is complex
-    dtype = np.dtype(complex if dense else model.scalar_type)
-    size = dtype.itemsize * rows * rows
-    if size > MAX_GRAM_BYTES:
-        raise ResourceLimitError(
-            f"a {rows}x{rows} {dtype} Gram matrix in sector {n} needs {size} bytes, "
-            f"over the guard of {MAX_GRAM_BYTES}"
-        )
+    if n_max > MAX_SECTOR_SIZE:
+        raise ResourceLimitError(f"word length {n_max} exceeds the guard of {MAX_SECTOR_SIZE}")
 
 
 def _guard_ladder(model: ParticleModel, m: int, entries: int) -> None:
@@ -414,7 +400,8 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(j)
     _guard_sectors(model, n)
     n_gen = model.n_generators
-    residuals = _residual_entries(model, n, list(_levels(model, n + 1)))
+    ladder = [] if model.expansion_sign == 1 else list(_levels(model, n + 1))  # s = +1 reads none
+    residuals = _residual_entries(model, n, ladder)
     return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
 
 
@@ -566,8 +553,9 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
     the products of a missing ``G_{M-{i}}`` are skipped, and a block is
     allocated when a product first writes into it.  One level of ``ladder`` is
     drawn per sector until a sector stores no block; the sectors above it
-    store none either, and draw no level.  The byte guard counts every block
-    allocated so far, which bounds what the tower and its caller hold at once.
+    store none either, and draw no level.  The byte guard counts each block, from
+    sector 0 up, before it is allocated, which bounds the blocks the tower and
+    its caller hold at once.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
     next(ladder)  # b-_i on the vacuum: no entries
@@ -600,14 +588,14 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
                             f" outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
                     run = below.start[b + 1] - below.start[b]
                     if b in lower:
-                        step = np.zeros((run, hi - lo), dtype=dtype)
-                        step[rows, cols] = vals
                         if c not in grams:
                             total += itemsize * (hi - lo) ** 2
                             if total > MAX_GRAM_BYTES:
                                 raise ResourceLimitError(f"the Gram blocks of sectors 0..{m} need {total}"
                                                          f" bytes, over the guard of {MAX_GRAM_BYTES}")
                             grams[c] = np.zeros((hi - lo, hi - lo), dtype=dtype)
+                        step = np.zeros((run, hi - lo), dtype=dtype)
+                        step[rows, cols] = vals
                         grams[c][top - lo:top - lo + run] = lower[b] @ step
                     top += run
         result = GramResult(m, n_gen, layout, grams)
@@ -615,7 +603,7 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
-    _guard_gram(model, n)
+    _guard_sectors(model, n)
     for result in _tower(model, _levels(model, n), n):
         pass
     return result
@@ -624,10 +612,15 @@ def _sector_gram(model: ParticleModel, n: int) -> GramResult:
 def gram_matrix(model: ParticleModel, n: int) -> GramResult:
     """Matrix of scalar products between all sector-``n`` basis words.
 
-    The byte guard counts the dense matrix, which :attr:`GramResult.matrix`
-    fills when read.
+    The byte guard counts the complex dense matrix, which
+    :attr:`GramResult.matrix` fills when read, before anything is built.
     """
-    _guard_gram(model, n, dense=True)
+    _guard_sectors(model, n)
+    rows = model.n_generators ** n
+    size = 16 * rows * rows  # complex128
+    if size > MAX_GRAM_BYTES:
+        raise ResourceLimitError(f"a {rows}x{rows} complex128 Gram matrix in sector {n} needs {size} "
+                                 f"bytes, over the guard of {MAX_GRAM_BYTES}")
     return _sector_gram(model, n)
 
 
@@ -707,7 +700,7 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
 def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult], list[_Sparse]]:
     """Guards, one ladder and Gram pass to ``n_max + 2``, and the residuals of ``0..n_max``."""
     _guard_sectors(model, n_max)
-    _guard_gram(model, n_max + 2)
+    _guard_sectors(model, n_max + 2)  # the ladder and the tower go two sectors further
     ladder = list(_levels(model, n_max + 2))
     return ladder, list(_tower(model, iter(ladder), n_max + 2)), [
         _residual_entries(model, n, ladder) for n in range(n_max + 1)]

@@ -141,6 +141,18 @@ def test_gram_resource_guard(capsys):
     # is refused before anything is built
     code, _, err = run_cli(capsys, "gram", str(zoo_path("fermion3")), "--sector", "10")
     assert code == 2 and "guard" in err and "bytes" in err
+    # one generator has one word per sector: the guard counts its length
+    code, _, err = run_cli(capsys, "gram", str(zoo_path("fermion1")), "--sector", "100000000")
+    assert code == 2 and "word length 100000000 exceeds the guard" in err
+
+
+def test_check_answers_sectors_whose_large_blocks_are_zero(capsys):
+    # fermion2's tower to sector 16 has blocks of up to 12,870 rows, all exactly 0
+    # from sector 3 on, so none is allocated
+    code, out, err = run_cli(capsys, "check", str(zoo_path("fermion2")), "--nmax", "14", "--json")
+    assert (code, err) == (0, "")
+    dims = json.loads(out)["results"]["sector_dimensions"]
+    assert [d["quotient"] for d in dims] == [1, 2, 1] + [0] * 12
 
 
 def test_apply_command(capsys):

@@ -12,7 +12,7 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
                        make_bicharacter, make_group, make_model, q_swap_braid,
                        sector_dimension, zoo_path, ZOO_NAMES)
 from braidstat import fock
-from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_gram, _guard_ladder
+from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_ladder
 
 from oracles import (banded_witness, bosonic_dimension, colour_symmetric_dimension,
                      dense_annihilators, dense_commutator_residuals, dense_exchange_nullity,
@@ -340,17 +340,24 @@ def test_negative_n_max_is_rejected(call):
         call(load_zoo("fermion1"))
 
 
-@pytest.mark.parametrize("call", [fock._guard_sectors, sector_dimension],
-                         ids=["guard-sectors", "sector-dimension"])
-def test_sector_guard_builds_no_huge_power(call):
+@pytest.mark.parametrize("call, name, message", [
+    (fock._guard_sectors, "boson", r"sector size 2\^17 exceeds the guard"),
+    (sector_dimension, "boson", r"sector size 2\^17 exceeds the guard"),
+    (fock._guard_sectors, "fermion1", "word length 100000000 exceeds the guard"),
+    (sector_dimension, "fermion1", "word length 100000000 exceeds the guard"),
+], ids=["guard-sectors", "sector-dimension", "guard-sectors-one-generator",
+        "sector-dimension-one-generator"])
+def test_sector_guard_builds_no_huge_power(call, name, message):
     # 2^(10^8) has 10^8 bits: building it before the guard refused the sector
-    # took 47 MB in the guard and 60 MB in sector_dimension
+    # took 47 MB in the guard and 60 MB in sector_dimension.  One generator has
+    # one word per sector, so its count never trips; unguarded, its tower
+    # walked all 10^8 sectors
     import tracemalloc
-    boson = load_zoo("boson")
+    model = load_zoo(name)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=r"sector size 2\^17 exceeds the guard"):
-            call(boson, 10 ** 8)
+        with pytest.raises(ResourceLimitError, match=message):
+            call(model, 10 ** 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,29 +365,33 @@ def test_sector_guard_builds_no_huge_power(call):
 
 
 def test_byte_guard_counts_the_largest_matrix_allocated():
-    # only the guard runs here: each call raises, or returns, before any Gram is built
+    # gram_matrix's dense Gram is refused before anything is built
+    import tracemalloc
     f3 = load_zoo("fermion3")
     assert 3 ** 10 <= MAX_SECTOR_SIZE
-    with pytest.raises(ResourceLimitError, match="guard"):
-        _guard_gram(f3, 10, dense=True)          # 59049 rows: about 56 GB
-    _guard_gram(f3, 8)                           # largest block 8!/(3!3!2!) = 560 rows,
-    with pytest.raises(ResourceLimitError, match=str(MAX_GRAM_BYTES)):
-        _guard_gram(f3, 8, dense=True)           # while the dense Gram would take 689 MB
-    with pytest.raises(ResourceLimitError, match="12870x12870 float64"):
-        _guard_gram(load_zoo("boson"), 16)       # largest block C(16, 8) = 12870 rows
-    _guard_gram(load_zoo("boson"), 14)           # C(14, 7) = 3432 rows, 94 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="59049x59049 complex128"):
+            gram_matrix(f3, 10)                  # about 56 GB
+        with pytest.raises(ResourceLimitError, match=f"6561x6561 complex128 .* {MAX_GRAM_BYTES}"):
+            gram_matrix(f3, 8)                   # 689 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the block path holds blocks of at most 8!/(3!3!2!) = 560 rows
+    assert sector_dimension(f3, 8) == (6561, 0)
+
+
+def _z4_anyons():
+    z4 = make_group([4])
+    return make_model(z4, make_bicharacter(z4, [["1/4"]]), [[1]] * 3, np.eye(3))
 
 
 def test_byte_guards_count_the_scalar_type():
-    # only the guards run; the largest block of sector 10 on three letters has
-    # 10!/(4!3!3!) = 4200 rows: 141 MB of float64, 282 MB of complex128
-    z4 = make_group([4])
-    anyons = make_model(z4, make_bicharacter(z4, [["1/4"]]), [[1]] * 3, np.eye(3))
+    anyons = _z4_anyons()
     f3 = load_zoo("fermion3")
     assert (f3.scalar_type, anyons.scalar_type) == (float, complex)
-    _guard_gram(f3, 10)
-    with pytest.raises(ResourceLimitError, match="4200x4200 complex128 .* 282240000 bytes"):
-        _guard_gram(anyons, 10)
     # a ladder entry is a value and two int64 index words
     entries = MAX_GRAM_BYTES // 24
     _guard_ladder(f3, 9, entries)
@@ -398,7 +409,6 @@ def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
     from braidstat.cli import main as cli_main
     model = load_zoo("quon_05")
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 100_000)
-    _guard_gram(model, 8)                        # the largest block, 39,200 bytes, passes
     assert sector_dimension(model, 7) == (128, 128)
     with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.8 need 108736 bytes"):
         sector_dimension(model, 8)               # 37,656 bytes below, then blocks of 8, 512,
@@ -406,11 +416,19 @@ def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
     # a Fock pass to sector 7: sectors 0..6 hold 10,200 bytes, and sector 7's
     # blocks take 8, 392, 3,528, 9,800 and 9,800 bytes before the guard trips
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 30_000)
-    _guard_gram(model, 7)
     with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.7 need 33728 bytes"):
         check_braid_exchange_relations(model, n_max=5)
     assert cli_main(["check", str(zoo_path("quon_05")), "--nmax", "5"]) == 2
     assert "sectors 0..7 need 33728 bytes" in capsys.readouterr().err
+    # complex blocks take 16 bytes an entry: the three-letter anyons' sectors
+    # 0..4 allocate blocks of 1, 3, 15, 93 and 639 entries, 12,016 bytes in all
+    # (their ladder levels take at most 8,640)
+    anyons = _z4_anyons()
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 12_016)
+    assert gram_psd_check(anyons, 4).status == "skipped"  # the Gram is not Hermitian
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 12_015)
+    with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.4 need 12016 bytes"):
+        gram_psd_check(anyons, 4)                # the last block, of 1 entry, trips it
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +573,20 @@ def test_zero_sectors_draw_no_further_ladder_level():
 
 def test_zero_blocks_are_never_allocated():
     # fermion3's sector-10 Gram is exactly 0, in blocks of up to 4,200 rows:
-    # allocated as zeros, they took 1,342 MiB under tracemalloc
+    # allocated as zeros, they took 1,342 MiB under tracemalloc.  Sector 16 of
+    # two generators has blocks of up to 12,870 rows, 1,325 MB of float64, which
+    # an estimate of the largest block refused although none is allocated
     import tracemalloc
-    model = load_zoo("fermion3")
-    tracemalloc.start()
-    try:
-        dim, psd = sector_dimension(model, 10), gram_psd_check(model, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dim == (3 ** 10, 0) and psd.passed and psd.data["min_eigenvalue"] == 0.0
-    assert peak <= 32 << 20
+    for name, n in [("fermion3", 10), ("fermion2", 16), ("z2z2_fermion", 16)]:
+        model = load_zoo(name)
+        tracemalloc.start()
+        try:
+            dim, psd = sector_dimension(model, n), gram_psd_check(model, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dim == (model.n_generators ** n, 0) and psd.passed, name
+        assert psd.data["min_eigenvalue"] == 0.0 and peak <= 32 << 20, (name, peak)
 
 
 def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
@@ -595,12 +616,16 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_non_finite_ladders_and_grams_name_their_sector():
     # finite pairings whose products overflow: the quon ladder reaches inf at
-    # sector 4 and its Gram at sector 2; fermion2's Gram reaches NaN at sector 3
+    # sector 4 and its Gram at sector 2; fermion2's Gram reaches NaN at sector 3.
+    # commutator_defect reads a ladder for s = -1 only, and q = -0.5 with s = -1
+    # gives the ladder of q = 0.5 with s = +1
     trivial, z2 = make_group([]), make_group([2])
     big = [[1e308, 0], [0, 1]]
     quon = make_model(trivial, Bicharacter.trivial(trivial), [[], []], big, q_swap_braid(2, 0.5))
+    minus = make_model(trivial, Bicharacter.trivial(trivial), [[], []], big, q_swap_braid(2, -0.5),
+                       expansion_sign=-1)
     with pytest.raises(fock.NonFiniteError, match="the annihilators of sector 4 "):
-        commutator_defect(quon, 1, 1, 3)
+        commutator_defect(minus, 1, 1, 3)
     with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 2 "):
         sector_dimension(quon, 5)
     fermion2 = make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1], [1]], big)
@@ -832,10 +857,12 @@ def test_one_non_real_entry_keeps_a_model_complex(label):
 def test_ladder_guard_trips_before_the_level_is_allocated(monkeypatch):
     import tracemalloc
     # a dense cross coupling fills the b- arrays in: sector m holds about 2^(2m+1)
-    # entries before they are summed, 1.05 MB at sector 7 and 4.2 MB at sector 8
-    model = _mixing_models()["random-R"]
+    # entries before they are summed, 1.05 MB at sector 7 and 4.2 MB at sector 8;
+    # s = -1, since commutator_defect builds no ladder for s = +1
+    model = _mixing_models()["minus-expansion"]
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 1 << 21)
     commutator_defect(model, 1, 1, 6)                 # the ladder reaches sector 7
+    assert commutator_defect(_mixing_models()["random-R"], 1, 1, 7).passed  # s = +1: no ladder
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
