@@ -145,10 +145,8 @@ def cmd_gram(args) -> int:
                           result.asymmetry)]
     rank = min_eig = None
     if checks[0].status == PASS:
-        rank = result.quotient_rank(tol)
-        psd = result.psd_report(tol)
-        checks.append(psd)
-        min_eig = psd.data.get("min_eigenvalue")
+        checks.append(result.psd_report(tol))  # first: the rank then counts the spectrum it computed
+        rank, min_eig = result.quotient_rank(tol), checks[-1].data.get("min_eigenvalue")
     return _emit(args, checks, {
         "sector": args.sector,
         "full": model.n_generators ** args.sector,

@@ -61,13 +61,14 @@ exactly 0.  A model that does not conserve letters gets one block holding
 every word, and runs through the same code.  Each sector has one block
 layout (:func:`_layout`).  A block that is exactly 0 is not stored, every
 reader takes a missing block as exactly 0, and once a whole sector stores no
-block the tower builds no further ladder level.  Rank and positivity come from
-the eigenvalues of the Hermitian part of each block: exact zeros for a missing
-block, one ``eigvalsh`` for a stored one.  The rank counts
-the eigenvalues with ``|lambda| >= tol * max(1, top)``, ``top`` the largest
-``|lambda|`` of the sector, which is the cut against the largest singular
-value of the whole matrix.  The dense ``N^n x N^n`` matrix is filled from the
-blocks only when :attr:`GramResult.matrix` is read.
+block the tower builds no further ladder level.  Positivity comes from the
+eigenvalues of the Hermitian part of each block: exact zeros for a missing
+block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
+``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
+sector, the cut against the largest singular value of the whole matrix; before
+any is computed, a shifted Cholesky (:meth:`GramResult._full_rank`) tries to
+prove every stored block full rank, for the same rank.  The dense ``N^n x N^n``
+matrix is filled from the blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -81,9 +82,9 @@ sector 0 up at 8 or 16 bytes per entry of the scalar type, and one ladder
 level, at 24 or 32 bytes per entry; before anything is built, it bounds the
 complex dense Gram of :func:`gram_matrix`, at 16 bytes per entry.  These bound
 the Gram blocks and the ladder levels, not the process: temporaries and the
-ladder levels kept beside the blocks come on top.  A ladder level, a Gram block
-or a spectrum that overflows the float range raises :class:`NonFiniteError`,
-naming the sector.
+ladder levels kept beside the blocks come on top.  A ladder level, a Gram block,
+a spectrum or a commutator residual that overflows the float range raises
+:class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class ResourceLimitError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A ladder level, a Gram block or its spectrum overflowed to a non-finite number."""
+    """A ladder level, a Gram block, its spectrum or a residual overflowed to a non-finite number."""
 
 
 class HermiticityError(ValueError):
@@ -360,14 +361,24 @@ def _residual_entries(model: ParticleModel, n: int, ladder: Sequence[list[_Spars
     if not factor:
         return _empty(n_gen ** (n + 2), model.scalar_type)
     # column j N^n + w of b-_i on sector n + 1 is b-_i b+_j on w
-    parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, factor * hop.vals)
-             for i, hop in enumerate(ladder[n + 1], start=1)]
-    g = _typed(model, factor * model.pairing.ravel())
-    pairs = np.flatnonzero(g)
-    words = np.arange(size)
-    parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
-                  np.repeat(-g[pairs], size)))
-    return _coalesce(parts, size, n_gen ** (n + 2), PRUNE_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # _residual_norms refuses it, naming the sector
+        parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, factor * hop.vals)
+                 for i, hop in enumerate(ladder[n + 1], start=1)]
+        g = _typed(model, factor * model.pairing.ravel())
+        pairs = np.flatnonzero(g)
+        words = np.arange(size)
+        parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
+                      np.repeat(-g[pairs], size)))
+        return _coalesce(parts, size, n_gen ** (n + 2), PRUNE_EPS)
+
+
+def _residual_norms(model: ParticleModel, entries: _Sparse, n: int) -> np.ndarray:
+    """The residual norms of sector ``n`` by ``[i - 1, j - 1, word]``, all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
+        norms = _norms(entries)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError(f"the twisted commutator residuals of sector {n} overflow the float range")
+    return norms.reshape(model.n_generators, model.n_generators, -1)
 
 
 def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float = 1e-9) -> CheckReport:
@@ -399,10 +410,8 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(i)
     model._check_index(j)
     _guard_sectors(model, n)
-    n_gen = model.n_generators
     ladder = [] if model.expansion_sign == 1 else list(_levels(model, n + 1))  # s = +1 reads none
-    residuals = _residual_entries(model, n, ladder)
-    return _commutator_report(_norms(residuals).reshape(n_gen, n_gen, -1), i, j, n, tol)
+    return _commutator_report(_residual_norms(model, _residual_entries(model, n, ladder), n), i, j, n, tol)
 
 
 def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: float) -> CheckReport:
@@ -410,7 +419,7 @@ def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: fl
     ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``,
     in that order, with the largest defect; its witness only if it fails."""
     n_gen = model.n_generators
-    defects = [_norms(entries).reshape(n_gen, n_gen, -1) for entries in residuals]
+    defects = [_residual_norms(model, entries, n) for n, entries in enumerate(residuals)]
     worst = np.stack([d.max(axis=2, initial=0.0) for d in defects], axis=2).ravel()
     last = len(worst) - 1 - int(np.argmax(worst[::-1] == worst.max()))
     i, j, n = (int(k) for k in np.unravel_index(last, (n_gen, n_gen, len(defects))))
@@ -447,9 +456,10 @@ def _layout(model: ParticleModel, m: int) -> _Layout:
     ascending key order; a model that does not conserve letters has one block."""
     n_gen = model.n_generators
     positions = np.arange(n_gen ** m)
-    place = n_gen ** np.arange(m - 1, -1, -1)
-    key = (np.sort(positions[:, None] // place % n_gen, axis=1) @ place
-           if model.conserves_letters else np.zeros_like(positions))
+    key = np.zeros_like(positions)  # one block: one generator, or letters not conserved
+    if model.conserves_letters and n_gen > 1:
+        place = n_gen ** np.arange(m - 1, -1, -1)
+        key = np.sort(positions[:, None] // place % n_gen, axis=1) @ place
     order, _, new, run = _runs(key)
     start = np.append(np.flatnonzero(new), len(key))
     block, row = np.empty_like(positions), np.empty_like(positions)
@@ -470,15 +480,23 @@ class GramResult:
         self._layout = layout
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
-            self._matrices = {b: g for b, g in matrices.items() if tops[b] > 0.0}
-            # halved first, as in spectrum: g - g^H may overflow where its halves do not
-            self.asymmetry = max((2.0 * float(np.abs(g / 2.0 - g.conj().T / 2.0).max())
-                                  for g in self._matrices.values()), default=0.0)
-        if not all(map(math.isfinite, [*tops.values(), self.asymmetry])):
-            raise NonFiniteError(f"the Gram blocks of sector {sector} overflow the float range")
+        self._matrices = {b: g for b, g in matrices.items() if tops[b] > 0.0}
         #: size of the largest entry, at least 1: the unit of the relative cuts
         self.scale = max([1.0, *tops.values()])
-        self.hermitian = self.hermitian_within(1e-9)
+        # the asymmetry is at most 2 scale: read here only where that may overflow
+        if not all(map(math.isfinite, tops.values())) or (
+                self.scale > np.finfo(float).max / 4 and not math.isfinite(self.asymmetry)):
+            raise NonFiniteError(f"the Gram blocks of sector {sector} overflow the float range")
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """The largest ``|G - G^H|`` entry of the stored blocks."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in __init__, naming the sector
+            # halved first, as in spectrum: g - g^H may overflow where its halves do not
+            return max((2.0 * float(np.abs(g / 2.0 - g.conj().T / 2.0).max())
+                        for g in self._matrices.values()), default=0.0)
+
+    hermitian = property(lambda self: self.hermitian_within(1e-9))
 
     def hermitian_within(self, tol: float) -> bool:
         """The one Hermiticity cut, of the rank and the ``gram-psd`` and ``gram-hermitian`` rows."""
@@ -517,10 +535,38 @@ class GramResult:
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return spectrum
 
+    def _full_rank(self, tol: float) -> bool:
+        """Whether ``cholesky(H - s I)`` succeeds on the Hermitian part ``H`` of every
+        stored block, as :attr:`spectrum` forms it, largest first, with ``s = (1 + 4
+        eps) tol max(1, T) + 2 gamma_{r+1} tr(H)``: ``r`` its rows, ``gamma_k = k eps
+        / (1 - k eps)``, ``T`` the largest trace.  Then, by Rump (BIT 46, 2006), every
+        eigenvalue of ``H`` exceeds ``tol max(1, T)``, a term that also covers
+        underflow; ``H`` being positive definite, ``lambda_max <= tr(H) <= T``, so all
+        pass the rank cut ``tol max(1, top)`` and a missing block's zeros do not.  A
+        non-finite shift proves nothing."""
+        eps, blocks = np.finfo(float).eps, sorted(self._matrices.values(), key=len, reverse=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # spectrum reports an overflow
+            traces = np.array([np.trace(g).real for g in blocks])
+            k = np.array([len(g) + 1 for g in blocks]) * eps
+            shifts = (1 + 4 * eps) * tol * traces.max(initial=1.0) + 2 * k / (1 - k) * traces
+            if not (tol > 0 and np.isfinite(shifts).all()):  # a cut of 0 counts a missing block's zeros
+                return False
+            for g, shift in zip(blocks, shifts.tolist()):
+                h = g / 2.0 + g.conj().T / 2.0
+                h.flat[::len(h) + 1] -= shift
+                try:
+                    np.linalg.cholesky(h)
+                except np.linalg.LinAlgError:
+                    return False
+        return True
+
     def quotient_rank(self, tol: float) -> int:
-        """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value."""
+        """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value:
+        before :attr:`spectrum` is computed, the stored rows where :meth:`_full_rank` holds."""
         if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
+        if "spectrum" not in vars(self) and self._full_rank(tol):
+            return sum(map(len, self._matrices.values()))
         magnitude = np.abs(np.concatenate(self.spectrum))
         cut = tol * max(1.0, float(magnitude.max()))
         return int(np.count_nonzero(magnitude >= cut))
@@ -569,10 +615,9 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
             result = GramResult(m, n_gen, layout, grams)
             yield result
             continue
-        # each b-_i on every word, block after block: lower block and row, column in block, value
+        # each b-_i on every word, block after block: row in the lower block, column in block, value
         gathered = [_gather(hop, layout.order) for hop in next(ladder)]
-        entries = [(below.block[rows], below.row[rows], layout.row[layout.order[at]], vals)
-                   for rows, at, vals in gathered]
+        entries = [(below.row[rows], layout.row[layout.order[at]], vals) for rows, at, vals in gathered]
         cuts = [np.searchsorted(at, layout.start).tolist() for _, at, _ in gathered]
         with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
             for c, (lo, hi) in enumerate(zip(layout.start[:-1].tolist(), layout.start[1:].tolist())):
@@ -581,11 +626,7 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
                     i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
                     b = int(below.block[rest])
                     at = slice(cuts[i][c], cuts[i][c + 1])
-                    blocks, rows, cols, vals = [a[at] for a in entries[i]]
-                    if (blocks != b).any():
-                        raise RuntimeError(
-                            f"b-_{i + 1} maps a word of the block of {_word(layout.order[lo], m, n_gen)}"
-                            f" outside the block of {_word(below.order[below.start[b]], m - 1, n_gen)}")
+                    rows, cols, vals = [a[at] for a in entries[i]]
                     run = below.start[b + 1] - below.start[b]
                     if b in lower:
                         if c not in grams:
@@ -596,7 +637,7 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
                             grams[c] = np.zeros((hi - lo, hi - lo), dtype=dtype)
                         step = np.zeros((run, hi - lo), dtype=dtype)
                         step[rows, cols] = vals
-                        grams[c][top - lo:top - lo + run] = lower[b] @ step
+                        np.matmul(lower[b], step, out=grams[c][top - lo:top - lo + run])
                     top += run
         result = GramResult(m, n_gen, layout, grams)
         yield result
@@ -673,8 +714,9 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
         order = cols.argsort(kind="stable")  # by column, then row
         raised = _Sparse(np.searchsorted(cols[order], np.arange(n_pairs * size + 1)), rows[order],
                          cols[order], np.repeat(relation[kl, ij], size)[order])
-        defects[0] = _gram_norms(grams[n + 2], raised)
-        if n >= 2:
+        if grams[n + 2]._matrices:  # a sector that stores no block gives exact zeros
+            defects[0] = _gram_norms(grams[n + 2], raised)
+        if n >= 2 and grams[n - 2]._matrices:
             # column ((k - 1) N + l - 1) N^n + w: b-_k b-_l on w
             twice = _coalesce([_product(ladder[n - 1][k], inner, (k * n_gen + l) * size)
                                for k in range(n_gen) for l, inner in enumerate(ladder[n])],
@@ -715,11 +757,11 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     dims, psd = [], None
     for n, result in enumerate(grams[:n_max + 1]):
         dims.append({"sector": n, "full": model.n_generators ** n})
+        rep = result.psd_report(tol)  # first: the rank then counts the spectrum it computed
         try:
             dims[-1]["quotient"] = result.quotient_rank(tol)
         except HermiticityError:
             dims[-1].update(quotient=None, status=SKIPPED)
-        rep = result.psd_report(tol)
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
     hermitian = all(result.hermitian_within(tol) for result in grams[:n_max + 1])

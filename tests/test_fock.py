@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
                        sector_dimension, zoo_path, ZOO_NAMES)
 from braidstat import fock
 from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_ladder
+from braidstat.modelfile import model_from_dict
 
 from oracles import (banded_witness, bosonic_dimension, colour_symmetric_dimension,
                      dense_annihilators, dense_commutator_residuals, dense_exchange_nullity,
@@ -571,6 +573,31 @@ def test_zero_sectors_draw_no_further_ladder_level():
         assert (result.asymmetry, result.scale) == (0.0, 1.0)
 
 
+def test_one_generator_layout_allocates_no_word_sized_array():
+    # one generator has one word per sector, one block: no m-long digit matrix or powers
+    import tracemalloc
+    model = load_zoo("fermion1")
+    tracemalloc.start()
+    try:
+        layout = fock._layout(model, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout.start.tolist() == [0, 1] and peak < 64 << 10, peak
+
+
+def test_exchange_nullity_reads_no_zero_sector(monkeypatch):
+    # fermion2 stores no Gram block from sector 3 on, so only the create-create
+    # line of sector 0 (on sector 2) and the annihilate-annihilate lines of
+    # sectors 2..4 (on sectors 0..2) take a Gram norm; the mixed line has no
+    # residual for s = +1
+    sectors = []
+    gram_norms = fock._gram_norms
+    monkeypatch.setattr(fock, "_gram_norms", lambda g, e: sectors.append(g.sector) or gram_norms(g, e))
+    report = check_braid_exchange_relations(load_zoo("fermion2"), n_max=4)
+    assert report.passed and sectors == [2, 0, 1, 2]
+
+
 def test_zero_blocks_are_never_allocated():
     # fermion3's sector-10 Gram is exactly 0, in blocks of up to 4,200 rows:
     # allocated as zeros, they took 1,342 MiB under tracemalloc.  Sector 16 of
@@ -613,6 +640,79 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     assert shapes == [(2, 2)]
 
 
+def _zoo_model(name, sign):
+    doc = json.loads(zoo_path(name).read_text())
+    doc["options"] = {"expansion_sign": sign}
+    return model_from_dict(doc).model
+
+
+def _certified_and_counted(model, n, tol=1e-9):
+    """Per Hermitian sector ``0..n``: whether the shifted Cholesky proves it full
+    rank, the rank it certifies, and the rank counted from the spectrum."""
+    rows = []
+    for result in fock._tower(model, fock._levels(model, n), n):
+        assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
+        if result.hermitian_within(tol):
+            proved, certified = result._full_rank(tol), result.quotient_rank(tol)
+            result.spectrum
+            rows.append((proved, certified, result.quotient_rank(tol)))
+    return rows
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_certified_rank_equals_the_spectrum_count_on_the_zoo(name, sign):
+    rows = _certified_and_counted(_zoo_model(name, sign), 6 if name == "fermion3" else 8)
+    assert any(proved for proved, _, _ in rows)  # sectors 0 and 1 at least
+    assert all(certified == counted for _, certified, counted in rows), rows
+
+
+@pytest.mark.parametrize("label", ["random-R", "self-adjoint-T", "off-diagonal-pairing",
+                                   "minus-expansion", "quon-minus", "fermion3-minus"])
+def test_certified_rank_equals_the_spectrum_count_on_random_models(label):
+    model = {**_mixing_models(), **_minus_models()}[label]
+    rows = _certified_and_counted(model, 6 if model.n_generators == 2 else 5)
+    assert all(certified == counted for _, certified, counted in rows), rows
+
+
+def test_certified_rank_needs_no_eigensolver(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert sector_dimension(load_zoo("quon_05"), 10) == (1024, 1024)
+    # tol = 0 counts every exact zero of a missing block: no proof applies
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        sector_dimension(load_zoo("fermion2"), 2, tol=0.0)
+
+
+def test_check_and_gram_take_the_rank_from_the_spectrum(monkeypatch, capsys):
+    from braidstat.cli import main
+    argvs = [["check", str(zoo_path("quon_05")), "--nmax", "5", "--json"],
+             ["gram", str(zoo_path("quon_05")), "--sector", "4", "--json"]]
+    want = [(main(argv), capsys.readouterr()) for argv in argvs]
+
+    def refuse(a):
+        raise AssertionError("cholesky ran")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
+
+
+@pytest.mark.parametrize("name", ["boson", "quon_09"])
+def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
+    # boson's blocks have rank 1, and a block of quon_09 at sector 8 has an
+    # eigenvalue below the rank cut: no proof, so the eigenvalues are counted
+    counted = gram_matrix(load_zoo(name), 8)
+    counted.spectrum
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    result = gram_matrix(load_zoo(name), 8)
+    assert not result._full_rank(1e-9) and not calls
+    assert result.quotient_rank(1e-9) == counted.quotient_rank(1e-9) and calls
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_ladders_and_grams_name_their_sector():
     # finite pairings whose products overflow: the quon ladder reaches inf at
@@ -635,6 +735,18 @@ def test_non_finite_ladders_and_grams_name_their_sector():
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 2 "):
         sector_dimension(fermion2, 2)
     assert gram_psd_check(fermion2, 1).passed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutator_residual_overflow_names_its_sector(n):
+    # the ladder of q = 0.5 with s = -1 stays finite; its residual, twice the
+    # ladder, overflows, and its norms square it
+    trivial = make_group([])
+    model = make_model(trivial, Bicharacter.trivial(trivial), [[], []], [[1e308, 0], [0, 1]],
+                       q_swap_braid(2, 0.5), expansion_sign=-1)
+    with pytest.raises(fock.NonFiniteError, match=f"the twisted commutator residuals of sector {n} "):
+        commutator_defect(model, 1, 1, n)
 
 
 def test_no_ladder_outlives_a_call():
