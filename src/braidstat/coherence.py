@@ -59,14 +59,39 @@ class Unit:
     pass
 
 
-@dataclass(frozen=True)
-class Tensor:
+class _Node:
+    """``==`` and ``hash`` of the composite nodes, with the dataclass meaning: equal
+    when the node kinds match and the children are equal.  Node pairs wait on an
+    explicit stack, so no nesting depth overflows."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Node):
+                pairs += zip(vars(a).values(), vars(b).values())
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(render_expr(self))  # equal expressions print equal
+
+
+@dataclass(frozen=True, eq=False)
+class Tensor(_Node):
     left: "TensorExpr"
     right: "TensorExpr"
 
 
-@dataclass(frozen=True)
-class Dual:
+@dataclass(frozen=True, eq=False)
+class Dual(_Node):
     inner: "TensorExpr"
 
 

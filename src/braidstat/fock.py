@@ -14,11 +14,10 @@ grade-diagonal model has the single term ``(i, j, eps(grade_j, -grade_i))``
 per pair, so the step pays one exchange phase per letter passed.  The
 recursion gives the residual of the twisted commutation relation
 
-    b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j> = (1 - s)(b-_i b+_j - <i|j>),
+    (b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>) w = (1 - s) s sum_{(k, l, t)} t (l, b-_k w),
 
-so the relation closes exactly, by construction, for ``s = +1``: that residual
-is empty and not built, the ``mixed`` exchange line takes no Gram norm of it,
-and :func:`commutator_defect` builds no ladder for it.
+``1 - s`` times the hop terms, read off ``w``'s own ladder level: for ``s = +1``
+it is empty by construction, and neither built nor normed.
 
 One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
 matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
@@ -83,7 +82,7 @@ level, at 24 or 32 bytes per entry; before anything is built, it bounds the
 complex dense Gram of :func:`gram_matrix`, at 16 bytes per entry.  These bound
 the Gram blocks and the ladder levels, not the process: temporaries and the
 ladder levels kept beside the blocks come on top.  A ladder level, a Gram block,
-a spectrum or a commutator residual that overflows the float range raises
+a spectrum or a norm that overflows the float range raises
 :class:`NonFiniteError`, naming the sector.
 """
 
@@ -256,6 +255,19 @@ def _empty(n_cols: int, dtype: type) -> _Sparse:
     return _Sparse(np.zeros(n_cols + 1, dtype=np.int64), empty, empty, empty.astype(dtype))
 
 
+def _hop_terms(model: ParticleModel, below: list[_Sparse], m: int, base: dict[int, int], n_cols: int,
+               sign: float, rows: np.dtype, entries: int = 0) -> list[tuple]:
+    """The unsummed terms ``sign t (l, b-_k w)`` of each ``b-_i`` on the words ``(j, w)`` of length
+    ``m`` as ``(rows, columns, values)``, ``b-_i`` on ``(j, w)`` at column ``(i - 1) n_cols + base[j]
+    + c`` for ``w`` column ``c`` of ``below``; the ladder guard counts them and ``entries`` first."""
+    n_gen, real, shift = model.n_generators, model.scalar_type is float, model.n_generators ** max(m - 2, 0)
+    plan = [(below[k - 1], (l - 1) * shift, (i - 1) * n_cols + base[j], (sign * t).real if real else sign * t)
+            for i in range(1, n_gen + 1) for j in sorted(base) for k, l, t in model.cross_terms[i, j]]
+    _guard_ladder(model, m, entries + sum(len(hop.vals) for hop, _, _, _ in plan))
+    return [(offset + hop.rows.astype(rows, copy=False), column + hop.cols, hop.vals * factor)
+            for hop, offset, column, factor in plan]
+
+
 def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray,
            rest: np.ndarray, base: dict[int, int]) -> list[_Sparse]:
     """``b-_i`` for every ``i`` on words of length ``m``, by the recursion.
@@ -265,22 +277,13 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
     of first letter ``j`` are the columns ``base[j] + c``, ``c`` a column of
     ``below``, so a term reads each entry of ``below`` once, in order.
     """
-    n_gen, n_cols, real = model.n_generators, len(first), model.scalar_type is float
-    shift, sign = n_gen ** max(m - 2, 0), float(model.expansion_sign)
-    plans = [[(below[k - 1], (l - 1) * shift, base[j], (sign * t).real if real else sign * t)
-              for j in sorted(base) for k, l, t in model.cross_terms[i, j]]
-             for i in range(1, n_gen + 1)]
-    entries = int(np.count_nonzero(model.pairing[:, first])) + sum(
-        len(hop.vals) for plan in plans for hop, _, _, _ in plan)
-    _guard_ladder(model, m, entries)
-    parts, pairing = [], _typed(model, model.pairing[:, first])  # the free annihilators a-_i
+    n_gen, n_cols = model.n_generators, len(first)
+    pairing = _typed(model, model.pairing[:, first])  # the free annihilators a-_i
+    letter, cols = np.nonzero(pairing)  # b-_{letter + 1} on column c is column letter * n_cols + c
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-        for i, plan in enumerate(plans):  # b-_{i + 1} on column c is column i * n_cols + c
-            cols = np.flatnonzero(pairing[i])
-            parts.append((rest[cols], i * n_cols + cols, pairing[i, cols]))
-            parts += [(offset + hop.rows.astype(rest.dtype, copy=False), i * n_cols + column + hop.cols,
-                       hop.vals * factor) for hop, offset, column, factor in plan]
-        level = _coalesce(parts, n_gen ** (m - 1), n_gen * n_cols)
+        hops = _hop_terms(model, below, m, base, n_cols, float(model.expansion_sign), rest.dtype, len(cols))
+        level = _coalesce([(rest[cols], letter * n_cols + cols, pairing[letter, cols])] + hops,
+                          n_gen ** (m - 1), n_gen * n_cols)
     if not np.isfinite(level.vals).all():
         raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
     cuts = level.start[::n_cols].tolist()
@@ -342,42 +345,35 @@ def _locate(defects: list[np.ndarray]) -> tuple[float, tuple | None]:
         at -= d.size
 
 
-def _norms(entries: _Sparse) -> np.ndarray:
-    return np.sqrt(np.bincount(entries.cols, weights=np.abs(entries.vals) ** 2,
-                               minlength=len(entries.start) - 1))
+def _norms(entries: _Sparse, what: str) -> np.ndarray:
+    """The norm of each column of ``entries``, all finite, else an error naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norms = np.sqrt(np.bincount(entries.cols, weights=np.abs(entries.vals) ** 2,
+                                    minlength=len(entries.start) - 1))
+    if not np.isfinite(norms).all():
+        raise NonFiniteError(f"{what} overflow the float range")
+    return norms
 
 
 def _residual_entries(model: ParticleModel, n: int, ladder: Sequence[list[_Sparse]]) -> _Sparse:
-    """``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``, read
-    off the recursion as ``(1 - s)(b-_i b+_j - <i|j>)``; for ``s = +1`` it has
-    no entries, and neither it nor ``ladder`` is read.
-
-    ``ladder[n + 1][i - 1]`` is ``b-_i`` on sector ``n + 1``.  Column
-    ``((i - 1) N + j - 1) N^n + w`` holds the residual of ``(i, j)`` on word
+    """``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``: ``1 - s`` times
+    the hop terms, read off ``ladder[n]`` (no entries, and none read, for ``s = +1``).
+    Column ``((i - 1) N + j - 1) N^n + w`` holds the residual of ``(i, j)`` on word
     ``w``; entries up to ``PRUNE_EPS`` are dropped.
     """
-    n_gen, factor = model.n_generators, 1 - model.expansion_sign
-    size = n_gen ** n
-    if not factor:
-        return _empty(n_gen ** (n + 2), model.scalar_type)
-    # column j N^n + w of b-_i on sector n + 1 is b-_i b+_j on w
-    with np.errstate(over="ignore", invalid="ignore"):  # _residual_norms refuses it, naming the sector
-        parts = [(hop.rows, (i - 1) * n_gen * size + hop.cols, factor * hop.vals)
-                 for i, hop in enumerate(ladder[n + 1], start=1)]
-        g = _typed(model, factor * model.pairing.ravel())
-        pairs = np.flatnonzero(g)
-        words = np.arange(size)
-        parts.append((np.tile(words, len(pairs)), (pairs[:, None] * size + words).ravel(),
-                      np.repeat(-g[pairs], size)))
-        return _coalesce(parts, size, n_gen ** (n + 2), PRUNE_EPS)
+    n_gen, sign, size = model.n_generators, model.expansion_sign, model.n_generators ** n
+    if sign == 1:
+        return _empty(n_gen * n_gen * size, model.scalar_type)
+    with np.errstate(over="ignore", invalid="ignore"):  # _norms refuses it, naming the sector
+        hops = _hop_terms(model, ladder[n], n + 1, {j: (j - 1) * size for j in range(1, n_gen + 1)},
+                          n_gen * size, float(sign * (1 - sign)), np.int64)
+        empty = _empty(0, model.scalar_type)[1:]  # a model may have no cross terms
+        return _coalesce(hops + [empty], size, n_gen * n_gen * size, PRUNE_EPS)
 
 
 def _residual_norms(model: ParticleModel, entries: _Sparse, n: int) -> np.ndarray:
-    """The residual norms of sector ``n`` by ``[i - 1, j - 1, word]``, all finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-        norms = _norms(entries)
-    if not np.isfinite(norms).all():
-        raise NonFiniteError(f"the twisted commutator residuals of sector {n} overflow the float range")
+    """The residual norms of sector ``n`` by ``[i - 1, j - 1, word]``."""
+    norms = _norms(entries, f"the twisted commutator residuals of sector {n}")
     return norms.reshape(model.n_generators, model.n_generators, -1)
 
 
@@ -410,7 +406,7 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(i)
     model._check_index(j)
     _guard_sectors(model, n)
-    ladder = [] if model.expansion_sign == 1 else list(_levels(model, n + 1))  # s = +1 reads none
+    ladder = [] if model.expansion_sign == 1 else list(_levels(model, n))  # levels 0..n; s = +1 reads none
     return _commutator_report(_residual_norms(model, _residual_entries(model, n, ladder), n), i, j, n, tol)
 
 
@@ -419,6 +415,9 @@ def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: fl
     ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``,
     in that order, with the largest defect; its witness only if it fails."""
     n_gen = model.n_generators
+    if model.expansion_sign == 1:  # every defect is exactly 0: reported without computing
+        return CheckReport.from_defect("twisted-commutators", 0.0, tol, None,
+                                       {"i": n_gen, "j": n_gen, "sector": len(residuals) - 1})
     defects = [_residual_norms(model, entries, n) for n, entries in enumerate(residuals)]
     worst = np.stack([d.max(axis=2, initial=0.0) for d in defects], axis=2).ravel()
     last = len(worst) - 1 - int(np.argmax(worst[::-1] == worst.max()))

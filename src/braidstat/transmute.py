@@ -97,14 +97,14 @@ def check_relation_transport(t: Transmutation, n_max: int = 3, tol: float = 1e-9
     source, target = t.source, t.target
     n_gen = target.n_generators
     _guard_sectors(target, n_max)
-    norms = [[_norms(hop) for hop in hops] for hops in _levels(target, n_max)]
+    norms = [[_norms(hop, f"the annihilator norms of sector {n}") for hop in hops]
+             for n, hops in enumerate(_levels(target, n_max))]
     phases = [(i, complex(target.cross_phase(i, j)), complex(source.cross_phase(i, j)))
               for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
-    sign = target.expansion_sign
     # loop order: i, j, sector, word
-    own = [abs(sign * chi_t - chi_t) * norms[n][i - 1]
+    own = [abs(target.expansion_sign * chi_t - chi_t) * norms[n][i - 1]
            for i, chi_t, _ in phases for n in range(n_max + 1)]
-    image = [abs(sign * chi_t - chi_s) * norms[n][i - 1]
+    image = [abs(target.expansion_sign * chi_t - chi_s) * norms[n][i - 1]
              for i, chi_t, chi_s in phases for n in range(n_max + 1)]
     target_defect, at = _locate(own)
     witness = None

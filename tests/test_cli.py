@@ -493,6 +493,10 @@ _BIG = [[1e308, 0], [0, 1]]
      "the Gram blocks of sector 1 "),
     # a non-Hermitian block whose asymmetry lies past the float range
     ("fermion2", ["check"], [[1, 1e308], [-1e308, 1]], "the Gram blocks of sector 1 "),
+    # finite ladder values whose squares overflow: it printed "defect": NaN, exit 1
+    ("z2z2_fermion", ["transmute", "--hom", str(zoo_path("hom_z2z2_to_z2")), "--target-bichar",
+                      str(zoo_path("bichar_z2_half")), "--json"], [[1e200, 0], [0, 1]],
+     "the annihilator norms of sector 1 "),
 ])
 def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, pairing, message):
     # finite entries whose products overflow: they gave numpy warnings, then

@@ -242,3 +242,30 @@ def test_deep_expressions_parse_and_normalize():
     assert render_expr(apply_rule(deep, path, rule)) == "A" + "^" * 2999
     with pytest.raises(RewriteLoopError, match="exceeded 1 rewrite steps"):
         rewrite_normalize(deep, rng=random.Random(1), max_steps=1)
+
+
+def test_deep_expressions_compare_and_hash():
+    duals, copy = parse_expr("A" + "^" * 3001), parse_expr("A" + "^" * 3001)
+    assert duals is not copy and duals == copy and hash(duals) == hash(copy)
+    assert duals != parse_expr("A" + "^" * 3000) and duals != parse_expr("B" + "^" * 3001)
+    atoms = [f"A{k % 7}" for k in range(3000)]
+    chain = parse_expr(" (x) ".join(atoms))
+    assert chain == parse_expr(" (x) ".join(atoms))
+    assert chain != parse_expr(" (x) ".join(atoms[:-1] + ["A"]))
+    assert hash(chain) == hash(parse_expr(" (x) ".join(atoms)))
+
+
+def test_equality_is_structural_on_random_pairs():
+    # small sizes so that equal pairs occur; a printed copy is equal, not identical
+    rng = random.Random(20261019)
+    equal = 0
+    for _ in range(2000):
+        a = random_expr(rng, rng.randint(1, 4))
+        b = random_expr(rng, rng.randint(1, 4)) if rng.random() < 0.8 else parse_expr(render_expr(a))
+        assert (a == b) == (render_expr(a) == render_expr(b)) == (not a != b), (a, b)
+        if a == b:
+            equal += 1
+            assert hash(a) == hash(b), (a, b)
+    assert 200 < equal < 1800, equal
+    assert Tensor(Atom("A"), UNIT) != Dual(Atom("A")) and Dual(Atom("A")) != Atom("A")
+    assert Tensor(Atom("A"), UNIT).__eq__("A (x) I") is NotImplemented

@@ -717,15 +717,15 @@ def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
 def test_non_finite_ladders_and_grams_name_their_sector():
     # finite pairings whose products overflow: the quon ladder reaches inf at
     # sector 4 and its Gram at sector 2; fermion2's Gram reaches NaN at sector 3.
-    # commutator_defect reads a ladder for s = -1 only, and q = -0.5 with s = -1
-    # gives the ladder of q = 0.5 with s = +1
+    # commutator_defect reads the ladder to sector n for s = -1 only, and q = -0.5
+    # with s = -1 gives the ladder of q = 0.5 with s = +1
     trivial, z2 = make_group([]), make_group([2])
     big = [[1e308, 0], [0, 1]]
     quon = make_model(trivial, Bicharacter.trivial(trivial), [[], []], big, q_swap_braid(2, 0.5))
     minus = make_model(trivial, Bicharacter.trivial(trivial), [[], []], big, q_swap_braid(2, -0.5),
                        expansion_sign=-1)
     with pytest.raises(fock.NonFiniteError, match="the annihilators of sector 4 "):
-        commutator_defect(minus, 1, 1, 3)
+        commutator_defect(minus, 1, 1, 4)
     with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 2 "):
         sector_dimension(quon, 5)
     fermion2 = make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1], [1]], big)
@@ -747,6 +747,42 @@ def test_commutator_residual_overflow_names_its_sector(n):
                        q_swap_braid(2, 0.5), expansion_sign=-1)
     with pytest.raises(fock.NonFiniteError, match=f"the twisted commutator residuals of sector {n} "):
         commutator_defect(model, 1, 1, n)
+
+
+def test_commutator_defect_reads_the_ladder_to_its_sector(monkeypatch):
+    # the residual of sector n is read off the hop terms of ladder level n
+    model, drawn = _mixing_models()["minus-expansion"], []
+    level = fock._level
+    monkeypatch.setattr(fock, "_level", lambda model, below, m, *args:
+                        drawn.append(m) or level(model, below, m, *args))
+    for n in range(4):
+        drawn.clear()
+        commutator_defect(model, 1, 2, n)
+        assert drawn == list(range(1, n + 1)), n
+
+
+def test_check_takes_no_residual_norm_for_plus_expansion(monkeypatch, capsys):
+    # s = +1: every residual is empty, and the row is known without computing
+    from braidstat.cli import main
+    argvs = [["check", str(zoo_path(name)), "--json"] for name in ZOO_NAMES]
+    want = [(main(argv), capsys.readouterr()) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("a residual norm was taken")
+
+    monkeypatch.setattr(fock, "_norms", refuse)
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
+    for name, (_, captured) in zip(ZOO_NAMES, want):
+        n_gen, report = load_zoo(name).n_generators, json.loads(captured.out)
+        row = next(r for r in report["checks"] if r["name"] == "twisted-commutators")
+        assert row == {"name": "twisted-commutators", "status": "pass", "defect": 0.0, "witness": None,
+                       "data": {"i": n_gen, "j": n_gen, "sector": report["results"]["n_max"]}}, name
+
+
+def test_minus_expansion_mixed_line_is_exact():
+    # the residual is -2 t (l, b-_k w): no pairing is added in and taken out again
+    report = check_braid_exchange_relations(_zoo_model("quon_03", "-"), n_max=2)
+    assert report.data["lines"]["mixed"] == 0.6
 
 
 def test_no_ladder_outlives_a_call():
@@ -970,15 +1006,18 @@ def test_ladder_guard_trips_before_the_level_is_allocated(monkeypatch):
     import tracemalloc
     # a dense cross coupling fills the b- arrays in: sector m holds about 2^(2m+1)
     # entries before they are summed, 1.05 MB at sector 7 and 4.2 MB at sector 8;
-    # s = -1, since commutator_defect builds no ladder for s = +1
+    # s = -1, since commutator_defect builds no ladder for s = +1.  The residual of
+    # sector n is b-_i on sector n + 1 less its pairing, and the guard counts it so
     model = _mixing_models()["minus-expansion"]
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 1 << 21)
-    commutator_defect(model, 1, 1, 6)                 # the ladder reaches sector 7
+    commutator_defect(model, 1, 1, 6)                 # the hop terms reach sector 7
     assert commutator_defect(_mixing_models()["random-R"], 1, 1, 7).passed  # s = +1: no ladder
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
-            commutator_defect(model, 1, 1, 7)
+            commutator_defect(model, 1, 1, 7)         # the residual's hop terms
+        with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
+            commutator_defect(model, 1, 1, 8)         # the ladder level itself
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
