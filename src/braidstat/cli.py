@@ -141,17 +141,13 @@ def cmd_gram(args) -> int:
     from .fock import gram_matrix
     model, tol, _ = _model(args)
     result = gram_matrix(model, args.sector)
-    checks = [CheckReport("gram-hermitian", PASS if result.hermitian_within(tol) else FAIL,
-                          result.asymmetry)]
-    rank = min_eig = None
-    if checks[0].status == PASS:
-        checks.append(result.psd_report(tol))  # first: the rank then counts the spectrum it computed
-        rank, min_eig = result.quotient_rank(tol), checks[-1].data.get("min_eigenvalue")
-    return _emit(args, checks, {
+    psd, rank = result.readings(tol)  # rank None: not Hermitian, and no gram-psd row
+    hermitian = CheckReport("gram-hermitian", FAIL if rank is None else PASS, result.asymmetry)
+    return _emit(args, [hermitian] if rank is None else [hermitian, psd], {
         "sector": args.sector,
         "full": model.n_generators ** args.sector,
         "rank": rank,
-        "min_eigenvalue": min_eig,
+        "min_eigenvalue": psd.data.get("min_eigenvalue"),
         "basis": [list(w) for w in result.words],
         "matrix": _Rows(result.matrix),
     })
@@ -165,8 +161,7 @@ def cmd_apply(args) -> int:
     out = apply_program(model, program, vector)
     return _emit(args, [], {
         "program": args.program,
-        "vector": [{"word": list(w), "amplitude": [a.real, a.imag]}
-                   for w, a in out.sorted_items()],
+        "vector": [{"word": list(w), "amplitude": jsonable(a)} for w, a in out.sorted_items()],
     })
 
 

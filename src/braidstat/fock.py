@@ -64,10 +64,11 @@ block the tower builds no further ladder level.  Positivity comes from the
 eigenvalues of the Hermitian part of each block: exact zeros for a missing
 block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
 ``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
-sector, the cut against the largest singular value of the whole matrix; before
-any is computed, a shifted Cholesky (:meth:`GramResult._full_rank`) tries to
-prove every stored block full rank, for the same rank.  The dense ``N^n x N^n``
-matrix is filled from the blocks only when :attr:`GramResult.matrix` is read.
+sector, the cut against the largest singular value of the whole matrix.
+:meth:`GramResult.readings` (``check``, ``gram``) counts the spectrum of its
+``gram-psd`` row; :meth:`GramResult.quotient_rank` (:func:`sector_dimension`)
+first proves every stored block full rank by a shifted Cholesky where it can.
+The dense matrix is filled from the blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -89,7 +90,7 @@ a spectrum or a norm that overflows the float range raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -224,7 +225,7 @@ def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Spa
     summed.real = np.bincount(run, weights=vals.real, minlength=len(key))
     if summed.dtype.kind == "c":
         summed.imag = np.bincount(run, weights=vals.imag, minlength=len(key))
-    keep = np.abs(summed) > floor
+    keep = ~(np.abs(summed) <= floor)  # a NaN sum is kept for the caller's finiteness check
     cols = (key[keep] // n_rows).astype(np.int64)
     return _Sparse(np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep])
 
@@ -406,7 +407,9 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     model._check_index(i)
     model._check_index(j)
     _guard_sectors(model, n)
-    ladder = [] if model.expansion_sign == 1 else list(_levels(model, n))  # levels 0..n; s = +1 reads none
+    if model.expansion_sign == 1:  # the residual is empty: reported without computing
+        return CheckReport.from_defect("twisted-commutator", 0.0, tol, None, {"i": i, "j": j, "sector": n})
+    ladder = list(_levels(model, n))  # levels 0..n
     return _commutator_report(_residual_norms(model, _residual_entries(model, n, ladder), n), i, j, n, tol)
 
 
@@ -415,16 +418,15 @@ def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: fl
     ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``,
     in that order, with the largest defect; its witness only if it fails."""
     n_gen = model.n_generators
-    if model.expansion_sign == 1:  # every defect is exactly 0: reported without computing
-        return CheckReport.from_defect("twisted-commutators", 0.0, tol, None,
-                                       {"i": n_gen, "j": n_gen, "sector": len(residuals) - 1})
+    if model.expansion_sign == 1:  # every defect is exactly 0: commutator_defect's row, computing nothing
+        return replace(commutator_defect(model, n_gen, n_gen, len(residuals) - 1, tol),
+                       name="twisted-commutators")
     defects = [_residual_norms(model, entries, n) for n, entries in enumerate(residuals)]
     worst = np.stack([d.max(axis=2, initial=0.0) for d in defects], axis=2).ravel()
     last = len(worst) - 1 - int(np.argmax(worst[::-1] == worst.max()))
     i, j, n = (int(k) for k in np.unravel_index(last, (n_gen, n_gen, len(defects))))
     rep = _commutator_report(defects[n], i + 1, j + 1, n, tol)
-    return CheckReport("twisted-commutators", rep.status, rep.defect,
-                       rep.witness if rep.failed else None, rep.data)
+    return replace(rep, name="twisted-commutators", witness=rep.witness if rep.failed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +561,17 @@ class GramResult:
                     return False
         return True
 
+    def _counted_rank(self, tol: float) -> int:
+        """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)``."""
+        magnitude = np.abs(np.concatenate(self.spectrum))
+        return int(np.count_nonzero(magnitude >= tol * max(1.0, float(magnitude.max()))))
+
     def quotient_rank(self, tol: float) -> int:
         """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value:
-        before :attr:`spectrum` is computed, the stored rows where :meth:`_full_rank` holds."""
+        the stored rows where :meth:`_full_rank` holds, else the counted eigenvalues."""
         if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
-        if "spectrum" not in vars(self) and self._full_rank(tol):
-            return sum(map(len, self._matrices.values()))
-        magnitude = np.abs(np.concatenate(self.spectrum))
-        cut = tol * max(1.0, float(magnitude.max()))
-        return int(np.count_nonzero(magnitude >= cut))
+        return sum(map(len, self._matrices.values())) if self._full_rank(tol) else self._counted_rank(tol)
 
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector; the tolerance is relative to its largest entry."""
@@ -579,6 +582,11 @@ class GramResult:
         status = PASS if min_eig >= -tol * self.scale else FAIL
         return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
                            {"sector": self.sector, "min_eigenvalue": min_eig})
+
+    def readings(self, tol: float) -> tuple[CheckReport, int | None]:
+        """The ``gram-psd`` row and the rank counted from its spectrum, ``None`` if not Hermitian."""
+        report = self.psd_report(tol)
+        return report, None if report.status == SKIPPED else self._counted_rank(tol)
 
 
 class SectorDimension(NamedTuple):
@@ -694,6 +702,7 @@ def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
     return np.sqrt(np.abs(value))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, naming the sector
 def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult],
                       residuals: list[_Sparse], tol: float) -> CheckReport:
     """:func:`check_braid_exchange_relations` on a ladder, the Grams of sectors
@@ -724,6 +733,8 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
                                                              n_pairs * size, PRUNE_EPS))
         if len(residuals[n].vals):  # s = +1 has no residual: exact zeros
             defects[2] = _gram_norms(grams[n], residuals[n])
+        if not np.isfinite(defects).all():
+            raise NonFiniteError(f"the exchange relations of sector {n} overflow the float range")
         # loop order: word, i, j, line
         sectors.append(defects.reshape(3, n_gen, n_gen, size).transpose(3, 1, 2, 0))
     worst, at = _locate(sectors)
@@ -755,12 +766,9 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     ladder, grams, residuals = _fock_pass(model, n_max)
     dims, psd = [], None
     for n, result in enumerate(grams[:n_max + 1]):
-        dims.append({"sector": n, "full": model.n_generators ** n})
-        rep = result.psd_report(tol)  # first: the rank then counts the spectrum it computed
-        try:
-            dims[-1]["quotient"] = result.quotient_rank(tol)
-        except HermiticityError:
-            dims[-1].update(quotient=None, status=SKIPPED)
+        rep, rank = result.readings(tol)
+        dims.append({"sector": n, "full": model.n_generators ** n, "quotient": rank}
+                    | ({"status": SKIPPED} if rank is None else {}))
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
     hermitian = all(result.hermitian_within(tol) for result in grams[:n_max + 1])

@@ -32,6 +32,7 @@ import numpy as np
 from .groups import make_bicharacter, make_group, make_hom
 from .models import (DERIVED_CROSS, GRADE_DIAGONAL, BraidMatrix, CrossMatrix, ParticleModel,
                      make_model, _action_matrix)
+from .report import jsonable
 
 
 class ModelFileError(ValueError):
@@ -131,11 +132,6 @@ def _complex_matrix(raw: Any, where: str) -> np.ndarray:
     return np.asarray(rows, dtype=complex) if rows else np.zeros((0, 0), dtype=complex)
 
 
-def _pairs(matrix: np.ndarray) -> list:
-    """A complex matrix as the schema writes it: rows of ``[re, im]`` pairs."""
-    return [[[v.real, v.imag] for v in row] for row in matrix.tolist()]
-
-
 def _exchange(doc: dict, key: str, default: str, implied: Any, field: str, matrix: type):
     """Section ``key``: kind ``default`` is ``implied``, kind ``matrix`` holds the
     action matrix ``field``."""
@@ -199,11 +195,11 @@ def model_to_dict(model: ParticleModel, tolerance: float = 1e-9, n_max: int = 4)
         "bicharacter": {"Q": [[str(v) for v in row] for row in model.eps.exponents]},
         "generators": {
             "grades": [list(g.residues) for g in model.grades],
-            "pairing": _pairs(model.pairing),
+            "pairing": jsonable(model.pairing),
         },
         "braid": ({"kind": "grade-diagonal"} if model.is_grade_diagonal
-                  else {"kind": "matrix", "R": _pairs(_action_matrix(model.braid_coupling))}),
-        "cross": ({"kind": "matrix", "T": _pairs(_action_matrix(model.cross.coupling))}
+                  else {"kind": "matrix", "R": jsonable(_action_matrix(model.braid_coupling))}),
+        "cross": ({"kind": "matrix", "T": jsonable(_action_matrix(model.cross.coupling))}
                   if isinstance(model.cross, CrossMatrix) else {"kind": "derived"}),
         "options": {"tolerance": tolerance, "n_max": n_max,
                     "expansion_sign": "+" if model.expansion_sign == 1 else "-"},

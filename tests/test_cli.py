@@ -497,6 +497,10 @@ _BIG = [[1e308, 0], [0, 1]]
     ("z2z2_fermion", ["transmute", "--hom", str(zoo_path("hom_z2z2_to_z2")), "--target-bichar",
                       str(zoo_path("bichar_z2_half")), "--json"], [[1e200, 0], [0, 1]],
      "the annihilator norms of sector 1 "),
+    # b-_k b-_l of exchange-nullity overflows where the ladder and the Grams stay
+    # finite: its NaN sums were pruned, and it reported 0.0 with a warning, exit 1
+    ("z2z2_fermion", ["check", "--nmax", "3", "--json"], [[1, 1e200], [0, 1]],
+     "the exchange relations of sector 3 "),
 ])
 def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, pairing, message):
     # finite entries whose products overflow: they gave numpy warnings, then

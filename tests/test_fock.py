@@ -654,8 +654,7 @@ def _certified_and_counted(model, n, tol=1e-9):
         assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
         if result.hermitian_within(tol):
             proved, certified = result._full_rank(tol), result.quotient_rank(tol)
-            result.spectrum
-            rows.append((proved, certified, result.quotient_rank(tol)))
+            rows.append((proved, certified, result.readings(tol)[1]))
     return rows
 
 
@@ -711,6 +710,40 @@ def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
     result = gram_matrix(load_zoo(name), 8)
     assert not result._full_rank(1e-9) and not calls
     assert result.quotient_rank(1e-9) == counted.quotient_rank(1e-9) and calls
+
+
+def test_quotient_rank_tries_the_certificate_after_the_spectrum(monkeypatch):
+    # the path of quotient_rank does not depend on what was read before it
+    result, calls = gram_matrix(load_zoo("quon_05"), 6), []
+    result.spectrum
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    assert result.quotient_rank(1e-9) == 64 and calls
+
+
+def test_readings_skip_a_sector_that_is_not_hermitian():
+    result = gram_matrix(load_zoo("anyon_z4"), 2)
+    psd, rank = result.readings(1e-9)
+    assert not result.hermitian_within(1e-9) and psd.status == "skipped" and rank is None
+    psd, rank = gram_matrix(load_zoo("quon_05"), 4).readings(1e-9)
+    assert psd.passed and rank == 16
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_plus_expansion_commutator_defect_computes_nothing(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed")
+
+    model = load_zoo(name)
+    monkeypatch.setattr(fock, "_levels", refuse)
+    monkeypatch.setattr(fock, "_norms", refuse)
+    rep = commutator_defect(model, 1, 1, 5)
+    assert (rep.name, rep.status, rep.defect, rep.witness, rep.data) == (
+        "twisted-commutator", "pass", 0.0, None, {"i": 1, "j": 1, "sector": 5})
+    with pytest.raises(fock.ResourceLimitError):  # the sector guard still applies
+        commutator_defect(load_zoo("boson"), 1, 1, 10 ** 6)
+    with pytest.raises(ValueError):  # and so do the index guards
+        commutator_defect(model, model.n_generators + 1, 1, 1)
 
 
 @pytest.mark.filterwarnings("error")
