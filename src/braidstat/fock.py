@@ -19,22 +19,25 @@ recursion gives the residual of the twisted commutation relation
 ``1 - s`` times the hop terms, read off ``w``'s own ladder level: for ``s = +1``
 it is empty by construction, and neither built nor normed.
 
-One ladder engine evaluates ``b-_i``.  A *ladder* holds, level by level, the
-matrix of every ``b-_i`` on a set of words of length ``m`` as sparse numpy
-arrays (rows, columns, values), each level built from the one below by the
-recursion above, read column block by column block:
+The recursion gives ``b-_i`` from the words of length ``m`` to those of length
+``m - 1``, column block by column block:
 
     B_i^(m)[:, j.] = <i|j> I + s * sum_{(k, l, t) in T(i, j)} t * (prepend l) B_k^(m-1)
 
-Entries that land on the same ``(row, column)`` are summed from 0 in the order
-in which the recursion lists them: the pairing first, then the terms of
-``T(i, j)`` in order (``np.bincount`` over a stable sort, real and imaginary
-parts apart, as ``np.add.at`` would).  The checks and the Gram tower ask for
-whole sectors, every word of length ``m``; :func:`annihilate_twisted` asks only
-for the suffixes of its input words, so it works on words far longer than a
-whole sector could hold.  Each public call builds its own ladder and drops it
-when it returns; none is kept on the model or in a module.  Indices are
-validated where input enters, in the public functions; the engine does no checks.
+Every entry is summed from 0 in the order the recursion lists its terms: the
+pairing first, then the terms of ``T(i, j)`` in order (:func:`_term_plan`).  A
+*ladder* holds these matrices level by level as sparse numpy arrays (rows,
+columns, values); entries that land on one ``(row, column)`` are summed by
+``np.bincount`` over a stable sort, real and imaginary parts apart, as
+``np.add.at`` would.  The checks ask for whole sectors, every word of length
+``m``; :func:`annihilate_twisted` asks only for the suffixes of its input words,
+so it works on words far longer than a whole sector could hold.  The Gram tower
+builds no ladder: it evaluates the recursion on its own dense weight blocks
+(below), with the same sums in the same order, so a real model's blocks equal
+the ladder's bit for bit (a complex product may round its last bit otherwise).
+Each public call builds its own ladder and blocks and drops them when it
+returns; none is kept on the model or in a module.  Indices are validated where
+input enters, in the public functions; the engine does no checks.
 
 The checks read the ladder one sector at a time, for every pair ``(i, j)`` at
 once.  A residual keeps the entries above :data:`~braidstat.words.PRUNE_EPS`,
@@ -48,7 +51,7 @@ The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
-builds each sector once.
+builds each sector once: its ladder goes to ``n_max``, its tower to ``n_max + 2``.
 
 The Gram is built and analysed in weight blocks.  When the model conserves
 letters (diagonal pairing, and every cross term ``(k, l, t)`` of ``T(i, j)``
@@ -58,17 +61,23 @@ words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
 block-diagonal with one block per multiset and every entry between blocks is
 exactly 0.  A model that does not conserve letters gets one block holding
 every word, and runs through the same code.  Each sector has one block
-layout (:func:`_layout`).  A block that is exactly 0 is not stored, every
-reader takes a missing block as exactly 0, and once a whole sector stores no
-block the tower builds no further ladder level.  Positivity comes from the
-eigenvalues of the Hermitian part of each block: exact zeros for a missing
-block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
-``|lambda| >= tol * max(1, top)``, ``top`` the largest ``|lambda|`` of the
-sector, the cut against the largest singular value of the whole matrix.
-:meth:`GramResult.readings` (``check``, ``gram``) counts the spectrum of its
-``gram-psd`` row; :meth:`GramResult.quotient_rank` (:func:`sector_dimension`)
-first proves every stored block full rank by a shifted Cholesky where it can.
-The dense matrix is filled from the blocks only when :attr:`GramResult.matrix` is read.
+layout (:func:`_layout`), built block by block from the one below; its
+word-by-word arrays are built only when read.  The tower's annihilator block
+``B_i: M -> M - {i}`` gets ``<i|j> I`` in its columns that start with ``j``
+and ``s t B_k(M - {j})`` of the sector below in its rows that start with
+``l``; the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
+block that is exactly 0 is not stored, every reader takes a missing block as
+exactly 0, and once a whole sector stores no block the tower builds no further
+annihilator block.  Positivity comes from the eigenvalues of the Hermitian
+part of each block: exact zeros for a missing block, one ``eigvalsh`` for a
+stored one.  The rank counts the eigenvalues with
+``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``, ``top`` the largest
+``|lambda|`` of the sector, the cut against the largest singular value of the
+whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
+(``check``, ``gram``) counts the spectrum of its ``gram-psd`` row;
+:meth:`GramResult.quotient_rank` (:func:`sector_dimension`) first proves every
+stored block full rank by a shifted Cholesky where it can.  The dense matrix
+is filled from the blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -77,18 +86,21 @@ ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh`
 
 Before a sector computation runs, :data:`MAX_SECTOR_SIZE` bounds both the
 number ``N^n`` of its words and their length ``n``.  :data:`MAX_GRAM_BYTES`
-bounds, as they are allocated, the Gram blocks the tower holds, counted from
-sector 0 up at 8 or 16 bytes per entry of the scalar type, and one ladder
-level, at 24 or 32 bytes per entry; before anything is built, it bounds the
-complex dense Gram of :func:`gram_matrix`, at 16 bytes per entry.  These bound
-the Gram blocks and the ladder levels, not the process: temporaries and the
-ladder levels kept beside the blocks come on top.  A ladder level, a Gram block,
-a spectrum or a norm that overflows the float range raises
+bounds the Gram blocks the tower holds, counted from sector 0 up at 8 or 16
+bytes per entry of the scalar type, each sector's before any of them is
+allocated; one sector's annihilator blocks, at 8 or 16 bytes per entry, as they
+are allocated; and one ladder level, at 24 or 32 bytes per entry.  Before
+anything is built, it bounds the complex dense Gram of :func:`gram_matrix`, at
+16 bytes per entry.  These bound the blocks and the ladder levels, not the
+process: temporaries, the sector below's annihilator blocks and the ladder
+levels kept beside the Gram blocks come on top.  An annihilator block, a ladder
+level, a Gram block, a spectrum or a norm that overflows the float range raises
 :class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -101,11 +113,11 @@ from .report import CheckReport, FAIL, PASS, SKIPPED
 from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
 
 #: Hard guard on the number N^n of words of a sector that a check or a Gram
-#: walks, and on their length n; their whole-sector ladders reach one or two
-#: sectors past it.
+#: walks, and on their length n; a check's Gram tower goes two sectors past it.
 MAX_SECTOR_SIZE = 100_000
 #: Hard guard on bytes: of all the Gram blocks a tower has allocated, of one
-#: ladder level, and of the dense Gram that :func:`gram_matrix` can fill.
+#: sector's annihilator blocks, of one ladder level, and of the dense Gram that
+#: :func:`gram_matrix` can fill.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -117,7 +129,7 @@ class ResourceLimitError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A ladder level, a Gram block, its spectrum or a residual overflowed to a non-finite number."""
+    """An annihilator block, a ladder level, a Gram block, its spectrum or a residual overflowed."""
 
 
 class HermiticityError(ValueError):
@@ -230,18 +242,12 @@ def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Spa
     return _Sparse(np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep])
 
 
-def _gather(hop: _Sparse, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of ``hop`` in ``columns``: rows, index into ``columns``, values."""
-    lo, counts = hop.start[columns], hop.start[columns + 1] - hop.start[columns]
-    at = np.arange(len(columns)).repeat(counts)
-    pick = np.arange(len(at)) + (lo - counts.cumsum() + counts).repeat(counts)
-    return hop.rows[pick], at, hop.vals[pick]
-
-
 def _product(outer: _Sparse, inner: _Sparse, offset: int = 0) -> tuple:
     """The unsummed entries of ``outer @ inner``, columns shifted by ``offset``."""
-    rows, at, vals = _gather(outer, inner.rows)
-    return rows, offset + inner.cols[at], vals * inner.vals[at]
+    lo, counts = outer.start[inner.rows], outer.start[inner.rows + 1] - outer.start[inner.rows]
+    at = np.arange(len(inner.rows)).repeat(counts)
+    pick = np.arange(len(at)) + (lo - counts.cumsum() + counts).repeat(counts)
+    return outer.rows[pick], offset + inner.cols[at], outer.vals[pick] * inner.vals[at]
 
 
 def _typed(model: ParticleModel, values) -> np.ndarray:
@@ -256,14 +262,27 @@ def _empty(n_cols: int, dtype: type) -> _Sparse:
     return _Sparse(np.zeros(n_cols + 1, dtype=np.int64), empty, empty, empty.astype(dtype))
 
 
+def _term_plan(model: ParticleModel) -> list[list[tuple]]:
+    """``plan[i - 1][j - 1] = (<i|j>, ((k, l, s t), ...))`` in the model's scalar type, the
+    terms in :attr:`~braidstat.models.ParticleModel.cross_terms` order: what the recursion
+    adds into ``b-_i`` on the words that start with ``j``, in the order it is summed."""
+    n_gen, sign, real = model.n_generators, float(model.expansion_sign), model.scalar_type is float
+    pairing = _typed(model, model.pairing).tolist()
+    return [[(pairing[i - 1][j - 1], tuple((k, l, (sign * t).real if real else sign * t)
+                                           for k, l, t in model.cross_terms[i, j]))
+             for j in range(1, n_gen + 1)] for i in range(1, n_gen + 1)]
+
+
 def _hop_terms(model: ParticleModel, below: list[_Sparse], m: int, base: dict[int, int], n_cols: int,
-               sign: float, rows: np.dtype, entries: int = 0) -> list[tuple]:
-    """The unsummed terms ``sign t (l, b-_k w)`` of each ``b-_i`` on the words ``(j, w)`` of length
-    ``m`` as ``(rows, columns, values)``, ``b-_i`` on ``(j, w)`` at column ``(i - 1) n_cols + base[j]
-    + c`` for ``w`` column ``c`` of ``below``; the ladder guard counts them and ``entries`` first."""
-    n_gen, real, shift = model.n_generators, model.scalar_type is float, model.n_generators ** max(m - 2, 0)
-    plan = [(below[k - 1], (l - 1) * shift, (i - 1) * n_cols + base[j], (sign * t).real if real else sign * t)
-            for i in range(1, n_gen + 1) for j in sorted(base) for k, l, t in model.cross_terms[i, j]]
+               rows: np.dtype, entries: int = 0, times: float = 1.0) -> list[tuple]:
+    """The unsummed terms ``times s t (l, b-_k w)`` of each ``b-_i`` on the words ``(j, w)`` of
+    length ``m`` as ``(rows, columns, values)``, ``b-_i`` on ``(j, w)`` at column ``(i - 1) n_cols
+    + base[j] + c`` for ``w`` column ``c`` of ``below``; the ladder guard counts them and ``entries``
+    first."""
+    shift = model.n_generators ** max(m - 2, 0)
+    plan = [(below[k - 1], (l - 1) * shift, i * n_cols + base[j], times * factor)
+            for i, terms in enumerate(_term_plan(model)) for j in sorted(base)
+            for k, l, factor in terms[j - 1][1]]
     _guard_ladder(model, m, entries + sum(len(hop.vals) for hop, _, _, _ in plan))
     return [(offset + hop.rows.astype(rows, copy=False), column + hop.cols, hop.vals * factor)
             for hop, offset, column, factor in plan]
@@ -282,7 +301,7 @@ def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray
     pairing = _typed(model, model.pairing[:, first])  # the free annihilators a-_i
     letter, cols = np.nonzero(pairing)  # b-_{letter + 1} on column c is column letter * n_cols + c
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-        hops = _hop_terms(model, below, m, base, n_cols, float(model.expansion_sign), rest.dtype, len(cols))
+        hops = _hop_terms(model, below, m, base, n_cols, rest.dtype, len(cols))
         level = _coalesce([(rest[cols], letter * n_cols + cols, pairing[letter, cols])] + hops,
                           n_gen ** (m - 1), n_gen * n_cols)
     if not np.isfinite(level.vals).all():
@@ -367,7 +386,7 @@ def _residual_entries(model: ParticleModel, n: int, ladder: Sequence[list[_Spars
         return _empty(n_gen * n_gen * size, model.scalar_type)
     with np.errstate(over="ignore", invalid="ignore"):  # _norms refuses it, naming the sector
         hops = _hop_terms(model, ladder[n], n + 1, {j: (j - 1) * size for j in range(1, n_gen + 1)},
-                          n_gen * size, float(sign * (1 - sign)), np.int64)
+                          n_gen * size, np.int64, times=1.0 - sign)
         empty = _empty(0, model.scalar_type)[1:]  # a model may have no cross terms
         return _coalesce(hops + [empty], size, n_gen * n_gen * size, PRUNE_EPS)
 
@@ -440,32 +459,66 @@ class GramBlock(NamedTuple):
     matrix: np.ndarray
 
 
-class _Layout(NamedTuple):
-    """The weight blocks of one sector: the word at position ``p`` is row
-    ``row[p]`` of block ``block[p]``, and block ``b`` holds the positions
-    ``order[start[b]:start[b + 1]]``, ascending."""
+class _Layout:
+    """The weight blocks of one sector, in ascending order of their sorted words
+    ``keys``; block ``c`` holds the words ``start[c]`` to ``start[c + 1] - 1`` of the
+    block order.  For each run ``(j, row, b, rows)`` of ``runs[c]``, its rows from
+    ``row`` on are the ``rows`` words ``(j, w)``, ``w`` in block ``b`` of the sector
+    below, in ``b``'s order.  Word by word, built when first read: the word at
+    position ``p`` is row ``row[p]`` of block ``block[p]``, and block ``c`` holds
+    the positions ``order[start[c]:start[c + 1]]``, ascending."""
 
-    block: np.ndarray
-    row: np.ndarray
-    order: np.ndarray
-    start: np.ndarray
+    def __init__(self, keys: list, runs: list, start: list[int], blocks):
+        self.keys, self.runs, self.start, self._blocks = keys, runs, np.array(start), blocks
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        block, self._blocks = self._blocks(), None  # and lets the sector below go
+        return block
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return self.block.argsort(kind="stable")
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        row = np.empty_like(self.order)
+        row[self.order] = np.arange(len(row)) - np.repeat(self.start[:-1], np.diff(self.start))
+        return row
 
 
-def _layout(model: ParticleModel, m: int) -> _Layout:
-    """The blocks of sector ``m``, from word positions alone.  A word's block key
-    is the position of its sorted word, below ``N^m``, and blocks come in
-    ascending key order; a model that does not conserve letters has one block."""
-    n_gen = model.n_generators
-    positions = np.arange(n_gen ** m)
-    key = np.zeros_like(positions)  # one block: one generator, or letters not conserved
-    if model.conserves_letters and n_gen > 1:
-        place = n_gen ** np.arange(m - 1, -1, -1)
-        key = np.sort(positions[:, None] // place % n_gen, axis=1) @ place
-    order, _, new, run = _runs(key)
-    start = np.append(np.flatnonzero(new), len(key))
-    block, row = np.empty_like(positions), np.empty_like(positions)
-    block[order], row[order] = run, positions - start[run]
-    return _Layout(block, row, order, start)
+def _layout(model: ParticleModel, m: int, below: _Layout | None = None) -> _Layout:
+    """The blocks of sector ``m``, from those of sector ``m - 1`` (``below``, else
+    computed), block by block: a model that does not conserve letters, or has one
+    generator, has one block."""
+    n_gen, size = model.n_generators, model.n_generators ** m
+    if m == 0 or n_gen == 1 or not model.conserves_letters:
+        span = size // n_gen
+        runs = [[(j, (j - 1) * span, 0, span) for j in range(1, n_gen + 1)] if m else []]
+        return _Layout([()], runs, [0, size], lambda: np.zeros(size, dtype=np.int64))
+    below = _layout(model, m - 1) if below is None else below
+    found: dict[tuple, list] = {}  # a block's sorted word: (j, b) for its words (j, w), w in block b
+    for b, word in enumerate(below.keys):
+        for j in range(1, n_gen + 1):
+            at = bisect.bisect_right(word, j)
+            found.setdefault(word[:at] + (j,) + word[at:], []).append((j, b))
+    keys, sizes = sorted(found), np.diff(below.start).tolist()
+    up, runs, start = [[0] * len(sizes) for _ in range(n_gen)], [], [0]  # up[j - 1][b]: the block of (j, w)
+    for c, key in enumerate(keys):
+        row, run = 0, []
+        for j, b in sorted(found[key]):
+            run.append((j, row, b, sizes[b]))
+            row += sizes[b]
+            up[j - 1][b] = c
+        runs.append(run)
+        start.append(start[-1] + row)
+    return _Layout(keys, runs, start, lambda: np.array(up)[:, below.block].ravel())
+
+
+def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``g / 2`` and ``g^H / 2``, exactly; ``G +- G^H`` summed from them does not overflow."""
+    half = g * 0.5
+    return half, half.conj().T
 
 
 class GramResult:
@@ -494,7 +547,7 @@ class GramResult:
         """The largest ``|G - G^H|`` entry of the stored blocks."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused in __init__, naming the sector
             # halved first, as in spectrum: g - g^H may overflow where its halves do not
-            return max((2.0 * float(np.abs(g / 2.0 - g.conj().T / 2.0).max())
+            return max((2.0 * float(np.abs(np.subtract(*_halves(g))).max())
                         for g in self._matrices.values()), default=0.0)
 
     hermitian = property(lambda self: self.hermitian_within(1e-9))
@@ -531,7 +584,7 @@ class GramResult:
         """Eigenvalues of each block's Hermitian part: exact zeros for a missing block."""
         spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
         for b, g in self._matrices.items():
-            spectrum[b] = np.linalg.eigvalsh(g / 2.0 + g.conj().T / 2.0)  # halved first: no overflow
+            spectrum[b] = np.linalg.eigvalsh(np.add(*_halves(g)))  # halved first: no overflow
         if not np.isfinite(np.concatenate(spectrum)).all():
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return spectrum
@@ -550,10 +603,10 @@ class GramResult:
             traces = np.array([np.trace(g).real for g in blocks])
             k = np.array([len(g) + 1 for g in blocks]) * eps
             shifts = (1 + 4 * eps) * tol * traces.max(initial=1.0) + 2 * k / (1 - k) * traces
-            if not (tol > 0 and np.isfinite(shifts).all()):  # a cut of 0 counts a missing block's zeros
+            if not (tol > 0 and np.isfinite(shifts).all()):  # no positive cut, or no finite shift: no proof
                 return False
             for g, shift in zip(blocks, shifts.tolist()):
-                h = g / 2.0 + g.conj().T / 2.0
+                h = np.add(*_halves(g))
                 h.flat[::len(h) + 1] -= shift
                 try:
                     np.linalg.cholesky(h)
@@ -562,9 +615,11 @@ class GramResult:
         return True
 
     def _counted_rank(self, tol: float) -> int:
-        """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)``."""
+        """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)`` and
+        ``|lambda| > 0``: an exact zero never counts, whatever the cut."""
         magnitude = np.abs(np.concatenate(self.spectrum))
-        return int(np.count_nonzero(magnitude >= tol * max(1.0, float(magnitude.max()))))
+        cut = tol * max(1.0, float(magnitude.max()))
+        return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0)))
 
     def quotient_rank(self, tol: float) -> int:
         """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value:
@@ -594,7 +649,50 @@ class SectorDimension(NamedTuple):
     quotient: int
 
 
-def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Iterator[GramResult]:
+def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dtype: type) -> Iterator[tuple]:
+    """``(c, i, row, b, B_i, bound)`` for each run ``(i, row, b, rows)`` of each block ``c`` of
+    sector ``m`` (``runs[c]``) with ``b`` in ``wanted``: ``B_i`` maps block ``c`` to block ``b``
+    below, and ``bound`` is at least its largest ``|entry|``.  ``below[b]`` maps each first letter
+    ``l`` of block ``b`` to its run's first row, ``B_l`` and bound.  By the recursion, the columns of
+    the run ``(j, left, b_j, width)`` get ``<i|j> I``, then ``s t B_k`` of block ``b_j`` in the rows
+    of the run of ``l``, for each ``(k, l, s t)`` of ``plan[i - 1][j - 1]``: each entry is summed
+    from 0 in the ladder's order.  The guard counts each block before it is allocated; a block is
+    scanned for a non-finite entry only where its bound does not rule one out."""
+    itemsize, held = np.dtype(dtype).itemsize, 0
+    for c, block in enumerate(runs):
+        size = block[-1][1] + block[-1][3]
+        for i, top, b, rows in block:
+            if b not in wanted:
+                continue
+            held += itemsize * rows * size
+            if held > MAX_GRAM_BYTES:
+                raise ResourceLimitError(f"the annihilator blocks of sector {m} need {held} bytes, "
+                                         f"over the guard of {MAX_GRAM_BYTES}")
+            hop, bound = np.zeros((rows, size), dtype=dtype), 0.0
+            for j, left, b_j, width in block:
+                pairing, terms = plan[i - 1][j - 1]
+                column = abs(pairing.real) + abs(pairing.imag)  # at least |<i|j>|, and no OverflowError
+                if pairing:  # then b_j is b: the identity on it, written into zeros as 0 + <i|j> is <i|j>
+                    hop.reshape(-1)[left:left + rows * (size + 1):size + 1] = pairing
+                for k, l, factor in terms:
+                    if k in below[b_j]:
+                        _, inner, most = below[b_j][k]
+                        up = below[b][l][0]
+                        region = hop[up:up + len(inner), left:left + width]
+                        if factor == 1:  # +-1 multiplies exactly: no product is formed
+                            region += inner
+                        elif factor == -1:
+                            region -= inner
+                        else:
+                            region += factor * inner
+                        column += (abs(factor.real) + abs(factor.imag)) * most
+                bound = max(bound, column)
+            if not bound < 2.0 ** 1000 and not np.isfinite(hop).all():
+                raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
+            yield c, i, top, b, hop, bound
+
+
+def _tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
     """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
 
     Built iteratively, block by block: with ``B_i`` the matrix of ``b-_i``
@@ -604,55 +702,48 @@ def _tower(model: ParticleModel, ladder: Iterator[list[_Sparse]], n: int) -> Ite
     A model that does not conserve letters has one block per sector, which
     makes this the dense recursion.  A block that is exactly 0 is not stored:
     the products of a missing ``G_{M-{i}}`` are skipped, and a block is
-    allocated when a product first writes into it.  One level of ``ladder`` is
-    drawn per sector until a sector stores no block; the sectors above it
-    store none either, and draw no level.  The byte guard counts each block, from
-    sector 0 up, before it is allocated, which bounds the blocks the tower and
-    its caller hold at once.
+    allocated when a product first writes into it.  A sector is built only if
+    the one below stores a block; the sectors above one that stores none store
+    none either.  The tower builds the ``B_i`` itself (:func:`_annihilators`),
+    from those of sector ``m - 1``, which it drops once sector ``m`` is done;
+    sector ``n``'s are built only for a product, and dropped after it.  The
+    byte guard counts the Gram blocks from sector 0 up, each sector's before
+    any of them is allocated, which bounds the blocks the tower and its caller
+    hold at once; :func:`_annihilators` guards its own.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
-    next(ladder)  # b-_i on the vacuum: no entries
+    plan = _term_plan(model)
     result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)})
     yield result
-    total = itemsize  # bytes of the blocks allocated so far
+    total, below = itemsize, [{}]  # bytes of the blocks allocated so far; sector 0's block has no run
     for m in range(1, n + 1):
-        layout, below, lower = _layout(model, m), result._layout, result._matrices
-        grams: dict[int, np.ndarray] = {}
-        if not lower:
-            result = GramResult(m, n_gen, layout, grams)
-            yield result
-            continue
-        # each b-_i on every word, block after block: row in the lower block, column in block, value
-        gathered = [_gather(hop, layout.order) for hop in next(ladder)]
-        entries = [(below.row[rows], layout.row[layout.order[at]], vals) for rows, at, vals in gathered]
-        cuts = [np.searchsorted(at, layout.start).tolist() for _, at, _ in gathered]
-        with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
-            for c, (lo, hi) in enumerate(zip(layout.start[:-1].tolist(), layout.start[1:].tolist())):
-                top = lo
-                while top < hi:  # one run of rows per first letter
-                    i, rest = divmod(int(layout.order[top]), n_gen ** (m - 1))
-                    b = int(below.block[rest])
-                    at = slice(cuts[i][c], cuts[i][c + 1])
-                    rows, cols, vals = [a[at] for a in entries[i]]
-                    run = below.start[b + 1] - below.start[b]
+        layout, lower, grams = _layout(model, m, result._layout), result._matrices, {}
+        if lower:
+            runs, sizes = layout.runs, np.diff(layout.start).tolist()
+            for c, block in enumerate(runs):
+                if any(b in lower for _, _, b, _ in block):
+                    total += itemsize * sizes[c] ** 2
+                    if total > MAX_GRAM_BYTES:
+                        raise ResourceLimitError(f"the Gram blocks of sectors 0..{m} need {total}"
+                                                 f" bytes, over the guard of {MAX_GRAM_BYTES}")
+            hops: list[dict] = [{} for _ in runs]
+            wanted = lower if m == n else range(len(below))  # sector m + 1 reads every B_i of sector m
+            with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
+                for c, i, top, b, hop, bound in _annihilators(plan, m, runs, below, wanted, dtype):
                     if b in lower:
                         if c not in grams:
-                            total += itemsize * (hi - lo) ** 2
-                            if total > MAX_GRAM_BYTES:
-                                raise ResourceLimitError(f"the Gram blocks of sectors 0..{m} need {total}"
-                                                         f" bytes, over the guard of {MAX_GRAM_BYTES}")
-                            grams[c] = np.zeros((hi - lo, hi - lo), dtype=dtype)
-                        step = np.zeros((run, hi - lo), dtype=dtype)
-                        step[rows, cols] = vals
-                        np.matmul(lower[b], step, out=grams[c][top - lo:top - lo + run])
-                    top += run
+                            grams[c] = np.zeros((sizes[c], sizes[c]), dtype=dtype)
+                        np.matmul(lower[b], hop, out=grams[c][top:top + len(hop)])
+                    if m < n:  # sector n's B_i is dropped after its product
+                        hops[c][i] = top, hop, bound
+            below = hops
         result = GramResult(m, n_gen, layout, grams)
         yield result
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
     _guard_sectors(model, n)
-    for result in _tower(model, _levels(model, n), n):
+    for result in _tower(model, n):
         pass
     return result
 
@@ -750,11 +841,11 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
 
 
 def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult], list[_Sparse]]:
-    """Guards, one ladder and Gram pass to ``n_max + 2``, and the residuals of ``0..n_max``."""
+    """Guards, the ladder to ``n_max``, the Gram tower to ``n_max + 2``, and the residuals of ``0..n_max``."""
     _guard_sectors(model, n_max)
-    _guard_sectors(model, n_max + 2)  # the ladder and the tower go two sectors further
-    ladder = list(_levels(model, n_max + 2))
-    return ladder, list(_tower(model, iter(ladder), n_max + 2)), [
+    _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
+    ladder = list(_levels(model, n_max))
+    return ladder, list(_tower(model, n_max + 2)), [
         _residual_entries(model, n, ladder) for n in range(n_max + 1)]
 
 

@@ -397,6 +397,15 @@ def test_transmute_accepts_the_smallest_valid_flags(tmp_path, capsys):
     assert (options["tolerance"], options["n_max"]) == (0.0, 0)
 
 
+def test_a_tolerance_of_0_counts_no_exact_zero(capsys):
+    # fermion2 stores no Gram block from sector 3 on; with a cut of 0 the count
+    # took the missing blocks' exact zeros for nonzero eigenvalues and printed 8
+    code, out, err = run_cli(capsys, "check", str(zoo_path("fermion2")), "--tol", "0", "--json")
+    assert (code, err) == (0, "")
+    dims = json.loads(out)["results"]["sector_dimensions"]
+    assert [(row["full"], row["quotient"]) for row in dims] == [(1, 1), (2, 2), (4, 1), (8, 0), (16, 0)]
+
+
 def test_main_builds_its_parser_once(capsys):
     import braidstat.cli as cli
     run_cli(capsys, "normalize", "--expr", "A")

@@ -433,6 +433,34 @@ def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
         gram_psd_check(anyons, 4)                # the last block, of 1 entry, trips it
 
 
+def test_sector_14_of_two_generators_is_refused_before_it_is_built(capsys):
+    # README's refusals: with sectors 0..13, sector 14's Gram blocks need
+    # 320,070,024 bytes.  The guard counts them before any is allocated, so the
+    # refusal holds no block of sector 14: its peak, 202 MiB under tracemalloc,
+    # is mostly sector 13's Gram and annihilator blocks
+    import tracemalloc
+    from braidstat.cli import main as cli_main
+    message = "the Gram blocks of sectors 0..14 need 320070024 bytes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=message):
+            sector_dimension(load_zoo("boson"), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 222 << 20, peak
+    assert cli_main(["check", str(zoo_path("boson")), "--nmax", "12"]) == 2
+    assert capsys.readouterr().err == f"error: {message}, over the guard of {MAX_GRAM_BYTES}\n"
+
+
+def test_exact_zeros_never_count_toward_a_rank():
+    # a cut of 0 counted the exact zeros of the missing blocks: (81, 81) and (8, 8)
+    assert sector_dimension(load_zoo("fermion3"), 4, tol=0) == (81, 0)
+    assert sector_dimension(load_zoo("fermion2"), 3, tol=0) == (8, 0)
+    assert sector_dimension(load_zoo("fermion2"), 2, tol=0) == (4, 1)
+    assert gram_matrix(load_zoo("fermion2"), 3).readings(0.0)[1] == 0
+
+
 # ---------------------------------------------------------------------------
 # weight blocks
 
@@ -544,19 +572,15 @@ def test_sector_dimensions_of_colour_symmetric_models(name):
                                               colour_symmetric_dimension(model, n)), n
 
 
-def test_zero_sectors_draw_no_further_ladder_level():
+def test_zero_sectors_draw_no_further_ladder_level(monkeypatch):
     # fermion3's Gram is exactly 0 from sector 4 on, so no block of sector 5
-    # reads a product: the tower stops drawing levels after sector 4
+    # reads a product: the tower builds no annihilator block after sector 4
     model = load_zoo("fermion3")
-    drawn = []
-
-    def counting(ladder):
-        for m, hops in enumerate(ladder):
-            drawn.append(m)
-            yield hops
-
-    grams = list(fock._tower(model, counting(fock._levels(model, 8)), 8))
-    assert drawn == [0, 1, 2, 3, 4]
+    drawn, annihilators = [], fock._annihilators
+    monkeypatch.setattr(fock, "_annihilators",
+                        lambda plan, m, *args: drawn.append(m) or annihilators(plan, m, *args))
+    grams = list(fock._tower(model, 8))
+    assert drawn == [1, 2, 3, 4]
     assert [result.sector for result in grams] == list(range(9))
     # a zero sector stores no block
     assert [len(result._matrices) > 0 for result in grams] == [True] * 4 + [False] * 5
@@ -650,7 +674,7 @@ def _certified_and_counted(model, n, tol=1e-9):
     """Per Hermitian sector ``0..n``: whether the shifted Cholesky proves it full
     rank, the rank it certifies, and the rank counted from the spectrum."""
     rows = []
-    for result in fock._tower(model, fock._levels(model, n), n):
+    for result in fock._tower(model, n):
         assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
         if result.hermitian_within(tol):
             proved, certified = result._full_rank(tol), result.quotient_rank(tol)
@@ -855,6 +879,33 @@ def test_ladder_equals_dense_annihilators_on_the_zoo(name):
     for m, hops in enumerate(list(fock._levels(model, n))[1:], start=1):
         for i, hop in enumerate(hops):
             assert np.array_equal(_dense(hop, expected[m][i].shape), expected[m][i]), (m, i)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_tower_annihilators_equal_dense_annihilators_on_the_zoo(name, monkeypatch):
+    # each B_i the tower builds is b-_i from its block to the block of its run,
+    # bit for bit, and its rows of the block are the words (i, w), w in that block
+    model = load_zoo(name)
+    n_gen, n = model.n_generators, 4 if model.n_generators == 3 else 6
+    built, annihilators = [], fock._annihilators
+
+    def recording(plan, m, *args):
+        for c, i, top, b, hop, bound in annihilators(plan, m, *args):
+            built.append((m, c, i, top, b, hop, bound))
+            yield c, i, top, b, hop, bound
+
+    monkeypatch.setattr(fock, "_annihilators", recording)
+    list(fock._tower(model, n))
+    expected = dense_annihilators(model, n)
+    layouts = [fock._layout(model, m) for m in range(n + 1)]
+    assert built
+    for m, c, i, top, b, hop, bound in built:
+        layout, below = layouts[m], layouts[m - 1]
+        columns = layout.order[layout.start[c]:layout.start[c + 1]]
+        rows = below.order[below.start[b]:below.start[b + 1]]
+        assert np.array_equal(columns[top:top + len(rows)], (i - 1) * n_gen ** (m - 1) + rows)
+        assert np.array_equal(hop, expected[m][i - 1][np.ix_(rows, columns)]), (m, c, i)
+        assert np.abs(hop).max(initial=0.0) <= bound
 
 
 def _coalesce_reference(parts, n_rows, n_cols, floor=0.0):

@@ -5,7 +5,10 @@ mutations: drop a key, change a type, inject ``NaN`` or an infinity, make a
 group order huge, zero or negative, give a matrix or list the wrong shape, or
 make a letter non-integer.  It then runs ``check``, ``gram``, ``apply`` or
 ``transmute`` (with a bundled hom and bicharacter file) in-process, with
-``--nmax`` and ``--sector`` at most 4.  Whatever the input, ``main`` raises
+``--nmax`` and ``--sector`` at most 4.  A second stream of each seed widens
+some cases: ``transmute`` gets a mutated copy of its hom or bicharacter file,
+and ``check``, ``gram`` and ``transmute`` a ``--tol`` that is not a number, not
+finite, negative, 0, huge or subnormal.  Whatever the input, ``main`` raises
 nothing and returns 0, 1 or 2; exit 2 prints exactly one ``error:`` line, and
 exit 1 comes with a FAIL row.  The seeds are fixed, so a failure reproduces.
 """
@@ -15,6 +18,7 @@ import copy
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ TRANSMUTATIONS = (("hom_z2z2_to_z2", "bichar_z2_half"), ("hom_z2_to_z4", "bichar
 ODD_VALUES = (None, True, "x", "1/0", "1/3", 0.5, -1, 0, 10 ** 40, -(10 ** 40), 1e300, [], {}, [[1]],
               [1, 2], float("nan"), float("inf"), float("-inf"))
 ODD_LETTERS = ("0", "-1", "1.5", "a", "", " 2", "99", "1e0", "10000000000000000000000")
+TOLERANCES = ("nan", "inf", "-1", "0", "1e300", "5e-324", "x")
 
 
 def _nodes(node, path=()):
@@ -121,6 +126,27 @@ def _argv(rng: random.Random, model: str, out: str) -> list[str]:
             "--nmax", str(rng.randint(-1, 4)), "--out", out, "--json"]
 
 
+def _write(rng: random.Random, path: Path, doc) -> None:
+    """``doc`` as JSON at ``path``, cut short at a random place one time in twenty."""
+    text = json.dumps(doc)
+    path.write_text(text[:rng.randrange(len(text))] if rng.random() < 0.05 else text)
+
+
+def _widen(rng: random.Random, argv: list[str], docs: dict, tmp_path: Path) -> list[str]:
+    """``argv`` with, at random, a mutated copy of its hom or bicharacter file and a ``--tol``."""
+    argv = list(argv)
+    if argv[0] == "transmute" and rng.random() < 0.5:
+        at = argv.index(rng.choice(["--hom", "--target-bichar"])) + 1
+        doc = copy.deepcopy(docs[Path(argv[at]).stem])
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutate(rng, doc)
+        _write(rng, tmp_path / "companion.json", doc)
+        argv[at] = str(tmp_path / "companion.json")
+    if argv[0] != "apply" and rng.random() < 0.3:
+        argv.append(f"--tol={rng.choice(TOLERANCES)}")
+    return argv
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -130,16 +156,16 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cli_contract_holds_on_mutated_model_files(seed, tmp_path):
-    rng = random.Random(seed)
-    docs = {name: json.loads(zoo_path(name).read_text()) for name in ZOO_NAMES}
+    rng, wider = random.Random(seed), random.Random(f"wider {seed}")
+    docs = {name: json.loads(zoo_path(name).read_text())
+            for name in ZOO_NAMES + tuple(name for pair in TRANSMUTATIONS for name in pair)}
     model, out = tmp_path / "model.json", str(tmp_path / "out.json")
     for case in range(CASES_PER_SEED):
         doc = copy.deepcopy(docs[rng.choice(ZOO_NAMES)])
         for _ in range(rng.randint(1, 3)):
             doc = _mutate(rng, doc)
-        text = json.dumps(doc)
-        model.write_text(text[:rng.randrange(len(text))] if rng.random() < 0.05 else text)
-        argv = _argv(rng, str(model), out)
+        _write(rng, model, doc)
+        argv = _widen(wider, _argv(rng, str(model), out), docs, tmp_path)
         where = f"seed {seed}, case {case}: {argv[0]} {argv[3:]} on {model.read_text()[:400]}"
         try:
             code, stdout, stderr = _run(argv)
