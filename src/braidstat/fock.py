@@ -16,61 +16,59 @@ recursion gives the residual of the twisted commutation relation
 
     (b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>) w = (1 - s) s sum_{(k, l, t)} t (l, b-_k w),
 
-``1 - s`` times the hop terms, read off ``w``'s own ladder level: for ``s = +1``
-it is empty by construction, and neither built nor normed.
+``1 - s`` times the hop terms of ``b-_i`` on ``(j, w)``: for ``s = +1`` it is
+empty by construction, and neither built nor normed.
 
-The recursion gives ``b-_i`` from the words of length ``m`` to those of length
-``m - 1``, column block by column block:
+One engine evaluates the recursion, on weight blocks.  When the model conserves
+letters (:attr:`~braidstat.models.ParticleModel.conserves_letters`: diagonal
+pairing, and every cross term ``(k, l, t)`` of ``T(i, j)`` has
+``{i, l} == {j, k}``), ``b-_i`` maps the words with multiset of letters ``M``
+to those with ``M - {i}``; otherwise one block holds every word, through the
+same code.  Each sector has one block layout (:func:`_layout`), built block by
+block from the one below; its word-by-word arrays are built only when read.
+The annihilator block ``B_i: M -> M - {i}`` of sector ``m``
+(:func:`_annihilators`) is, on its columns that start with ``j``,
 
-    B_i^(m)[:, j.] = <i|j> I + s * sum_{(k, l, t) in T(i, j)} t * (prepend l) B_k^(m-1)
+    B_i[:, (j, .)] = <i|j> I + sum_{(k, l, s t)} s t * (rows that start with l) B_k(M - {j})
 
-Every entry is summed from 0 in the order the recursion lists its terms: the
-pairing first, then the terms of ``T(i, j)`` in order (:func:`_term_plan`).  A
-*ladder* holds these matrices level by level as sparse numpy arrays (rows,
-columns, values); entries that land on one ``(row, column)`` are summed by
-``np.bincount`` over a stable sort, real and imaginary parts apart, as
-``np.add.at`` would.  The checks ask for whole sectors, every word of length
-``m``; :func:`annihilate_twisted` asks only for the suffixes of its input words,
-so it works on words far longer than a whole sector could hold.  The Gram tower
-builds no ladder: it evaluates the recursion on its own dense weight blocks
-(below), with the same sums in the same order, so a real model's blocks equal
-the ladder's bit for bit (a complex product may round its last bit otherwise).
-Each public call builds its own ladder and blocks and drops them when it
-returns; none is kept on the model or in a module.  Indices are validated where
-input enters, in the public functions; the engine does no checks.
+with ``B_k`` of sector ``m - 1``, every entry summed from 0 in that order: the
+pairing first, then the terms of ``T(i, j)`` in order (:func:`_term_plan`).
+:func:`_tower` builds each sector's blocks from the sector below's, and its Gram
+with them; :func:`_hops` builds the blocks alone, for :func:`commutator_defect`
+and the relation transport of :mod:`~braidstat.transmute`.
+:func:`annihilate_twisted` runs the same recursion on the suffixes of one word,
+as dicts of words summed in the same order, so it works on words far longer
+than a whole sector could hold; on a real model it equals the blocks bit for
+bit (a complex product may round its last bit otherwise).  Each public call
+builds its own blocks and drops them when it returns; none is kept on the model
+or in a module.  Indices are validated where input enters, in the public
+functions; the engine does no checks.
 
-The checks read the ladder one sector at a time, for every pair ``(i, j)`` at
-once.  A residual keeps the entries above :data:`~braidstat.words.PRUNE_EPS`,
-as :class:`~braidstat.words.FockVector` does.  A check's witness is the first
-candidate, in the order its loop is documented in, whose defect is at least
-``max * (1 - 1e-12)``: defects equal in exact arithmetic may differ in their
-last bits, and the band keeps the witness where exact arithmetic puts it.
-Infinite statistics is exact by construction and reported without computing.
+The checks read the blocks one sector at a time, for every pair ``(i, j)`` at
+once, each line as soon as its blocks exist: annihilate-annihilate from the
+products ``B_k B_l`` of sectors ``n - 1`` and ``n``, normed under ``G_{n-2}``;
+the residual and the mixed line from the hop terms of the ``B_i`` of sector
+``n + 1``; create-create from ``C (x) id``, moved into the blocks of sector
+``n + 2`` through its layout.  Residuals and products keep the entries above
+:data:`~braidstat.words.PRUNE_EPS`, as :class:`~braidstat.words.FockVector`
+does.  A check's witness is the first candidate, in the order its loop is
+documented in, whose defect is at least ``max * (1 - 1e-12)``: defects equal in
+exact arithmetic may differ in their last bits, and the band keeps the witness
+where exact arithmetic puts it.  Infinite statistics is exact by construction
+and reported without computing.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
-builds each sector once: its ladder goes to ``n_max``, its tower to ``n_max + 2``.
-
-The Gram is built and analysed in weight blocks.  When the model conserves
-letters (diagonal pairing, and every cross term ``(k, l, t)`` of ``T(i, j)``
-has ``{i, l} == {j, k}``; see
-:attr:`~braidstat.models.ParticleModel.conserves_letters`), ``b-_i`` maps the
-words with multiset of letters ``M`` to those with ``M - {i}``, so ``G_n`` is
-block-diagonal with one block per multiset and every entry between blocks is
-exactly 0.  A model that does not conserve letters gets one block holding
-every word, and runs through the same code.  Each sector has one block
-layout (:func:`_layout`), built block by block from the one below; its
-word-by-word arrays are built only when read.  The tower's annihilator block
-``B_i: M -> M - {i}`` gets ``<i|j> I`` in its columns that start with ``j``
-and ``s t B_k(M - {j})`` of the sector below in its rows that start with
-``l``; the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
+builds each sector once, in one tower to ``n_max + 2``.  ``G_n`` is
+block-diagonal with one block per multiset, every entry between blocks exactly
+0, and the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
 block that is exactly 0 is not stored, every reader takes a missing block as
 exactly 0, and once a whole sector stores no block the tower builds no further
-annihilator block.  Positivity comes from the eigenvalues of the Hermitian
-part of each block: exact zeros for a missing block, one ``eigvalsh`` for a
-stored one.  The rank counts the eigenvalues with
+annihilator block but those a check reads.  Positivity comes from the
+eigenvalues of the Hermitian part of each block: exact zeros for a missing
+block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
 ``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``, ``top`` the largest
 ``|lambda|`` of the sector, the cut against the largest singular value of the
 whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
@@ -81,26 +79,26 @@ is filled from the blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
-ladders, Gram blocks, residuals and products, and the real symmetric ``eigvalsh``.
-:attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and amplitudes stay complex.
+annihilator and Gram blocks, residuals and products, and the real symmetric
+``eigvalsh``.  :attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and
+amplitudes stay complex.
 
 Before a sector computation runs, :data:`MAX_SECTOR_SIZE` bounds both the
 number ``N^n`` of its words and their length ``n``.  :data:`MAX_GRAM_BYTES`
 bounds the Gram blocks the tower holds, counted from sector 0 up at 8 or 16
 bytes per entry of the scalar type, each sector's before any of them is
-allocated; one sector's annihilator blocks, at 8 or 16 bytes per entry, as they
-are allocated; and one ladder level, at 24 or 32 bytes per entry.  Before
-anything is built, it bounds the complex dense Gram of :func:`gram_matrix`, at
-16 bytes per entry.  These bound the blocks and the ladder levels, not the
-process: temporaries, the sector below's annihilator blocks and the ladder
-levels kept beside the Gram blocks come on top.  An annihilator block, a ladder
-level, a Gram block, a spectrum or a norm that overflows the float range raises
-:class:`NonFiniteError`, naming the sector.
+allocated, and one sector's annihilator blocks, at 8 or 16 bytes per entry, as
+they are allocated.  Before anything is built, it bounds the complex dense Gram
+of :func:`gram_matrix`, at 16 bytes per entry.  These bound the blocks, not the
+process: temporaries and the sector below's annihilator blocks come on top.  An
+annihilator block, a Gram block, a spectrum or a norm that overflows the float
+range raises :class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -110,14 +108,14 @@ import numpy as np
 
 from .models import ParticleModel, _action_matrix, braid_on_word
 from .report import CheckReport, FAIL, PASS, SKIPPED
-from .words import PRUNE_EPS, FockVector, TensorWord, basis_words, word_index
+from .words import PRUNE_EPS, FockVector, TensorWord, basis_words
 
 #: Hard guard on the number N^n of words of a sector that a check or a Gram
 #: walks, and on their length n; a check's Gram tower goes two sectors past it.
 MAX_SECTOR_SIZE = 100_000
 #: Hard guard on bytes: of all the Gram blocks a tower has allocated, of one
-#: sector's annihilator blocks, of one ladder level, and of the dense Gram that
-#: :func:`gram_matrix` can fill.
+#: sector's annihilator blocks, and of the dense Gram that :func:`gram_matrix`
+#: can fill.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -125,11 +123,12 @@ _WITNESS_BAND = 1e-12
 
 
 class ResourceLimitError(ValueError):
-    """A sector computation would exceed the desk-scale resource guard."""
+    """A sector computation would exceed a desk-scale guard: on the words of a sector, or on
+    the bytes of its Gram or annihilator blocks."""
 
 
 class NonFiniteError(ValueError):
-    """An annihilator block, a ladder level, a Gram block, its spectrum or a residual overflowed."""
+    """An annihilator block, a Gram block, its spectrum or a norm read off them overflowed."""
 
 
 class HermiticityError(ValueError):
@@ -156,15 +155,6 @@ def _guard_sectors(model: ParticleModel, n_max: int) -> None:
         raise ResourceLimitError(f"sector size {n_gen}^{n} exceeds the guard of {MAX_SECTOR_SIZE}")
     if n_max > MAX_SECTOR_SIZE:
         raise ResourceLimitError(f"word length {n_max} exceeds the guard of {MAX_SECTOR_SIZE}")
-
-
-def _guard_ladder(model: ParticleModel, m: int, entries: int) -> None:
-    """The byte guard on one ladder level of ``entries`` entries: a value of
-    the model's scalar type and two int64 index words each."""
-    size = (np.dtype(model.scalar_type).itemsize + 16) * entries
-    if size > MAX_GRAM_BYTES:
-        raise ResourceLimitError(f"the annihilators on sector {m} have {entries} entries, "
-                                 f"{size} bytes, over the guard of {MAX_GRAM_BYTES}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +186,7 @@ def annihilate_free(model: ParticleModel, i: int, v: FockVector) -> FockVector:
 
 
 # ---------------------------------------------------------------------------
-# The ladder engine
-
-
-class _Sparse(NamedTuple):
-    """A sparse operator: entry ``e`` sits at ``(rows[e], cols[e])``, sorted by
-    column, then row; column ``c`` holds the entries ``start[c]:start[c + 1]``."""
-
-    start: np.ndarray | None
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+# The recursion
 
 
 def _word(index, length: int, n_gen: int) -> TensorWord:
@@ -215,51 +195,10 @@ def _word(index, length: int, n_gen: int) -> TensorWord:
     return tuple(index // n_gen ** p % n_gen + 1 for p in reversed(range(length)))
 
 
-def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The stable sort order of ``key``, the sorted keys, whether each opens a run
-    of equal keys, and its run's number."""
-    order = key.argsort(kind="stable")
-    key = key[order]
-    new = np.concatenate(([True], key[1:] != key[:-1]))[:len(key)]
-    return order, key, new, new.cumsum() - 1
-
-
-def _coalesce(parts: list, n_rows: int, n_cols: int, floor: float = 0.0) -> _Sparse:
-    """The operator with the entries of ``parts``, triples ``(rows, cols,
-    values)``: entries at one ``(row, col)`` are summed in the order given, and
-    sums of magnitude up to ``floor`` are dropped."""
-    rows, cols, vals = map(np.concatenate, zip(*parts))
-    if n_rows * n_cols >= 1 << 63:  # positions of very long words: Python integers
-        rows, cols = rows.astype(object), cols.astype(object)
-    order, key, new, run = _runs(cols * n_rows + rows)
-    key, vals = key[new], vals[order]
-    summed = np.zeros(len(key), dtype=vals.dtype)
-    summed.real = np.bincount(run, weights=vals.real, minlength=len(key))
-    if summed.dtype.kind == "c":
-        summed.imag = np.bincount(run, weights=vals.imag, minlength=len(key))
-    keep = ~(np.abs(summed) <= floor)  # a NaN sum is kept for the caller's finiteness check
-    cols = (key[keep] // n_rows).astype(np.int64)
-    return _Sparse(np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep])
-
-
-def _product(outer: _Sparse, inner: _Sparse, offset: int = 0) -> tuple:
-    """The unsummed entries of ``outer @ inner``, columns shifted by ``offset``."""
-    lo, counts = outer.start[inner.rows], outer.start[inner.rows + 1] - outer.start[inner.rows]
-    at = np.arange(len(inner.rows)).repeat(counts)
-    pick = np.arange(len(at)) + (lo - counts.cumsum() + counts).repeat(counts)
-    return outer.rows[pick], offset + inner.cols[at], outer.vals[pick] * inner.vals[at]
-
-
 def _typed(model: ParticleModel, values) -> np.ndarray:
     """``values`` in the model's scalar type, where their imaginary part is exactly 0."""
     values = np.asarray(values)
     return values.real if model.scalar_type is float and not values.imag.any() else values
-
-
-def _empty(n_cols: int, dtype: type) -> _Sparse:
-    """An operator with ``n_cols`` columns and no entries, as ``b-_i`` on the vacuum."""
-    empty = np.zeros(0, dtype=np.int64)
-    return _Sparse(np.zeros(n_cols + 1, dtype=np.int64), empty, empty, empty.astype(dtype))
 
 
 def _term_plan(model: ParticleModel) -> list[list[tuple]]:
@@ -273,76 +212,44 @@ def _term_plan(model: ParticleModel) -> list[list[tuple]]:
              for j in range(1, n_gen + 1)] for i in range(1, n_gen + 1)]
 
 
-def _hop_terms(model: ParticleModel, below: list[_Sparse], m: int, base: dict[int, int], n_cols: int,
-               rows: np.dtype, entries: int = 0, times: float = 1.0) -> list[tuple]:
-    """The unsummed terms ``times s t (l, b-_k w)`` of each ``b-_i`` on the words ``(j, w)`` of
-    length ``m`` as ``(rows, columns, values)``, ``b-_i`` on ``(j, w)`` at column ``(i - 1) n_cols
-    + base[j] + c`` for ``w`` column ``c`` of ``below``; the ladder guard counts them and ``entries``
-    first."""
-    shift = model.n_generators ** max(m - 2, 0)
-    plan = [(below[k - 1], (l - 1) * shift, i * n_cols + base[j], times * factor)
-            for i, terms in enumerate(_term_plan(model)) for j in sorted(base)
-            for k, l, factor in terms[j - 1][1]]
-    _guard_ladder(model, m, entries + sum(len(hop.vals) for hop, _, _, _ in plan))
-    return [(offset + hop.rows.astype(rows, copy=False), column + hop.cols, hop.vals * factor)
-            for hop, offset, column, factor in plan]
+def _pruned(values: np.ndarray) -> np.ndarray:
+    """``values`` with the entries up to :data:`~braidstat.words.PRUNE_EPS` set to 0, in place."""
+    values[np.abs(values) <= PRUNE_EPS] = 0
+    return values
 
 
-def _level(model: ParticleModel, below: list[_Sparse], m: int, first: np.ndarray,
-           rest: np.ndarray, base: dict[int, int]) -> list[_Sparse]:
-    """``b-_i`` for every ``i`` on words of length ``m``, by the recursion.
-
-    Column ``c`` is the word of first letter ``first[c] + 1`` followed by the
-    word of position ``rest[c]`` among the words of length ``m - 1``; the words
-    of first letter ``j`` are the columns ``base[j] + c``, ``c`` a column of
-    ``below``, so a term reads each entry of ``below`` once, in order.
-    """
-    n_gen, n_cols = model.n_generators, len(first)
-    pairing = _typed(model, model.pairing[:, first])  # the free annihilators a-_i
-    letter, cols = np.nonzero(pairing)  # b-_{letter + 1} on column c is column letter * n_cols + c
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
-        hops = _hop_terms(model, below, m, base, n_cols, rest.dtype, len(cols))
-        level = _coalesce([(rest[cols], letter * n_cols + cols, pairing[letter, cols])] + hops,
-                          n_gen ** (m - 1), n_gen * n_cols)
-    if not np.isfinite(level.vals).all():
-        raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
-    cuts = level.start[::n_cols].tolist()
-    return [_Sparse(level.start[i * n_cols:(i + 1) * n_cols + 1] - lo, level.rows[lo:hi],
-                    level.cols[lo:hi] - i * n_cols, level.vals[lo:hi])
-            for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
-
-
-def _levels(model: ParticleModel, n: int) -> Iterator[list[_Sparse]]:
-    """The whole-sector ``b-_i`` of sectors ``0..n``, each built when the one
-    below is done; a column's position is its word's lexicographic position."""
-    n_gen = model.n_generators
-    hops = [_empty(1, model.scalar_type)] * n_gen
-    yield hops
-    for m in range(1, n + 1):
-        span = n_gen ** (m - 1)
-        hops = _level(model, hops, m, *np.divmod(np.arange(n_gen * span), span),
-                      {j: (j - 1) * span for j in range(1, n_gen + 1)})
-        yield hops
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, all finite, else an error naming ``what``."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} overflow the float range")
+    return values
 
 
 def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVector:
-    """Hopping annihilator; see the module docstring for the expansion.  The
-    ladder of each word holds only its suffixes, one per level."""
+    """Hopping annihilator; see the module docstring for the expansion.  Each word
+    is read suffix by suffix, shortest first: every ``b-_k`` on a suffix is a dict
+    of words, so a word far longer than a whole sector costs only its suffixes."""
     model._check_index(i)
     for w, _ in v.items():
         model.check_word(w)
-    n_gen = model.n_generators
-    out: dict[TensorWord, complex] = {}
+    plan, out = _term_plan(model), {}
     for w, a in v.items():
-        hops = [_empty(1, model.scalar_type)] * n_gen
-        for m in range(1, len(w) + 1):
-            suffix = w[len(w) - m:]
-            rest = np.array([word_index(suffix[1:], n_gen)],
-                            dtype=np.int64 if n_gen ** m < 1 << 63 else object)
-            hops = _level(model, hops, m, np.array([suffix[0] - 1]), rest, {suffix[0]: 0})
-        for row, amp in zip(hops[i - 1].rows.tolist(), hops[i - 1].vals.tolist()):
-            w2 = _word(row, len(w) - 1, n_gen)
-            out[w2] = out.get(w2, 0.0) + amp * a
+        hops: list[dict] = [{} for _ in plan]  # b-_k on the empty suffix
+        for p in range(len(w) - 1, -1, -1):
+            j, rest, level = w[p], w[p + 1:], []
+            for row in plan:
+                pairing, terms = row[j - 1]
+                hop = {rest: pairing} if pairing else {}  # each sum starts at 0, and 0 + <i|j> is <i|j>
+                for k, l, factor in terms:
+                    for u, amp in hops[k - 1].items():
+                        key = (l,) + u
+                        hop[key] = hop.get(key, 0.0) + amp * factor
+                level.append({u: amp for u, amp in hop.items() if amp != 0})
+            if not all(cmath.isfinite(amp) for hop in level for amp in hop.values()):
+                raise NonFiniteError(f"the annihilators of sector {len(w) - p} overflow the float range")
+            hops = level
+        for u, amp in hops[i - 1].items():
+            out[u] = out.get(u, 0.0) + amp * a
     return FockVector(out)
 
 
@@ -365,42 +272,10 @@ def _locate(defects: list[np.ndarray]) -> tuple[float, tuple | None]:
         at -= d.size
 
 
-def _norms(entries: _Sparse, what: str) -> np.ndarray:
-    """The norm of each column of ``entries``, all finite, else an error naming ``what``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        norms = np.sqrt(np.bincount(entries.cols, weights=np.abs(entries.vals) ** 2,
-                                    minlength=len(entries.start) - 1))
-    if not np.isfinite(norms).all():
-        raise NonFiniteError(f"{what} overflow the float range")
-    return norms
-
-
-def _residual_entries(model: ParticleModel, n: int, ladder: Sequence[list[_Sparse]]) -> _Sparse:
-    """``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``: ``1 - s`` times
-    the hop terms, read off ``ladder[n]`` (no entries, and none read, for ``s = +1``).
-    Column ``((i - 1) N + j - 1) N^n + w`` holds the residual of ``(i, j)`` on word
-    ``w``; entries up to ``PRUNE_EPS`` are dropped.
-    """
-    n_gen, sign, size = model.n_generators, model.expansion_sign, model.n_generators ** n
-    if sign == 1:
-        return _empty(n_gen * n_gen * size, model.scalar_type)
-    with np.errstate(over="ignore", invalid="ignore"):  # _norms refuses it, naming the sector
-        hops = _hop_terms(model, ladder[n], n + 1, {j: (j - 1) * size for j in range(1, n_gen + 1)},
-                          n_gen * size, np.int64, times=1.0 - sign)
-        empty = _empty(0, model.scalar_type)[1:]  # a model may have no cross terms
-        return _coalesce(hops + [empty], size, n_gen * n_gen * size, PRUNE_EPS)
-
-
-def _residual_norms(model: ParticleModel, entries: _Sparse, n: int) -> np.ndarray:
-    """The residual norms of sector ``n`` by ``[i - 1, j - 1, word]``."""
-    norms = _norms(entries, f"the twisted commutator residuals of sector {n}")
-    return norms.reshape(model.n_generators, model.n_generators, -1)
-
-
 def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float = 1e-9) -> CheckReport:
     """Free relation ``a-_i a+_j = <i|j> id`` on all basis words up to ``n_max``.
 
-    ``a-_i`` is the pairing part of the ladder recursion, which puts ``<i|j>``
+    ``a-_i`` is the pairing part of the recursion, which puts ``<i|j>``
     exactly where the relation subtracts it, so the relation holds by
     construction and the report is exact, as grade-diagonal Yang-Baxter's is;
     the sector guards still apply.  The reversed composition ``a+_j a-_i`` is
@@ -428,19 +303,21 @@ def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float =
     _guard_sectors(model, n)
     if model.expansion_sign == 1:  # the residual is empty: reported without computing
         return CheckReport.from_defect("twisted-commutator", 0.0, tol, None, {"i": i, "j": j, "sector": n})
-    ladder = list(_levels(model, n))  # levels 0..n
-    return _commutator_report(_residual_norms(model, _residual_entries(model, n, ladder), n), i, j, n, tol)
+    for layout, hops in _hops(model, n):  # sectors 0..n, no Gram
+        pass
+    norms = _residual_norms(model, n + 1, _layout(model, n + 1, layout), hops, layout)
+    return _commutator_report(_finite(norms, f"the twisted commutator residuals of sector {n}"), i, j, n, tol)
 
 
-def _twisted_commutators(model: ParticleModel, residuals: list[_Sparse], tol: float) -> CheckReport:
-    """The ``twisted-commutators`` row of ``check`` from the residuals of sectors
-    ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``,
-    in that order, with the largest defect; its witness only if it fails."""
+def _twisted_commutators(model: ParticleModel, residuals: list[np.ndarray], n_max: int,
+                         tol: float) -> CheckReport:
+    """The ``twisted-commutators`` row of ``check`` from the residual norms of sectors
+    ``0..n_max``: the :func:`commutator_defect` report of the last ``(i, j, n)``, in
+    that order, with the largest defect; its witness only if it fails."""
     n_gen = model.n_generators
     if model.expansion_sign == 1:  # every defect is exactly 0: commutator_defect's row, computing nothing
-        return replace(commutator_defect(model, n_gen, n_gen, len(residuals) - 1, tol),
-                       name="twisted-commutators")
-    defects = [_residual_norms(model, entries, n) for n, entries in enumerate(residuals)]
+        return replace(commutator_defect(model, n_gen, n_gen, n_max, tol), name="twisted-commutators")
+    defects = [_finite(d, f"the twisted commutator residuals of sector {n}") for n, d in enumerate(residuals)]
     worst = np.stack([d.max(axis=2, initial=0.0) for d in defects], axis=2).ravel()
     last = len(worst) - 1 - int(np.argmax(worst[::-1] == worst.max()))
     i, j, n = (int(k) for k in np.unravel_index(last, (n_gen, n_gen, len(defects))))
@@ -656,7 +533,7 @@ def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dty
     ``l`` of block ``b`` to its run's first row, ``B_l`` and bound.  By the recursion, the columns of
     the run ``(j, left, b_j, width)`` get ``<i|j> I``, then ``s t B_k`` of block ``b_j`` in the rows
     of the run of ``l``, for each ``(k, l, s t)`` of ``plan[i - 1][j - 1]``: each entry is summed
-    from 0 in the ladder's order.  The guard counts each block before it is allocated; a block is
+    from 0 in the recursion's order.  The guard counts each block before it is allocated; a block is
     scanned for a non-finite entry only where its bound does not rule one out."""
     itemsize, held = np.dtype(dtype).itemsize, 0
     for c, block in enumerate(runs):
@@ -692,33 +569,31 @@ def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dty
             yield c, i, top, b, hop, bound
 
 
-def _tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
-    """Yield the Gram matrices of sectors ``0..n`` in order, from one pass.
+def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[GramResult, list[dict]]]:
+    """Yield the Gram of each sector ``0..n`` from one pass, with its annihilator blocks
+    ``hops[c][i] = (row, B_i, bound)`` up to sector ``depth`` (else none).
 
-    Built iteratively, block by block: with ``B_i`` the matrix of ``b-_i``
-    from block ``M`` of sector ``m`` to block ``M - {i}`` of sector ``m-1``,
-    the rows of block ``M`` whose word starts with ``i`` equal
-    ``G_{M-{i}} @ B_i``, one product for each distinct letter ``i`` of ``M``.
-    A model that does not conserve letters has one block per sector, which
-    makes this the dense recursion.  A block that is exactly 0 is not stored:
-    the products of a missing ``G_{M-{i}}`` are skipped, and a block is
-    allocated when a product first writes into it.  A sector is built only if
-    the one below stores a block; the sectors above one that stores none store
-    none either.  The tower builds the ``B_i`` itself (:func:`_annihilators`),
-    from those of sector ``m - 1``, which it drops once sector ``m`` is done;
-    sector ``n``'s are built only for a product, and dropped after it.  The
-    byte guard counts the Gram blocks from sector 0 up, each sector's before
-    any of them is allocated, which bounds the blocks the tower and its caller
-    hold at once; :func:`_annihilators` guards its own.
+    The rows of block ``M`` whose word starts with ``i`` are ``G_{M-{i}} @ B_i``, one
+    product for each distinct letter ``i`` of ``M``, ``B_i`` by :func:`_annihilators`
+    from the ``B_k`` of sector ``m - 1``.  A block that is exactly 0 is not stored: the
+    products of a missing ``G_{M-{i}}`` are skipped, and a block is allocated when a
+    product first writes into it.  Sector ``m``'s ``B_i`` are built where sector
+    ``m - 1`` stores a block, and up to ``depth`` also where a Fock check reads them:
+    where sector ``m - 2`` stores a block (annihilate-annihilate), and all for
+    ``s = -1`` (the residuals); sector ``n``'s only for a product, dropped after it.
+    The byte guard counts the Gram blocks from sector 0 up, each sector's before any
+    of them is allocated, which bounds the blocks the tower and its caller hold at
+    once; :func:`_annihilators` guards its own.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
-    plan = _term_plan(model)
+    plan, below = _term_plan(model), [{}]  # sector 0's block has no run
     result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)})
-    yield result
-    total, below = itemsize, [{}]  # bytes of the blocks allocated so far; sector 0's block has no run
+    yield result, below
+    total, stored = itemsize, True  # bytes of the blocks allocated so far; whether sector m - 2 stores one
     for m in range(1, n + 1):
         layout, lower, grams = _layout(model, m, result._layout), result._matrices, {}
-        if lower:
+        hops: list[dict] = [{} for _ in layout.runs]
+        if lower or m <= depth and (stored or model.expansion_sign == -1):
             runs, sizes = layout.runs, np.diff(layout.start).tolist()
             for c, block in enumerate(runs):
                 if any(b in lower for _, _, b, _ in block):
@@ -726,7 +601,6 @@ def _tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
                     if total > MAX_GRAM_BYTES:
                         raise ResourceLimitError(f"the Gram blocks of sectors 0..{m} need {total}"
                                                  f" bytes, over the guard of {MAX_GRAM_BYTES}")
-            hops: list[dict] = [{} for _ in runs]
             wanted = lower if m == n else range(len(below))  # sector m + 1 reads every B_i of sector m
             with np.errstate(over="ignore", invalid="ignore"):  # GramResult refuses a non-finite block
                 for c, i, top, b, hop, bound in _annihilators(plan, m, runs, below, wanted, dtype):
@@ -736,14 +610,42 @@ def _tower(model: ParticleModel, n: int) -> Iterator[GramResult]:
                         np.matmul(lower[b], hop, out=grams[c][top:top + len(hop)])
                     if m < n:  # sector n's B_i is dropped after its product
                         hops[c][i] = top, hop, bound
-            below = hops
+        below, stored = hops, bool(lower)
         result = GramResult(m, n_gen, layout, grams)
-        yield result
+        yield result, hops if m <= depth else []  # a caller holds no block it does not read
+
+
+def _hops(model: ParticleModel, n: int) -> Iterator[tuple[_Layout, list[dict]]]:
+    """The layout and the annihilator blocks of sectors ``0..n``, as :func:`_tower`
+    yields them, by the recursion alone: no Gram is built."""
+    plan, layout, hops = _term_plan(model), _layout(model, 0), [{}]
+    yield layout, hops
+    for m in range(1, n + 1):
+        layout, below = _layout(model, m, layout), hops
+        hops = [{} for _ in layout.runs]
+        with np.errstate(over="ignore", invalid="ignore"):  # _annihilators refuses a non-finite block
+            for c, i, top, _, hop, bound in _annihilators(plan, m, layout.runs, below, range(len(below)),
+                                                          model.scalar_type):
+                hops[c][i] = top, hop, bound
+        yield layout, hops
+
+
+def _annihilator_norms(model: ParticleModel, n: int) -> Iterator[np.ndarray]:
+    """The norm of ``b-_i`` on each word of sectors ``0..n``, by ``[i - 1, word]``: the
+    column norms of the blocks of :func:`_hops`, all finite, else an error naming the sector."""
+    for m, (layout, hops) in enumerate(_hops(model, n)):
+        norms = np.zeros((model.n_generators, len(layout.order)))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for c, block in enumerate(hops):
+                at = layout.order[layout.start[c]:layout.start[c + 1]]
+                for i, (_, hop, _) in block.items():
+                    norms[i - 1, at] = (np.abs(hop) ** 2).sum(axis=0)
+        yield _finite(np.sqrt(norms), f"the annihilator norms of sector {m}")
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
     _guard_sectors(model, n)
-    for result in _tower(model, n):
+    for result, _ in _tower(model, n):
         pass
     return result
 
@@ -774,60 +676,91 @@ def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckRepo
     return _sector_gram(model, n).psd_report(tol)
 
 
-def _gram_norms(gram: GramResult, entries: _Sparse) -> np.ndarray:
-    """``sqrt|v^H G v|`` of each column ``v`` of ``entries`` under the sector Gram
-    form, summed block by block in the entries' type."""
-    layout, n_cols = gram._layout, len(entries.start) - 1
-    value = np.zeros(n_cols, dtype=entries.vals.dtype)
-    order, key, new, run = _runs(layout.block[entries.rows] * n_cols + entries.cols)
-    rows, cols, vals = layout.row[entries.rows[order]], entries.cols[order], entries.vals[order]
-    bounds = np.searchsorted(key, np.arange(len(layout.start)) * n_cols).tolist()
+def _form(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v^H G v`` of each column of ``v``, or of each matrix of a stack, summed in ``v``'s type."""
+    return (v.conj() * (g @ v)).sum(axis=-2)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the callers refuse a non-finite norm, naming the sector
+def _residual_norms(model: ParticleModel, m: int, layout: _Layout, below: list[dict], lower: _Layout,
+                    gram: GramResult | None = None, forms: np.ndarray | None = None) -> np.ndarray:
+    """The twisted commutator residual norms of sector ``m - 1`` by ``[i - 1, j - 1, word]``, from
+    the layout of sector ``m``, the ``B_k`` of sector ``m - 1`` and its layout ``lower``: ``1 - s``
+    times the hop terms of each ``B_i`` (:func:`_annihilators` on the term plan without its
+    pairing), pruned.  Given the Gram of sector ``m - 1``, the squared Gram norms (the ``mixed``
+    line) go into ``forms[(i - 1) N + j - 1, word]`` as well."""
+    n_gen, dtype = model.n_generators, model.scalar_type
+    norms = np.zeros((n_gen, n_gen, len(lower.order)))
+    plan = [[(0.0, terms) for _, terms in row] for row in _term_plan(model)]
+    for c, i, _, b, hop, _ in _annihilators(plan, m, layout.runs, below, range(len(below)), dtype):
+        hop *= 1 - model.expansion_sign
+        squares = (np.abs(_pruned(hop)) ** 2).sum(axis=0)
+        form = _form(gram._matrices[b], hop) if gram is not None and b in gram._matrices else None
+        for j, left, b_j, width in layout.runs[c]:  # the columns (j, w), w in block b_j of sector m - 1
+            at = lower.order[lower.start[b_j]:lower.start[b_j + 1]]
+            norms[i - 1, j - 1, at] = squares[left:left + width]
+            if form is not None:
+                forms[(i - 1) * n_gen + j - 1, at] = form[left:left + width]
+    return np.sqrt(norms)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _exchange_nullity refuses a non-finite norm
+def _lowered(n_gen: int, relation: np.ndarray, grams: list[GramResult], below: list[dict],
+             hops: list[dict], forms: np.ndarray, plans: dict) -> None:
+    """Add the annihilate-annihilate line of sector ``m`` into ``forms[(i - 1) N + j - 1, word]``,
+    from the Grams of sectors ``m - 2..m`` and the ``B_i`` of sectors ``m - 1`` (``below``) and
+    ``m``: per block of sector ``m``, the products ``B_k B_l`` that reach one block of sector
+    ``m - 2``, combined by the relation columns that read them (kept in ``plans``), pruned as a
+    residual is, and normed under that block's Gram."""
+    gram, lower, layout = grams[0], grams[1]._layout, grams[2]._layout
+    for c, block in enumerate(hops):
+        reached: dict[int, list] = {}
+        for l, _, b_l, _ in layout.runs[c]:
+            for k, _, b, _ in lower.runs[b_l]:
+                if b in gram._matrices:
+                    reached.setdefault(b, []).append(((k - 1) * n_gen + l - 1, below[b_l][k][1], block[l][1]))
+        at = layout.order[layout.start[c]:layout.start[c + 1]]
+        for b, pairs in reached.items():
+            kl = tuple(pair for pair, _, _ in pairs)
+            if kl not in plans:
+                ij = np.flatnonzero(relation[list(kl)].any(axis=0))
+                plans[kl] = ij, relation[np.ix_(kl, ij)].T
+            ij, coefficients = plans[kl]
+            if len(ij):
+                products = np.stack([outer @ inner for _, outer, inner in pairs])
+                v = _pruned(coefficients @ products.reshape(len(kl), -1)).reshape(len(ij), *products.shape[1:])
+                forms[ij[:, None], at] += _form(gram._matrices[b], v)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _exchange_nullity refuses a non-finite norm
+def _raised(relation: np.ndarray, gram: GramResult, forms: np.ndarray) -> None:
+    """The create-create line of sector ``m - 2`` under the Gram of sector ``m``, added into
+    ``forms[(i - 1) N + j - 1, word]``: the column ``(i, j) + w`` of ``C (x) id`` holds
+    ``C[(k, l), (i, j)]`` at the word ``(k, l) + w``, moved into block coordinates through the
+    layout's word arrays."""
+    layout, size = gram._layout, forms.shape[1]
+    ij, kl = np.nonzero(relation.T)  # by column, then row
+    rows, cols = ((a[:, None] * size + np.arange(size)).ravel() for a in (kl, ij))
+    values, blocks = np.repeat(relation[kl, ij], size), layout.block[rows]
+    order = blocks.argsort(kind="stable")
+    bounds = np.searchsorted(blocks[order], np.arange(len(layout.start))).tolist()
     for b, g in gram._matrices.items():  # a missing block is exactly 0 and adds exactly 0
-        lo, hi = bounds[b], bounds[b + 1]
-        if lo == hi:
-            continue
-        present = cols[lo:hi][new[lo:hi]]
-        v = np.zeros((len(g), len(present)), dtype=value.dtype)
-        v[rows[lo:hi], run[lo:hi] - run[lo]] = vals[lo:hi]
-        value[present] += (v.conj() * (g @ v)).sum(axis=0)
-    return np.sqrt(np.abs(value))
+        at = order[bounds[b]:bounds[b + 1]]
+        if len(at):
+            present, column = np.unique(cols[at], return_inverse=True)
+            v = np.zeros((len(g), len(present)), dtype=values.dtype)
+            v[layout.row[rows[at]], column] = values[at]
+            forms.reshape(-1)[present] += _form(g, v)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, naming the sector
-def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult],
-                      residuals: list[_Sparse], tol: float) -> CheckReport:
-    """:func:`check_braid_exchange_relations` on a ladder, the Grams of sectors
-    ``0..n_max + 2`` and the twisted commutator residuals of sectors ``0..n_max``."""
-    n_gen = model.n_generators
-    n_pairs, n_max = n_gen * n_gen, len(residuals) - 1
-    lines = ("create-create", "annihilate-annihilate", "mixed")
-    # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
-    relation = _typed(model, np.eye(n_pairs) - _action_matrix(model.braid_coupling))
-    ij, kl = np.nonzero(np.abs(relation.T) > PRUNE_EPS)  # by column, then row
-    sectors = []
-    for n in range(n_max + 1):
-        size = n_gen ** n
-        defects = np.zeros((3, n_pairs * size))
-        # C (x) id: column p N^n + w is also the position of the word (i, j) + w
-        rows, cols = ((a[:, None] * size + np.arange(size)).ravel() for a in (kl, ij))
-        order = cols.argsort(kind="stable")  # by column, then row
-        raised = _Sparse(np.searchsorted(cols[order], np.arange(n_pairs * size + 1)), rows[order],
-                         cols[order], np.repeat(relation[kl, ij], size)[order])
-        if grams[n + 2]._matrices:  # a sector that stores no block gives exact zeros
-            defects[0] = _gram_norms(grams[n + 2], raised)
-        if n >= 2 and grams[n - 2]._matrices:
-            # column ((k - 1) N + l - 1) N^n + w: b-_k b-_l on w
-            twice = _coalesce([_product(ladder[n - 1][k], inner, (k * n_gen + l) * size)
-                               for k in range(n_gen) for l, inner in enumerate(ladder[n])],
-                              size // n_pairs, n_pairs * size, PRUNE_EPS)
-            defects[1] = _gram_norms(grams[n - 2], _coalesce([_product(twice, raised)], size // n_pairs,
-                                                             n_pairs * size, PRUNE_EPS))
-        if len(residuals[n].vals):  # s = +1 has no residual: exact zeros
-            defects[2] = _gram_norms(grams[n], residuals[n])
-        if not np.isfinite(defects).all():
-            raise NonFiniteError(f"the exchange relations of sector {n} overflow the float range")
-        # loop order: word, i, j, line
-        sectors.append(defects.reshape(3, n_gen, n_gen, size).transpose(3, 1, 2, 0))
+def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], tol: float) -> CheckReport:
+    """:func:`check_braid_exchange_relations` from the squared Gram norms of sectors
+    ``0..n_max`` by ``[line, (i - 1) N + j - 1, word]``."""
+    n_gen, lines = model.n_generators, ("create-create", "annihilate-annihilate", "mixed")
+    # loop order: word, i, j, line
+    sectors = [_finite(np.sqrt(np.abs(form)), f"the exchange relations of sector {n}")
+               .reshape(3, n_gen, n_gen, -1).transpose(3, 1, 2, 0) for n, form in enumerate(forms)]
     worst, at = _locate(sectors)
     witness = None
     if at is not None:
@@ -837,16 +770,34 @@ def _exchange_nullity(model: ParticleModel, ladder: list, grams: list[GramResult
     return CheckReport.from_defect("exchange-nullity", worst, tol, witness, {
         "lines": {line: max((float(d[..., k].max()) for d in sectors), default=0.0)
                   for k, line in enumerate(lines)},
-        "n_max": n_max})
+        "n_max": len(forms) - 1})
 
 
-def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list, list[GramResult], list[_Sparse]]:
-    """Guards, the ladder to ``n_max``, the Gram tower to ``n_max + 2``, and the residuals of ``0..n_max``."""
+def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list, list[np.ndarray]]:
+    """Guards, then one Gram tower to ``n_max + 2``, each line read as soon as its blocks exist
+    and the blocks dropped as the tower goes on.  Returns the Grams of sectors ``0..n_max``,
+    their twisted commutator residual norms (none for ``s = +1``), and the squared Gram norms
+    of the exchange relations by ``[line, (i - 1) N + j - 1, word]``; non-finite values are
+    kept for the readers to refuse, in the order the checks are reported."""
     _guard_sectors(model, n_max)
     _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
-    ladder = list(_levels(model, n_max))
-    return ladder, list(_tower(model, n_max + 2)), [
-        _residual_entries(model, n, ladder) for n in range(n_max + 1)]
+    n_gen = model.n_generators
+    # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
+    relation = _pruned(_typed(model, np.eye(n_gen * n_gen) - _action_matrix(model.braid_coupling)))
+    forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]
+    grams, residuals, below, plans = [], [], None, {}
+    for result, hops in _tower(model, n_max + 2, n_max):
+        m = result.sector
+        grams.append(result)
+        if 2 <= m <= n_max and grams[m - 2]._matrices:
+            _lowered(n_gen, relation, grams[m - 2:], below, hops, forms[m][1], plans)
+        if model.expansion_sign == -1 and 0 < m <= n_max + 1:
+            residuals.append(_residual_norms(model, m, result._layout, below, grams[m - 1]._layout,
+                                             grams[m - 1], forms[m - 1][2]))
+        if m >= 2 and result._matrices:
+            _raised(relation, result, forms[m - 2][0])
+        below = hops
+    return grams[:n_max + 1], residuals, forms
 
 
 def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[CheckReport], list[dict]]:
@@ -854,18 +805,18 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
     skipped sector outranks defects) and the dimension rows of sectors
     ``0..n_max``, from one :func:`_fock_pass`."""
-    ladder, grams, residuals = _fock_pass(model, n_max)
+    grams, residuals, forms = _fock_pass(model, n_max)
     dims, psd = [], None
-    for n, result in enumerate(grams[:n_max + 1]):
+    for n, result in enumerate(grams):
         rep, rank = result.readings(tol)
         dims.append({"sector": n, "full": model.n_generators ** n, "quotient": rank}
                     | ({"status": SKIPPED} if rank is None else {}))
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
-    hermitian = all(result.hermitian_within(tol) for result in grams[:n_max + 1])
-    asymmetry = max(result.asymmetry for result in grams[:n_max + 1])
-    return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, tol),
-            _exchange_nullity(model, ladder, grams, residuals, tol),
+    hermitian = all(result.hermitian_within(tol) for result in grams)
+    asymmetry = max(result.asymmetry for result in grams)
+    return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, n_max, tol),
+            _exchange_nullity(model, forms, tol),
             CheckReport("gram-hermitian", PASS if hermitian else FAIL, asymmetry), psd], dims
 
 
@@ -886,7 +837,7 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
     genuinely has no create-create relation.
     """
-    return _exchange_nullity(model, *_fock_pass(model, n_max), tol)
+    return _exchange_nullity(model, _fock_pass(model, n_max)[2], tol)
 
 
 # ---------------------------------------------------------------------------

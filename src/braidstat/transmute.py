@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fock import _guard_sectors, _levels, _locate, _norms
+from .fock import _annihilator_norms, _guard_sectors, _locate
 from .groups import Bicharacter, GroupHom, GroupMismatchError
 from .models import DERIVED_CROSS, GRADE_DIAGONAL, ModelSpecError, ParticleModel, make_model
 from .report import CheckReport
@@ -88,17 +88,16 @@ def check_relation_transport(t: Transmutation, n_max: int = 3, tol: float = 1e-9
     with the *source* cross phases, ``b-_i b+_j - chi_source(i, j) b+_j b-_i -
     <i|j>``.  They coincide exactly when :func:`check_cross_symmetric` passes;
     the pass/fail status follows the target's own relations.  Both models are
-    grade-diagonal, so by the ladder recursion a reading twisted with ``chi``
-    leaves ``(s chi_target(i, j) - chi(i, j)) (j, b-_i w)`` on a word ``w``;
-    prepending ``j`` keeps the norm, so one ladder to ``n_max`` gives every
-    defect.  The witness is the first in ``(i, j, sector, word)`` order, within
-    the ladder engine's witness band.
+    grade-diagonal, so by the annihilator recursion a reading twisted with
+    ``chi`` leaves ``(s chi_target(i, j) - chi(i, j)) (j, b-_i w)`` on a word
+    ``w``; prepending ``j`` keeps the norm, so the column norms of the
+    annihilator blocks to ``n_max`` give every defect.  The witness is the
+    first in ``(i, j, sector, word)`` order, within the Fock checks' witness band.
     """
     source, target = t.source, t.target
     n_gen = target.n_generators
     _guard_sectors(target, n_max)
-    norms = [[_norms(hop, f"the annihilator norms of sector {n}") for hop in hops]
-             for n, hops in enumerate(_levels(target, n_max))]
+    norms = list(_annihilator_norms(target, n_max))  # norms[n][i - 1]: b-_i on each word of sector n
     phases = [(i, complex(target.cross_phase(i, j)), complex(source.cross_phase(i, j)))
               for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
     # loop order: i, j, sector, word

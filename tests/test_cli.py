@@ -428,9 +428,9 @@ def _private_fock_imports(module: str) -> set[str]:
 
 def test_front_ends_reach_the_fock_engine_through_few_private_names():
     # the check pipeline lives in fock: the CLI takes one entry point, and the
-    # relation transport of transmute reads the ladder's norms, not residuals
+    # relation transport of transmute reads the annihilators' norms, not residuals
     assert len(_private_fock_imports("cli")) <= 1
-    assert _private_fock_imports("transmute") <= {"_guard_sectors", "_levels", "_locate", "_norms"}
+    assert _private_fock_imports("transmute") <= {"_annihilator_norms", "_guard_sectors", "_locate"}
 
 
 def _set_cross_entry(doc, value):
@@ -494,7 +494,8 @@ _BIG = [[1e308, 0], [0, 1]]
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, argv, pairing, message", [
-    ("quon_05", ["check"], _BIG, "the annihilators of sector 4 "),
+    # b1 on a word of 4 letters: the annihilators of its suffixes overflow
+    ("quon_05", ["apply", "--program", "b1", "--vector", "1,1,1,1"], _BIG, "the annihilators of sector 4 "),
     ("fermion2", ["check"], _BIG, "the Gram blocks of sector 3 "),
     ("fermion2", ["gram", "--sector", "2"], _BIG, "the eigenvalues of sector 2 "),
     # finite complex entries whose modulus lies past the float range
@@ -510,6 +511,8 @@ _BIG = [[1e308, 0], [0, 1]]
     # finite: its NaN sums were pruned, and it reported 0.0 with a warning, exit 1
     ("z2z2_fermion", ["check", "--nmax", "3", "--json"], [[1, 1e200], [0, 1]],
      "the exchange relations of sector 3 "),
+    # check builds each sector's annihilator blocks with its Gram: sector 2's overflows first
+    ("quon_05", ["check"], _BIG, "the Gram blocks of sector 2 "),
 ])
 def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, argv, pairing, message):
     # finite entries whose products overflow: they gave numpy warnings, then

@@ -13,7 +13,7 @@ from braidstat import (AnnihilateTwisted, Bicharacter, BraidMatrix, Create, Cros
                        make_bicharacter, make_group, make_model, q_swap_braid,
                        sector_dimension, zoo_path, ZOO_NAMES)
 from braidstat import fock
-from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE, _guard_ladder
+from braidstat.fock import MAX_GRAM_BYTES, MAX_SECTOR_SIZE
 from braidstat.modelfile import model_from_dict
 
 from oracles import (banded_witness, bosonic_dimension, colour_symmetric_dimension,
@@ -102,12 +102,20 @@ def test_annihilate_twisted_quon_closed_form():
 
 
 def test_annihilate_twisted_on_words_past_int64_positions():
-    # 2^70 words of length 70: the ladder indexes them with Python integers
+    # 2^70 words of length 70, far past a whole sector: the recursion keeps one
+    # dict per suffix.  Removing the letter at position k passes k letters, one
+    # product by q each, so every term is q^k formed by k successive products, bit
+    # for bit; q ** k, a single pow, differs from it in the last bits of 26 terms
     q = 0.9
     m = load_zoo("quon_09")
     w = (1, 2) * 35
     expected = FockVector({w[:k] + w[k + 1:]: q ** k for k in range(0, 70, 2)})
-    assert (annihilate_twisted(m, 1, FockVector.basis(w)) - expected).norm() < 1e-12
+    got = annihilate_twisted(m, 1, FockVector.basis(w))
+    assert (got - expected).norm() < 1e-12
+    powers = [1.0]
+    for _ in range(69):
+        powers.append(powers[-1] * q)
+    assert dict(got.items()) == {w[:k] + w[k + 1:]: complex(powers[k]) for k in range(0, 70, 2)}
 
 
 def test_twisted_operators_are_linear():
@@ -390,18 +398,19 @@ def _z4_anyons():
     return make_model(z4, make_bicharacter(z4, [["1/4"]]), [[1]] * 3, np.eye(3))
 
 
-def test_byte_guards_count_the_scalar_type():
-    anyons = _z4_anyons()
-    f3 = load_zoo("fermion3")
-    assert (f3.scalar_type, anyons.scalar_type) == (float, complex)
-    # a ladder entry is a value and two int64 index words
-    entries = MAX_GRAM_BYTES // 24
-    _guard_ladder(f3, 9, entries)
-    with pytest.raises(ResourceLimitError, match=f"{24 * (entries + 1)} bytes"):
-        _guard_ladder(f3, 9, entries + 1)
-    _guard_ladder(anyons, 9, MAX_GRAM_BYTES // 32)
-    with pytest.raises(ResourceLimitError, match=f"{32 * entries} bytes"):
-        _guard_ladder(anyons, 9, entries)
+def test_byte_guards_count_the_scalar_type(monkeypatch):
+    # a model that does not conserve letters has one block per sector: its two
+    # annihilator blocks of sector m hold 2^(m-1) x 2^m entries each, of 8 bytes
+    # for a real model and 16 for a complex one
+    real, complex_ = (_mixing_models()[label] for label in ("off-diagonal-pairing", "random-R"))
+    assert (real.scalar_type, complex_.scalar_type) == (float, complex)
+    monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 1 << 13)
+    list(fock._hops(real, 5))                    # 2 x 16 x 32 x 8 = 8,192 bytes
+    with pytest.raises(ResourceLimitError, match="annihilator blocks of sector 6 need 16384 bytes"):
+        list(fock._hops(real, 6))
+    list(fock._hops(complex_, 4))                # 2 x 8 x 16 x 16 = 4,096 bytes
+    with pytest.raises(ResourceLimitError, match="annihilator blocks of sector 5 need 16384 bytes"):
+        list(fock._hops(complex_, 5))
 
 
 def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
@@ -424,7 +433,6 @@ def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
     assert "sectors 0..7 need 33728 bytes" in capsys.readouterr().err
     # complex blocks take 16 bytes an entry: the three-letter anyons' sectors
     # 0..4 allocate blocks of 1, 3, 15, 93 and 639 entries, 12,016 bytes in all
-    # (their ladder levels take at most 8,640)
     anyons = _z4_anyons()
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 12_016)
     assert gram_psd_check(anyons, 4).status == "skipped"  # the Gram is not Hermitian
@@ -579,7 +587,7 @@ def test_zero_sectors_draw_no_further_ladder_level(monkeypatch):
     drawn, annihilators = [], fock._annihilators
     monkeypatch.setattr(fock, "_annihilators",
                         lambda plan, m, *args: drawn.append(m) or annihilators(plan, m, *args))
-    grams = list(fock._tower(model, 8))
+    grams = [result for result, _ in fock._tower(model, 8)]
     assert drawn == [1, 2, 3, 4]
     assert [result.sector for result in grams] == list(range(9))
     # a zero sector stores no block
@@ -613,13 +621,23 @@ def test_one_generator_layout_allocates_no_word_sized_array():
 def test_exchange_nullity_reads_no_zero_sector(monkeypatch):
     # fermion2 stores no Gram block from sector 3 on, so only the create-create
     # line of sector 0 (on sector 2) and the annihilate-annihilate lines of
-    # sectors 2..4 (on sectors 0..2) take a Gram norm; the mixed line has no
-    # residual for s = +1
+    # sectors 2..4 (on sectors 0..2) take a Gram norm, each as soon as the tower
+    # has built its blocks; the mixed line has no residual for s = +1
     sectors = []
-    gram_norms = fock._gram_norms
-    monkeypatch.setattr(fock, "_gram_norms", lambda g, e: sectors.append(g.sector) or gram_norms(g, e))
+    raised, lowered = fock._raised, fock._lowered
+
+    def refuse(*args):
+        raise AssertionError("a residual was computed")
+
+    monkeypatch.setattr(fock, "_raised", lambda relation, gram, forms:
+                        sectors.append(("create-create", gram.sector)) or raised(relation, gram, forms))
+    monkeypatch.setattr(fock, "_lowered", lambda n_gen, relation, grams, *args:
+                        sectors.append(("annihilate-annihilate", grams[0].sector))
+                        or lowered(n_gen, relation, grams, *args))
+    monkeypatch.setattr(fock, "_residual_norms", refuse)
     report = check_braid_exchange_relations(load_zoo("fermion2"), n_max=4)
-    assert report.passed and sectors == [2, 0, 1, 2]
+    assert report.passed and sectors == [("annihilate-annihilate", 0), ("create-create", 2),
+                                         ("annihilate-annihilate", 1), ("annihilate-annihilate", 2)]
 
 
 def test_zero_blocks_are_never_allocated():
@@ -674,7 +692,7 @@ def _certified_and_counted(model, n, tol=1e-9):
     """Per Hermitian sector ``0..n``: whether the shifted Cholesky proves it full
     rank, the rank it certifies, and the rank counted from the spectrum."""
     rows = []
-    for result in fock._tower(model, n):
+    for result, _ in fock._tower(model, n):
         assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
         if result.hermitian_within(tol):
             proved, certified = result._full_rank(tol), result.quotient_rank(tol)
@@ -759,8 +777,8 @@ def test_plus_expansion_commutator_defect_computes_nothing(name, monkeypatch):
         raise AssertionError("computed")
 
     model = load_zoo(name)
-    monkeypatch.setattr(fock, "_levels", refuse)
-    monkeypatch.setattr(fock, "_norms", refuse)
+    for private in ("_hops", "_annihilators", "_residual_norms"):
+        monkeypatch.setattr(fock, private, refuse)
     rep = commutator_defect(model, 1, 1, 5)
     assert (rep.name, rep.status, rep.defect, rep.witness, rep.data) == (
         "twisted-commutator", "pass", 0.0, None, {"i": 1, "j": 1, "sector": 5})
@@ -807,15 +825,17 @@ def test_commutator_residual_overflow_names_its_sector(n):
 
 
 def test_commutator_defect_reads_the_ladder_to_its_sector(monkeypatch):
-    # the residual of sector n is read off the hop terms of ladder level n
+    # the residual of sector n is the hop terms of the B_i of sector n + 1, built
+    # from the annihilator blocks of sectors 1..n with no pairing, and no Gram
     model, drawn = _mixing_models()["minus-expansion"], []
-    level = fock._level
-    monkeypatch.setattr(fock, "_level", lambda model, below, m, *args:
-                        drawn.append(m) or level(model, below, m, *args))
+    annihilators = fock._annihilators
+    monkeypatch.setattr(fock, "_annihilators", lambda plan, m, *args: drawn.append(
+        (m, any(p for row in plan for p, _ in row))) or annihilators(plan, m, *args))
+    monkeypatch.setattr(fock, "GramResult", None)
     for n in range(4):
         drawn.clear()
         commutator_defect(model, 1, 2, n)
-        assert drawn == list(range(1, n + 1)), n
+        assert drawn == [(m, True) for m in range(1, n + 1)] + [(n + 1, False)], n
 
 
 def test_check_takes_no_residual_norm_for_plus_expansion(monkeypatch, capsys):
@@ -827,7 +847,7 @@ def test_check_takes_no_residual_norm_for_plus_expansion(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a residual norm was taken")
 
-    monkeypatch.setattr(fock, "_norms", refuse)
+    monkeypatch.setattr(fock, "_residual_norms", refuse)
     assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
     for name, (_, captured) in zip(ZOO_NAMES, want):
         n_gen, report = load_zoo(name).n_generators, json.loads(captured.out)
@@ -862,23 +882,29 @@ def test_no_ladder_outlives_a_call():
 
 
 # ---------------------------------------------------------------------------
-# the ladder engine against the dense oracles
-
-
-def _dense(hop, shape):
-    out = np.zeros(shape, dtype=complex)
-    out[hop.rows, hop.cols] = hop.vals
-    return out
+# the annihilator blocks against the dense oracles
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_ladder_equals_dense_annihilators_on_the_zoo(name):
+    # without Grams every B_i of every sector is built, also where the tower stops
+    # (fermion3's Gram is 0 from sector 4 on); each is b-_i from its block to the
+    # block of its run, bit for bit, and together they are the whole of b-_i
     model = load_zoo(name)
-    n = 4 if model.n_generators == 3 else 5
+    n_gen, n = model.n_generators, 5 if model.n_generators == 3 else 6
     expected = dense_annihilators(model, n)
-    for m, hops in enumerate(list(fock._levels(model, n))[1:], start=1):
-        for i, hop in enumerate(hops):
-            assert np.array_equal(_dense(hop, expected[m][i].shape), expected[m][i]), (m, i)
+    for m, (layout, hops) in enumerate(fock._hops(model, n)):
+        if m == 0:
+            continue
+        below = fock._layout(model, m - 1)
+        whole = np.zeros((n_gen, n_gen ** (m - 1), n_gen ** m), dtype=complex)
+        for c, block in enumerate(hops):
+            columns = layout.order[layout.start[c]:layout.start[c + 1]]
+            assert sorted(block) == sorted({i for i, _, _, _ in layout.runs[c]})
+            for i, _, b, _ in layout.runs[c]:
+                rows = below.order[below.start[b]:below.start[b + 1]]
+                whole[np.ix_([i - 1], rows, columns)] = block[i][1]
+        assert np.array_equal(whole, np.array(expected[m])), m
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
@@ -908,47 +934,6 @@ def test_tower_annihilators_equal_dense_annihilators_on_the_zoo(name, monkeypatc
         assert np.abs(hop).max(initial=0.0) <= bound
 
 
-def _coalesce_reference(parts, n_rows, n_cols, floor=0.0):
-    """Coalescing as np.unique and np.add.at do it: the sums start at 0 and add
-    each position's entries in the order given."""
-    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
-    if n_rows * n_cols >= 1 << 63:
-        rows, cols = rows.astype(object), cols.astype(object)
-    key, inverse = np.unique(cols * n_rows + rows, return_inverse=True)
-    summed = np.zeros(len(key), dtype=vals.dtype)
-    np.add.at(summed, inverse, vals)
-    keep = np.abs(summed) > floor
-    cols = (key[keep] // n_rows).astype(np.int64)
-    return np.searchsorted(cols, np.arange(n_cols + 1)), key[keep] % n_rows, cols, summed[keep]
-
-
-def _random_parts(rng, n_rows, n_cols, dtype, sizes):
-    """Parts whose entries repeat few positions, with magnitudes far apart, so
-    that the order of summation shows in the last bits, and with signed zeros."""
-    parts = []
-    for size in sizes:
-        vals = rng.choice([1e16, 1.0, -1e16, 3e-16, -1e-16, -0.0, 0.1], size) * rng.random(size)
-        if dtype is complex:
-            vals = vals + 1j * rng.choice([1e16, -1.0, -1e16, 0.0, 2e-16], size)
-        parts.append((rng.integers(0, 3, size) * (n_rows // 3), rng.integers(0, n_cols, size), vals))
-    return parts
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("floor", [0.0, fock.PRUNE_EPS, 0.5])
-@pytest.mark.parametrize("n_rows", [6, 1 << 60], ids=["int64", "object"])
-def test_coalesce_equals_unique_and_add_at_bit_for_bit(dtype, floor, n_rows):
-    rng = np.random.default_rng(20261019)
-    n_cols = 8  # 2^63 positions and more are Python integers
-    for sizes in ([40, 0, 25, 60], [0], [0, 0], [1], [200]):
-        parts = _random_parts(rng, n_rows, n_cols, dtype, sizes)
-        got, want = fock._coalesce(parts, n_rows, n_cols, floor), \
-            _coalesce_reference(parts, n_rows, n_cols, floor)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape, sizes
-            assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist(), sizes
-
-
 def _minus_models():
     """Letter-conserving models with ``s = -1``, on two and three generators."""
     trivial, z2 = make_group([]), make_group([2])
@@ -962,39 +947,27 @@ def _minus_models():
 
 @pytest.mark.parametrize("label", ["random-R", "minus-expansion", "off-diagonal-pairing",
                                    "self-adjoint-T", "quon-minus", "fermion3-minus"])
-def test_whole_sector_level_equals_the_suffix_ladder(label, monkeypatch):
+def test_whole_sector_level_equals_the_suffix_ladder(label):
+    # annihilate_twisted reads one word's suffixes, the dense oracle whole sectors.
     # random-R has s = +1, minus-expansion the same R with s = -1; no model of
-    # _mixing_models conserves letters
+    # _mixing_models conserves letters.  Both sum each entry in the same order, so
+    # real models agree bit for bit; numpy's complex products may round otherwise
     model = {**_mixing_models(), **_minus_models()}[label]
     n_gen = model.n_generators
-    # per level: the entries the ladder guard counts, and those coalesced into the b-_i
-    guarded, built = [], []
-    coalesce = fock._coalesce
-
-    def guard(model, m, entries):
-        guarded.append(entries)
-        built.append(0)
-
-    def counting(parts, *args):
-        built[-1] += sum(len(p[0]) for p in parts)
-        return coalesce(parts, *args)
-
-    monkeypatch.setattr(fock, "_guard_ladder", guard)
-    monkeypatch.setattr(fock, "_coalesce", counting)
     depth = 4 if n_gen == 2 else 3
-    ladder = list(fock._levels(model, depth))
-    assert guarded == built and len(built) == depth
+    dense = dense_annihilators(model, depth)
     for m in range(1, depth + 1):
+        rows = basis_words(n_gen, m - 1)
         for w, word in enumerate(basis_words(n_gen, m)):
-            for i, hop in enumerate(ladder[m], start=1):
-                guarded[:], built[:] = [], []
-                got = annihilate_twisted(model, i, FockVector.basis(word))
-                assert guarded == built and len(built) == m
-                column = slice(hop.start[w], hop.start[w + 1])
-                want = {basis_words(n_gen, m - 1)[r]: complex(v)
-                        for r, v in zip(hop.rows[column], hop.vals[column])
-                        if abs(v) > fock.PRUNE_EPS}
-                assert dict(got.items()) == want, (m, word, i)
+            for i in range(1, n_gen + 1):
+                column = dense[m][i - 1][:, w]
+                want = {rows[r]: column[r] for r in np.flatnonzero(np.abs(column) > fock.PRUNE_EPS)}
+                got = dict(annihilate_twisted(model, i, FockVector.basis(word)).items())
+                assert got.keys() == want.keys(), (m, word, i)
+                if model.scalar_type is float:
+                    assert got == want, (m, word, i)
+                else:
+                    assert all(abs(got[u] - want[u]) <= 1e-15 * abs(want[u]) for u in want), (m, word, i)
 
 
 def _close(got, want):
@@ -1028,6 +1001,30 @@ def test_checks_match_dense_oracles_on_random_models(label):
     assert (worst > 1e-6) == (label != "off-diagonal-pairing")
 
 
+@pytest.mark.parametrize("label", ["quon_03", "quon_09", "quon-minus", "fermion3-minus"])
+def test_checks_match_dense_oracles_across_blocks(label):
+    # letter-conserving models have several weight blocks per sector, so a
+    # witness found in block order must be mapped back to lexicographic order
+    model = load_zoo(label) if label in ZOO_NAMES else _minus_models()[label]
+    n_gen = model.n_generators
+    assert model.conserves_letters and len(gram_matrix(model, 3).blocks) > 1
+    for n in range(4):
+        defects = np.linalg.norm(dense_commutator_residuals(model, n), axis=2)
+        for i in range(1, n_gen + 1):
+            for j in range(1, n_gen + 1):
+                report = commutator_defect(model, i, j, n)
+                worst, at = banded_witness([defects[i - 1, j - 1]])
+                assert _close(report.defect, worst), (i, j, n)
+                if worst > 1e-6:  # s = +1: the oracle's residual is roundoff, the engine's exactly 0
+                    assert report.witness == list(basis_words(n_gen, n)[at[1][0]]), (i, j, n)
+    lines, worst, witness = dense_exchange_nullity(model, 3)
+    report = check_braid_exchange_relations(model, n_max=3)
+    assert report.data["lines"].keys() == lines.keys()
+    assert all(_close(report.data["lines"][k], lines[k]) for k in lines), (report.data, lines)
+    assert _close(report.defect, worst) and report.witness == witness, (report, witness)
+    assert worst > 1.0
+
+
 # ---------------------------------------------------------------------------
 # the arithmetic type
 
@@ -1042,10 +1039,11 @@ def test_scalar_type_of_the_zoo():
 def test_engine_computes_in_the_scalar_type_and_hands_out_complex(name):
     model = load_zoo(name)
     dtype = np.dtype(model.scalar_type)
-    ladder, grams, residuals = fock._fock_pass(model, 2)
-    assert {hop.vals.dtype for hops in ladder for hop in hops} == {dtype}
+    grams, _, forms = fock._fock_pass(model, 2)
+    assert {hop.dtype for _, hops in fock._tower(model, 4, 2) for block in hops
+            for _, hop, _ in block.values()} == {dtype}
     assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
-    assert {entries.vals.dtype for entries in residuals} == {dtype}
+    assert {form.dtype for form in forms} == {dtype}
     result = gram_matrix(model, 3)
     assert result.matrix.dtype == np.complex128
     assert all(block.matrix.dtype == np.complex128 for block in result.blocks)
@@ -1088,24 +1086,28 @@ def test_one_non_real_entry_keeps_a_model_complex(label):
 
 def test_ladder_guard_trips_before_the_level_is_allocated(monkeypatch):
     import tracemalloc
-    # a dense cross coupling fills the b- arrays in: sector m holds about 2^(2m+1)
-    # entries before they are summed, 1.05 MB at sector 7 and 4.2 MB at sector 8;
-    # s = -1, since commutator_defect builds no ladder for s = +1.  The residual of
-    # sector n is b-_i on sector n + 1 less its pairing, and the guard counts it so
+    # a dense cross coupling and one block per sector: the two complex annihilator
+    # blocks of sector m take 2 x 2^(m-1) x 2^m x 16 bytes, 1 MiB at sector 8 and
+    # 4 MiB at sector 9; s = -1, since commutator_defect builds no block for s = +1.
+    # The residual of sector n is the hop terms of the blocks of sector n + 1, and
+    # the guard counts them so
     model = _mixing_models()["minus-expansion"]
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 1 << 21)
-    commutator_defect(model, 1, 1, 6)                 # the hop terms reach sector 7
-    assert commutator_defect(_mixing_models()["random-R"], 1, 1, 7).passed  # s = +1: no ladder
+    commutator_defect(model, 1, 1, 7)                 # the residual's blocks are those of sector 8
+    assert commutator_defect(_mixing_models()["random-R"], 1, 1, 9).passed  # s = +1: no block
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
-            commutator_defect(model, 1, 1, 7)         # the residual's hop terms
-        with pytest.raises(ResourceLimitError, match="annihilators on sector 8"):
-            commutator_defect(model, 1, 1, 8)         # the ladder level itself
+        with pytest.raises(ResourceLimitError, match="annihilator blocks of sector 9 need 4194304 bytes"):
+            commutator_defect(model, 1, 1, 8)         # the residual's blocks
+        with pytest.raises(ResourceLimitError, match="annihilator blocks of sector 9 need 4194304 bytes"):
+            commutator_defect(model, 1, 1, 9)         # the blocks themselves
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * (2 ** 8 + 2 ** 17)
+    # sector 8's blocks (1 MiB), the first block of sector 9, which the guard admits
+    # (2 MiB), and the temporaries that build and read it: the second block, 2 MiB
+    # more, is refused before it is allocated
+    assert peak < 4.75 * (1 << 20), peak
 
 
 # ---------------------------------------------------------------------------
