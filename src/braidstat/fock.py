@@ -80,19 +80,20 @@ is filled from the blocks only when :attr:`GramResult.matrix` is read.
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
 annihilator and Gram blocks, residuals and products, and the real symmetric
-``eigvalsh``.  :attr:`GramResult.matrix`, :attr:`GramBlock.matrix` and
-amplitudes stay complex.
+``eigvalsh``, and :attr:`GramResult.matrix` and :attr:`GramBlock.matrix` are
+handed out in that type, in every sector; amplitudes stay complex.
 
 Before a sector computation runs, :data:`MAX_SECTOR_SIZE` bounds both the
 number ``N^n`` of its words and their length ``n``.  :data:`MAX_GRAM_BYTES`
 bounds the Gram blocks the tower holds, counted from sector 0 up at 8 or 16
 bytes per entry of the scalar type, each sector's before any of them is
 allocated, and one sector's annihilator blocks, at 8 or 16 bytes per entry, as
-they are allocated.  Before anything is built, it bounds the complex dense Gram
-of :func:`gram_matrix`, at 16 bytes per entry.  These bound the blocks, not the
-process: temporaries and the sector below's annihilator blocks come on top.  An
-annihilator block, a Gram block, a spectrum or a norm that overflows the float
-range raises :class:`NonFiniteError`, naming the sector.
+they are allocated.  Before anything is built, it bounds the dense Gram of
+:func:`gram_matrix`, at 8 or 16 bytes per entry of the scalar type.  These
+bound the blocks, not the process: temporaries and the sector below's
+annihilator blocks come on top.  An annihilator block, a Gram block, a
+spectrum or a norm that overflows the float range raises
+:class:`NonFiniteError`, naming the sector.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ from .words import PRUNE_EPS, FockVector, TensorWord, basis_words
 #: walks, and on their length n; a check's Gram tower goes two sectors past it.
 MAX_SECTOR_SIZE = 100_000
 #: Hard guard on bytes: of all the Gram blocks a tower has allocated, of one
-#: sector's annihilator blocks, and of the dense Gram that :func:`gram_matrix`
-#: can fill.
+#: sector's annihilator blocks, and of the dense Gram, in the model's scalar
+#: type, that :func:`gram_matrix` can fill.
 MAX_GRAM_BYTES = 1 << 28
 #: A witness is the first candidate whose defect is within this relative band
 #: of the largest.
@@ -402,12 +403,14 @@ class GramResult:
     """The sector-``n`` Gram matrix, held as one matrix per weight block of the
     sector's layout; entries between two blocks are exactly 0.  Only blocks with
     an entry that is not exactly 0 are stored, by ascending block number; a
-    missing block is exactly 0.  A non-finite entry raises :class:`NonFiniteError`."""
+    missing block is exactly 0.  Every matrix it hands out is of ``dtype``, the
+    model's scalar type.  A non-finite entry raises :class:`NonFiniteError`."""
 
     def __init__(self, sector: int, n_generators: int, layout: _Layout,
-                 matrices: dict[int, np.ndarray]):
+                 matrices: dict[int, np.ndarray], dtype: type):
         self.sector = sector
         self.n_generators = n_generators
+        self.dtype = np.dtype(dtype)
         self._layout = layout
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
@@ -442,15 +445,15 @@ class GramResult:
     def blocks(self) -> list[GramBlock]:
         """Each block's words, in lexicographic order, with its Gram."""
         words, positions = self.words, np.split(self._layout.order, self._layout.start[1:-1])
-        return [GramBlock([words[p] for p in at], self._matrices[b].astype(complex)
-                          if b in self._matrices else np.zeros((len(at), len(at)), dtype=complex))
+        return [GramBlock([words[p] for p in at], self._matrices[b].copy()
+                          if b in self._matrices else np.zeros((len(at), len(at)), dtype=self.dtype))
                 for b, at in enumerate(positions)]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense ``N^n x N^n`` Gram over :attr:`words`, filled from the stored blocks."""
         size = self.n_generators ** self.sector
-        dense = np.zeros((size, size), dtype=complex)
+        dense = np.zeros((size, size), dtype=self.dtype)
         positions = np.split(self._layout.order, self._layout.start[1:-1])
         for b, g in self._matrices.items():
             dense[np.ix_(positions[b], positions[b])] = g
@@ -587,7 +590,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
     plan, below = _term_plan(model), [{}]  # sector 0's block has no run
-    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)})
+    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype)
     yield result, below
     total, stored = itemsize, True  # bytes of the blocks allocated so far; whether sector m - 2 stores one
     for m in range(1, n + 1):
@@ -611,7 +614,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
                     if m < n:  # sector n's B_i is dropped after its product
                         hops[c][i] = top, hop, bound
         below, stored = hops, bool(lower)
-        result = GramResult(m, n_gen, layout, grams)
+        result = GramResult(m, n_gen, layout, grams, dtype)
         yield result, hops if m <= depth else []  # a caller holds no block it does not read
 
 
@@ -653,14 +656,14 @@ def _sector_gram(model: ParticleModel, n: int) -> GramResult:
 def gram_matrix(model: ParticleModel, n: int) -> GramResult:
     """Matrix of scalar products between all sector-``n`` basis words.
 
-    The byte guard counts the complex dense matrix, which
+    The byte guard counts the dense matrix in the model's scalar type, which
     :attr:`GramResult.matrix` fills when read, before anything is built.
     """
     _guard_sectors(model, n)
-    rows = model.n_generators ** n
-    size = 16 * rows * rows  # complex128
+    rows, dtype = model.n_generators ** n, np.dtype(model.scalar_type)
+    size = dtype.itemsize * rows * rows
     if size > MAX_GRAM_BYTES:
-        raise ResourceLimitError(f"a {rows}x{rows} complex128 Gram matrix in sector {n} needs {size} "
+        raise ResourceLimitError(f"a {rows}x{rows} {dtype} Gram matrix in sector {n} needs {size} "
                                  f"bytes, over the guard of {MAX_GRAM_BYTES}")
     return _sector_gram(model, n)
 

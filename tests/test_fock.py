@@ -381,10 +381,10 @@ def test_byte_guard_counts_the_largest_matrix_allocated():
     assert 3 ** 10 <= MAX_SECTOR_SIZE
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="59049x59049 complex128"):
-            gram_matrix(f3, 10)                  # about 56 GB
-        with pytest.raises(ResourceLimitError, match=f"6561x6561 complex128 .* {MAX_GRAM_BYTES}"):
-            gram_matrix(f3, 8)                   # 689 MB
+        with pytest.raises(ResourceLimitError, match="59049x59049 float64"):
+            gram_matrix(f3, 10)                  # about 28 GB
+        with pytest.raises(ResourceLimitError, match=f"6561x6561 float64 .* {MAX_GRAM_BYTES}"):
+            gram_matrix(f3, 8)                   # 344 MB
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -600,7 +600,7 @@ def test_zero_sectors_draw_no_further_ladder_level(monkeypatch):
         assert [len(e) for e in result.spectrum] == rows
         assert all(e.tolist() == [0.0] * len(e) for e in result.spectrum)
         assert [block.matrix.shape for block in result.blocks] == [(r, r) for r in rows]
-        assert all(block.matrix.dtype == np.complex128 and not block.matrix.any()
+        assert all(block.matrix.dtype == np.float64 and not block.matrix.any()
                    for block in result.blocks)
         assert (result.asymmetry, result.scale) == (0.0, 1.0)
 
@@ -676,7 +676,7 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     assert gram_matrix(load_zoo("boson"), 6).spectrum[0].tolist() == [720.0]
     # a block with one off-diagonal entry is not 0: its Hermitian part has eigenvalues -1/2, 1/2
     model = _mixing_models()["random-R"]
-    one = fock.GramResult(1, 2, fock._layout(model, 1), {0: np.array([[0.0, 0.0], [1.0, 0.0]])})
+    one = fock.GramResult(1, 2, fock._layout(model, 1), {0: np.array([[0.0, 0.0], [1.0, 0.0]])}, float)
     shapes.clear()
     assert one.spectrum[0].tolist() == [-0.5, 0.5]
     assert shapes == [(2, 2)]
@@ -1036,7 +1036,7 @@ def test_scalar_type_of_the_zoo():
 
 
 @pytest.mark.parametrize("name", ["boson", "quon_05", "anyon_z4"])
-def test_engine_computes_in_the_scalar_type_and_hands_out_complex(name):
+def test_engine_computes_and_hands_out_grams_in_the_scalar_type(name):
     model = load_zoo(name)
     dtype = np.dtype(model.scalar_type)
     grams, _, forms = fock._fock_pass(model, 2)
@@ -1045,10 +1045,37 @@ def test_engine_computes_in_the_scalar_type_and_hands_out_complex(name):
     assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
     assert {form.dtype for form in forms} == {dtype}
     result = gram_matrix(model, 3)
-    assert result.matrix.dtype == np.complex128
-    assert all(block.matrix.dtype == np.complex128 for block in result.blocks)
+    assert result.matrix.dtype == dtype
+    assert all(block.matrix.dtype == dtype for block in result.blocks)
     out = annihilate_twisted(model, 1, FockVector.basis((model.n_generators, 1, 1)))
     assert not out.is_zero and all(type(a) is complex for _, a in out.items())
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_every_gram_is_handed_out_in_the_scalar_type(name):
+    # in every sector, including one that stores no block (fermion3 at 4)
+    model = load_zoo(name)
+    dtype = np.dtype(model.scalar_type)
+    assert (dtype == np.complex128) == (name == "anyon_z4")
+    for n in range(5):
+        result = gram_matrix(model, n)
+        assert result.matrix.dtype == dtype, n
+        assert {block.matrix.dtype for block in result.blocks} == {dtype}, n
+    assert name != "fermion3" or not result._matrices
+
+
+def test_dense_gram_of_a_real_model_takes_8_bytes_an_entry():
+    # quon_05's sector 10: a 1024 x 1024 float64 matrix is 8 MiB (16 MiB as
+    # complex128); the bound leaves 1 MiB for the index arrays that fill it
+    import tracemalloc
+    result = gram_matrix(load_zoo("quon_05"), 10)
+    tracemalloc.start()
+    try:
+        result.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
 
 
 def _one_complex_entry_models():

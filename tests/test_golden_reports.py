@@ -33,6 +33,13 @@ within 1e-12, everything else exactly.
 ``input``, for two words longer than a whole-sector computation admits: ``b1;b2``
 on a fermion3 word of 11 letters and ``b1`` on a quon_05 word of 18 letters,
 produced with the parent of the ladder engine.  They must match exactly.
+
+``golden/gram_reports.json`` holds, per zoo model and sector ``n`` of 0 to 4
+(fermion3 to 3), keyed ``<model>@<n>``, the exit code and the report of
+``braidstat gram <zoo file> --sector n --json`` without ``input``: the dense
+matrix as ``[real, imag]`` pairs, produced while every Gram was handed out
+complex.  It is stored one entry a line.  Floats are compared within 1e-12,
+everything else exactly.
 """
 
 import json
@@ -49,6 +56,7 @@ GOLDEN_TRANSMUTE = json.loads((GOLDEN_DIR / "transmute_reports.json").read_text(
 GOLDEN_DEEP = json.loads((GOLDEN_DIR / "check_reports_nmax5.json").read_text())
 GOLDEN_APPLY = json.loads((GOLDEN_DIR / "apply_reports.json").read_text())
 GOLDEN_MINUS = json.loads((GOLDEN_DIR / "check_reports_minus.json").read_text())
+GOLDEN_GRAM = json.loads((GOLDEN_DIR / "gram_reports.json").read_text())
 TRANSMUTATIONS = (("z2z2_fermion", "hom_z2z2_to_z2", "bichar_z2_half"),
                   ("fermion1", "hom_z2_to_z4", "bichar_z4_quarter"))
 
@@ -137,3 +145,17 @@ def test_minus_expansion_check_report_matches_golden(key, tmp_path, capsys):
     assert_matches({"exit": code, "report": report}, GOLDEN_MINUS[key])
     twisted = next(row for row in report["checks"] if row["name"] == "twisted-commutators")
     assert twisted["status"] == "fail" and twisted["defect"] > 0.5
+
+
+def test_gram_golden_covers_the_zoo():
+    assert sorted(GOLDEN_GRAM) == sorted(f"{name}@{n}" for name in ZOO_NAMES
+                                         for n in range(4 if name == "fermion3" else 5))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_GRAM))
+def test_gram_report_matches_golden(key, capsys):
+    name, _, n = key.partition("@")
+    code = cli_main(["gram", str(zoo_path(name)), "--sector", n, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    report.pop("input")
+    assert_matches({"exit": code, "report": report}, GOLDEN_GRAM[key])
