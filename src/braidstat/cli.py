@@ -50,7 +50,13 @@ def parse_vector(text: str) -> FockVector:
     from .words import FockVector
     if not text.strip():
         return FockVector.vacuum()
-    letters = [int(tok) for tok in text.split(",")]
+    letters = []
+    for tok in text.split(","):
+        try:
+            letters.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad vector letter {tok!r}; a vector is comma-separated generator "
+                             "indices") from None
     return FockVector.basis(letters)
 
 

@@ -4,7 +4,8 @@ Surface syntax: ``(x)`` is the tensor operator, ``^`` a postfix dual, ``I``
 the unit, and any other identifier an atom.  Parenthesized subexpressions use
 plain ``(`` ... ``)``; note that the three characters ``(x)`` always lex as
 the tensor operator, so the atom ``x`` needs whitespace inside parentheses
-(``( x )``).
+(``( x )``).  The lexer reads one token pattern, as the rewriter reads one rule
+table.
 
 The rewrite system
 
@@ -99,35 +100,21 @@ TensorExpr = Atom | Unit | Tensor | Dual
 
 UNIT = Unit()
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: the tokens in the order tried; a character that starts none is matched alone by ``\S``
+_TOKEN = re.compile(r"\(x\)|[()^]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_PUNCTUATION = {"(x)": "tensor", "(": "lparen", ")": "rparen", "^": "dual"}
 
 
 def _lex(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(x)", i):
-            tokens.append(("tensor", "(x)", i))
-            i += 3
-        elif ch == "(":
-            tokens.append(("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("rparen", ch, i))
-            i += 1
-        elif ch == "^":
-            tokens.append(("dual", ch, i))
-            i += 1
-        else:
-            m = _IDENT.match(text, i)
-            if not m:
-                raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
+    for m in _TOKEN.finditer(text):
+        value = m.group()
+        kind = _PUNCTUATION.get(value)
+        if kind is None:
+            if not (value.isascii() and value.isidentifier()):
+                raise ExprSyntaxError(f"unexpected character {value!r}", m.start())
+            kind = "ident"
+        tokens.append((kind, value, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -250,18 +237,11 @@ def expr_to_normal_form(e: TensorExpr) -> NormalForm | None:
     if isinstance(e, Unit):
         return NormalForm(())
     factors = []
-    node = e
-    while isinstance(node, Tensor):
-        leaf = _as_leaf(node.left)
-        if leaf is None:
-            return None
-        factors.append(leaf)
-        node = node.right
-    last = _as_leaf(node)
-    if last is None:
-        return None
-    factors.append(last)
-    return NormalForm(tuple(factors))
+    while isinstance(e, Tensor):
+        factors.append(_as_leaf(e.left))
+        e = e.right
+    factors.append(_as_leaf(e))
+    return None if None in factors else NormalForm(tuple(factors))
 
 
 def _as_leaf(node: TensorExpr) -> tuple[str, bool] | None:

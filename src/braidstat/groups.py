@@ -66,12 +66,7 @@ class GroupSpec:
 
     def generators(self) -> tuple["GroupElement", ...]:
         """The standard generator of each cyclic factor."""
-        eye = []
-        for i in range(self.rank):
-            res = [0] * self.rank
-            res[i] = 1 % self.orders[i]
-            eye.append(GroupElement(self, tuple(res)))
-        return tuple(eye)
+        return tuple(self.element(int(i == j) for j in range(self.rank)) for i in range(self.rank))
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements, lexicographically.  Only sensible for small groups."""
@@ -126,54 +121,41 @@ class GroupElement:
         return "(" + ",".join(str(a) for a in self.residues) + ")"
 
 
+@dataclass(frozen=True)
 class RationalPhase:
     """Unit complex number ``exp(2*pi*i*t)`` with exact rational exponent ``t mod 1``.
 
+    The exponent is given as a ``Fraction``, ``int``, ``str`` or phase.
     Multiplication of phases is addition of exponents; both stay exact.
     """
 
-    __slots__ = ("_t",)
+    exponent: Fraction = Fraction(0)
 
-    def __init__(self, exponent: "Fraction | int | str | RationalPhase" = 0):
-        if isinstance(exponent, RationalPhase):
-            t = exponent._t
-        else:
-            t = Fraction(exponent)
-        object.__setattr__(self, "_t", t % 1)
-
-    @property
-    def exponent(self) -> Fraction:
-        return self._t
+    def __post_init__(self):
+        t = self.exponent
+        t = t.exponent if isinstance(t, RationalPhase) else Fraction(t)
+        object.__setattr__(self, "exponent", t % 1)
 
     @property
     def is_one(self) -> bool:
-        return self._t == 0
+        return self.exponent == 0
 
     def inverse(self) -> "RationalPhase":
-        return RationalPhase(-self._t)
+        return RationalPhase(-self.exponent)
 
     conjugate = inverse
 
     def __mul__(self, other: "RationalPhase") -> "RationalPhase":
-        return RationalPhase(self._t + other._t)
+        return RationalPhase(self.exponent + other.exponent)
 
     def __pow__(self, k: int) -> "RationalPhase":
-        return RationalPhase(self._t * k)
+        return RationalPhase(self.exponent * k)
 
     def __complex__(self) -> complex:
-        return unit_complex(self._t)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPhase) and self._t == other._t
-
-    def __hash__(self) -> int:
-        return hash(("RationalPhase", self._t))
+        return unit_complex(self.exponent)
 
     def __repr__(self) -> str:
-        return f"RationalPhase({self._t})"
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalPhase is immutable")
+        return f"RationalPhase({self.exponent})"
 
 
 def unit_complex(t: Fraction) -> complex:

@@ -9,14 +9,15 @@ exhaustive integer arithmetic on exponent tables.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from braidstat import (Atom, Bicharacter, Dual, GroupHom, ParticleModel, Tensor, UNIT, Unit,
-                       unit_complex)
+from braidstat import (Atom, Bicharacter, Dual, ExprSyntaxError, GroupHom, ParticleModel, Tensor,
+                       UNIT, Unit, unit_complex)
 
 
 def permutation_gram_entry(model: ParticleModel, row_word, col_word) -> complex:
@@ -316,3 +317,39 @@ def reference_rewrite_normalize(e, rules, rng):
     while candidates := reference_redexes(e, rules):
         e = reference_rewrite(e, *rng.choice(candidates))
     return e
+
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def reference_lex(text: str) -> list[tuple[str, str, int]]:
+    """The expression tokens, read by a five-branch character scanner: skip
+    whitespace, then the operator ``(x)``, one punctuation character, or an
+    identifier; any other character is an error at its position."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("(x)", i):
+            tokens.append(("tensor", "(x)", i))
+            i += 3
+        elif ch == "(":
+            tokens.append(("lparen", ch, i))
+            i += 1
+        elif ch == ")":
+            tokens.append(("rparen", ch, i))
+            i += 1
+        elif ch == "^":
+            tokens.append(("dual", ch, i))
+            i += 1
+        else:
+            m = _IDENT.match(text, i)
+            if not m:
+                raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+            tokens.append(("ident", m.group(), i))
+            i = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens

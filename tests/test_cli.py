@@ -175,6 +175,15 @@ def test_apply_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vector, letter", [("1,,2", ""), ("a", "a"), ("1.5", "1.5")])
+def test_apply_names_a_vector_letter_that_is_not_an_integer(capsys, vector, letter):
+    code, out, err = run_cli(capsys, "apply", str(zoo_path("boson")), "--program", "c1",
+                             "--vector", vector)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad vector letter {letter!r}; a vector is comma-separated generator "
+                   "indices\n")
+
+
 @pytest.mark.parametrize("program, vector, letter", [("c1", "0,7", 0), ("a1", "2,9", 9),
                                                      ("", "9", 9)])
 def test_apply_rejects_letters_the_model_lacks(capsys, program, vector, letter):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -9,7 +10,7 @@ from braidstat.coherence import (DEFAULT_RULES, RewriteLoopError, apply_rule,
                                  expr_to_normal_form, node_count, random_expr, redexes,
                                  rewrite_normalize)
 
-from oracles import reference_redexes, reference_rewrite_normalize
+from oracles import reference_lex, reference_redexes, reference_rewrite_normalize
 
 RULE_ORDERS = {
     "default": DEFAULT_RULES,
@@ -52,6 +53,34 @@ def test_parse_whitespace_insensitive():
     # the literal three characters "(x)" always lex as the operator, so a
     # parenthesized atom named x needs spaces
     assert parse_expr("( x )") == Atom("x")
+
+
+# the operator's pieces, whitespace that str.isspace() knows (\x1c, an em space),
+# and characters that start no token although they are letters or digits elsewhere
+_LEX_ALPHABET = ("(x)", "(x", "x)", "(", ")", "^", "A", "I", "x", "B_2", "_", "0", "7", " ", "\t",
+                 "\x1c", "\u2003", "\u00e9", "\u00df", "\uff58", "\u0663", "%")
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ExprSyntaxError as err:
+        return str(err), err.position
+
+
+def test_lexer_and_parser_match_the_reference_scanner(monkeypatch):
+    rng = random.Random(2023)
+    ends = list(accumulate(rng.choices(range(10), k=100_000)))  # 0 to 9 pieces a text
+    pieces = rng.choices(_LEX_ALPHABET, k=ends[-1])
+    texts = ["".join(pieces[start:end]) for start, end in zip([0] + ends, ends)]
+    want_tokens = [_outcome(reference_lex, text) for text in texts]
+    assert [_outcome(coherence._lex, text) for text in texts] == want_tokens
+    trees = [_outcome(parse_expr, text) for text in texts]
+    monkeypatch.setattr(coherence, "_lex", reference_lex)
+    for text, tokens, tree in zip(texts, want_tokens, trees):
+        # a text that the reference cannot lex must fail with the reference's lexing error
+        assert tree == (tokens if isinstance(tokens, tuple) else _outcome(parse_expr, text)), text
+    assert sum(not isinstance(tree, tuple) for tree in trees) > 5000  # some texts parse
 
 
 def test_normalize_paper_identities():

@@ -85,6 +85,22 @@ def test_rational_phase_arithmetic_is_exact():
     assert complex(RationalPhase("1/4")) == 1j
 
 
+def test_rational_phase_is_a_frozen_value():
+    phase = RationalPhase("3/4")
+    with pytest.raises(AttributeError):
+        phase.exponent = Fraction(1, 4)
+    assert repr(phase) == "RationalPhase(3/4)"
+    wound = RationalPhase(Fraction(7, 4))
+    assert wound == phase and hash(wound) == hash(phase)
+    assert RationalPhase(RationalPhase("1/2")).exponent == Fraction(1, 2)
+    assert RationalPhase("1/2") != Fraction(1, 2)
+
+
+def test_generators_are_reduced_unit_vectors():
+    assert tuple(g.residues for g in make_group([1, 2, 4]).generators()) \
+        == ((0, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def test_is_normalized_examples():
     z2 = make_group([2])
     assert make_bicharacter(z2, [["1/2"]]).is_normalized().ok
