@@ -26,7 +26,9 @@ if TYPE_CHECKING:
     from .words import FockVector
 INPUT_ERRORS = (ValueError, OSError)
 
-_STEP_RE = re.compile(r"^([cabx])(\d+)$")
+_STEP_RE = re.compile(r"([cabx])([0-9]+)")
+#: A vector letter: ASCII digits, an optional sign, whitespace around them
+_LETTER_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_program(text: str) -> list[ProgramStep]:
@@ -38,7 +40,7 @@ def parse_program(text: str) -> list[ProgramStep]:
         token = raw.strip()
         if not token:
             continue
-        m = _STEP_RE.match(token)
+        m = _STEP_RE.fullmatch(token)
         if not m:
             raise ValueError(f"bad program step {token!r}; expected c<i>, a<i>, b<i>, or x<k>")
         program.append(steps[m.group(1)](int(m.group(2))))
@@ -52,11 +54,9 @@ def parse_vector(text: str) -> FockVector:
         return FockVector.vacuum()
     letters = []
     for tok in text.split(","):
-        try:
-            letters.append(int(tok))
-        except ValueError:
-            raise ValueError(f"bad vector letter {tok!r}; a vector is comma-separated generator "
-                             "indices") from None
+        if not _LETTER_RE.fullmatch(tok):
+            raise ValueError(f"bad vector letter {tok!r}; a vector is comma-separated generator indices")
+        letters.append(int(tok))
     return FockVector.basis(letters)
 
 

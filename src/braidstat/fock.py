@@ -55,15 +55,19 @@ does.  A check's witness is the first candidate, in the order its loop is
 documented in, whose defect is at least ``max * (1 - 1e-12)``: defects equal in
 exact arithmetic may differ in their last bits, and the band keeps the witness
 where exact arithmetic puts it.  Infinite statistics is exact by construction
-and reported without computing.
+and reported without computing, and so are the exchange relations of a graded
+model of a commutation factor
+(:attr:`~braidstat.models.ParticleModel.exchange_relations_exact`, proved at
+:func:`_fock_pass`).
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
-builds each sector once, in one tower to ``n_max + 2``.  ``G_n`` is
-block-diagonal with one block per multiset, every entry between blocks exactly
-0, and the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
+builds each sector once, in one tower to ``n_max + 2``, or to ``n_max`` where
+the exchange relations hold exactly.  ``G_n`` is block-diagonal with one block
+per multiset, every entry between blocks exactly 0, and the rows of ``G_M``
+that start with ``i`` are ``G_{M - {i}} B_i``.  A
 block that is exactly 0 is not stored, every reader takes a missing block as
 exactly 0, and once a whole sector stores no block the tower builds no further
 annihilator block but those a check reads.  Positivity comes from the
@@ -112,7 +116,7 @@ from .report import CheckReport, FAIL, PASS, SKIPPED
 from .words import PRUNE_EPS, FockVector, TensorWord, basis_words
 
 #: Hard guard on the number N^n of words of a sector that a check or a Gram
-#: walks, and on their length n; a check's Gram tower goes two sectors past it.
+#: walks, and on their length n; a check's Gram tower may go two sectors past it.
 MAX_SECTOR_SIZE = 100_000
 #: Hard guard on bytes: of all the Gram blocks a tower has allocated, of one
 #: sector's annihilator blocks, and of the dense Gram, in the model's scalar
@@ -781,13 +785,35 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     and the blocks dropped as the tower goes on.  Returns the Grams of sectors ``0..n_max``,
     their twisted commutator residual norms (none for ``s = +1``), and the squared Gram norms
     of the exchange relations by ``[line, (i - 1) N + j - 1, word]``; non-finite values are
-    kept for the readers to refuse, in the order the checks are reported."""
+    kept for the readers to refuse, in the order the checks are reported.
+
+    Where :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds, every form is
+    exactly 0, and the tower stops at ``n_max`` with no annihilator block kept.  Write ``g_i``
+    for the grade of letter ``i``, ``chi_ij = eps(g_j, -g_i)`` for the phase of ``b-_i`` hopping
+    past ``j``, ``lambda = eps(g_b, g_a)`` and ``D = b-_a b-_b - lambda b-_b b-_a``.  With
+    ``s = +1`` the recursion ``b-_a (j, w) = <a|j> w + chi_aj (j, b-_a w)`` gives
+
+        D (j, w) = <b|j> (1 - lambda chi_aj) b-_a w + <a|j> (chi_bj - lambda) b-_b w
+                   + chi_aj chi_bj (j, D w).
+
+    ``<b|j> != 0`` only where ``g_b == g_j``, and then ``lambda chi_aj = eps(g_b, g_a)
+    eps(g_b, -g_a) = 1``; ``<a|j> != 0`` only where ``g_a == g_j``, and then ``chi_bj =
+    eps(g_a, -g_b) = eps(g_b, g_a) = lambda``, the bicharacter being normalized.  Both brackets
+    vanish and ``D`` kills the vacuum, so by induction on the length ``D`` is the zero operator.
+    The annihilate-annihilate vector of ``(i, j)`` is ``D w`` with ``a = i``, ``b = j``: exactly
+    the zero vector.  The create-create vector ``v = (i, j, w) - eps(g_j, g_i) (j, i, w)`` has,
+    by the tower's row identity ``G[(k, u), x] = (G B_k)[u, x]``, ``v^H G_{n+2} x = G_n[w, :]
+    D' x`` with ``D' = b-_j b-_i - conj(eps(g_j, g_i)) b-_i b-_j``, which is ``D`` with ``a =
+    j``, ``b = i``, since ``conj(eps(g_j, g_i)) = eps(g_i, g_j)``: so ``v^H G_{n+2} = 0`` and
+    its form is 0.  For ``s = +1`` the mixed line is empty (module docstring)."""
     _guard_sectors(model, n_max)
-    _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     n_gen = model.n_generators
+    forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]
+    if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
+        return [result for result, _ in _tower(model, n_max)], [], forms
+    _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
     relation = _pruned(_typed(model, np.eye(n_gen * n_gen) - _action_matrix(model.braid_coupling)))
-    forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]
     grams, residuals, below, plans = [], [], None, {}
     for result, hops in _tower(model, n_max + 2, n_max):
         m = result.sector
@@ -838,7 +864,10 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     first in ``(n, word, i, j, line)`` order.  The relations are not expected
     to hold for every consistent model: a strictly braided model with
     positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
-    genuinely has no create-create relation.
+    genuinely has no create-create relation.  Where
+    :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds,
+    every line is exactly 0 (the proof is at :func:`_fock_pass`), and only the
+    Grams of sectors ``0..n_max`` are built.
     """
     return _exchange_nullity(model, _fock_pass(model, n_max)[2], tol)
 

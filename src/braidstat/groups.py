@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -218,9 +219,13 @@ class Bicharacter:
     def is_normalized(self) -> NormalizationCheck:
         """Whether ``phase(a,b) * phase(b,a) == 1`` for all pairs.
 
-        Checked on generator pairs, which suffices by bilinearity.  On failure
-        the witness is the offending generator pair.
+        Checked on generator pairs, which suffices by bilinearity, once per
+        bicharacter.  On failure the witness is the offending generator pair.
         """
+        return self._normalization
+
+    @cached_property
+    def _normalization(self) -> NormalizationCheck:
         gens = self.group.generators()
         for i, a in enumerate(gens):
             for j in range(i, len(gens)):

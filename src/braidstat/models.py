@@ -226,6 +226,22 @@ class ParticleModel:
         return all(sorted((i, l)) == sorted((j, k))
                    for (i, j), terms in self.cross_terms.items() for k, l, _ in terms)
 
+    @cached_property
+    def exchange_relations_exact(self) -> bool:
+        """Whether every exchange relation line of the Fock layer vanishes exactly.
+
+        True for the graded models of a commutation factor: expansion sign +1, a
+        grade-diagonal braid with the derived cross, a normalized bicharacter
+        (``eps(a, b) eps(b, a) == 1``), and ``<i|j> == 0`` whenever letters ``i``
+        and ``j`` differ in grade.  Every condition is read exactly; the proof is
+        in :func:`~braidstat.fock._fock_pass`.
+        """
+        if not (self.expansion_sign == 1 and self.is_grade_diagonal
+                and isinstance(self.cross, DerivedCross) and self.eps.is_normalized()):
+            return False
+        return not any(self.pairing[i, j] for i, a in enumerate(self.grades)
+                       for j, b in enumerate(self.grades) if a != b)
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:
             raise ModelSpecError(f"generator index {i} out of range 1..{self.n_generators}")

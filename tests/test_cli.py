@@ -147,7 +147,7 @@ def test_gram_resource_guard(capsys):
 
 
 def test_check_answers_sectors_whose_large_blocks_are_zero(capsys):
-    # fermion2's tower to sector 16 has blocks of up to 12,870 rows, all exactly 0
+    # fermion2's tower to sector 14 has blocks of up to 3,432 rows, all exactly 0
     # from sector 3 on, so none is allocated
     code, out, err = run_cli(capsys, "check", str(zoo_path("fermion2")), "--nmax", "14", "--json")
     assert (code, err) == (0, "")
@@ -175,7 +175,9 @@ def test_apply_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("vector, letter", [("1,,2", ""), ("a", "a"), ("1.5", "1.5")])
+# int() also reads underscores and every Unicode decimal digit: ARABIC-INDIC TWO read 2
+@pytest.mark.parametrize("vector, letter", [("1,,2", ""), ("a", "a"), ("1.5", "1.5"), ("٢, 1", "٢"),
+                                            ("1_0", "1_0"), ("１", "１"), ("1,+-2", "+-2")])
 def test_apply_names_a_vector_letter_that_is_not_an_integer(capsys, vector, letter):
     code, out, err = run_cli(capsys, "apply", str(zoo_path("boson")), "--program", "c1",
                              "--vector", vector)
@@ -184,8 +186,25 @@ def test_apply_names_a_vector_letter_that_is_not_an_integer(capsys, vector, lett
                    "indices\n")
 
 
+@pytest.mark.parametrize("vector, word", [(" 2", [2]), ("1,2", [1, 2]), ("+1 , 2\t", [1, 2])])
+def test_a_vector_letter_keeps_its_sign_and_spaces(capsys, vector, word):
+    code, out, _ = run_cli(capsys, "apply", str(zoo_path("boson")), "--program", "",
+                           "--vector", vector, "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["vector"] == [{"word": word, "amplitude": [1.0, 0.0]}]
+
+
+@pytest.mark.parametrize("step", ["c٢", "x１", "b1_0", "a1٢"])
+def test_a_program_step_is_ascii_digits(capsys, step):
+    with pytest.raises(ValueError, match="bad program step"):
+        parse_program(step)
+    code, out, err = run_cli(capsys, "apply", str(zoo_path("boson")), "--program", f"c1;{step}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad program step {step!r}; expected c<i>, a<i>, b<i>, or x<k>\n"
+
+
 @pytest.mark.parametrize("program, vector, letter", [("c1", "0,7", 0), ("a1", "2,9", 9),
-                                                     ("", "9", 9)])
+                                                     ("", "9", 9), ("", "-1", -1)])
 def test_apply_rejects_letters_the_model_lacks(capsys, program, vector, letter):
     code, out, err = run_cli(capsys, "apply", str(zoo_path("fermion2")),
                              "--program", program, "--vector", vector)

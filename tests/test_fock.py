@@ -445,7 +445,9 @@ def test_sector_14_of_two_generators_is_refused_before_it_is_built(capsys):
     # README's refusals: with sectors 0..13, sector 14's Gram blocks need
     # 320,070,024 bytes.  The guard counts them before any is allocated, so the
     # refusal holds no block of sector 14: its peak, 202 MiB under tracemalloc,
-    # is mostly sector 13's Gram and annihilator blocks
+    # is mostly sector 13's Gram and annihilator blocks.  check's tower goes to
+    # n_max + 2 for quon_05, but stops at n_max for boson, whose exchange
+    # relations hold exactly
     import tracemalloc
     from braidstat.cli import main as cli_main
     message = "the Gram blocks of sectors 0..14 need 320070024 bytes"
@@ -457,8 +459,10 @@ def test_sector_14_of_two_generators_is_refused_before_it_is_built(capsys):
     finally:
         tracemalloc.stop()
     assert peak <= 222 << 20, peak
-    assert cli_main(["check", str(zoo_path("boson")), "--nmax", "12"]) == 2
+    assert cli_main(["check", str(zoo_path("quon_05")), "--nmax", "12"]) == 2
     assert capsys.readouterr().err == f"error: {message}, over the guard of {MAX_GRAM_BYTES}\n"
+    assert cli_main(["check", str(zoo_path("boson")), "--nmax", "12"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_exact_zeros_never_count_toward_a_rank():
@@ -619,10 +623,12 @@ def test_one_generator_layout_allocates_no_word_sized_array():
 
 
 def test_exchange_nullity_reads_no_zero_sector(monkeypatch):
-    # fermion2 stores no Gram block from sector 3 on, so only the create-create
-    # line of sector 0 (on sector 2) and the annihilate-annihilate lines of
-    # sectors 2..4 (on sectors 0..2) take a Gram norm, each as soon as the tower
-    # has built its blocks; the mixed line has no residual for s = +1
+    # fermion2 stores no Gram block from sector 3 on, and neither does its twin
+    # with the explicit braid matrix of q = -1, whose lines are computed: only the
+    # create-create line of sector 0 (on sector 2) and the annihilate-annihilate
+    # lines of sectors 2..4 (on sectors 0..2) take a Gram norm, each as soon as
+    # the tower has built its blocks; the mixed line has no residual for s = +1.
+    # fermion2's own lines are exactly 0 by construction, and none is computed
     sectors = []
     raised, lowered = fock._raised, fock._lowered
 
@@ -635,9 +641,15 @@ def test_exchange_nullity_reads_no_zero_sector(monkeypatch):
                         sectors.append(("annihilate-annihilate", grams[0].sector))
                         or lowered(n_gen, relation, grams, *args))
     monkeypatch.setattr(fock, "_residual_norms", refuse)
-    report = check_braid_exchange_relations(load_zoo("fermion2"), n_max=4)
+    fermion2 = load_zoo("fermion2")
+    twin = make_model(fermion2.group, fermion2.eps, fermion2.grades, fermion2.pairing,
+                      q_swap_braid(2, -1.0))
+    assert twin.cross_terms == fermion2.cross_terms and not twin.exchange_relations_exact
+    report = check_braid_exchange_relations(twin, n_max=4)
     assert report.passed and sectors == [("annihilate-annihilate", 0), ("create-create", 2),
                                          ("annihilate-annihilate", 1), ("annihilate-annihilate", 2)]
+    sectors.clear()
+    assert check_braid_exchange_relations(fermion2, n_max=4) == report and sectors == []
 
 
 def test_zero_blocks_are_never_allocated():
@@ -1023,6 +1035,97 @@ def test_checks_match_dense_oracles_across_blocks(label):
     assert all(_close(report.data["lines"][k], lines[k]) for k in lines), (report.data, lines)
     assert _close(report.defect, worst) and report.witness == witness, (report, witness)
     assert worst > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the exact class: graded models of a commutation factor
+
+# orders and bicharacter exponents; each is normalized, Z3 x Z3's and Z4 x Z4's complex
+_GRADING_GROUPS = {
+    "Z2": ([2], [["1/2"]]),
+    "Z2xZ2": ([2, 2], [["1/2", "1/2"], ["1/2", "0"]]),
+    "Z6": ([6], [["1/2"]]),
+    "Z3xZ3": ([3, 3], [["0", "1/3"], ["-1/3", "0"]]),
+    "Z4xZ4": ([4, 4], [["0", "1/4"], ["-1/4", "1/2"]]),
+}
+_TILTED = [[1, 0.3], [0.3, 1.7]]
+
+
+def _graded_model(label: str, seed: int) -> ParticleModel:
+    """Two or three generators of random grades, with a random pairing, complex for
+    odd seeds, that links only letters of one grade."""
+    orders, exponents = _GRADING_GROUPS[label]
+    group, rng = make_group(orders), np.random.default_rng(seed)
+    elements, n_gen = list(group.elements()), int(rng.integers(2, 4))
+    grades = [elements[k] for k in rng.integers(len(elements), size=n_gen)]
+    raw = rng.uniform(-1, 1, (n_gen, n_gen))
+    if seed % 2:
+        raw = raw + 1j * rng.uniform(-1, 1, (n_gen, n_gen))
+    pairing = np.where([[a == b for b in grades] for a in grades], raw, 0)
+    return make_model(group, make_bicharacter(group, exponents), grades, pairing)
+
+
+def test_exact_class_of_the_zoo():
+    assert {name for name in ZOO_NAMES if load_zoo(name).exchange_relations_exact} \
+        == {"boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"}
+
+
+@pytest.mark.parametrize("seed", range(20261019, 20261023))
+@pytest.mark.parametrize("label", _GRADING_GROUPS)
+def test_graded_models_satisfy_every_exchange_relation_exactly(label, seed):
+    # the dense oracle computes each line and reads roundoff (the root of a
+    # roundoff-sized form); the engine reports the exact 0 of the proof
+    model = _graded_model(label, seed)
+    n_max = 4 if model.n_generators == 2 else 3
+    assert model.exchange_relations_exact
+    lines, worst, _ = dense_exchange_nullity(model, n_max)
+    assert worst <= 9e-7, lines
+    report = check_braid_exchange_relations(model, n_max=n_max)
+    assert (report.status, report.defect, report.witness) == ("pass", 0.0, None)
+    assert report.data == {"lines": dict.fromkeys(lines, 0.0), "n_max": n_max}
+
+
+def _near_misses() -> dict[str, ParticleModel]:
+    """Models that fail one condition of the exact class each."""
+    trivial, z2 = make_group([]), make_group([2])
+    half = make_bicharacter(z2, [["1/2"]])
+    return {
+        "pairing-across-grades": make_model(z2, half, [[1], [0]], _TILTED),
+        "anyon_z4": load_zoo("anyon_z4"),          # not normalized
+        "quon_05": load_zoo("quon_05"),            # an explicit braid matrix
+        "fermion2-minus": make_model(z2, half, [[1], [1]], _TILTED, expansion_sign=-1),
+        "q-swap-tilted": make_model(trivial, Bicharacter.trivial(trivial), [[], []], _TILTED,
+                                    q_swap_braid(2, 1.0)),
+        **_minus_models(),
+    }
+
+
+@pytest.mark.parametrize("label", ["pairing-across-grades", "anyon_z4", "quon_05", "fermion2-minus",
+                                   "q-swap-tilted", "quon-minus", "fermion3-minus"])
+def test_near_misses_of_the_exact_class_are_computed(label):
+    # q-swap-tilted's relations hold, yet its create-create line is computed:
+    # both sides read the same 3.37e-07, the root of a roundoff-sized form
+    model = _near_misses()[label]
+    assert not model.exchange_relations_exact
+    n_max = 4 if model.n_generators <= 2 else 3
+    lines, worst, witness = dense_exchange_nullity(model, n_max)
+    report = check_braid_exchange_relations(model, n_max=n_max)
+    assert all(_close(report.data["lines"][k], lines[k]) for k in lines), (report.data, lines)
+    assert _close(report.defect, worst) and report.witness == witness, (report, witness)
+    assert worst > (1e-7 if label == "q-swap-tilted" else 1.0)
+
+
+def test_tilted_fermion2_passes_exchange_nullity(tmp_path, capsys):
+    # fermion2 with a pairing inside its one grade: the computed create-create
+    # line read 7.857e-09, the root of a roundoff-sized form, and failed
+    from braidstat.cli import main as cli_main
+    doc = json.loads(zoo_path("fermion2").read_text())
+    doc["generators"]["pairing"] = _TILTED
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check", str(path), "--json"]) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert (rows["exchange-nullity"]["status"], rows["exchange-nullity"]["defect"]) == ("pass", 0.0)
 
 
 # ---------------------------------------------------------------------------
