@@ -58,16 +58,16 @@ where exact arithmetic puts it.  Infinite statistics is exact by construction
 and reported without computing, and so are the exchange relations of a graded
 model of a commutation factor
 (:attr:`~braidstat.models.ParticleModel.exchange_relations_exact`, proved at
-:func:`_fock_pass`).
+:func:`_fock_pass`): no array is built for them.
 
 The sector-``n`` Gram matrix has entries
 ``G[w, w'] = <vacuum | b-_{w_n} ... b-_{w_1} | w'>``; its rank is the
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
-builds each sector once, in one tower to ``n_max + 2``, or to ``n_max`` where
-the exchange relations hold exactly.  ``G_n`` is block-diagonal with one block
-per multiset, every entry between blocks exactly 0, and the rows of ``G_M``
-that start with ``i`` are ``G_{M - {i}} B_i``.  A
+builds each sector once, in one tower to ``n_max + 2``, or to ``n_max`` for its
+Gram rows alone where the exchange relations hold exactly.  ``G_n`` is
+block-diagonal with one block per multiset, every entry between blocks exactly
+0, and the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
 block that is exactly 0 is not stored, every reader takes a missing block as
 exactly 0, and once a whole sector stores no block the tower builds no further
 annihilator block but those a check reads.  Positivity comes from the
@@ -638,16 +638,15 @@ def _hops(model: ParticleModel, n: int) -> Iterator[tuple[_Layout, list[dict]]]:
 
 
 def _annihilator_norms(model: ParticleModel, n: int) -> Iterator[np.ndarray]:
-    """The norm of ``b-_i`` on each word of sectors ``0..n``, by ``[i - 1, word]``: the
-    column norms of the blocks of :func:`_hops`, all finite, else an error naming the sector."""
-    for m, (layout, hops) in enumerate(_hops(model, n)):
-        norms = np.zeros((model.n_generators, len(layout.order)))
+    """The largest norm of ``b-_i`` on a word of each sector ``0..n``, by ``[i - 1]``: the
+    largest column norm of its blocks of :func:`_hops`, finite, else an error naming the sector."""
+    for m, (_, hops) in enumerate(_hops(model, n)):
+        squares = np.zeros(model.n_generators)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for c, block in enumerate(hops):
-                at = layout.order[layout.start[c]:layout.start[c + 1]]
+            for block in hops:
                 for i, (_, hop, _) in block.items():
-                    norms[i - 1, at] = (np.abs(hop) ** 2).sum(axis=0)
-        yield _finite(np.sqrt(norms), f"the annihilator norms of sector {m}")
+                    squares[i - 1] = max(squares[i - 1], (np.abs(hop) ** 2).sum(axis=0).max())
+        yield _finite(np.sqrt(squares), f"the annihilator norms of sector {m}")
 
 
 def _sector_gram(model: ParticleModel, n: int) -> GramResult:
@@ -761,9 +760,9 @@ def _raised(relation: np.ndarray, gram: GramResult, forms: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, naming the sector
-def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], tol: float) -> CheckReport:
-    """:func:`check_braid_exchange_relations` from the squared Gram norms of sectors
-    ``0..n_max`` by ``[line, (i - 1) N + j - 1, word]``."""
+def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], n_max: int, tol: float) -> CheckReport:
+    """:func:`check_braid_exchange_relations` on sectors ``0..n_max`` from their squared Gram
+    norms by ``[line, (i - 1) N + j - 1, word]``; none, where every one is exactly 0."""
     n_gen, lines = model.n_generators, ("create-create", "annihilate-annihilate", "mixed")
     # loop order: word, i, j, line
     sectors = [_finite(np.sqrt(np.abs(form)), f"the exchange relations of sector {n}")
@@ -777,7 +776,7 @@ def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], tol: float)
     return CheckReport.from_defect("exchange-nullity", worst, tol, witness, {
         "lines": {line: max((float(d[..., k].max()) for d in sectors), default=0.0)
                   for k, line in enumerate(lines)},
-        "n_max": len(forms) - 1})
+        "n_max": n_max})
 
 
 def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list, list[np.ndarray]]:
@@ -788,7 +787,7 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     kept for the readers to refuse, in the order the checks are reported.
 
     Where :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds, every form is
-    exactly 0, and the tower stops at ``n_max`` with no annihilator block kept.  Write ``g_i``
+    exactly 0 and none is returned, and the tower stops at ``n_max`` for the Gram rows.  Write ``g_i``
     for the grade of letter ``i``, ``chi_ij = eps(g_j, -g_i)`` for the phase of ``b-_i`` hopping
     past ``j``, ``lambda = eps(g_b, g_a)`` and ``D = b-_a b-_b - lambda b-_b b-_a``.  With
     ``s = +1`` the recursion ``b-_a (j, w) = <a|j> w + chi_aj (j, b-_a w)`` gives
@@ -807,11 +806,11 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     j``, ``b = i``, since ``conj(eps(g_j, g_i)) = eps(g_i, g_j)``: so ``v^H G_{n+2} = 0`` and
     its form is 0.  For ``s = +1`` the mixed line is empty (module docstring)."""
     _guard_sectors(model, n_max)
+    if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
+        return [result for result, _ in _tower(model, n_max)], [], []
+    _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     n_gen = model.n_generators
     forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]
-    if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
-        return [result for result, _ in _tower(model, n_max)], [], forms
-    _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     # column (i - 1) N + j - 1 lists the relation sum_kl C[(k, l), (i, j)] x_k x_l
     relation = _pruned(_typed(model, np.eye(n_gen * n_gen) - _action_matrix(model.braid_coupling)))
     grams, residuals, below, plans = [], [], None, {}
@@ -845,7 +844,7 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     hermitian = all(result.hermitian_within(tol) for result in grams)
     asymmetry = max(result.asymmetry for result in grams)
     return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, n_max, tol),
-            _exchange_nullity(model, forms, tol),
+            _exchange_nullity(model, forms, n_max, tol),
             CheckReport("gram-hermitian", PASS if hermitian else FAIL, asymmetry), psd], dims
 
 
@@ -866,10 +865,12 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     positive definite Gram (e.g. a ``q``-swap model with ``|q| < 1``)
     genuinely has no create-create relation.  Where
     :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds,
-    every line is exactly 0 (the proof is at :func:`_fock_pass`), and only the
-    Grams of sectors ``0..n_max`` are built.
+    every line is exactly 0 (the proof is at :func:`_fock_pass`): only the word
+    guards on sectors ``0..n_max`` run, and nothing is built.
     """
-    return _exchange_nullity(model, _fock_pass(model, n_max)[2], tol)
+    _guard_sectors(model, n_max)
+    forms = [] if model.exchange_relations_exact else _fock_pass(model, n_max)[2]
+    return _exchange_nullity(model, forms, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +914,11 @@ def apply_program(model: ParticleModel, program: Sequence[ProgramStep], v: FockV
         elif isinstance(step, AnnihilateTwisted):
             state = annihilate_twisted(model, step.index, state)
         elif isinstance(step, Exchange):
-            out = FockVector.zero()
+            out: dict[TensorWord, complex] = {}  # summed in one dict: adding vectors copies the sum per word
             for w, a in state.items():
-                out = out + braid_on_word(model, w, step.position).scale(a)
-            state = out
+                for u, b in braid_on_word(model, w, step.position).items():
+                    out[u] = out.get(u, 0.0) + a * b
+            state = FockVector(out)
         else:
             raise ValueError(f"unknown program step {step!r}")
     return state

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fock import _annihilator_norms, _guard_sectors, _locate
 from .groups import Bicharacter, GroupHom, GroupMismatchError
 from .models import DERIVED_CROSS, GRADE_DIAGONAL, ModelSpecError, ParticleModel, make_model
@@ -90,27 +92,27 @@ def check_relation_transport(t: Transmutation, n_max: int = 3, tol: float = 1e-9
     the pass/fail status follows the target's own relations.  Both models are
     grade-diagonal, so by the annihilator recursion a reading twisted with
     ``chi`` leaves ``(s chi_target(i, j) - chi(i, j)) (j, b-_i w)`` on a word
-    ``w``; prepending ``j`` keeps the norm, so the column norms of the
-    annihilator blocks to ``n_max`` give every defect.  The witness is the
-    first in ``(i, j, sector, word)`` order, within the Fock checks' witness band.
+    ``w``, and prepending ``j`` keeps the norm: the defect of ``(i, j)`` on a
+    sector is the modulus of that factor times the largest norm of ``b-_i`` on
+    its words (rounding is monotone), and no annihilator block is built where
+    every factor of both readings is exactly 0.  The witness is the first
+    ``(i, j, sector)``, within the Fock checks' witness band.
     """
     source, target = t.source, t.target
-    n_gen = target.n_generators
+    n_gen, s = target.n_generators, target.expansion_sign
     _guard_sectors(target, n_max)
-    norms = list(_annihilator_norms(target, n_max))  # norms[n][i - 1]: b-_i on each word of sector n
-    phases = [(i, complex(target.cross_phase(i, j)), complex(source.cross_phase(i, j)))
+    phases = [(complex(target.cross_phase(i, j)), complex(source.cross_phase(i, j)))
               for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
-    # loop order: i, j, sector, word
-    own = [abs(target.expansion_sign * chi_t - chi_t) * norms[n][i - 1]
-           for i, chi_t, _ in phases for n in range(n_max + 1)]
-    image = [abs(target.expansion_sign * chi_t - chi_s) * norms[n][i - 1]
-             for i, chi_t, chi_s in phases for n in range(n_max + 1)]
-    target_defect, at = _locate(own)
+    factors = np.array([[abs(s * chi_t - chi_t) for chi_t, _ in phases],  # own, image by (i, j)
+                        [abs(s * chi_t - chi_s) for chi_t, chi_s in phases]]).reshape(2, n_gen, n_gen, 1)
+    norms = (np.transpose(list(_annihilator_norms(target, n_max))) if factors.any()  # [i - 1, sector]
+             else np.zeros((n_gen, n_max + 1)))  # every defect is exactly 0: no block is read
+    own, image = factors * norms[:, None, :]  # loop order: i, j, sector
+    target_defect, at = _locate([own])
     witness = None
     if at is not None:
-        pair, sector = divmod(at[0], n_max + 1)
-        witness = {"i": pair // n_gen + 1, "j": pair % n_gen + 1, "sector": sector}
-    image_defect = max(float(d.max()) for d in image)
+        i, j, sector = (int(k) for k in at[1])
+        witness = {"i": i + 1, "j": j + 1, "sector": sector}
     return CheckReport.from_defect("relation-transport", target_defect, tol, witness,
-                                   {"target_defect": target_defect, "image_defect": image_defect,
+                                   {"target_defect": target_defect, "image_defect": float(image.max()),
                                     "n_max": n_max})

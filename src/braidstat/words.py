@@ -48,10 +48,6 @@ class FockVector:
     def basis(cls, word: Iterable[int]) -> "FockVector":
         return cls({tuple(word): 1.0})
 
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
     def amplitude(self, word: Iterable[int]) -> complex:
         return self._amps.get(tuple(word), 0.0 + 0.0j)
 

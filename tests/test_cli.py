@@ -531,9 +531,10 @@ _BIG = [[1e308, 0], [0, 1]]
      "the Gram blocks of sector 1 "),
     # a non-Hermitian block whose asymmetry lies past the float range
     ("fermion2", ["check"], [[1, 1e308], [-1e308, 1]], "the Gram blocks of sector 1 "),
-    # finite ladder values whose squares overflow: it printed "defect": NaN, exit 1
-    ("z2z2_fermion", ["transmute", "--hom", str(zoo_path("hom_z2z2_to_z2")), "--target-bichar",
-                      str(zoo_path("bichar_z2_half")), "--json"], [[1e200, 0], [0, 1]],
+    # finite ladder values whose squares overflow: it printed "defect": NaN, exit 1.
+    # The image reading of fermion1 along Z2 -> Z4 has a factor that is not 0, so it reads them
+    ("fermion1", ["transmute", "--hom", str(zoo_path("hom_z2_to_z4")), "--target-bichar",
+                  str(zoo_path("bichar_z4_quarter")), "--json"], [[1e200]],
      "the annihilator norms of sector 1 "),
     # b-_k b-_l of exchange-nullity overflows where the ladder and the Grams stay
     # finite: its NaN sums were pruned, and it reported 0.0 with a warning, exit 1
@@ -549,6 +550,26 @@ def test_overflow_is_one_error_line_naming_the_sector(tmp_path, capsys, name, ar
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pairing, nmax", [
+    # the pairing whose annihilator norms overflow: exit 2 while transport read them
+    ([[1e200, 0], [0, 1]], []),
+    # sector 14's annihilator blocks took 279724968 bytes, over the guard: exit 2
+    (None, ["--nmax", "16"]),
+])
+def test_a_matched_transmutation_reads_no_annihilator_block(tmp_path, capsys, pairing, nmax):
+    # z2z2_fermion along Z2xZ2 -> Z2 keeps every cross phase, and its sign is +1:
+    # every factor of both readings is exactly 0, so every defect is too
+    path = zoo_path("z2z2_fermion") if pairing is None else _write_zoo_copy(
+        tmp_path, "z2z2_fermion", lambda doc: doc["generators"].__setitem__("pairing", pairing))
+    code, out, err = run_cli(capsys, "transmute", str(path), "--hom", str(zoo_path("hom_z2z2_to_z2")),
+                             "--target-bichar", str(zoo_path("bichar_z2_half")),
+                             "--out", str(tmp_path / "target.json"), "--json", *nmax)
+    assert (code, err) == (0, "")
+    transport = next(c for c in json.loads(out)["checks"] if c["name"] == "relation-transport")
+    assert (transport["defect"], transport["data"]["image_defect"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("argv, verdict", [

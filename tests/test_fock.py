@@ -1128,6 +1128,29 @@ def test_tilted_fermion2_passes_exchange_nullity(tmp_path, capsys):
     assert (rows["exchange-nullity"]["status"], rows["exchange-nullity"]["defect"]) == ("pass", 0.0)
 
 
+@pytest.mark.parametrize("name", ["boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"])
+def test_the_exact_class_builds_nothing_for_its_exchange_row(monkeypatch, name):
+    # the tower to n_max was built and thrown away: boson at 14 was refused, its
+    # Gram blocks of sectors 0..14 needing 320070024 bytes, over the guard
+    def refused(*args, **kwargs):
+        raise AssertionError("built for an exact 0")
+
+    monkeypatch.setattr(fock, "GramResult", refused)
+    monkeypatch.setattr(fock, "_tower", refused)
+    model = load_zoo(name)
+    report = check_braid_exchange_relations(model, n_max=3)
+    assert (report.status, report.defect, report.witness) == ("pass", 0.0, None)
+    assert report.data == {"lines": dict.fromkeys(("create-create", "annihilate-annihilate", "mixed"), 0.0),
+                           "n_max": 3}
+    with pytest.raises(ValueError, match="sector must be >= 0, got -1"):
+        check_braid_exchange_relations(model, n_max=-1)
+    if name == "boson":
+        report = check_braid_exchange_relations(model, n_max=14)
+        assert (report.status, report.defect, report.data["n_max"]) == ("pass", 0.0, 14)
+        with pytest.raises(ResourceLimitError, match="sector size 2\\^17 exceeds the guard of 100000"):
+            check_braid_exchange_relations(model, n_max=17)
+
+
 # ---------------------------------------------------------------------------
 # the arithmetic type
 
@@ -1146,7 +1169,10 @@ def test_engine_computes_and_hands_out_grams_in_the_scalar_type(name):
     assert {hop.dtype for _, hops in fock._tower(model, 4, 2) for block in hops
             for _, hop, _ in block.values()} == {dtype}
     assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
-    assert {form.dtype for form in forms} == {dtype}
+    if model.exchange_relations_exact:  # every line is exactly 0: no form is allocated
+        assert forms == []
+    else:
+        assert {form.dtype for form in forms} == {dtype}
     result = gram_matrix(model, 3)
     assert result.matrix.dtype == dtype
     assert all(block.matrix.dtype == dtype for block in result.blocks)
@@ -1252,6 +1278,28 @@ def test_apply_program_examples():
         == FockVector({(1, 2): -1.0})
     assert apply_program(m, [Create(1), Create(2), Exchange(1), AnnihilateTwisted(2)],
                          FockVector.vacuum()) == FockVector.basis((1,))
+
+
+def test_an_exchange_step_sums_its_words_in_one_vector(monkeypatch):
+    # adding one braided word at a time to a FockVector copied the growing sum
+    # per word: 4,096 terms took 2.2 s.  A random real braid mixes every pair,
+    # so x1..x7 spread one word over the 2^8 words of its first 8 letters
+    trivial = make_group([])
+    model = make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                       BraidMatrix(np.random.default_rng(1).normal(size=(4, 4)) + 3 * np.eye(4)))
+    program = [Exchange(p) for p in range(1, 8)]
+    state = FockVector.basis((1, 2, 1, 2, 2, 1, 1, 2, 1, 2))
+    want = state
+    for step in program:  # per word, term by term, as the step documents
+        out = {}
+        for w, a in want.items():
+            for k, l, t in model.braid_terms[w[step.position - 1], w[step.position]]:
+                u = w[:step.position - 1] + (k, l) + w[step.position + 1:]
+                out[u] = out.get(u, 0.0) + a * complex(t)
+        want = FockVector(out)
+    monkeypatch.setattr(FockVector, "__add__", lambda self, other: pytest.fail("a vector sum per word"))
+    got = apply_program(model, program, state)
+    assert got.n_terms == 2 ** 8 and got == want
 
 
 def test_apply_program_errors():

@@ -7,7 +7,7 @@ from braidstat import (Bicharacter, ModelSpecError, check_cross_symmetric,
                        transmute_model, zoo_path)
 from braidstat.modelfile import load_bicharacter_file, load_hom_file
 
-from oracles import banded_witness, dense_commutator_residuals
+from oracles import banded_witness, dense_annihilators, dense_commutator_residuals
 
 
 def z2z2_setup():
@@ -234,3 +234,94 @@ def test_negative_n_max_is_rejected():
     t = _transmutations()["fermion1->hom_z2_to_z4"]
     with pytest.raises(ValueError, match="sector must be >= 0, got -1"):
         check_relation_transport(t, -1)
+
+
+@pytest.mark.parametrize("label, reads", [
+    ("z2z2_fermion->hom_z2z2_to_z2", False),  # s = +1 and every cross phase kept: every factor is 0
+    ("fermion1->hom_z2_to_z4", True),         # the image reading's factor is 2
+    ("anyon_z4->Z2", True),
+    ("fermion2(s=-1)->trivial", True),        # the own reading's factor is 2
+])
+def test_relation_transport_reads_norms_only_for_a_factor_that_is_not_zero(monkeypatch, label, reads):
+    import braidstat.transmute as transmute
+    calls, norms = [], transmute._annihilator_norms
+
+    def counted(model, n):
+        calls.append(n)
+        return norms(model, n)
+
+    monkeypatch.setattr(transmute, "_annihilator_norms", counted)
+    check_relation_transport(_transmutations()[label], 3)
+    assert calls == ([3] if reads else [])
+
+
+# source groups with their bicharacters, and the targets a random transmutation picks from
+_SWEEP_GROUPS = {
+    (2,): [[["1/2"]], [["0"]]],
+    (2, 2): [[["1/2", "1/2"], ["1/2", "0"]], [["0", "1/2"], ["0", "0"]], [["1/2", "0"], ["0", "1/2"]]],
+    (4,): [[["1/4"]], [["1/2"]], [["3/4"]]],
+}
+
+
+def _sweep_transmutation(seed: int):
+    """A random grade-diagonal model on Z2, Z2xZ2 or Z4, of expansion sign +-1, with a pairing,
+    real for even seeds and complex for odd ones, inside its grades, pushed along a random hom
+    to a random bicharacter; for seeds divisible by 3, along the identity to its own."""
+    rng = np.random.default_rng(seed)
+    keys = list(_SWEEP_GROUPS)
+    orders = keys[rng.integers(len(keys))]
+    group = make_group(orders)
+    exponents = _SWEEP_GROUPS[orders][rng.integers(len(_SWEEP_GROUPS[orders]))]
+    elements, n_gen = list(group.elements()), int(rng.integers(2, 4))
+    grades = [elements[k] for k in rng.integers(len(elements), size=n_gen)]
+    raw = rng.uniform(-1, 1, (n_gen, n_gen)) + (1j * rng.uniform(-1, 1, (n_gen, n_gen)) if seed % 2 else 0)
+    pairing = np.where([[a == b for b in grades] for a in grades], raw, 0)
+    model = make_model(group, make_bicharacter(group, exponents), grades, pairing,
+                       expansion_sign=int(rng.choice([1, -1])))
+    if seed % 3 == 0:
+        return make_transmutation(model, make_hom(group, group, [e.residues for e in group.generators()]),
+                                  model.eps)
+    target_orders = keys[rng.integers(len(keys))]
+    target = make_group(target_orders)
+    images = []
+    for order in orders:  # n e = 0 for a generator of order n
+        allowed = [e for e in target.elements() if e.scale(order).is_identity]
+        images.append(allowed[rng.integers(len(allowed))].residues)
+    target_exponents = _SWEEP_GROUPS[target_orders][rng.integers(len(_SWEEP_GROUPS[target_orders]))]
+    return make_transmutation(model, make_hom(group, target, images), make_bicharacter(target, target_exponents))
+
+
+def _per_word_transport(t, n_max: int) -> tuple[float, dict | None, float]:
+    """The target defect, witness and image defect as relation transport read them word by word:
+    each reading's factor ``|s chi_target(i, j) - chi(i, j)|`` times the norm of ``b-_i`` on each
+    word of each sector, the column norms of the dense annihilators."""
+    source, target = t.source, t.target
+    n_gen, sign = target.n_generators, target.expansion_sign
+    ladder = dense_annihilators(target, n_max)
+    norms = [np.zeros((n_gen, 1))] + [np.sqrt((np.abs(np.array(ladder[n])) ** 2).sum(axis=1))
+                                      for n in range(1, n_max + 1)]
+    phases = [(i, complex(target.cross_phase(i, j)), complex(source.cross_phase(i, j)))
+              for i in range(1, n_gen + 1) for j in range(1, n_gen + 1)]
+    own = [abs(sign * chi_t - chi_t) * norms[n][i - 1] for i, chi_t, _ in phases for n in range(n_max + 1)]
+    image = [abs(sign * chi_t - chi_s) * norms[n][i - 1] for i, chi_t, chi_s in phases for n in range(n_max + 1)]
+    worst, at = banded_witness(own)
+    witness = None
+    if at is not None:
+        pair, sector = divmod(at[0], n_max + 1)
+        witness = {"i": pair // n_gen + 1, "j": pair % n_gen + 1, "sector": sector}
+    return worst, witness, max(float(d.max()) for d in image)
+
+
+def test_relation_transport_equals_the_per_word_reading_bit_for_bit():
+    kinds = set()
+    for seed in range(20261100, 20261148):
+        t = _sweep_transmutation(seed)
+        n_max = 3 + seed % 2
+        worst, witness, image = _per_word_transport(t, n_max)
+        report = check_relation_transport(t, n_max, tol=1e-12)
+        got = (report.defect, report.data["target_defect"], report.witness, report.data["image_defect"])
+        assert got == (worst, worst, witness, image), seed
+        assert report.passed == (worst <= 1e-12), seed
+        kinds.add((t.target.expansion_sign, worst > 0, image > 0))
+    # every kind of reading: both factors 0, only the image's, and both
+    assert {(1, False, False), (1, False, True), (-1, True, True)} <= kinds, kinds
