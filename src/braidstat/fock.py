@@ -78,8 +78,13 @@ block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
 whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
 (``check``, ``gram``) counts the spectrum of its ``gram-psd`` row;
 :meth:`GramResult.quotient_rank` (:func:`sector_dimension`) first proves every
-stored block full rank by a shifted Cholesky where it can.  The dense matrix
-is filled from the blocks only when :attr:`GramResult.matrix` is read.
+stored block full rank by a shifted Cholesky where it can.  On the contractive
+q-models (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`, with
+the theorem) every sector is positive definite, so all three give the rank
+``N^n`` with no spectral step, whatever ``tol``: :func:`sector_dimension` runs
+the word guards and builds nothing, and the ``gram-psd`` row passes with defect
+0 while still reporting its computed ``min_eigenvalue``.  The dense matrix is
+filled from the blocks only when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -160,6 +165,12 @@ def _guard_sectors(model: ParticleModel, n_max: int) -> None:
         raise ResourceLimitError(f"sector size {n_gen}^{n} exceeds the guard of {MAX_SECTOR_SIZE}")
     if n_max > MAX_SECTOR_SIZE:
         raise ResourceLimitError(f"word length {n_max} exceeds the guard of {MAX_SECTOR_SIZE}")
+
+
+def _check_tol(tol: float) -> None:
+    """The ``--tol`` rule on the tolerance of a public function: a finite number ``>= 0``."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +297,7 @@ def check_infinite_statistics(model: ParticleModel, n_max: int = 4, tol: float =
     the sector guards still apply.  The reversed composition ``a+_j a-_i`` is
     *not* scalar; see the tests for the documented non-relation.
     """
+    _check_tol(tol)
     _guard_sectors(model, n_max)
     return CheckReport.from_defect("infinite-statistics", 0.0, tol, None,
                                    {"n_max": n_max, "exact": True})
@@ -303,6 +315,7 @@ def _commutator_report(defects: np.ndarray, i: int, j: int, n: int, tol: float) 
 def commutator_defect(model: ParticleModel, i: int, j: int, n: int, tol: float = 1e-9) -> CheckReport:
     """Defect of ``b-_i b+_j - sum_kl T[i,j,k,l] b+_l b-_k - <i|j>`` on sector ``n``;
     the witness is the first word in lexicographic order."""
+    _check_tol(tol)
     model._check_index(i)
     model._check_index(j)
     _guard_sectors(model, n)
@@ -411,10 +424,13 @@ class GramResult:
     model's scalar type.  A non-finite entry raises :class:`NonFiniteError`."""
 
     def __init__(self, sector: int, n_generators: int, layout: _Layout,
-                 matrices: dict[int, np.ndarray], dtype: type):
+                 matrices: dict[int, np.ndarray], dtype: type, positive_definite: bool = False):
         self.sector = sector
         self.n_generators = n_generators
         self.dtype = np.dtype(dtype)
+        #: whether the sector is positive definite by theorem
+        #: (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`)
+        self.positive_definite = positive_definite
         self._layout = layout
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
@@ -506,26 +522,36 @@ class GramResult:
         return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0)))
 
     def quotient_rank(self, tol: float) -> int:
-        """Rank of a Hermitian sector Gram, cut at ``tol`` times its largest singular value:
-        the stored rows where :meth:`_full_rank` holds, else the counted eigenvalues."""
+        """Rank of a Hermitian sector Gram: ``N^n`` where :attr:`positive_definite` holds, with
+        no spectral step; else cut at ``tol`` times its largest singular value, the stored rows
+        where :meth:`_full_rank` holds, else the counted eigenvalues."""
         if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
+        if self.positive_definite:
+            return self.n_generators ** self.sector
         return sum(map(len, self._matrices.values())) if self._full_rank(tol) else self._counted_rank(tol)
 
     def psd_report(self, tol: float) -> CheckReport:
-        """``gram-psd`` on this sector; the tolerance is relative to its largest entry."""
+        """``gram-psd`` on this sector; the tolerance is relative to its largest entry.  Where
+        :attr:`positive_definite` holds, the row passes by the theorem with defect 0, and
+        ``min_eigenvalue`` is still the computed one, negative if roundoff made it so."""
         if not self.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
                                {"sector": self.sector, "asymmetry": self.asymmetry})
         min_eig = float(np.concatenate(self.spectrum).min())
-        status = PASS if min_eig >= -tol * self.scale else FAIL
-        return CheckReport("gram-psd", status, max(0.0, -min_eig), None,
-                           {"sector": self.sector, "min_eigenvalue": min_eig})
+        data = {"sector": self.sector, "min_eigenvalue": min_eig}
+        if self.positive_definite:
+            return CheckReport("gram-psd", PASS, 0.0, None, data)
+        return CheckReport("gram-psd", PASS if min_eig >= -tol * self.scale else FAIL, max(0.0, -min_eig),
+                           None, data)
 
     def readings(self, tol: float) -> tuple[CheckReport, int | None]:
-        """The ``gram-psd`` row and the rank counted from its spectrum, ``None`` if not Hermitian."""
+        """The ``gram-psd`` row and the rank, ``None`` if not Hermitian: ``N^n`` where
+        :attr:`positive_definite` holds, else counted from the row's spectrum."""
         report = self.psd_report(tol)
-        return report, None if report.status == SKIPPED else self._counted_rank(tol)
+        if report.status == SKIPPED:
+            return report, None
+        return report, self.n_generators ** self.sector if self.positive_definite else self._counted_rank(tol)
 
 
 class SectorDimension(NamedTuple):
@@ -593,8 +619,9 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
     once; :func:`_annihilators` guards its own.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
+    definite = model.grams_positive_definite
     plan, below = _term_plan(model), [{}]  # sector 0's block has no run
-    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype)
+    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype, definite)
     yield result, below
     total, stored = itemsize, True  # bytes of the blocks allocated so far; whether sector m - 2 stores one
     for m in range(1, n + 1):
@@ -618,7 +645,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
                     if m < n:  # sector n's B_i is dropped after its product
                         hops[c][i] = top, hop, bound
         below, stored = hops, bool(lower)
-        result = GramResult(m, n_gen, layout, grams, dtype)
+        result = GramResult(m, n_gen, layout, grams, dtype, definite)
         yield result, hops if m <= depth else []  # a caller holds no block it does not read
 
 
@@ -672,13 +699,21 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
 
 
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
-    """Full dimension ``N^n`` and the rank of the sector Gram matrix."""
-    rank = _sector_gram(model, n).quotient_rank(tol)  # guards sector n before N^n is built
-    return SectorDimension(model.n_generators ** n, rank)
+    """Full dimension ``N^n`` and the rank of the sector Gram matrix
+    (:meth:`GramResult.quotient_rank`).  Where
+    :attr:`~braidstat.models.ParticleModel.grams_positive_definite` holds, the rank is ``N^n``
+    by the theorem: only the word guards run, and no Gram is built."""
+    _check_tol(tol)
+    _guard_sectors(model, n)  # before N^n is built
+    rows = model.n_generators ** n
+    rank = rows if model.grams_positive_definite else _sector_gram(model, n).quotient_rank(tol)
+    return SectorDimension(rows, rank)
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix."""
+    """Positive semidefiniteness of the sector Gram matrix (:meth:`GramResult.psd_report`):
+    the spectrum is computed on every model, for its ``min_eigenvalue``."""
+    _check_tol(tol)
     return _sector_gram(model, n).psd_report(tol)
 
 
@@ -868,6 +903,7 @@ def check_braid_exchange_relations(model: ParticleModel, n_max: int = 3, tol: fl
     every line is exactly 0 (the proof is at :func:`_fock_pass`): only the word
     guards on sectors ``0..n_max`` run, and nothing is built.
     """
+    _check_tol(tol)
     _guard_sectors(model, n_max)
     forms = [] if model.exchange_relations_exact else _fock_pass(model, n_max)[2]
     return _exchange_nullity(model, forms, n_max, tol)

@@ -25,7 +25,10 @@ throughout the public API.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -241,6 +244,34 @@ class ParticleModel:
             return False
         return not any(self.pairing[i, j] for i, a in enumerate(self.grades)
                        for j, b in enumerate(self.grades) if a != b)
+
+    @cached_property
+    def grams_positive_definite(self) -> bool:
+        """Whether every sector Gram is positive definite by theorem, so that its rank is ``N^n``.
+
+        True for the contractive q-models, read exactly in this order: expansion sign +1; a
+        diagonal pairing whose entries ``p_i`` are real, finite and ``> 0``; each cross term list
+        ``T(i, j)`` empty (``q_ij = 0``) or the one term ``(i, j, q_ij)``; ``q_ji == conj(q_ij)``;
+        and ``|q_ij|^2 < 1`` on the Fractions of the stored floats.  The recursion is then
+        ``b-_i (j, w) = delta_ij p_i w + q_ij (j, b-_i w)``, the relations ``b-_i b+_j - q_ij
+        b+_j b-_i = delta_ij p_i``.  At ``p = 1`` their Fock Gram is positive definite in every
+        sector (Bozejko-Speicher, Math. Ann. 300, 1994; Zagier, Commun. Math. Phys. 147, 1992,
+        for one ``q``).  Each hop keeps the letters of its word, and each term of ``b-_i`` on a
+        word carries exactly one pairing factor ``p_i``, so the block of the multiset ``M`` is
+        the block at ``p = 1`` times ``prod_{i in M} p_i > 0``: still positive definite.  The
+        braid does not enter, since the Gram reads only the pairing and the cross terms.
+        """
+        if self.expansion_sign != 1:
+            return False
+        pairing = self.pairing
+        if np.any(pairing != np.diag(np.diag(pairing))) or not all(
+                p.imag == 0 and 0 < p.real < math.inf for p in np.diag(pairing).tolist()):
+            return False
+        if any(len(terms) > 1 or terms and terms[0][:2] != pair for pair, terms in self.cross_terms.items()):
+            return False
+        q = {pair: terms[0][2] if terms else 0j for pair, terms in self.cross_terms.items()}
+        return all(q[j, i] == t.conjugate() for (i, j), t in q.items()) and all(
+            cmath.isfinite(t) and Fraction(t.real) ** 2 + Fraction(t.imag) ** 2 < 1 for t in q.values())
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:

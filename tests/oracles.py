@@ -195,6 +195,15 @@ def q_factorial(q: float, n: int) -> float:
     return math.prod(sum(q ** e for e in range(k)) for k in range(1, n + 1))
 
 
+def zagier_determinant(q: float, n: int) -> float:
+    """Determinant of the Gram of the ``n!`` words of ``n`` distinct letters under one
+    ``q``, whose entries are ``q`` to the inversions of the permutation between the two
+    words (Zagier, Commun. Math. Phys. 147, 1992):
+    ``prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n! / (k^2+k))``."""
+    return math.prod((1 - q ** (k * k + k)) ** ((n - k) * math.factorial(n) // (k * k + k))
+                     for k in range(1, n))
+
+
 def bosonic_dimension(n_generators: int, n: int) -> int:
     return math.comb(n_generators + n - 1, n)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from braidstat.modelfile import model_from_dict
 from oracles import (banded_witness, bosonic_dimension, colour_symmetric_dimension,
                      dense_annihilators, dense_commutator_residuals, dense_exchange_nullity,
                      dense_gram, fermionic_dimension, permutation_gram_entry, q_factorial,
-                     quon_gram_entry, svd_rank)
+                     quon_gram_entry, svd_rank, zagier_determinant)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +417,16 @@ def test_byte_guards_count_the_scalar_type(monkeypatch):
 def test_tower_byte_guard_counts_every_block_held(monkeypatch, capsys):
     # quon_05's sector m stores blocks of C(m, k) rows, C(2m, m) entries of 8
     # bytes in all: 4,707 entries for sectors 0..7, and 12,870 at sector 8,
-    # whose largest block has 70 rows
+    # whose largest block has 70 rows.  gram_psd_check builds the tower; the
+    # rank of sector_dimension is the theorem's, which builds none
     from braidstat.cli import main as cli_main
     model = load_zoo("quon_05")
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 100_000)
-    assert sector_dimension(model, 7) == (128, 128)
+    assert gram_psd_check(model, 7).passed
     with pytest.raises(ResourceLimitError, match=r"sectors 0\.\.8 need 108736 bytes"):
-        sector_dimension(model, 8)               # 37,656 bytes below, then blocks of 8, 512,
+        gram_psd_check(model, 8)                 # 37,656 bytes below, then blocks of 8, 512,
                                                  # 6,272, 25,088 and 39,200 bytes
+    assert sector_dimension(model, 8) == (256, 256)
     # a Fock pass to sector 7: sectors 0..6 hold 10,200 bytes, and sector 7's
     # blocks take 8, 392, 3,528, 9,800 and 9,800 bytes before the guard trips
     monkeypatch.setattr(fock, "MAX_GRAM_BYTES", 30_000)
@@ -733,7 +736,8 @@ def test_certified_rank_needs_no_eigensolver(monkeypatch):
         raise AssertionError("eigvalsh ran")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    assert sector_dimension(load_zoo("quon_05"), 10) == (1024, 1024)
+    # tilted quon_05 is outside the contractive class: its one block is proved full rank
+    assert sector_dimension(_tilted_quon(0.5), 10) == (1024, 1024)
     # tol = 0 counts every exact zero of a missing block: no proof applies
     with pytest.raises(AssertionError, match="eigvalsh ran"):
         sector_dimension(load_zoo("fermion2"), 2, tol=0.0)
@@ -752,23 +756,32 @@ def test_check_and_gram_take_the_rank_from_the_spectrum(monkeypatch, capsys):
     assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
 
 
-@pytest.mark.parametrize("name", ["boson", "quon_09"])
+def _tilted_quon(q):
+    """The q-swap model of two generators with the pairing ``[[1, 0.3], [0.3, 1.7]]``: it
+    mixes the letters, so it is outside the contractive class, yet positive definite."""
+    trivial = make_group([])
+    return make_model(trivial, Bicharacter.trivial(trivial), [[], []], _TILTED, q_swap_braid(2, q))
+
+
+@pytest.mark.parametrize("name", ["boson", "quon_09-tilted"])
 def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
-    # boson's blocks have rank 1, and a block of quon_09 at sector 8 has an
-    # eigenvalue below the rank cut: no proof, so the eigenvalues are counted
-    counted = gram_matrix(load_zoo(name), 8)
+    # boson's blocks have rank 1, and the one block of tilted quon_09 at sector 8
+    # has an eigenvalue below the rank cut: no proof, so the eigenvalues are counted
+    model = _tilted_quon(0.9) if name == "quon_09-tilted" else load_zoo(name)
+    assert not model.grams_positive_definite
+    counted = gram_matrix(model, 8)
     counted.spectrum
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = gram_matrix(load_zoo(name), 8)
+    result = gram_matrix(model, 8)
     assert not result._full_rank(1e-9) and not calls
     assert result.quotient_rank(1e-9) == counted.quotient_rank(1e-9) and calls
 
 
 def test_quotient_rank_tries_the_certificate_after_the_spectrum(monkeypatch):
     # the path of quotient_rank does not depend on what was read before it
-    result, calls = gram_matrix(load_zoo("quon_05"), 6), []
+    result, calls = gram_matrix(_tilted_quon(0.5), 6), []
     result.spectrum
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
@@ -814,7 +827,8 @@ def test_non_finite_ladders_and_grams_name_their_sector():
     with pytest.raises(fock.NonFiniteError, match="the annihilators of sector 4 "):
         commutator_defect(minus, 1, 1, 4)
     with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 2 "):
-        sector_dimension(quon, 5)
+        gram_psd_check(quon, 5)
+    assert sector_dimension(quon, 5) == (32, 32)  # by the theorem: no Gram is built
     fermion2 = make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1], [1]], big)
     with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 3 "):
         gram_psd_check(fermion2, 4)
@@ -878,12 +892,12 @@ def test_no_ladder_outlives_a_call():
     import gc
     import tracemalloc
     model = load_zoo("quon_05")
-    sector_dimension(model, 2)  # builds the model's term tables, which are kept
+    gram_psd_check(model, 2)  # builds the model's term tables, which are kept
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert sector_dimension(model, 10) == (1024, 1024)
+        assert gram_psd_check(model, 10).passed
         assert commutator_defect(model, 1, 2, 8).passed
         assert check_braid_exchange_relations(model, n_max=5).failed
         gc.collect()
@@ -1149,6 +1163,159 @@ def test_the_exact_class_builds_nothing_for_its_exchange_row(monkeypatch, name):
         assert (report.status, report.defect, report.data["n_max"]) == ("pass", 0.0, 14)
         with pytest.raises(ResourceLimitError, match="sector size 2\\^17 exceeds the guard of 100000"):
             check_braid_exchange_relations(model, n_max=17)
+
+
+# ---------------------------------------------------------------------------
+# the contractive q-models: positive definite by theorem
+
+
+def _q_model(q, pairing=None, sign=1) -> ParticleModel:
+    """Generators of the trivial grading with the braid ``R[i, j, j, i] = q[i][j]``, whose
+    derived cross term of ``(i, j)`` is ``(i, j, q[i][j])``, and the unit pairing unless given."""
+    q = np.asarray(q, dtype=complex)
+    n_gen, trivial = len(q), make_group([])
+    coupling = np.zeros((n_gen,) * 4, dtype=complex)
+    for i in range(n_gen):
+        for j in range(n_gen):
+            coupling[i, j, j, i] = q[i, j]
+    return make_model(trivial, Bicharacter.trivial(trivial), [[]] * n_gen,
+                      np.eye(n_gen) if pairing is None else pairing, BraidMatrix(coupling),
+                      expansion_sign=sign)
+
+
+def _contractive_model(seed: int) -> ParticleModel:
+    """Two or three generators with ``q_ji = conj(q_ij)``, complex off the diagonal and
+    real on it, each ``|q| <= 0.95``, and a diagonal pairing in [0.3, 3]."""
+    rng = np.random.default_rng(seed)
+    n_gen = int(rng.integers(2, 4))
+    upper = np.triu(0.95 * np.sqrt(rng.uniform(size=(n_gen, n_gen)))
+                    * np.exp(2j * np.pi * rng.uniform(size=(n_gen, n_gen))), 1)
+    q = upper + upper.conj().T + np.diag(rng.uniform(-0.95, 0.95, n_gen))
+    return _q_model(q, np.diag(rng.uniform(0.3, 3, n_gen)))
+
+
+_Q05 = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def _contractive_near_misses() -> dict[str, ParticleModel]:
+    """Models that fail one condition of the contractive class each."""
+    trivial = make_group([])
+    two_terms = np.zeros((2, 2, 2, 2))
+    for i in range(2):
+        for j in range(2):
+            two_terms[i, j, i, j], two_terms[i, j, j, i] = 0.5, 0.1
+    return {
+        "q-swap-1": _q_model([[1, 1], [1, 1]]),                     # |q| = 1: boson's Gram
+        "unit-modulus": _q_model([[0.5, 1j], [-1j, 0.5]]),          # |q_12| = 1 exactly
+        "not-conjugate": _q_model([[0.5, 0.5j], [0.5j, 0.5]]),      # q_21 != conj(q_12)
+        "two-cross-terms": make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                                      q_swap_braid(2, 0.5), CrossMatrix(two_terms)),
+        "minus": _q_model(_Q05, sign=-1),
+        "zero-pairing": _q_model(_Q05, np.diag([0.0, 1.0])),
+        "negative-pairing": _q_model(_Q05, np.diag([-1.0, 1.0])),
+        "complex-pairing": _q_model(_Q05, np.diag([1 + 0.5j, 1.0])),
+        "off-diagonal-pairing": _q_model(_Q05, _TILTED),
+    }
+
+
+def test_contractive_class_of_the_zoo():
+    assert {name for name in ZOO_NAMES if load_zoo(name).grams_positive_definite} \
+        == {"quon_03", "quon_05", "quon_09"}
+    # an explicit cross coupling with no term for (1, 1) or (2, 2): q = 0 there
+    trivial, cross = make_group([]), np.zeros((2, 2, 2, 2), dtype=complex)
+    cross[0, 1, 0, 1], cross[1, 0, 1, 0] = 0.3j, -0.3j
+    model = make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.diag([2.0, 0.5]),
+                       q_swap_braid(2, 0.5), CrossMatrix(cross))
+    assert model.cross_terms[1, 1] == () and model.grams_positive_definite
+    assert [sector_dimension(model, n) for n in range(4)] == [(2 ** n, 2 ** n) for n in range(4)]
+    assert all(gram_matrix(model, n).readings(1e-9)[1] == 2 ** n for n in range(6))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, -0.7])
+def test_distinct_letter_block_has_zagiers_determinant(q):
+    # n generators, one q: the block of the words of n distinct letters is Zagier's matrix
+    for n in range(1, 5):
+        model = _q_model(np.full((n, n), q))
+        assert model.grams_positive_definite
+        block = next(b for b in gram_matrix(model, n).blocks if len(set(b.words[0])) == n)
+        assert len(block.words) == math.factorial(n)
+        sign, logdet = np.linalg.slogdet(block.matrix)
+        assert sign == 1 and logdet == pytest.approx(math.log(zagier_determinant(q, n)), abs=1e-9), n
+
+
+def test_the_tower_is_positive_definite_where_the_theorem_answers():
+    # 60 random class models: the computed spectrum agrees with the theorem, every
+    # sector counted full rank with a positive least eigenvalue
+    for seed in range(20261020, 20261080):
+        model = _contractive_model(seed)
+        assert model.grams_positive_definite, seed
+        for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
+            rows = model.n_generators ** result.sector
+            report, rank = result.readings(1e-9)
+            assert result._counted_rank(1e-9) == rank == result.quotient_rank(1e-9) == rows, seed
+            assert report.passed and report.data["min_eigenvalue"] > 0, seed
+            assert sector_dimension(model, result.sector) == (rows, rows)
+
+
+@pytest.mark.parametrize("label", list(_contractive_near_misses()))
+def test_near_misses_of_the_contractive_class_are_computed(label, monkeypatch):
+    model, towers = _contractive_near_misses()[label], []
+    tower = fock._tower
+    monkeypatch.setattr(fock, "_tower", lambda *args: towers.append(args[1]) or tower(*args))
+    assert not model.grams_positive_definite
+    for n in range(5):
+        towers.clear()
+        _compare_with_dense_oracle(model, n, rel=1e-14)
+        assert not gram_matrix(model, n).positive_definite and n in towers
+
+
+@pytest.mark.parametrize("name", ["quon_03", "quon_05", "quon_09"])
+def test_the_contractive_class_builds_nothing_for_its_rank(monkeypatch, name):
+    # quon_09 read 252, 458 and 752 at sectors 8-10, and quon_05 at sector 14 was refused
+    def refused(*args, **kwargs):
+        raise AssertionError("built for a rank the theorem gives")
+
+    monkeypatch.setattr(fock, "_tower", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    model = load_zoo(name)
+    for n in range(17):  # 2^16 words, the last sector the word guard admits
+        assert sector_dimension(model, n) == (2 ** n, 2 ** n)
+    assert sector_dimension(model, 4, tol=0.5) == (16, 16)  # tol does not enter the theorem's rank
+    with pytest.raises(ValueError, match="sector must be >= 0, got -1"):
+        sector_dimension(model, -1)
+    with pytest.raises(ResourceLimitError, match=r"sector size 2\^17 exceeds the guard"):
+        sector_dimension(model, 17)
+
+
+@pytest.mark.parametrize("q, pairing, n", [
+    (0.5, np.diag([0.01, 0.01]), 6),    # read 0 at sectors 5 and 6
+    (0.9, np.diag([0.01, 1.0]), 6),     # read 27 at sector 6
+    (0.5, np.diag([1e-6, 1.0]), 4),     # read 5 at sector 4
+    (0.9, np.eye(2), 8),                # quon_09: read 252 at sector 8
+])
+def test_every_reading_of_a_contractive_rank_is_the_theorems(q, pairing, n):
+    model = _q_model(np.full((2, 2), q), pairing)
+    dims = fock._fock_checks(model, n, 1e-9)[1]
+    assert [row["quotient"] for row in dims] == [2 ** k for k in range(n + 1)]
+    assert gram_matrix(model, n).readings(1e-9)[1] == gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n
+    assert sector_dimension(model, n) == (2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])
+@pytest.mark.parametrize("call", [
+    lambda tol: sector_dimension(load_zoo("quon_05"), 4, tol),
+    lambda tol: gram_psd_check(load_zoo("quon_05"), 4, tol),
+    lambda tol: commutator_defect(load_zoo("quon_05"), 1, 2, 2, tol),
+    lambda tol: check_braid_exchange_relations(load_zoo("fermion2"), 3, tol),
+    lambda tol: check_infinite_statistics(load_zoo("boson"), 3, tol),
+], ids=["sector-dimension", "gram-psd", "commutator-defect", "exchange-relations", "infinite-statistics"])
+def test_public_fock_functions_hold_tol_to_the_tol_rule(call, tol):
+    # a NaN tol raised a HermiticityError of asymmetry 0, skipped gram-psd, and
+    # failed an exchange-nullity defect of exactly 0
+    with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+        call(tol)
+    call(0.0)
 
 
 # ---------------------------------------------------------------------------
