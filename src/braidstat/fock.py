@@ -65,7 +65,8 @@ The sector-``n`` Gram matrix has entries
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
 builds each sector once, in one tower to ``n_max + 2``, or to ``n_max`` for its
-Gram rows alone where the exchange relations hold exactly.  ``G_n`` is
+Gram rows alone where the exchange relations hold exactly (to the last sector of
+nonzero rank, on the colour-symmetric class below).  ``G_n`` is
 block-diagonal with one block per multiset, every entry between blocks exactly
 0, and the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
 block that is exactly 0 is not stored, every reader takes a missing block as
@@ -78,13 +79,21 @@ block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
 whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
 (``check``, ``gram``) counts the spectrum of its ``gram-psd`` row;
 :meth:`GramResult.quotient_rank` (:func:`sector_dimension`) first proves every
-stored block full rank by a shifted Cholesky where it can.  On the contractive
-q-models (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`, with
-the theorem) every sector is positive definite, so all three give the rank
-``N^n`` with no spectral step, whatever ``tol``: :func:`sector_dimension` runs
-the word guards and builds nothing, and the ``gram-psd`` row passes with defect
-0 while still reporting its computed ``min_eigenvalue``.  The dense matrix is
-filled from the blocks only when :attr:`GramResult.matrix` is read.
+stored block full rank by a shifted Cholesky where it can.  Two classes are read
+by a theorem instead (:func:`_theorems`, one reading per sector for all three):
+the contractive q-models
+(:attr:`~braidstat.models.ParticleModel.grams_positive_definite`), every sector
+positive definite of rank ``N^n``, and the colour-symmetric class
+(:attr:`~braidstat.models.ParticleModel.colour_spectrum`), each sector in
+closed form from the eigenvalues of the pairing's grade blocks, its rank and
+whether it has a negative eigenvalue decided exactly.  There the rank and the
+``gram-psd`` status are the theorem's, whatever ``tol``, with no spectral step,
+and the Gram is Hermitian exactly (``gram-hermitian`` reads 0):
+:func:`sector_dimension` runs the word guards and builds nothing, nor does
+:func:`gram_psd_check` on the colour-symmetric class, whose least eigenvalue the
+closed form gives.  Where a tower is built the ``gram-psd`` row reports its
+computed ``min_eigenvalue``.  The dense matrix is filled from the blocks only
+when :attr:`GramResult.matrix` is read.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -416,6 +425,92 @@ def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, half.conj().T
 
 
+class _Theorem(NamedTuple):
+    """A sector Gram as a class theorem reads it (:func:`_theorems`), with no spectral step:
+    Hermitian exactly, of rank ``rank``, with a negative eigenvalue exactly where ``negative``;
+    ``least`` is its least eigenvalue, or ``None`` where the theorem leaves that to the computed
+    spectrum.  ``source`` names the theorem.  It reads as a :class:`GramResult` does in ``check``."""
+
+    sector: int
+    source: str
+    rank: int
+    negative: bool = False
+    least: float | None = None
+
+    asymmetry = 0.0
+
+    def hermitian_within(self, tol: float) -> bool:
+        return True
+
+    def psd_report(self, least: float) -> CheckReport:
+        """``gram-psd`` with least eigenvalue ``least``: the status is the theorem's, at any ``tol``."""
+        if not math.isfinite(least):
+            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
+        return CheckReport("gram-psd", FAIL if self.negative else PASS, max(0.0, -least), None,
+                           {"sector": self.sector, "min_eigenvalue": least})
+
+    def readings(self, tol: float) -> tuple[CheckReport, int]:
+        return self.psd_report(self.least), self.rank
+
+
+def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
+    """Sectors ``0..n`` as a class theorem reads them, else ``None``.
+
+    On the contractive q-models
+    (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`, with the theorem) each
+    sector is positive definite, of rank ``N^n``; the least eigenvalue is left to the spectrum.
+
+    On the colour-symmetric class (:attr:`~braidstat.models.ParticleModel.colour_spectrum`)
+    ``G_n = n! P^(x)n Pi_n`` (Scheunert, J. Math. Phys. 20, 1979), ``Pi_n`` the colour
+    symmetrizer.  Proof sketch: by the recursion, ``b-_i`` pairs ``i`` with each letter ``j`` of
+    the word, and ``<i|j> != 0`` only where the grades agree, so expanding ``G_n[w, w']`` pairs
+    the letters of ``w`` with those of ``w'`` by a permutation ``sigma``, with the phases of the
+    colour permutation ``rho(sigma)``: ``G_n = sum_sigma P^(x)n rho(sigma)``, and ``Pi_n``, the
+    average of the unitary ``rho``, is an orthogonal projection.  ``rho(sigma)`` reads only the
+    grades, so it commutes with ``U^(x)n`` for any ``U`` that keeps them, and so with
+    ``P^(x)n``.  Diagonalize each grade block ``P_g = U_g D_g U_g^H``: ``Pi_n`` maps the tensor of
+    eigenvectors with eigenvalue letters ``M`` to a multiple of one unit vector, which is 0
+    exactly where a letter of self-phase ``eps(g, g) = -1`` repeats (the transposition of its
+    two copies fixes the tensor and multiplies it by -1).  So the eigenvalues of ``G_n`` are
+    ``n! prod_{mu in M} mu`` over the other multisets ``M`` of ``n`` eigenvalues, and 0 on the
+    rest of the ``N^n`` dimensions; the rank is ``[t^n] prod_g (1 - t)^-r_g`` (self-phase +1) or
+    ``(1 + t)^r_g`` (-1), ``r_g = rank P_g``.  Which eigenvalues are nonzero and which negative
+    is exact, so the rank and ``negative`` are exact.  One pass over the eigenvalues, by degree,
+    counts the monomials and keeps the largest magnitude of each sign parity.  The least
+    eigenvalue is ``n!`` times the most negative monomial; else 0 where the rank is below
+    ``N^n``; else ``n!`` times the least monomial.  Only the magnitudes are floats.
+    """
+    n_gen = model.n_generators
+    if model.grams_positive_definite:
+        return [_Theorem(m, "contractive", n_gen ** m) for m in range(n + 1)]
+    spectrum = model.colour_spectrum
+    if spectrum is None:
+        return None
+    count = [1] + [0] * n  # the monomials of each degree
+    most = [[1.0] + [None] * n, [None] * (n + 1)]  # the largest |monomial|, by its negative factors' parity
+    top = 0  # the largest degree reached
+    for size, negative, once in spectrum:  # each eigenvalue at most once (downward), or any number of times
+        top = min(n, top + 1) if once else n
+        for k in range(top, 0, -1) if once else range(1, n + 1):
+            count[k] += count[k - 1]
+            for parity in (0, 1):
+                below = most[parity ^ negative][k - 1]
+                if below is not None and (most[parity][k] is None or below * size > most[parity][k]):
+                    most[parity][k] = below * size
+    # a sector of rank N^n has n <= 1 or one letter, so its least monomial is the least |mu|^n
+    smallest = min((size for size, _, _ in spectrum), default=0.0)
+    theorems, factorial = [], 1.0
+    for m in range(n + 1):
+        factorial *= m or 1
+        even, odd = most[0][m], most[1][m]
+        value = (-factorial * odd if odd is not None else 0.0 if count[m] < n_gen ** m
+                 else factorial * smallest ** m)
+        if count[m] and not math.isfinite(factorial * max(even or 0.0, odd or 0.0)):
+            value = math.inf  # an eigenvalue past the float range: psd_report refuses the sector
+        theorems.append(_Theorem(m, "colour-symmetric", count[m], odd is not None, value))
+    return theorems
+
+
 class GramResult:
     """The sector-``n`` Gram matrix, held as one matrix per weight block of the
     sector's layout; entries between two blocks are exactly 0.  Only blocks with
@@ -424,13 +519,12 @@ class GramResult:
     model's scalar type.  A non-finite entry raises :class:`NonFiniteError`."""
 
     def __init__(self, sector: int, n_generators: int, layout: _Layout,
-                 matrices: dict[int, np.ndarray], dtype: type, positive_definite: bool = False):
+                 matrices: dict[int, np.ndarray], dtype: type, theorem: _Theorem | None = None):
         self.sector = sector
         self.n_generators = n_generators
         self.dtype = np.dtype(dtype)
-        #: whether the sector is positive definite by theorem
-        #: (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`)
-        self.positive_definite = positive_definite
+        #: the sector as a class theorem reads it (:func:`_theorems`), else ``None``
+        self.theorem = theorem
         self._layout = layout
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
@@ -444,7 +538,10 @@ class GramResult:
 
     @cached_property
     def asymmetry(self) -> float:
-        """The largest ``|G - G^H|`` entry of the stored blocks."""
+        """The largest ``|G - G^H|`` entry of the stored blocks: exactly 0 where :attr:`theorem`
+        reads the sector, the Gram being Hermitian by the theorem."""
+        if self.theorem is not None:
+            return 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # refused in __init__, naming the sector
             # halved first, as in spectrum: g - g^H may overflow where its halves do not
             return max((2.0 * float(np.abs(np.subtract(*_halves(g))).max())
@@ -522,36 +619,35 @@ class GramResult:
         return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0)))
 
     def quotient_rank(self, tol: float) -> int:
-        """Rank of a Hermitian sector Gram: ``N^n`` where :attr:`positive_definite` holds, with
-        no spectral step; else cut at ``tol`` times its largest singular value, the stored rows
-        where :meth:`_full_rank` holds, else the counted eigenvalues."""
+        """Rank of a Hermitian sector Gram: :attr:`theorem`'s, with no spectral step; else cut at
+        ``tol`` times its largest singular value, the stored rows where :meth:`_full_rank` holds,
+        else the counted eigenvalues."""
+        if self.theorem is not None:
+            return self.theorem.rank
         if not self.hermitian_within(tol):
             raise HermiticityError(self.asymmetry, self.sector)
-        if self.positive_definite:
-            return self.n_generators ** self.sector
         return sum(map(len, self._matrices.values())) if self._full_rank(tol) else self._counted_rank(tol)
 
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector; the tolerance is relative to its largest entry.  Where
-        :attr:`positive_definite` holds, the row passes by the theorem with defect 0, and
-        ``min_eigenvalue`` is still the computed one, negative if roundoff made it so."""
+        :attr:`theorem` reads the sector, the row has the theorem's status and defect, with the
+        computed least eigenvalue."""
+        if self.theorem is not None:
+            return self.theorem.psd_report(float(np.concatenate(self.spectrum).min()))
         if not self.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
                                {"sector": self.sector, "asymmetry": self.asymmetry})
         min_eig = float(np.concatenate(self.spectrum).min())
-        data = {"sector": self.sector, "min_eigenvalue": min_eig}
-        if self.positive_definite:
-            return CheckReport("gram-psd", PASS, 0.0, None, data)
         return CheckReport("gram-psd", PASS if min_eig >= -tol * self.scale else FAIL, max(0.0, -min_eig),
-                           None, data)
+                           None, {"sector": self.sector, "min_eigenvalue": min_eig})
 
     def readings(self, tol: float) -> tuple[CheckReport, int | None]:
-        """The ``gram-psd`` row and the rank, ``None`` if not Hermitian: ``N^n`` where
-        :attr:`positive_definite` holds, else counted from the row's spectrum."""
+        """The ``gram-psd`` row and the rank, ``None`` if not Hermitian: :attr:`theorem`'s, else
+        counted from the row's spectrum."""
         report = self.psd_report(tol)
         if report.status == SKIPPED:
             return report, None
-        return report, self.n_generators ** self.sector if self.positive_definite else self._counted_rank(tol)
+        return report, self._counted_rank(tol) if self.theorem is None else self.theorem.rank
 
 
 class SectorDimension(NamedTuple):
@@ -619,9 +715,9 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
     once; :func:`_annihilators` guards its own.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
-    definite = model.grams_positive_definite
+    theorems = _theorems(model, n) or [None] * (n + 1)
     plan, below = _term_plan(model), [{}]  # sector 0's block has no run
-    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype, definite)
+    result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype, theorems[0])
     yield result, below
     total, stored = itemsize, True  # bytes of the blocks allocated so far; whether sector m - 2 stores one
     for m in range(1, n + 1):
@@ -645,7 +741,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
                     if m < n:  # sector n's B_i is dropped after its product
                         hops[c][i] = top, hop, bound
         below, stored = hops, bool(lower)
-        result = GramResult(m, n_gen, layout, grams, dtype, definite)
+        result = GramResult(m, n_gen, layout, grams, dtype, theorems[m])
         yield result, hops if m <= depth else []  # a caller holds no block it does not read
 
 
@@ -700,20 +796,25 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
 
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
     """Full dimension ``N^n`` and the rank of the sector Gram matrix
-    (:meth:`GramResult.quotient_rank`).  Where
-    :attr:`~braidstat.models.ParticleModel.grams_positive_definite` holds, the rank is ``N^n``
-    by the theorem: only the word guards run, and no Gram is built."""
+    (:meth:`GramResult.quotient_rank`).  Where a class theorem reads the sector
+    (:func:`_theorems`), the rank is the theorem's: only the word guards run, and no Gram is
+    built."""
     _check_tol(tol)
     _guard_sectors(model, n)  # before N^n is built
-    rows = model.n_generators ** n
-    rank = rows if model.grams_positive_definite else _sector_gram(model, n).quotient_rank(tol)
-    return SectorDimension(rows, rank)
+    theorems = _theorems(model, n)
+    rank = theorems[n].rank if theorems else _sector_gram(model, n).quotient_rank(tol)
+    return SectorDimension(model.n_generators ** n, rank)
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix (:meth:`GramResult.psd_report`):
-    the spectrum is computed on every model, for its ``min_eigenvalue``."""
+    """Positive semidefiniteness of the sector Gram matrix (:meth:`GramResult.psd_report`).
+    On the colour-symmetric class the row is the closed form's (:func:`_theorems`), and no Gram
+    is built; elsewhere the spectrum is computed, for its ``min_eigenvalue``."""
     _check_tol(tol)
+    _guard_sectors(model, n)
+    theorems = _theorems(model, n)
+    if theorems and theorems[n].least is not None:
+        return theorems[n].psd_report(theorems[n].least)
     return _sector_gram(model, n).psd_report(tol)
 
 
@@ -814,7 +915,8 @@ def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], n_max: int,
         "n_max": n_max})
 
 
-def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list, list[np.ndarray]]:
+def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult | _Theorem], list,
+                                                           list[np.ndarray]]:
     """Guards, then one Gram tower to ``n_max + 2``, each line read as soon as its blocks exist
     and the blocks dropped as the tower goes on.  Returns the Grams of sectors ``0..n_max``,
     their twisted commutator residual norms (none for ``s = +1``), and the squared Gram norms
@@ -822,7 +924,9 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     kept for the readers to refuse, in the order the checks are reported.
 
     Where :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds, every form is
-    exactly 0 and none is returned, and the tower stops at ``n_max`` for the Gram rows.  Write ``g_i``
+    exactly 0 and none is returned, and the tower stops at ``n_max`` for the Gram rows; on the
+    colour-symmetric class at the last sector of nonzero rank, the later sectors, whose Grams are
+    exactly 0, read by :func:`_theorems`.  Write ``g_i``
     for the grade of letter ``i``, ``chi_ij = eps(g_j, -g_i)`` for the phase of ``b-_i`` hopping
     past ``j``, ``lambda = eps(g_b, g_a)`` and ``D = b-_a b-_b - lambda b-_b b-_a``.  With
     ``s = +1`` the recursion ``b-_a (j, w) = <a|j> w + chi_aj (j, b-_a w)`` gives
@@ -842,7 +946,10 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     its form is 0.  For ``s = +1`` the mixed line is empty (module docstring)."""
     _guard_sectors(model, n_max)
     if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
-        return [result for result, _ in _tower(model, n_max)], [], []
+        theorems = _theorems(model, n_max) or []
+        # past the last sector of nonzero rank each Gram is exactly 0: the theorem reads it whole
+        top = max((known.sector for known in theorems if known.rank), default=n_max)
+        return [result for result, _ in _tower(model, top)] + theorems[top + 1:], [], []
     _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     n_gen = model.n_generators
     forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]

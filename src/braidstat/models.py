@@ -122,6 +122,33 @@ def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
             for i in range(n) for j in range(n)}
 
 
+def _inertia(block: np.ndarray) -> tuple[int, int]:
+    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly.
+
+    ``H = A + iB`` has the eigenvalues of the real symmetric ``[[A, -B], [B, A]]``, each counted
+    twice there; a real ``H`` is read alone.  The characteristic polynomial of that matrix comes
+    from Faddeev-LeVerrier on the Fractions of the stored floats; every root being real,
+    Descartes' rule of signs counts the positive ones exactly, and the lowest nonzero
+    coefficient the zeros."""
+    a, b = block.real.tolist(), block.imag.tolist()
+    twice = 2 if block.imag.any() else 1
+    rows = [ra + [-x for x in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)] \
+        if twice == 2 else a
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    size = len(matrix)
+    # det(t I - M) = sum_k c_k t^(size - k): M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k
+    coefficients, product = [Fraction(1)], [[Fraction(0)] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        for i in range(size):
+            product[i][i] += coefficients[-1]
+        product = [[sum(x * y for x, y in zip(row, column)) for column in zip(*product)] for row in matrix]
+        coefficients.append(-sum(product[i][i] for i in range(size)) / k)
+    signs = [c > 0 for c in coefficients if c]
+    positive = sum(x != y for x, y in zip(signs, signs[1:]))
+    zeros = len(coefficients) - 1 - max(k for k, c in enumerate(coefficients) if c)
+    return positive // twice, (size - positive - zeros) // twice
+
+
 def _action_matrix(coupling: np.ndarray) -> np.ndarray:
     n = coupling.shape[0]
     return coupling.transpose(2, 3, 0, 1).reshape(n * n, n * n)
@@ -272,6 +299,32 @@ class ParticleModel:
         q = {pair: terms[0][2] if terms else 0j for pair, terms in self.cross_terms.items()}
         return all(q[j, i] == t.conjugate() for (i, j), t in q.items()) and all(
             cmath.isfinite(t) and Fraction(t.real) ** 2 + Fraction(t.imag) ** 2 < 1 for t in q.values())
+
+    @cached_property
+    def colour_spectrum(self) -> tuple[tuple[float, bool, bool], ...] | None:
+        """The nonzero eigenvalues of the pairing's grade blocks on the colour-symmetric class,
+        else ``None``; the Grams' closed form (:func:`~braidstat.fock._theorems`) reads them.
+
+        The class is :attr:`exchange_relations_exact` with a finite pairing equal to its
+        conjugate transpose.  Each eigenvalue ``mu`` of the block of grade ``g`` is
+        ``(|mu|, mu < 0, eps(g, g) == -1)``, by grade, then ascending.  Which eigenvalues are
+        nonzero and which negative is decided exactly (:func:`_inertia`); ``eigvalsh`` gives the
+        magnitudes, the only float step.
+        """
+        pairing = self.pairing
+        if not (self.exchange_relations_exact and np.isfinite(pairing).all()
+                and (pairing == pairing.conj().T).all()):
+            return None
+        spectrum = []
+        for grade in dict.fromkeys(self.grades):
+            at = [i for i, g in enumerate(self.grades) if g == grade]
+            block = pairing[np.ix_(at, at)]
+            positive, negative = _inertia(block)
+            once = self.eps.phase(grade, grade).exponent != 0  # eps(g, g) is +-1, eps being normalized
+            values = np.linalg.eigvalsh(block).tolist()
+            spectrum += [(abs(mu), True, once) for mu in values[:negative]]
+            spectrum += [(abs(mu), False, once) for mu in values[len(values) - positive:]]
+        return tuple(spectrum)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:

@@ -524,7 +524,9 @@ _BIG = [[1e308, 0], [0, 1]]
 @pytest.mark.parametrize("name, argv, pairing, message", [
     # b1 on a word of 4 letters: the annihilators of its suffixes overflow
     ("quon_05", ["apply", "--program", "b1", "--vector", "1,1,1,1"], _BIG, "the annihilators of sector 4 "),
-    ("fermion2", ["check"], _BIG, "the Gram blocks of sector 3 "),
+    # sector 2's eigenvalue 2e308, by the colour-symmetric closed form; the tower to sector 4
+    # read NaN in sector 3's Gram, which is exactly 0
+    ("fermion2", ["check"], _BIG, "the eigenvalues of sector 2 "),
     ("fermion2", ["gram", "--sector", "2"], _BIG, "the eigenvalues of sector 2 "),
     # finite complex entries whose modulus lies past the float range
     ("fermion2", ["gram", "--sector", "1"], [[1, [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], 1]],
@@ -600,16 +602,17 @@ def test_normalize_into_a_closed_pipe_exits_0(argv):
 
 
 @pytest.mark.parametrize("name, scale, argv", [
-    # entries near 4e7 leave a roundoff asymmetry of 2.8e-9, over an absolute cut of 1e-9
+    # the pairing [[1, 0.3], [0.3, 1.7]] times the scale: outside the contractive class, whose
+    # Grams are Hermitian by the theorem.  A roundoff asymmetry of 6.0e-8, over an absolute cut of 1e-9
     ("quon_09", 7, ["check", "--nmax", "6"]),
     ("quon_09", 7, ["gram", "--sector", "6"]),
-    # entries near 1e18 leave one of 1024
+    # one of 16384
     ("quon_05", 1e3, ["check", "--nmax", "6"]),
     ("quon_05", 1e3, ["gram", "--sector", "6"]),
 ])
 def test_gram_hermitian_cut_is_relative_to_the_largest_entry(tmp_path, capsys, name, scale, argv):
     path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__(
-        "pairing", [[scale, 0], [0, scale]]))
+        "pairing", [[scale, 0.3 * scale], [0.3 * scale, 1.7 * scale]]))
     code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--json")
     report = json.loads(out)
     rows = {c["name"]: c for c in report["checks"]}

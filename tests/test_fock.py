@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -448,16 +449,17 @@ def test_sector_14_of_two_generators_is_refused_before_it_is_built(capsys):
     # README's refusals: with sectors 0..13, sector 14's Gram blocks need
     # 320,070,024 bytes.  The guard counts them before any is allocated, so the
     # refusal holds no block of sector 14: its peak, 202 MiB under tracemalloc,
-    # is mostly sector 13's Gram and annihilator blocks.  check's tower goes to
-    # n_max + 2 for quon_05, but stops at n_max for boson, whose exchange
-    # relations hold exactly
+    # is mostly sector 13's Gram and annihilator blocks.  quon_05 with s = -1 is
+    # in neither theorem's class, so sector_dimension builds its tower (boson's
+    # rank is the closed form's).  check's tower goes to n_max + 2 for quon_05,
+    # but stops at n_max for boson, whose exchange relations hold exactly
     import tracemalloc
     from braidstat.cli import main as cli_main
     message = "the Gram blocks of sectors 0..14 need 320070024 bytes"
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match=message):
-            sector_dimension(load_zoo("boson"), 16)
+            sector_dimension(_zoo_model("quon_05", "-"), 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -767,8 +769,9 @@ def _tilted_quon(q):
 def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
     # boson's blocks have rank 1, and the one block of tilted quon_09 at sector 8
     # has an eigenvalue below the rank cut: no proof, so the eigenvalues are counted
-    model = _tilted_quon(0.9) if name == "quon_09-tilted" else load_zoo(name)
-    assert not model.grams_positive_definite
+    # boson's Gram through an explicit braid, q = 1: outside both theorems' classes
+    model = _tilted_quon(0.9) if name == "quon_09-tilted" else _q_model(np.ones((2, 2)))
+    assert not model.grams_positive_definite and model.colour_spectrum is None
     counted = gram_matrix(model, 8)
     counted.spectrum
     calls = []
@@ -831,10 +834,14 @@ def test_non_finite_ladders_and_grams_name_their_sector():
     assert sector_dimension(quon, 5) == (32, 32)  # by the theorem: no Gram is built
     fermion2 = make_model(z2, make_bicharacter(z2, [["1/2"]]), [[1], [1]], big)
     with pytest.raises(fock.NonFiniteError, match="the Gram blocks of sector 3 "):
-        gram_psd_check(fermion2, 4)
-    # sector 2 holds the finite block [[1e308, -1e308], [-1e308, 1e308]], of eigenvalue 2e308
+        gram_matrix(fermion2, 3).psd_report(1e-9)
+    # sector 2 holds the finite block [[1e308, -1e308], [-1e308, 1e308]], of eigenvalue 2e308.
+    # The closed form reads that eigenvalue, and the exact 0 of sectors 3 and 4, where the
+    # tower reads NaN; its rank needs no float
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 2 "):
-        sector_dimension(fermion2, 2)
+        gram_psd_check(fermion2, 2)
+    assert sector_dimension(fermion2, 2) == (4, 1)
+    assert gram_psd_check(fermion2, 4).data == {"sector": 4, "min_eigenvalue": 0.0}
     assert gram_psd_check(fermion2, 1).passed
 
 
@@ -1266,7 +1273,7 @@ def test_near_misses_of_the_contractive_class_are_computed(label, monkeypatch):
     for n in range(5):
         towers.clear()
         _compare_with_dense_oracle(model, n, rel=1e-14)
-        assert not gram_matrix(model, n).positive_definite and n in towers
+        assert gram_matrix(model, n).theorem is None and n in towers
 
 
 @pytest.mark.parametrize("name", ["quon_03", "quon_05", "quon_09"])
@@ -1300,6 +1307,171 @@ def test_every_reading_of_a_contractive_rank_is_the_theorems(q, pairing, n):
     assert [row["quotient"] for row in dims] == [2 ** k for k in range(n + 1)]
     assert gram_matrix(model, n).readings(1e-9)[1] == gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n
     assert sector_dimension(model, n) == (2 ** n, 2 ** n)
+
+
+def test_the_contractive_class_is_hermitian_by_the_theorem(capsys):
+    # quon_03's sector 4 has a roundoff asymmetry of 2.8e-17: at --tol 0 it failed
+    # gram-hermitian and skipped its rank, and quotient_rank(0.0) raised
+    from braidstat.cli import main as cli_main
+    model = load_zoo("quon_03")
+    assert gram_matrix(model, 4).quotient_rank(0.0) == 16
+    assert cli_main(["check", str(zoo_path("quon_03")), "--tol", "0", "--nmax", "4", "--json"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+    assert (rows["gram-hermitian"]["status"], rows["gram-hermitian"]["defect"]) == ("pass", 0.0)
+    assert rows["gram-psd"]["status"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the colour-symmetric class: each sector in closed form from the pairing's grade blocks
+
+_EIGENVALUES = (1.0, -1.0, 0.0, 2.5, 0.3)
+
+
+def _colour_model(seed: int) -> tuple[ParticleModel, list[tuple[float, bool]]]:
+    """A graded model of a commutation factor of 2-4 generators whose grade blocks are
+    Hermitian, complex for odd seeds, with eigenvalues drawn from ``_EIGENVALUES``, and those
+    eigenvalues as ``(mu, self-phase -1)``.  Each block is a diagonal with disjoint pairs of
+    entries ``x, y`` mixed into ``[[p, q c], [q conj(c), p]]``, ``p = (x + y) / 2``,
+    ``q = (x - y) / 2``, ``c`` in {1, -1} or {i, -i}, then permuted: where ``x`` or ``y`` is
+    0 the stored block has the exact 0, and the other eigenvalues move by roundoff."""
+    rng = np.random.default_rng(seed)
+    orders, exponents = _GRADING_GROUPS[list(_GRADING_GROUPS)[seed % len(_GRADING_GROUPS)]]
+    group = make_group(orders)
+    eps = make_bicharacter(group, exponents)
+    elements = list(group.elements())
+    pool = [elements[k] for k in rng.integers(len(elements), size=2)]
+    n_gen = int(rng.integers(2, 5))
+    grades = [pool[k] for k in rng.integers(2, size=n_gen)]
+    pairing, eigenvalues = np.zeros((n_gen, n_gen), dtype=complex), []
+    for grade in dict.fromkeys(grades):
+        at = [i for i, g in enumerate(grades) if g == grade]
+        mu = rng.choice(_EIGENVALUES, size=len(at))
+        block = np.diag(mu).astype(complex)
+        for a in range(0, len(at) - 1, 2):
+            if rng.integers(2):
+                p, q = (mu[a] + mu[a + 1]) / 2, (mu[a] - mu[a + 1]) / 2
+                c = (1j if seed % 2 else 1) * (-1) ** int(rng.integers(2))
+                block[a:a + 2, a:a + 2] = [[p, q * c], [q * c.conjugate(), p]]
+        order = rng.permutation(len(at))
+        pairing[np.ix_(at, at)] = block[np.ix_(order, order)]
+        once = eps.phase(grade, grade).exponent != 0
+        eigenvalues += [(float(x), once) for x in mu]
+    return make_model(group, eps, grades, pairing), eigenvalues
+
+
+def _closed_form_spectrum(eigenvalues: list[tuple[float, bool]], n: int) -> list[float]:
+    """The nonzero eigenvalues of ``G_n``: ``n!`` times each product over a multiset of ``n``
+    eigenvalue letters in which no letter of self-phase -1 repeats."""
+    spectrum = []
+    for letters in itertools.combinations_with_replacement(range(len(eigenvalues)), n):
+        if all(letters.count(k) == 1 for k in set(letters) if eigenvalues[k][1]):
+            value = math.factorial(n) * math.prod(eigenvalues[k][0] for k in letters)
+            if value:
+                spectrum.append(value)
+    return sorted(spectrum)
+
+
+def test_the_closed_form_equals_the_tower_on_random_class_models():
+    # 200 models over five grading groups: the tower, which stays the oracle, has the
+    # closed form's rank, inertia and nonzero spectrum to 1e-9 relative
+    for seed in range(20261101, 20261301):
+        model, eigenvalues = _colour_model(seed)
+        assert model.colour_spectrum is not None, seed
+        theorems = fock._theorems(model, 4)
+        for result, _ in fock._tower(model, 4):
+            n, rows = result.sector, model.n_generators ** result.sector
+            want = _closed_form_spectrum(eigenvalues, n)
+            computed = np.sort(np.concatenate(result.spectrum))
+            scale = max(1.0, float(np.abs(computed).max()))
+            nonzero = computed[np.abs(computed) > 1e-9 * scale]
+            assert len(nonzero) == len(want) == theorems[n].rank == result._counted_rank(1e-9), (seed, n)
+            assert np.allclose(nonzero, want, rtol=0, atol=1e-9 * scale), (seed, n)
+            assert theorems[n].negative == (nonzero < 0).any() == (min(want, default=0.0) < 0), (seed, n)
+            least = min(want + [0.0] * (len(want) < rows))
+            assert abs(theorems[n].least - least) <= 1e-9 * scale, (seed, n)
+            assert sector_dimension(model, n).quotient == len(want), (seed, n)
+            assert gram_psd_check(model, n).failed == theorems[n].negative, (seed, n)
+
+
+@pytest.mark.parametrize("name", ["boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"])
+def test_the_colour_symmetric_class_builds_no_tower_for_its_rank_or_gram_psd(monkeypatch, name):
+    # sector_dimension(boson, 13) took 2.0 s, and boson at sector 14 was refused
+    def refused(*args, **kwargs):
+        raise AssertionError("built for a sector the closed form reads")
+
+    model = load_zoo(name)
+    monkeypatch.setattr(fock, "_tower", refused)
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    last = {1: 100_000, 2: 16, 3: 10}[model.n_generators]  # the last sector the word guard admits
+    for n in list(range(9)) + [last]:
+        rows, want = model.n_generators ** n, colour_symmetric_dimension(model, n)
+        assert sector_dimension(model, n) == (rows, want), n
+        report = gram_psd_check(model, n)  # eigenvalues n! and 0, the unit pairing's
+        assert report.passed, n
+        assert report.data["min_eigenvalue"] == (0.0 if want < rows else math.factorial(n)), n
+    with pytest.raises(ResourceLimitError, match="exceeds the guard"):
+        sector_dimension(model, last + 1)
+    assert model.colour_spectrum is not None and fock._theorems(model, 2)[2].source == "colour-symmetric"
+
+
+def test_check_builds_the_class_tower_only_to_its_last_sector_of_nonzero_rank(monkeypatch):
+    # past it every Gram is exactly 0, read by the closed form: check fermion1.json
+    # --nmax 100000 built a tower of 100000 sectors
+    towers, tower = [], fock._tower
+    monkeypatch.setattr(fock, "_tower", lambda *args: towers.append(args[1]) or tower(*args))
+    for name, n_max, top in [("fermion1", 100_000, 1), ("fermion3", 6, 3), ("boson", 5, 5)]:
+        towers.clear()
+        rows, dims = fock._fock_checks(load_zoo(name), n_max, 1e-9)
+        assert towers == [top] and len(dims) == n_max + 1, name
+        assert [row["quotient"] for row in dims[:7] + dims[-1:]] == [
+            colour_symmetric_dimension(load_zoo(name), n) for n in [*range(min(7, n_max + 1)), n_max]]
+        assert all(row.status == "pass" for row in rows), name
+
+
+def _boson(pairing) -> ParticleModel:
+    trivial = make_group([])
+    return make_model(trivial, Bicharacter.trivial(trivial), [[], []], pairing)
+
+
+@pytest.mark.parametrize("pairing, sectors, ranks", [
+    (np.diag([1e-6, 1.0]), range(2, 9), [3, 4, 5, 6, 7, 8, 9]),   # read 2 at every n >= 2
+    (0.01 * np.eye(2), range(6, 9), [7, 8, 9]),                    # read 0 from sector 6
+])
+def test_every_reading_of_a_class_rank_is_the_closed_forms(pairing, sectors, ranks):
+    model, n = _boson(pairing), max(sectors)
+    assert [sector_dimension(model, k).quotient for k in sectors] == ranks
+    dims = fock._fock_checks(model, n, 1e-9)[1]
+    assert [dims[k]["quotient"] for k in sectors] == ranks
+    assert gram_matrix(model, n).readings(1e-9)[1] == gram_matrix(model, n).quotient_rank(1e-9) == n + 1
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0, 1e9])
+def test_a_negative_grade_eigenvalue_fails_gram_psd_at_any_tol(tol):
+    # boson with pairing diag(-1, 1): G_n has the eigenvalue -n! from sector 1 on;
+    # relative to its largest entry, a tol of 1 or more passed it
+    model = _boson(np.diag([-1.0, 1.0]))
+    assert gram_psd_check(model, 0, tol).passed
+    for n in range(1, 6):
+        report = gram_psd_check(model, n, tol)
+        assert report.failed and report.data["min_eigenvalue"] == -math.factorial(n), n
+        assert gram_matrix(model, n).psd_report(tol).failed, n
+    rows = fock._fock_checks(model, 5, tol)[0]
+    assert next(row for row in rows if row.name == "gram-psd").failed
+
+
+def test_grade_block_inertia_is_exact():
+    # the eigenvalue 2^-54 of [[1, 1], [1, 1 + 2^-52]] lies below roundoff, yet is positive,
+    # and a complex block is read through its real form
+    from braidstat.models import _inertia
+    tiny = 1 + 2.0 ** -52
+    cases = [(np.eye(3), (3, 0)), (np.diag([1.0, -2.0, 0.0]), (1, 1)), (np.zeros((2, 2)), (0, 0)),
+             (np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 1)), (np.array([[1.0, 1.0], [1.0, tiny]]), (2, 0)),
+             (np.array([[1.0, 1.0], [1.0, 1.0]]), (1, 0)), (np.array([[1, 1j], [-1j, 1]]), (1, 0)),
+             (np.array([[2, 1j], [-1j, -3]]), (1, 1)), (np.array([[1, 1j], [-1j, -1]]), (1, 1))]
+    for block, want in cases:
+        assert _inertia(block) == want, block
+    model = _boson([[1.0, 1.0], [1.0, tiny]])
+    assert [sector_dimension(model, n).quotient for n in range(5)] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])

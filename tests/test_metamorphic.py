@@ -5,7 +5,8 @@ bicharacter exponents and the couplings, change no physics.  So every row of
 ``check`` keeps its status and every sector its dimension, and every defect
 agrees to 1e-12 times ``max(1, |defect|)``: random-R's defects reach 6.8e4, whose
 last bit is 1.5e-11, and a relabeled run moves them in the last bits.
-Rescaling the pairing is not among them: the cuts have an absolute floor of 1,
+Rescaling the pairing is among them only on the colour-symmetric class, whose
+ranks and statuses are exact: elsewhere the cuts have an absolute floor of 1,
 so today a rescaled pairing can change a verdict.
 """
 
@@ -18,7 +19,7 @@ from braidstat import ZOO_NAMES, make_bicharacter, make_model
 from braidstat.fock import _fock_checks
 from braidstat.models import check_symmetry, check_yang_baxter
 
-from test_fock import _mixing_models, _zoo_model
+from test_fock import _colour_model, _mixing_models, _zoo_model
 
 MIXING = list(_mixing_models())
 
@@ -64,3 +65,18 @@ def test_relabeling_and_conjugation_change_no_verdict(label):
     for p in itertools.permutations(range(model.n_generators)):
         _assert_same(_report(_relabeled(model, list(p)), n_max), want)
     _assert_same(_report(_conjugated(model), n_max), want)
+
+
+COLOUR = ["boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"] + [
+    f"random-{seed}" for seed in range(20261101, 20261107)]
+
+
+@pytest.mark.parametrize("k", [4, 8, 20])
+@pytest.mark.parametrize("label", COLOUR)
+def test_scaling_the_pairing_keeps_every_rank_and_status_on_the_colour_symmetric_class(label, k):
+    # at 2^-20 the cut of 1e-9 dropped boson's and the fermions' ranks to 0
+    model = _colour_model(int(label[7:]))[0] if label.startswith("random-") else _zoo_model(label, "+")
+    n_max = 3 if model.n_generators >= 3 else 4
+    scaled = _edited(model, pairing=model.pairing * 2.0 ** -k)
+    assert scaled.colour_spectrum is not None
+    assert _report(scaled, n_max)[:2] == _report(model, n_max)[:2]
