@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -76,9 +77,12 @@ class _Rows(list):
 
 
 def _dump(value, indent: int | None = None) -> None:
-    """Write ``json.dumps(value, sort_keys=True, indent=indent)`` piece by piece;
-    ``iterencode`` takes the pure-Python encoder, which reads :class:`_Rows` lazily."""
-    sys.stdout.writelines(json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value))
+    """Write ``json.dumps(value, sort_keys=True, indent=indent)`` in chunks of at most 4096
+    pieces, one ``write`` each; ``iterencode`` takes the pure-Python encoder, which reads
+    :class:`_Rows` lazily."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=indent).iterencode(value)
+    for chunk in iter(lambda: list(itertools.islice(pieces, 4096)), []):
+        sys.stdout.write("".join(chunk))
     sys.stdout.write("\n")
 
 

@@ -73,10 +73,12 @@ block that is exactly 0 is not stored, every reader takes a missing block as
 exactly 0, and once a whole sector stores no block the tower builds no further
 annihilator block but those a check reads.  Positivity comes from the
 eigenvalues of the Hermitian part of each block: exact zeros for a missing
-block, one ``eigvalsh`` for a stored one.  The rank counts the eigenvalues with
-``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``, ``top`` the largest
-``|lambda|`` of the sector, the cut against the largest singular value of the
-whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
+block, one ``eigvalsh`` for a stored one; :func:`gram_psd_check` runs it only
+on the blocks that a shifted Cholesky cannot prove above the running least
+eigenvalue (:meth:`GramResult._least_eigenvalue`).  The rank counts the
+eigenvalues with ``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``,
+``top`` the largest ``|lambda|`` of the sector, the cut against the largest
+singular value of the whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
 (``check``, ``gram``) counts the spectrum of its ``gram-psd`` row;
 :meth:`GramResult.quotient_rank` (:func:`sector_dimension`) first proves every
 stored block full rank by a shifted Cholesky where it can.  Two classes are read
@@ -425,6 +427,33 @@ def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, half.conj().T
 
 
+def _cholesky_above(h: np.ndarray, floor: float) -> bool:
+    """Whether every eigenvalue of the Hermitian ``h`` exceeds ``floor``: ``cholesky(h - s I)``
+    succeeds, with ``s = floor + 4 eps |floor| + 2 gamma_{r+1} (tr(h) + r max(0, -floor)) +
+    8 (r + 1) tiny``, ``r`` the rows, ``gamma_k = k eps / (1 - k eps)`` and ``tiny`` the least
+    normal number.  By Rump (BIT 46, 2006) the eigenvalues of ``h - s I`` then exceed ``-gamma_{r+1}
+    / (1 - gamma_{r+1})`` times its trace, less an underflow term: the trace term above bounds
+    that, the ``tiny`` term the underflow, and the ``|floor|`` term the rounding of the shifted
+    diagonal.  The diagonal is shifted in place and written back before the return.  A
+    non-finite shift proves nothing."""
+    float_info, rows, diagonal = np.finfo(float), len(h), h.diagonal().copy()
+    k = (rows + 1) * float_info.eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
+        trace = float(diagonal.real.sum()) + rows * max(0.0, -floor)  # at least tr(h - floor I)
+        shift = (floor + 4 * float_info.eps * abs(floor) + 2 * k / (1 - k) * trace
+                 + 8 * (rows + 1) * float_info.tiny)
+        if not math.isfinite(shift):
+            return False
+        h.flat[::rows + 1] -= shift
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+        finally:
+            h.flat[::rows + 1] = diagonal
+    return True
+
+
 class _Theorem(NamedTuple):
     """A sector Gram as a class theorem reads it (:func:`_theorems`), with no spectral step:
     Hermitian exactly, of rank ``rank``, with a negative eigenvalue exactly where ``negative``;
@@ -529,6 +558,7 @@ class GramResult:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
         self._matrices = {b: g for b, g in matrices.items() if tops[b] > 0.0}
+        self._tops = tops
         #: size of the largest entry, at least 1: the unit of the relative cuts
         self.scale = max([1.0, *tops.values()])
         # the asymmetry is at most 2 scale: read here only where that may overflow
@@ -578,38 +608,55 @@ class GramResult:
 
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
-        """Eigenvalues of each block's Hermitian part: exact zeros for a missing block."""
+        """Eigenvalues of each block's Hermitian part: exact zeros for a missing block.  Computed
+        whole where it is read whole (:meth:`readings`); :func:`gram_psd_check` reads only the
+        blocks that can hold the least eigenvalue (:meth:`_least_eigenvalue`)."""
         spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
         for b, g in self._matrices.items():
-            spectrum[b] = np.linalg.eigvalsh(np.add(*_halves(g)))  # halved first: no overflow
-        if not np.isfinite(np.concatenate(spectrum)).all():
-            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
+            spectrum[b] = self._eigenvalues(np.add(*_halves(g)))  # halved first: no overflow
         return spectrum
 
+    def _eigenvalues(self, h: np.ndarray) -> np.ndarray:
+        """``eigvalsh`` of a block's Hermitian part ``h``, all finite, else an error naming the
+        sector."""
+        values = np.linalg.eigvalsh(h)
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
+        return values
+
+    def _least_eigenvalue(self) -> float:
+        """The least eigenvalue of the blocks' Hermitian parts, bit for bit the minimum of
+        :attr:`spectrum`: read off it where it is computed, else block by block, largest first.
+        ``eigvalsh`` of the largest stored block gives a running minimum ``mu`` (from the exact 0
+        of a missing block, if any).  Each other block is skipped where :func:`_cholesky_above`
+        proves every eigenvalue of its ``H`` above ``mu + delta``: ``delta = p(r) eps r max|G|``
+        bounds the error ``p(r) eps ||H||_2`` of ``eigvalsh`` (LAPACK Users' Guide, 3rd ed.,
+        section 4.7, with ``p(r) = r^2`` for its "modestly growing function" of the rows ``r``,
+        and ``||H||_2 <= r max|H| <= r max|G|``), so the block's computed eigenvalues would all
+        exceed ``mu``.  Otherwise, a non-finite shift included, ``eigvalsh`` reads the block."""
+        if "spectrum" in vars(self):
+            return float(np.concatenate(self.spectrum).min())
+        eps = np.finfo(float).eps
+        least = 0.0 if len(self._matrices) < len(self._layout.keys) else math.inf
+        blocks = sorted(self._matrices.items(), key=lambda item: len(item[1]), reverse=True)
+        for number, (b, g) in enumerate(blocks):
+            h = np.add(*_halves(g))
+            if number and _cholesky_above(h, least + len(h) ** 3 * eps * self._tops[b]):
+                continue
+            least = min(least, float(self._eigenvalues(h).min()))
+        return least
+
     def _full_rank(self, tol: float) -> bool:
-        """Whether ``cholesky(H - s I)`` succeeds on the Hermitian part ``H`` of every
-        stored block, as :attr:`spectrum` forms it, largest first, with ``s = (1 + 4
-        eps) tol max(1, T) + 2 gamma_{r+1} tr(H)``: ``r`` its rows, ``gamma_k = k eps
-        / (1 - k eps)``, ``T`` the largest trace.  Then, by Rump (BIT 46, 2006), every
-        eigenvalue of ``H`` exceeds ``tol max(1, T)``, a term that also covers
-        underflow; ``H`` being positive definite, ``lambda_max <= tr(H) <= T``, so all
-        pass the rank cut ``tol max(1, top)`` and a missing block's zeros do not.  A
-        non-finite shift proves nothing."""
-        eps, blocks = np.finfo(float).eps, sorted(self._matrices.values(), key=len, reverse=True)
+        """Whether :func:`_cholesky_above` proves every eigenvalue of the Hermitian part ``H``
+        of every stored block, largest first, above ``tol max(1, T)``, ``T`` the largest trace;
+        ``H`` being then positive definite, ``lambda_max <= tr(H) <= T``, so all pass the rank
+        cut ``tol max(1, top)`` and a missing block's zeros do not.  With no positive cut, or
+        no finite one, nothing is proved."""
         with np.errstate(over="ignore", invalid="ignore"):  # spectrum reports an overflow
-            traces = np.array([np.trace(g).real for g in blocks])
-            k = np.array([len(g) + 1 for g in blocks]) * eps
-            shifts = (1 + 4 * eps) * tol * traces.max(initial=1.0) + 2 * k / (1 - k) * traces
-            if not (tol > 0 and np.isfinite(shifts).all()):  # no positive cut, or no finite shift: no proof
-                return False
-            for g, shift in zip(blocks, shifts.tolist()):
-                h = np.add(*_halves(g))
-                h.flat[::len(h) + 1] -= shift
-                try:
-                    np.linalg.cholesky(h)
-                except np.linalg.LinAlgError:
-                    return False
-        return True
+            floor = tol * max([1.0, *(float(np.trace(g).real) for g in self._matrices.values())])
+        return tol > 0 and math.isfinite(floor) and all(
+            _cholesky_above(np.add(*_halves(g)), floor)
+            for g in sorted(self._matrices.values(), key=len, reverse=True))
 
     def _counted_rank(self, tol: float) -> int:
         """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)`` and
@@ -631,19 +678,22 @@ class GramResult:
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector; the tolerance is relative to its largest entry.  Where
         :attr:`theorem` reads the sector, the row has the theorem's status and defect, with the
-        computed least eigenvalue."""
+        computed least eigenvalue.  That is :meth:`_least_eigenvalue`, off :attr:`spectrum` where
+        it is computed, else from only the blocks that can hold it."""
         if self.theorem is not None:
-            return self.theorem.psd_report(float(np.concatenate(self.spectrum).min()))
+            return self.theorem.psd_report(self._least_eigenvalue())
         if not self.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
                                {"sector": self.sector, "asymmetry": self.asymmetry})
-        min_eig = float(np.concatenate(self.spectrum).min())
+        min_eig = self._least_eigenvalue()
         return CheckReport("gram-psd", PASS if min_eig >= -tol * self.scale else FAIL, max(0.0, -min_eig),
                            None, {"sector": self.sector, "min_eigenvalue": min_eig})
 
     def readings(self, tol: float) -> tuple[CheckReport, int | None]:
         """The ``gram-psd`` row and the rank, ``None`` if not Hermitian: :attr:`theorem`'s, else
-        counted from the row's spectrum."""
+        counted from the row's spectrum, computed whole first."""
+        if self.theorem is not None or self.hermitian_within(tol):
+            self.spectrum  # whole: the count reads it, and check's gram-psd row its roundoff
         report = self.psd_report(tol)
         if report.status == SKIPPED:
             return report, None
@@ -809,7 +859,8 @@ def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorD
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
     """Positive semidefiniteness of the sector Gram matrix (:meth:`GramResult.psd_report`).
     On the colour-symmetric class the row is the closed form's (:func:`_theorems`), and no Gram
-    is built; elsewhere the spectrum is computed, for its ``min_eigenvalue``."""
+    is built; elsewhere its ``min_eigenvalue`` is read from only the blocks that can hold it
+    (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
     _check_tol(tol)
     _guard_sectors(model, n)
     theorems = _theorems(model, n)

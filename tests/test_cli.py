@@ -123,6 +123,32 @@ def test_gram_json_streams_the_matrix(tmp_path, monkeypatch):
         == "5c06bf21688ed06021dbb43c508c63d203d497a6c0eab0c3132682d8e7ba8d76"
 
 
+def test_a_large_report_is_written_in_chunks(monkeypatch):
+    # unbuffered (PYTHONUNBUFFERED=1), each write is a system call: the encoder's pieces are
+    # joined into chunks of at most 4096, where each piece was a write of its own
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def writelines(self, lines):  # as io's: one write a line
+            for line in lines:
+                self.write(line)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["check", str(zoo_path("fermion1")), "--nmax", "5000", "--json"]) == 0
+    text = "".join(writes)
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    pieces = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report))
+    assert pieces > 50_000 and len(writes) == -(-pieces // 4096) + 1  # and the newline
+
+
 def test_gram_text_report_prints_the_matrix_on_one_line(capsys):
     code, out, _ = run_cli(capsys, "gram", str(zoo_path("boson")), "--sector", "2")
     assert code == 0

@@ -758,6 +758,150 @@ def test_check_and_gram_take_the_rank_from_the_spectrum(monkeypatch, capsys):
     assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
 
 
+def _read_two_ways(result, shapes=None, tol=1e-9):
+    """``gram-psd`` of one sector from the least-eigenvalue reader, then from the whole spectrum;
+    ``shapes`` (of :func:`_counting_eigvalsh`) is left with the reader's ``eigvalsh`` calls."""
+    assert "spectrum" not in vars(result)
+    fast = result.psd_report(tol)
+    read = None if shapes is None else list(shapes)
+    result.spectrum
+    if shapes is not None:
+        shapes[:] = read
+    return fast, result.psd_report(tol)
+
+
+def _counting_eigvalsh(monkeypatch):
+    """The shapes ``eigvalsh`` runs on, from now on."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    return shapes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_the_least_eigenvalue_reader_equals_the_spectrum_on_the_zoo(name):
+    # every sector to 12 (one generator), 10 (two) or 6 (three): the same row, bit for bit
+    model = load_zoo(name)
+    n = {1: 12, 2: 10, 3: 6}[model.n_generators]
+    read = 0
+    for result, _ in fock._tower(model, n):
+        fast, full = _read_two_ways(result)
+        assert repr(fast) == repr(full), (name, result.sector)
+        read += fast.status != "skipped"
+        if model.colour_spectrum is None and fast.status != "skipped":
+            assert repr(gram_psd_check(model, result.sector)) == repr(full)
+    assert read >= n - 1
+
+
+def _sweep_model(seed):
+    """A q-swap model of 2 or 3 generators with ``q_ji = conj(q_ij)``, ``|q| <= 1.5``, real or
+    complex, a diagonal, tilted or sign-mixed pairing, and ``s = +1`` or ``-1``."""
+    rng = np.random.default_rng(seed)
+    n_gen = 2 + seed % 2
+    q = rng.uniform(-1.5, 1.5, (n_gen, n_gen))
+    if seed % 4 >= 2:  # complex off the diagonal
+        q = q * np.exp(1j * rng.uniform(0, 2 * np.pi, (n_gen, n_gen)))
+        q[np.diag_indices(n_gen)] = q.diagonal().real
+    q = np.triu(q) + np.triu(q, 1).conj().T
+    kind = seed // 4 % 3
+    if kind == 0:
+        pairing = np.diag(rng.uniform(0.3, 3, n_gen))
+    elif kind == 1:  # tilted: one block per sector
+        raw = rng.uniform(-0.4, 0.4, (n_gen, n_gen))
+        pairing = np.eye(n_gen) + (raw + raw.T) / 2
+    else:
+        pairing = np.diag(rng.uniform(0.3, 3, n_gen) * rng.choice([-1, 1], n_gen))
+    return _q_model(q, pairing, sign=-1 if seed // 12 % 2 else 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_least_eigenvalue_reader_equals_the_spectrum_on_random_q_models(monkeypatch):
+    shapes = _counting_eigvalsh(monkeypatch)
+    sectors = negative = stored = read = 0
+    for seed in range(240):
+        model = _sweep_model(seed)
+        for result, _ in fock._tower(model, 6 if model.n_generators == 2 else 4):
+            shapes.clear()
+            fast, full = _read_two_ways(result, shapes)
+            assert repr(fast) == repr(full), (seed, result.sector)
+            if fast.status != "skipped":
+                sectors += 1
+                negative += fast.data["min_eigenvalue"] < 0
+                stored += len(result._matrices)
+                read += len(shapes)
+    assert sectors >= 1000 and negative >= 200, (sectors, negative)
+    assert read < stored  # some blocks were proved away
+
+
+def test_gram_psd_check_reads_one_block_of_quon_05_at_sector_10(monkeypatch):
+    # the least eigenvalue, 0.0168, is in the 252-row block; the 210-row blocks read 0.0216
+    shapes = _counting_eigvalsh(monkeypatch)
+    report = gram_psd_check(load_zoo("quon_05"), 10)
+    assert shapes == [(252, 252)]
+    assert report.passed and report.data["min_eigenvalue"] == pytest.approx(0.0168, abs=1e-4)
+    full = gram_matrix(load_zoo("quon_05"), 10)
+    full.spectrum
+    assert repr(full.psd_report(1e-9)) == repr(report)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_zero_eigenvalues_go_through_eigvalsh(monkeypatch):
+    # fermion2's sector 2 stores one of its three blocks, of eigenvalues 0 and 2; boson's
+    # Gram through an explicit q = 1 braid has rank-1 blocks, whose zeros read as roundoff
+    shapes = _counting_eigvalsh(monkeypatch)
+    minima = {}
+    for name, model, n in [("fermion2", load_zoo("fermion2"), 4), ("boson", _q_model(np.ones((2, 2))), 6)]:
+        for result, _ in fock._tower(model, n):
+            shapes.clear()
+            fast, full = _read_two_ways(result, shapes)
+            assert repr(fast) == repr(full), (name, result.sector)
+            minima[name, result.sector] = fast.data["min_eigenvalue"]
+            # every block with an exact zero eigenvalue (more than one row, from sector 2 on)
+            if result.sector >= 2:
+                assert sorted(shapes) == sorted(g.shape for g in result._matrices.values() if len(g) > 1)
+    assert minima["fermion2", 2] == 0.0 and minima["fermion2", 4] == 0.0
+    assert minima["boson", 3] == -1.1697088109017878e-15
+
+
+_TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])  # least 2 - sqrt(2)
+
+
+def _four_blocks(block):
+    """Sector 3 of two letters, its four weight blocks stored: ``[[7]]``, :data:`_TRIDIAGONAL`,
+    ``block`` (3x3) and ``[[7]]``."""
+    return fock.GramResult(3, 2, fock._layout(load_zoo("quon_05"), 3),
+                           {0: np.array([[7.0]]), 1: _TRIDIAGONAL, 2: np.asarray(block, dtype=float),
+                            3: np.array([[7.0]])}, float)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diagonal_entry_at_the_running_minimum_goes_through_eigvalsh(monkeypatch):
+    mu = float(np.linalg.eigvalsh(_TRIDIAGONAL).min())
+    shapes = _counting_eigvalsh(monkeypatch)
+    for entry in (mu, mu + 1e-15, np.nextafter(mu, 0.0)):
+        shapes.clear()
+        fast, full = _read_two_ways(_four_blocks(np.diag([5.0, entry, 5.0])), shapes)
+        assert repr(fast) == repr(full) and fast.data["min_eigenvalue"] == min(mu, entry)
+        assert shapes == [(3, 3), (3, 3)]  # the 1x1 blocks of 7 are proved away
+    # far above the minimum, the block is proved away too
+    shapes.clear()
+    fast, full = _read_two_ways(_four_blocks(np.diag([5.0, 6.0, 5.0])), shapes)
+    assert repr(fast) == repr(full) and shapes == [(3, 3)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_block_whose_shift_overflows_goes_through_eigvalsh(monkeypatch):
+    shapes = _counting_eigvalsh(monkeypatch)
+    # trace 3e308: no finite shift, so eigvalsh reads the block, of eigenvalues 1e308
+    fast, full = _read_two_ways(_four_blocks(np.diag([1e308] * 3)), shapes)
+    assert repr(fast) == repr(full) and shapes == [(3, 3), (3, 3)]
+    # its eigenvalue 3e308 overflows: the error names the sector, as the spectrum's does
+    with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
+        _four_blocks(np.full((3, 3), 1e308)).psd_report(1e-9)
+    with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
+        _four_blocks(np.full((3, 3), 1e308)).spectrum
+
+
 def _tilted_quon(q):
     """The q-swap model of two generators with the pairing ``[[1, 0.3], [0.3, 1.7]]``: it
     mixes the letters, so it is outside the contractive class, yet positive definite."""
