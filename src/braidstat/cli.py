@@ -148,10 +148,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    from .fock import gram_matrix
+    from .fock import HermiticityError, gram_matrix
     model, tol, _ = _model(args)
     result = gram_matrix(model, args.sector)
-    psd, rank = result.readings(tol)  # rank None: not Hermitian, and no gram-psd row
+    try:  # the rank first: a counted spectrum also serves the gram-psd row
+        rank = result.quotient_rank(tol)
+    except HermiticityError:  # no rank, and no gram-psd row
+        rank = None
+    psd = result.psd_report(tol)
     hermitian = CheckReport("gram-hermitian", FAIL if rank is None else PASS, result.asymmetry)
     return _emit(args, [hermitian] if rank is None else [hermitian, psd], {
         "sector": args.sector,

@@ -65,37 +65,33 @@ The sector-``n`` Gram matrix has entries
 dimension of the physical (null-state-free) sector.  One pass of the
 recursion (:func:`_tower`) gives the Grams of sectors ``0..n``, so ``check``
 builds each sector once, in one tower to ``n_max + 2``, or to ``n_max`` for its
-Gram rows alone where the exchange relations hold exactly (to the last sector of
-nonzero rank, on the colour-symmetric class below).  ``G_n`` is
-block-diagonal with one block per multiset, every entry between blocks exactly
-0, and the rows of ``G_M`` that start with ``i`` are ``G_{M - {i}} B_i``.  A
-block that is exactly 0 is not stored, every reader takes a missing block as
-exactly 0, and once a whole sector stores no block the tower builds no further
-annihilator block but those a check reads.  Positivity comes from the
-eigenvalues of the Hermitian part of each block: exact zeros for a missing
-block, one ``eigvalsh`` for a stored one; :func:`gram_psd_check` runs it only
-on the blocks that a shifted Cholesky cannot prove above the running least
-eigenvalue (:meth:`GramResult._least_eigenvalue`).  The rank counts the
-eigenvalues with ``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``,
-``top`` the largest ``|lambda|`` of the sector, the cut against the largest
-singular value of the whole matrix; an exact zero never counts.  :meth:`GramResult.readings`
-(``check``, ``gram``) counts the spectrum of its ``gram-psd`` row;
-:meth:`GramResult.quotient_rank` (:func:`sector_dimension`) first proves every
-stored block full rank by a shifted Cholesky where it can.  Two classes are read
-by a theorem instead (:func:`_theorems`, one reading per sector for all three):
-the contractive q-models
+Gram rows alone where the exchange relations hold exactly (none on the
+colour-symmetric class below).  ``G_n`` is block-diagonal with one block per
+multiset, every entry between blocks exactly 0, and the rows of ``G_M`` that
+start with ``i`` are ``G_{M - {i}} B_i``.  A block that is exactly 0 is not
+stored, every reader takes a missing block as exactly 0, and once a whole sector
+stores no block the tower builds no further annihilator block but those a check
+reads.  The dense matrix is filled from the blocks only when
+:attr:`GramResult.matrix` is read.
+
+Every reader (``check``, ``gram``, :func:`sector_dimension`,
+:func:`gram_psd_check`) asks a sector two questions, each with one reading.  The
+rank (:func:`_rank`) and how it is known: a class theorem's (:func:`_theorems`),
+else the stored rows where a shifted Cholesky proves every block above the cut,
+else the count of the eigenvalues of each block's Hermitian part with
+``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``, ``top`` the largest
+``|lambda|``, the cut against the largest singular value; an exact zero never
+counts.  The ``gram-psd`` row (:func:`_psd_report`): the theorem's status, with
+its least eigenvalue where it gives one, else the least eigenvalue read from
+only the blocks that can hold it (:meth:`GramResult._least_eigenvalue`).  The
+theorems are the contractive q-models
 (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`), every sector
 positive definite of rank ``N^n``, and the colour-symmetric class
-(:attr:`~braidstat.models.ParticleModel.colour_spectrum`), each sector in
-closed form from the eigenvalues of the pairing's grade blocks, its rank and
-whether it has a negative eigenvalue decided exactly.  There the rank and the
-``gram-psd`` status are the theorem's, whatever ``tol``, with no spectral step,
-and the Gram is Hermitian exactly (``gram-hermitian`` reads 0):
-:func:`sector_dimension` runs the word guards and builds nothing, nor does
-:func:`gram_psd_check` on the colour-symmetric class, whose least eigenvalue the
-closed form gives.  Where a tower is built the ``gram-psd`` row reports its
-computed ``min_eigenvalue``.  The dense matrix is filled from the blocks only
-when :attr:`GramResult.matrix` is read.
+(:attr:`~braidstat.models.ParticleModel.colour_spectrum`), each sector in closed
+form from the eigenvalues of the pairing's grade blocks, its least eigenvalue
+included.  There the Gram is Hermitian exactly (``gram-hermitian`` reads 0), and
+a reader builds a Gram only for what the theorem leaves open: none on the
+colour-symmetric class, only ``gram-psd``'s least eigenvalue on the contractive.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -123,7 +119,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -458,28 +454,13 @@ class _Theorem(NamedTuple):
     """A sector Gram as a class theorem reads it (:func:`_theorems`), with no spectral step:
     Hermitian exactly, of rank ``rank``, with a negative eigenvalue exactly where ``negative``;
     ``least`` is its least eigenvalue, or ``None`` where the theorem leaves that to the computed
-    spectrum.  ``source`` names the theorem.  It reads as a :class:`GramResult` does in ``check``."""
+    spectrum.  ``source`` names the theorem."""
 
     sector: int
     source: str
     rank: int
     negative: bool = False
     least: float | None = None
-
-    asymmetry = 0.0
-
-    def hermitian_within(self, tol: float) -> bool:
-        return True
-
-    def psd_report(self, least: float) -> CheckReport:
-        """``gram-psd`` with least eigenvalue ``least``: the status is the theorem's, at any ``tol``."""
-        if not math.isfinite(least):
-            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
-        return CheckReport("gram-psd", FAIL if self.negative else PASS, max(0.0, -least), None,
-                           {"sector": self.sector, "min_eigenvalue": least})
-
-    def readings(self, tol: float) -> tuple[CheckReport, int]:
-        return self.psd_report(self.least), self.rank
 
 
 def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
@@ -609,7 +590,7 @@ class GramResult:
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
         """Eigenvalues of each block's Hermitian part: exact zeros for a missing block.  Computed
-        whole where it is read whole (:meth:`readings`); :func:`gram_psd_check` reads only the
+        whole only where a rank is counted (:func:`_rank`); the ``gram-psd`` row reads only the
         blocks that can hold the least eigenvalue (:meth:`_least_eigenvalue`)."""
         spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
         for b, g in self._matrices.items():
@@ -666,38 +647,50 @@ class GramResult:
         return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0)))
 
     def quotient_rank(self, tol: float) -> int:
-        """Rank of a Hermitian sector Gram: :attr:`theorem`'s, with no spectral step; else cut at
-        ``tol`` times its largest singular value, the stored rows where :meth:`_full_rank` holds,
-        else the counted eigenvalues."""
-        if self.theorem is not None:
-            return self.theorem.rank
-        if not self.hermitian_within(tol):
-            raise HermiticityError(self.asymmetry, self.sector)
-        return sum(map(len, self._matrices.values())) if self._full_rank(tol) else self._counted_rank(tol)
+        """Rank of a Hermitian sector Gram (:func:`_rank`)."""
+        return _rank(self.theorem, lambda: self, tol)[0]
 
     def psd_report(self, tol: float) -> CheckReport:
-        """``gram-psd`` on this sector; the tolerance is relative to its largest entry.  Where
-        :attr:`theorem` reads the sector, the row has the theorem's status and defect, with the
-        computed least eigenvalue.  That is :meth:`_least_eigenvalue`, off :attr:`spectrum` where
-        it is computed, else from only the blocks that can hold it."""
-        if self.theorem is not None:
-            return self.theorem.psd_report(self._least_eigenvalue())
-        if not self.hermitian_within(tol):
-            return CheckReport("gram-psd", SKIPPED, self.asymmetry, "non-hermitian gram",
-                               {"sector": self.sector, "asymmetry": self.asymmetry})
-        min_eig = self._least_eigenvalue()
-        return CheckReport("gram-psd", PASS if min_eig >= -tol * self.scale else FAIL, max(0.0, -min_eig),
-                           None, {"sector": self.sector, "min_eigenvalue": min_eig})
+        """``gram-psd`` on this sector (:func:`_psd_report`)."""
+        return _psd_report(self.theorem, lambda: self, tol)
 
-    def readings(self, tol: float) -> tuple[CheckReport, int | None]:
-        """The ``gram-psd`` row and the rank, ``None`` if not Hermitian: :attr:`theorem`'s, else
-        counted from the row's spectrum, computed whole first."""
-        if self.theorem is not None or self.hermitian_within(tol):
-            self.spectrum  # whole: the count reads it, and check's gram-psd row its roundoff
-        report = self.psd_report(tol)
-        if report.status == SKIPPED:
-            return report, None
-        return report, self._counted_rank(tol) if self.theorem is None else self.theorem.rank
+
+def _rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> tuple[int, str]:
+    """The rank of a sector's Hermitian Gram and how it is known, cheapest first: ``theorem``'s,
+    named by it, with no Gram read; else, on the Gram ``gram()``, the stored rows where
+    :meth:`GramResult._full_rank` proves them (``"cholesky"``), else the eigenvalues of
+    :attr:`GramResult.spectrum` counted against ``tol`` times the largest singular value
+    (``"count"``).  The certificate changes no rank: its cut is the count's.  A Gram that is not
+    Hermitian within ``tol`` raises :class:`HermiticityError`."""
+    if theorem is not None:
+        return theorem.rank, theorem.source
+    result = gram()
+    if not result.hermitian_within(tol):
+        raise HermiticityError(result.asymmetry, result.sector)
+    if result._full_rank(tol):
+        return sum(map(len, result._matrices.values())), "cholesky"
+    return result._counted_rank(tol), "count"
+
+
+def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> CheckReport:
+    """``gram-psd`` on a sector.  Where ``theorem`` reads it, the status is the theorem's at any
+    ``tol``, and the least eigenvalue is the theorem's where it gives one, with no Gram read.
+    Otherwise the least eigenvalue is :meth:`GramResult._least_eigenvalue` of ``gram()``, and
+    outside the classes the row passes where it is at least ``-tol`` times the largest entry, and
+    is skipped where the Gram is not Hermitian within ``tol``."""
+    if theorem is not None and theorem.least is not None:
+        sector, least, failed = theorem.sector, theorem.least, theorem.negative
+    else:
+        result = gram()
+        if theorem is None and not result.hermitian_within(tol):
+            return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
+                               {"sector": result.sector, "asymmetry": result.asymmetry})
+        sector, least = result.sector, result._least_eigenvalue()
+        failed = theorem.negative if theorem is not None else least < -tol * result.scale
+    if not math.isfinite(least):
+        raise NonFiniteError(f"the eigenvalues of sector {sector} overflow the float range")
+    return CheckReport("gram-psd", FAIL if failed else PASS, max(0.0, -least), None,
+                       {"sector": sector, "min_eigenvalue": least})
 
 
 class SectorDimension(NamedTuple):
@@ -845,28 +838,24 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
 
 
 def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
-    """Full dimension ``N^n`` and the rank of the sector Gram matrix
-    (:meth:`GramResult.quotient_rank`).  Where a class theorem reads the sector
-    (:func:`_theorems`), the rank is the theorem's: only the word guards run, and no Gram is
+    """Full dimension ``N^n`` and the rank of the sector Gram matrix (:func:`_rank`).  Where a
+    class theorem reads the sector (:func:`_theorems`), only the word guards run, and no Gram is
     built."""
     _check_tol(tol)
     _guard_sectors(model, n)  # before N^n is built
-    theorems = _theorems(model, n)
-    rank = theorems[n].rank if theorems else _sector_gram(model, n).quotient_rank(tol)
-    return SectorDimension(model.n_generators ** n, rank)
+    theorem = (_theorems(model, n) or [None])[-1]
+    return SectorDimension(model.n_generators ** n, _rank(theorem, lambda: _sector_gram(model, n), tol)[0])
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix (:meth:`GramResult.psd_report`).
-    On the colour-symmetric class the row is the closed form's (:func:`_theorems`), and no Gram
-    is built; elsewhere its ``min_eigenvalue`` is read from only the blocks that can hold it
+    """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  On the
+    colour-symmetric class the row is the closed form's, and no Gram is built; elsewhere its
+    ``min_eigenvalue`` is read from only the blocks that can hold it
     (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
     _check_tol(tol)
     _guard_sectors(model, n)
-    theorems = _theorems(model, n)
-    if theorems and theorems[n].least is not None:
-        return theorems[n].psd_report(theorems[n].least)
-    return _sector_gram(model, n).psd_report(tol)
+    theorem = (_theorems(model, n) or [None])[-1]
+    return _psd_report(theorem, lambda: _sector_gram(model, n), tol)
 
 
 def _form(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -966,8 +955,7 @@ def _exchange_nullity(model: ParticleModel, forms: list[np.ndarray], n_max: int,
         "n_max": n_max})
 
 
-def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult | _Theorem], list,
-                                                           list[np.ndarray]]:
+def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list, list[np.ndarray]]:
     """Guards, then one Gram tower to ``n_max + 2``, each line read as soon as its blocks exist
     and the blocks dropped as the tower goes on.  Returns the Grams of sectors ``0..n_max``,
     their twisted commutator residual norms (none for ``s = +1``), and the squared Gram norms
@@ -976,8 +964,8 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult | _The
 
     Where :attr:`~braidstat.models.ParticleModel.exchange_relations_exact` holds, every form is
     exactly 0 and none is returned, and the tower stops at ``n_max`` for the Gram rows; on the
-    colour-symmetric class at the last sector of nonzero rank, the later sectors, whose Grams are
-    exactly 0, read by :func:`_theorems`.  Write ``g_i``
+    colour-symmetric class, whose every Gram row the closed form reads (:func:`_theorems`), no
+    Gram is built.  Write ``g_i``
     for the grade of letter ``i``, ``chi_ij = eps(g_j, -g_i)`` for the phase of ``b-_i`` hopping
     past ``j``, ``lambda = eps(g_b, g_a)`` and ``D = b-_a b-_b - lambda b-_b b-_a``.  With
     ``s = +1`` the recursion ``b-_a (j, w) = <a|j> w + chi_aj (j, b-_a w)`` gives
@@ -997,10 +985,8 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult | _The
     its form is 0.  For ``s = +1`` the mixed line is empty (module docstring)."""
     _guard_sectors(model, n_max)
     if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
-        theorems = _theorems(model, n_max) or []
-        # past the last sector of nonzero rank each Gram is exactly 0: the theorem reads it whole
-        top = max((known.sector for known in theorems if known.rank), default=n_max)
-        return [result for result, _ in _tower(model, top)] + theorems[top + 1:], [], []
+        grams = [] if model.colour_spectrum is not None else [result for result, _ in _tower(model, n_max)]
+        return grams, [], []
     _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     n_gen = model.n_generators
     forms = [np.zeros((3, n_gen * n_gen, n_gen ** n), dtype=model.scalar_type) for n in range(n_max + 1)]
@@ -1025,17 +1011,22 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     """The Fock rows of ``check`` (infinite-statistics, twisted-commutators,
     exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
     skipped sector outranks defects) and the dimension rows of sectors
-    ``0..n_max``, from one :func:`_fock_pass`."""
+    ``0..n_max``, from one :func:`_fock_pass`: each sector's rank by :func:`_rank`,
+    asked first so that a counted spectrum also serves its :func:`_psd_report`."""
     grams, residuals, forms = _fock_pass(model, n_max)
     dims, psd = [], None
-    for n, result in enumerate(grams):
-        rep, rank = result.readings(tol)
+    for n, theorem in enumerate(_theorems(model, n_max) or [None] * (n_max + 1)):
+        try:
+            rank = _rank(theorem, lambda: grams[n], tol)[0]
+        except HermiticityError:  # no rank, and a skipped gram-psd row
+            rank = None
+        rep = _psd_report(theorem, lambda: grams[n], tol)
         dims.append({"sector": n, "full": model.n_generators ** n, "quotient": rank}
                     | ({"status": SKIPPED} if rank is None else {}))
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
     hermitian = all(result.hermitian_within(tol) for result in grams)
-    asymmetry = max(result.asymmetry for result in grams)
+    asymmetry = max((result.asymmetry for result in grams), default=0.0)
     return [check_infinite_statistics(model, n_max, tol), _twisted_commutators(model, residuals, n_max, tol),
             _exchange_nullity(model, forms, n_max, tol),
             CheckReport("gram-hermitian", PASS if hermitian else FAIL, asymmetry), psd], dims

@@ -409,16 +409,19 @@ def check_yang_baxter(model: ParticleModel, tol: float = 1e-9) -> CheckReport:
 
     Grade-diagonal models pass by construction: both sides multiply the same
     three commuting phases, so the defect is exactly 0.  Explicit matrices are
-    checked numerically on the full two-step operators.
+    checked numerically on the full two-step operators ``A = R x id`` and ``B = id x R``,
+    relative to their terms: ``max|ABA - BAB|`` over the largest entry of ``|A||B||A|`` and
+    ``|B||A||B|``, so that scaling ``R`` moves no status (both sides are cubic in it).  ``R`` is
+    divided by its largest ``|entry|`` first, so no product overflows.
     """
     if model.is_grade_diagonal:
         return CheckReport.from_defect("yang-baxter", 0.0, tol, None, {"exact": True})
-    n = model.n_generators
     action = _action_matrix(model.braid_coupling)
-    eye = np.eye(n)
-    a = np.kron(action, eye)
-    b = np.kron(eye, action)
-    defect = float(np.abs(a @ b @ a - b @ a @ b).max())
+    action = action / np.abs(action).max()
+    eye = np.eye(model.n_generators)
+    a, b = np.kron(action, eye), np.kron(eye, action)
+    terms = max(float((abs(a) @ abs(b) @ abs(a)).max()), float((abs(b) @ abs(a) @ abs(b)).max()))
+    defect = float(np.abs(a @ b @ a - b @ a @ b).max()) / terms
     return CheckReport.from_defect("yang-baxter", defect, tol, None, {"exact": False})
 
 

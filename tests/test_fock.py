@@ -475,7 +475,7 @@ def test_exact_zeros_never_count_toward_a_rank():
     assert sector_dimension(load_zoo("fermion3"), 4, tol=0) == (81, 0)
     assert sector_dimension(load_zoo("fermion2"), 3, tol=0) == (8, 0)
     assert sector_dimension(load_zoo("fermion2"), 2, tol=0) == (4, 1)
-    assert gram_matrix(load_zoo("fermion2"), 3).readings(0.0)[1] == 0
+    assert fock._rank(None, lambda: gram_matrix(load_zoo("fermion2"), 3), 0.0) == (0, "count")
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +707,13 @@ def _zoo_model(name, sign):
 
 def _certified_and_counted(model, n, tol=1e-9):
     """Per Hermitian sector ``0..n``: whether the shifted Cholesky proves it full
-    rank, the rank it certifies, and the rank counted from the spectrum."""
+    rank, the rank read with no class theorem, and the rank counted from the spectrum."""
     rows = []
     for result, _ in fock._tower(model, n):
         assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
         if result.hermitian_within(tol):
-            proved, certified = result._full_rank(tol), result.quotient_rank(tol)
-            rows.append((proved, certified, result.readings(tol)[1]))
+            certified, source = fock._rank(None, lambda: result, tol)
+            rows.append((source == "cholesky", certified, result._counted_rank(tol)))
     return rows
 
 
@@ -745,29 +745,70 @@ def test_certified_rank_needs_no_eigensolver(monkeypatch):
         sector_dimension(load_zoo("fermion2"), 2, tol=0.0)
 
 
-def test_check_and_gram_take_the_rank_from_the_spectrum(monkeypatch, capsys):
-    from braidstat.cli import main
-    argvs = [["check", str(zoo_path("quon_05")), "--nmax", "5", "--json"],
-             ["gram", str(zoo_path("quon_05")), "--sector", "4", "--json"]]
-    want = [(main(argv), capsys.readouterr()) for argv in argvs]
+def _readers(model, n_max, monkeypatch, tol=1e-9):
+    """Per sector ``0..n_max``, its rank and ``min_eigenvalue`` as each of the four readers gives
+    them: ``check`` (its dimension rows, and the ``gram-psd`` row it reads of each sector before
+    it reports the worst), ``gram`` (``quotient_rank`` and ``psd_report`` of :func:`gram_matrix`),
+    :func:`sector_dimension` and :func:`gram_psd_check`; ``None`` where a reader gives neither."""
+    rows, psd_report = [], fock._psd_report
+    monkeypatch.setattr(fock, "_psd_report", lambda *args: rows.append(psd_report(*args)) or rows[-1])
+    _, dims = fock._fock_checks(model, n_max, tol)
+    monkeypatch.undo()
+    assert [row.data["sector"] for row in rows] == list(range(n_max + 1))
+    readings = []
+    for n in range(n_max + 1):
+        result = gram_matrix(model, n)
+        readings.append({
+            "check": (dims[n]["quotient"], rows[n].data["min_eigenvalue"]),
+            "gram": (result.quotient_rank(tol), result.psd_report(tol).data["min_eigenvalue"]),
+            "sector_dimension": (sector_dimension(model, n, tol).quotient, None),
+            "gram_psd_check": (None, gram_psd_check(model, n, tol).data["min_eigenvalue"])})
+    return readings
 
-    def refuse(a):
-        raise AssertionError("cholesky ran")
 
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    assert [(main(argv), capsys.readouterr()) for argv in argvs] == want
+def _agree(readings):
+    """Whether the readers that give a rank, and those that give a least eigenvalue, agree under ``==``."""
+    ranks = {rank for rank, _ in readings.values() if rank is not None}
+    least = [value for _, value in readings.values() if value is not None]
+    return len(ranks) == 1 and all(value == least[0] for value in least)
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_the_four_readers_agree_on_every_zoo_sector(name, monkeypatch):
+    # anyon_z4's sectors 2 and up are not Hermitian: no rank, and a skipped row
+    n_max = {"fermion3": 4, "anyon_z4": 1}.get(name, 6)
+    for n, readings in enumerate(_readers(load_zoo(name), n_max, monkeypatch)):
+        assert _agree(readings), (name, n, readings)
+
+
+def test_the_four_readers_agree_on_random_class_models(monkeypatch):
+    for seed in range(20261101, 20261301, 8):
+        model, _ = _colour_model(seed)
+        for n, readings in enumerate(_readers(model, 3, monkeypatch)):
+            assert _agree(readings), (seed, n, readings)
+
+
+def test_each_rank_names_how_it_is_known():
+    assert fock._rank(fock._theorems(load_zoo("quon_05"), 6)[6], None, 1e-9) == (64, "contractive")
+    assert fock._rank(fock._theorems(load_zoo("boson"), 6)[6], None, 1e-9) == (7, "colour-symmetric")
+    tilted = _tilted_quon(0.5)
+    assert fock._theorems(tilted, 10) is None
+    assert fock._rank(None, lambda: gram_matrix(tilted, 10), 1e-9) == (1024, "cholesky")
+    rank, source = fock._rank(None, lambda: gram_matrix(_tilted_quon(0.9), 8), 1e-9)
+    assert source == "count" and rank == sector_dimension(_tilted_quon(0.9), 8).quotient
 
 
 def _read_two_ways(result, shapes=None, tol=1e-9):
-    """``gram-psd`` of one sector from the least-eigenvalue reader, then from the whole spectrum;
-    ``shapes`` (of :func:`_counting_eigvalsh`) is left with the reader's ``eigvalsh`` calls."""
+    """The computed ``gram-psd`` of one sector, with no class theorem, from the least-eigenvalue
+    reader, then from the whole spectrum; ``shapes`` (of :func:`_counting_eigvalsh`) is left with
+    the reader's ``eigvalsh`` calls."""
     assert "spectrum" not in vars(result)
-    fast = result.psd_report(tol)
+    fast = fock._psd_report(None, lambda: result, tol)
     read = None if shapes is None else list(shapes)
     result.spectrum
     if shapes is not None:
         shapes[:] = read
-    return fast, result.psd_report(tol)
+    return fast, fock._psd_report(None, lambda: result, tol)
 
 
 def _counting_eigvalsh(monkeypatch):
@@ -935,12 +976,15 @@ def test_quotient_rank_tries_the_certificate_after_the_spectrum(monkeypatch):
     assert result.quotient_rank(1e-9) == 64 and calls
 
 
-def test_readings_skip_a_sector_that_is_not_hermitian():
+def test_a_sector_that_is_not_hermitian_has_no_rank_and_a_skipped_row():
     result = gram_matrix(load_zoo("anyon_z4"), 2)
-    psd, rank = result.readings(1e-9)
-    assert not result.hermitian_within(1e-9) and psd.status == "skipped" and rank is None
-    psd, rank = gram_matrix(load_zoo("quon_05"), 4).readings(1e-9)
-    assert psd.passed and rank == 16
+    with pytest.raises(HermiticityError, match="sector 2"):
+        result.quotient_rank(1e-9)
+    assert not result.hermitian_within(1e-9) and result.psd_report(1e-9).status == "skipped"
+    rows, dims = fock._fock_checks(load_zoo("anyon_z4"), 3, 1e-9)
+    assert [row.get("status") for row in dims] == [None, None, "skipped", "skipped"]
+    result = gram_matrix(load_zoo("quon_05"), 4)
+    assert result.psd_report(1e-9).passed and result.quotient_rank(1e-9) == 16
 
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
@@ -1379,7 +1423,7 @@ def test_contractive_class_of_the_zoo():
                        q_swap_braid(2, 0.5), CrossMatrix(cross))
     assert model.cross_terms[1, 1] == () and model.grams_positive_definite
     assert [sector_dimension(model, n) for n in range(4)] == [(2 ** n, 2 ** n) for n in range(4)]
-    assert all(gram_matrix(model, n).readings(1e-9)[1] == 2 ** n for n in range(6))
+    assert all(gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n for n in range(6))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, -0.7])
@@ -1402,8 +1446,8 @@ def test_the_tower_is_positive_definite_where_the_theorem_answers():
         assert model.grams_positive_definite, seed
         for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
             rows = model.n_generators ** result.sector
-            report, rank = result.readings(1e-9)
-            assert result._counted_rank(1e-9) == rank == result.quotient_rank(1e-9) == rows, seed
+            rank, report = result.quotient_rank(1e-9), result.psd_report(1e-9)
+            assert result._counted_rank(1e-9) == rank == rows, seed
             assert report.passed and report.data["min_eigenvalue"] > 0, seed
             assert sector_dimension(model, result.sector) == (rows, rows)
 
@@ -1449,7 +1493,8 @@ def test_every_reading_of_a_contractive_rank_is_the_theorems(q, pairing, n):
     model = _q_model(np.full((2, 2), q), pairing)
     dims = fock._fock_checks(model, n, 1e-9)[1]
     assert [row["quotient"] for row in dims] == [2 ** k for k in range(n + 1)]
-    assert gram_matrix(model, n).readings(1e-9)[1] == gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n
+    assert fock._rank(gram_matrix(model, n).theorem, None, 1e-9) == (2 ** n, "contractive")
+    assert gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n
     assert sector_dimension(model, n) == (2 ** n, 2 ** n)
 
 
@@ -1558,18 +1603,23 @@ def test_the_colour_symmetric_class_builds_no_tower_for_its_rank_or_gram_psd(mon
     assert model.colour_spectrum is not None and fock._theorems(model, 2)[2].source == "colour-symmetric"
 
 
-def test_check_builds_the_class_tower_only_to_its_last_sector_of_nonzero_rank(monkeypatch):
-    # past it every Gram is exactly 0, read by the closed form: check fermion1.json
-    # --nmax 100000 built a tower of 100000 sectors
-    towers, tower = [], fock._tower
-    monkeypatch.setattr(fock, "_tower", lambda *args: towers.append(args[1]) or tower(*args))
-    for name, n_max, top in [("fermion1", 100_000, 1), ("fermion3", 6, 3), ("boson", 5, 5)]:
-        towers.clear()
-        rows, dims = fock._fock_checks(load_zoo(name), n_max, 1e-9)
-        assert towers == [top] and len(dims) == n_max + 1, name
-        assert [row["quotient"] for row in dims[:7] + dims[-1:]] == [
-            colour_symmetric_dimension(load_zoo(name), n) for n in [*range(min(7, n_max + 1)), n_max]]
-        assert all(row.status == "pass" for row in rows), name
+@pytest.mark.parametrize("name, n_max", [("fermion1", 100_000), ("fermion2", 5), ("fermion3", 6),
+                                         ("boson", 5), ("z2z2_fermion", 5)])
+def test_check_builds_no_tower_on_the_colour_symmetric_class(monkeypatch, name, n_max):
+    # check fermion1.json --nmax 100000 built a tower to sector 1 and read the rest off the
+    # closed form; boson's gram-psd row reported sector 4 at a roundoff of -1.6e-15
+    def refused(*args, **kwargs):
+        raise AssertionError("built for a sector the closed form reads")
+
+    monkeypatch.setattr(fock, "_tower", refused)
+    model = load_zoo(name)
+    rows, dims = fock._fock_checks(model, n_max, 1e-9)
+    assert len(dims) == n_max + 1
+    assert [row["quotient"] for row in dims[:7] + dims[-1:]] == [
+        colour_symmetric_dimension(model, n) for n in [*range(min(7, n_max + 1)), n_max]]
+    assert all(row.status == "pass" for row in rows), name
+    psd = next(row for row in rows if row.name == "gram-psd")
+    assert (psd.defect, psd.data) == (0.0, {"sector": 0, "min_eigenvalue": 1.0})
 
 
 def _boson(pairing) -> ParticleModel:
@@ -1586,7 +1636,8 @@ def test_every_reading_of_a_class_rank_is_the_closed_forms(pairing, sectors, ran
     assert [sector_dimension(model, k).quotient for k in sectors] == ranks
     dims = fock._fock_checks(model, n, 1e-9)[1]
     assert [dims[k]["quotient"] for k in sectors] == ranks
-    assert gram_matrix(model, n).readings(1e-9)[1] == gram_matrix(model, n).quotient_rank(1e-9) == n + 1
+    assert fock._rank(gram_matrix(model, n).theorem, None, 1e-9) == (n + 1, "colour-symmetric")
+    assert gram_matrix(model, n).quotient_rank(1e-9) == n + 1
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1.0, 1e9])
@@ -1651,7 +1702,11 @@ def test_engine_computes_and_hands_out_grams_in_the_scalar_type(name):
     grams, _, forms = fock._fock_pass(model, 2)
     assert {hop.dtype for _, hops in fock._tower(model, 4, 2) for block in hops
             for _, hop, _ in block.values()} == {dtype}
-    assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
+    if model.colour_spectrum is not None:  # the closed form reads every Gram row: none is built
+        assert grams == []
+    else:
+        assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}
+    assert {g.dtype for result, _ in fock._tower(model, 2) for g in result._matrices.values()} == {dtype}
     if model.exchange_relations_exact:  # every line is exactly 0: no form is allocated
         assert forms == []
     else:

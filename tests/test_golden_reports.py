@@ -21,6 +21,13 @@ before the Fock checks moved to the ladder engine.
 Statuses, witnesses, sector dimensions and every other non-float field must
 match exactly; floats (defects, minimum eigenvalues, tolerances) within 1e-12.
 
+In both files the ``gram-psd`` rows of boson and fermion3 were rewritten once,
+when ``check`` came to read the colour-symmetric class's Grams in closed form:
+the row reports the first sector with the largest defect, and on the computed
+spectrum roundoff chose it (boson sector 4 at -4.17e-15 and -1.15e-15, fermion3
+sector 3 at -2.49e-16 and -2.87e-16).  Every sector's exact defect is 0, so the
+rule now gives sector 0, whose least eigenvalue is 1.0.  No other row moved.
+
 ``golden/check_reports_minus.json`` holds, per model and depth, the exit code
 and the report of ``braidstat check --json`` on fermion2 and quon_05 with the
 option ``"expansion_sign": "-"``, at the file's own ``n_max`` (4) and at

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from braidstat import ZOO_NAMES, make_bicharacter, make_model
+from braidstat import ZOO_NAMES, Bicharacter, BraidMatrix, make_bicharacter, make_group, make_model
 from braidstat.fock import _fock_checks
 from braidstat.models import check_symmetry, check_yang_baxter
 
@@ -80,3 +80,23 @@ def test_scaling_the_pairing_keeps_every_rank_and_status_on_the_colour_symmetric
     scaled = _edited(model, pairing=model.pairing * 2.0 ** -k)
     assert scaled.colour_spectrum is not None
     assert _report(scaled, n_max)[:2] == _report(model, n_max)[:2]
+
+
+def _random_braid():
+    """An explicit braid of two generators that is no solution of Yang-Baxter: ``normal(4x4) + 3 I``."""
+    raw = np.random.default_rng(3).normal(size=(4, 4)) + 3 * np.eye(4)
+    trivial = make_group([])
+    return make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2), BraidMatrix(raw))
+
+
+@pytest.mark.parametrize("k", [4, 8, 20])
+@pytest.mark.parametrize("label", ["quon_03", "quon_05", "quon_09", "random-braid"] + MIXING)
+def test_scaling_the_braid_keeps_the_yang_baxter_status(label, k):
+    # the defect was absolute, cubic in R: the random braid failed at 71.0 and passed at 1e-4 scale
+    model = (_random_braid() if label == "random-braid" else _mixing_models()[label] if label in MIXING
+             else _zoo_model(label, "+"))
+    scaled = _edited(model, coupling=lambda c: c * 2.0 ** -k)
+    want, got = check_yang_baxter(model), check_yang_baxter(scaled)
+    assert got.status == want.status and got.defect == pytest.approx(want.defect, rel=1e-12, abs=1e-15)
+    if label == "random-braid":
+        assert got.failed
