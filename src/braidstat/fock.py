@@ -84,14 +84,11 @@ else the count of the eigenvalues of each block's Hermitian part with
 counts.  The ``gram-psd`` row (:func:`_psd_report`): the theorem's status, with
 its least eigenvalue where it gives one, else the least eigenvalue read from
 only the blocks that can hold it (:meth:`GramResult._least_eigenvalue`).  The
-theorems are the contractive q-models
-(:attr:`~braidstat.models.ParticleModel.grams_positive_definite`), every sector
-positive definite of rank ``N^n``, and the colour-symmetric class
-(:attr:`~braidstat.models.ParticleModel.colour_spectrum`), each sector in closed
-form from the eigenvalues of the pairing's grade blocks, its least eigenvalue
-included.  There the Gram is Hermitian exactly (``gram-hermitian`` reads 0), and
-a reader builds a Gram only for what the theorem leaves open: none on the
-colour-symmetric class, only ``gram-psd``'s least eigenvalue on the contractive.
+theorems read ``G_n = P^(x)n X_n`` off the pairing's eigenvalues, ``X_n`` the Gram
+at ``P = I`` (:attr:`~braidstat.models.ParticleModel.gram_class`): positive
+definite on the contractive q-models, ``n! Pi_n`` on the colour-symmetric class.
+There the Gram is Hermitian exactly (``gram-hermitian`` reads 0), and a reader
+builds a Gram only for a contractive least eigenvalue that is not exactly 0.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -464,38 +461,37 @@ class _Theorem(NamedTuple):
 
 
 def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
-    """Sectors ``0..n`` as a class theorem reads them, else ``None``.
+    """Sectors ``0..n`` as a class theorem reads them
+    (:attr:`~braidstat.models.ParticleModel.gram_class`), else ``None``.
 
-    On the contractive q-models
-    (:attr:`~braidstat.models.ParticleModel.grams_positive_definite`, with the theorem) each
-    sector is positive definite, of rank ``N^n``; the least eigenvalue is left to the spectrum.
-
-    On the colour-symmetric class (:attr:`~braidstat.models.ParticleModel.colour_spectrum`)
-    ``G_n = n! P^(x)n Pi_n`` (Scheunert, J. Math. Phys. 20, 1979), ``Pi_n`` the colour
-    symmetrizer.  Proof sketch: by the recursion, ``b-_i`` pairs ``i`` with each letter ``j`` of
-    the word, and ``<i|j> != 0`` only where the grades agree, so expanding ``G_n[w, w']`` pairs
-    the letters of ``w`` with those of ``w'`` by a permutation ``sigma``, with the phases of the
-    colour permutation ``rho(sigma)``: ``G_n = sum_sigma P^(x)n rho(sigma)``, and ``Pi_n``, the
-    average of the unitary ``rho``, is an orthogonal projection.  ``rho(sigma)`` reads only the
-    grades, so it commutes with ``U^(x)n`` for any ``U`` that keeps them, and so with
-    ``P^(x)n``.  Diagonalize each grade block ``P_g = U_g D_g U_g^H``: ``Pi_n`` maps the tensor of
-    eigenvectors with eigenvalue letters ``M`` to a multiple of one unit vector, which is 0
-    exactly where a letter of self-phase ``eps(g, g) = -1`` repeats (the transposition of its
-    two copies fixes the tensor and multiplies it by -1).  So the eigenvalues of ``G_n`` are
-    ``n! prod_{mu in M} mu`` over the other multisets ``M`` of ``n`` eigenvalues, and 0 on the
-    rest of the ``N^n`` dimensions; the rank is ``[t^n] prod_g (1 - t)^-r_g`` (self-phase +1) or
-    ``(1 + t)^r_g`` (-1), ``r_g = rank P_g``.  Which eigenvalues are nonzero and which negative
-    is exact, so the rank and ``negative`` are exact.  One pass over the eigenvalues, by degree,
-    counts the monomials and keeps the largest magnitude of each sign parity.  The least
-    eigenvalue is ``n!`` times the most negative monomial; else 0 where the rank is below
-    ``N^n``; else ``n!`` times the least monomial.  Only the magnitudes are floats.
+    On both classes ``G_n = P^(x)n X_n`` and ``[P^(x)n, X_n] = 0``, ``P`` the pairing and ``X_n``
+    the Gram at ``P = I``.  Contractive: ``P_ik != 0`` only where letters ``i`` and ``k`` have
+    equal q-rows, so the recursion gives ``b-_i = sum_k P_ik a-_k``, ``a-_k`` the annihilator at
+    ``P = I``; ``X_n`` is positive definite (Bozejko-Speicher, Math. Ann. 300, 1994; Zagier,
+    Commun. Math. Phys. 147, 1992, for one ``q``) and, ``q_ij`` reading only the blocks of ``i``
+    and ``j``, commutes with ``U^(x)n`` for any ``U`` that keeps the blocks.  Colour-symmetric:
+    ``X_n = n! Pi_n`` (Scheunert, J. Math. Phys. 20, 1979): ``b-_i`` pairs ``i`` with each letter
+    of the word, only within a grade, so ``G_n = sum_sigma P^(x)n rho(sigma)``, ``rho`` the colour
+    permutation, whose phases read only the grades, and ``Pi_n``, the average of the unitary
+    ``rho``, is an orthogonal projection.  Diagonalize each block ``P_b = U_b D_b U_b^H``: on the
+    tensors of eigenvectors with eigenvalue letters ``M``, ``G_n`` is ``prod_{mu in M} mu`` times
+    ``X_n``.  So the contractive rank is ``r^n``, ``r = rank P``.  On the colour-symmetric class
+    ``Pi_n`` maps each such tensor to a multiple of one unit vector, 0 exactly where a letter of
+    self-phase ``eps(g, g) = -1`` repeats (swapping its two copies fixes the tensor and multiplies
+    it by -1): the eigenvalues are ``n! prod_{mu in M} mu`` over the other multisets ``M``, and 0
+    on the rest, so the rank is ``[t^n] prod_g (1 - t)^-r_g`` (self-phase +1) or ``(1 + t)^r_g``
+    (-1), ``r_g = rank P_g``.  The signs and zeros of the eigenvalues are exact, so the rank and
+    ``negative`` are.  One pass over the eigenvalues, by degree, counts the monomials and keeps
+    the largest magnitude of each sign parity: ``negative`` where an odd one exists.  The least
+    eigenvalue is 0 where the rank is below ``N^n`` and none is negative; else ``n!`` times the
+    most negative, or the least, monomial on the colour-symmetric class, and the computed
+    spectrum's on the contractive.  Only the magnitudes are floats.
     """
-    n_gen = model.n_generators
-    if model.grams_positive_definite:
-        return [_Theorem(m, "contractive", n_gen ** m) for m in range(n + 1)]
-    spectrum = model.colour_spectrum
-    if spectrum is None:
+    reading = model.gram_class
+    if reading is None:
         return None
+    source, spectrum = reading
+    colour, n_gen = source == "colour-symmetric", model.n_generators
     count = [1] + [0] * n  # the monomials of each degree
     most = [[1.0] + [None] * n, [None] * (n + 1)]  # the largest |monomial|, by its negative factors' parity
     top = 0  # the largest degree reached
@@ -513,11 +509,12 @@ def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
     for m in range(n + 1):
         factorial *= m or 1
         even, odd = most[0][m], most[1][m]
-        value = (-factorial * odd if odd is not None else 0.0 if count[m] < n_gen ** m
-                 else factorial * smallest ** m)
-        if count[m] and not math.isfinite(factorial * max(even or 0.0, odd or 0.0)):
+        rank = count[m] if colour else len(spectrum) ** m
+        value = (0.0 if odd is None and rank < n_gen ** m else None if not colour
+                 else -factorial * odd if odd is not None else factorial * smallest ** m)
+        if colour and count[m] and not math.isfinite(factorial * max(even or 0.0, odd or 0.0)):
             value = math.inf  # an eigenvalue past the float range: psd_report refuses the sector
-        theorems.append(_Theorem(m, "colour-symmetric", count[m], odd is not None, value))
+        theorems.append(_Theorem(m, source, rank, odd is not None, value))
     return theorems
 
 
@@ -848,8 +845,8 @@ def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorD
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  On the
-    colour-symmetric class the row is the closed form's, and no Gram is built; elsewhere its
+    """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  Where a class
+    theorem gives the least eigenvalue the row is the theorem's, and no Gram is built; elsewhere its
     ``min_eigenvalue`` is read from only the blocks that can hold it
     (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
     _check_tol(tol)
@@ -985,7 +982,7 @@ def _fock_pass(model: ParticleModel, n_max: int) -> tuple[list[GramResult], list
     its form is 0.  For ``s = +1`` the mixed line is empty (module docstring)."""
     _guard_sectors(model, n_max)
     if model.exchange_relations_exact:  # every line is exactly 0: only what the Gram rows read
-        grams = [] if model.colour_spectrum is not None else [result for result, _ in _tower(model, n_max)]
+        grams = [] if model.gram_class is not None else [result for result, _ in _tower(model, n_max)]
         return grams, [], []
     _guard_sectors(model, n_max + 2)  # the tower goes two sectors further
     n_gen = model.n_generators
@@ -1012,7 +1009,8 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
     skipped sector outranks defects) and the dimension rows of sectors
     ``0..n_max``, from one :func:`_fock_pass`: each sector's rank by :func:`_rank`,
-    asked first so that a counted spectrum also serves its :func:`_psd_report`."""
+    asked first so that a counted spectrum also serves its :func:`_psd_report`, but none where
+    the theorem leaves only a least eigenvalue that it proves positive: its defect is exactly 0."""
     grams, residuals, forms = _fock_pass(model, n_max)
     dims, psd = [], None
     for n, theorem in enumerate(_theorems(model, n_max) or [None] * (n_max + 1)):
@@ -1020,9 +1018,11 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
             rank = _rank(theorem, lambda: grams[n], tol)[0]
         except HermiticityError:  # no rank, and a skipped gram-psd row
             rank = None
-        rep = _psd_report(theorem, lambda: grams[n], tol)
         dims.append({"sector": n, "full": model.n_generators ** n, "quotient": rank}
                     | ({"status": SKIPPED} if rank is None else {}))
+        if n and theorem is not None and theorem.least is None and not theorem.negative:
+            continue  # its defect is exactly 0, and sector 0's, of G_0 = 1, is too
+        rep = _psd_report(theorem, lambda: grams[n], tol)
         if psd is None or psd.status != SKIPPED and (rep.status == SKIPPED or rep.defect > psd.defect):
             psd = rep
     hermitian = all(result.hermitian_within(tol) for result in grams)

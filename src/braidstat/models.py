@@ -26,7 +26,6 @@ throughout the public API.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -273,58 +272,52 @@ class ParticleModel:
                        for j, b in enumerate(self.grades) if a != b)
 
     @cached_property
-    def grams_positive_definite(self) -> bool:
-        """Whether every sector Gram is positive definite by theorem, so that its rank is ``N^n``.
+    def gram_class(self) -> tuple[str, tuple[tuple[float, bool, bool], ...]] | None:
+        """The theorem that gives the Gram ``X_n`` at the unit pairing, and the nonzero eigenvalues
+        of the pairing ``P``, else ``None``; the Grams ``G_n = P^(x)n X_n``
+        (:func:`~braidstat.fock._theorems`) read them.
 
-        True for the contractive q-models, read exactly in this order: expansion sign +1; a
-        diagonal pairing whose entries ``p_i`` are real, finite and ``> 0``; each cross term list
-        ``T(i, j)`` empty (``q_ij = 0``) or the one term ``(i, j, q_ij)``; ``q_ji == conj(q_ij)``;
-        and ``|q_ij|^2 < 1`` on the Fractions of the stored floats.  The recursion is then
-        ``b-_i (j, w) = delta_ij p_i w + q_ij (j, b-_i w)``, the relations ``b-_i b+_j - q_ij
-        b+_j b-_i = delta_ij p_i``.  At ``p = 1`` their Fock Gram is positive definite in every
-        sector (Bozejko-Speicher, Math. Ann. 300, 1994; Zagier, Commun. Math. Phys. 147, 1992,
-        for one ``q``).  Each hop keeps the letters of its word, and each term of ``b-_i`` on a
-        word carries exactly one pairing factor ``p_i``, so the block of the multiset ``M`` is
-        the block at ``p = 1`` times ``prod_{i in M} p_i > 0``: still positive definite.  The
-        braid does not enter, since the Gram reads only the pairing and the cross terms.
-        """
-        if self.expansion_sign != 1:
-            return False
-        pairing = self.pairing
-        if np.any(pairing != np.diag(np.diag(pairing))) or not all(
-                p.imag == 0 and 0 < p.real < math.inf for p in np.diag(pairing).tolist()):
-            return False
-        if any(len(terms) > 1 or terms and terms[0][:2] != pair for pair, terms in self.cross_terms.items()):
-            return False
-        q = {pair: terms[0][2] if terms else 0j for pair, terms in self.cross_terms.items()}
-        return all(q[j, i] == t.conjugate() for (i, j), t in q.items()) and all(
-            cmath.isfinite(t) and Fraction(t.real) ** 2 + Fraction(t.imag) ** 2 < 1 for t in q.values())
+        Both classes need expansion sign +1 and a finite ``P`` equal to its conjugate transpose,
+        whose letters fall into blocks that ``P`` does not link:
 
-    @cached_property
-    def colour_spectrum(self) -> tuple[tuple[float, bool, bool], ...] | None:
-        """The nonzero eigenvalues of the pairing's grade blocks on the colour-symmetric class,
-        else ``None``; the Grams' closed form (:func:`~braidstat.fock._theorems`) reads them.
+        * ``"colour-symmetric"``: :attr:`exchange_relations_exact`; the blocks are the grades.
+        * ``"contractive"``: each cross term list ``T(i, j)`` empty (``q_ij = 0``) or the one term
+          ``(i, j, q_ij)``, ``q_ji == conj(q_ij)`` and ``|q_ij|^2 < 1`` on the Fractions of the
+          stored floats; the blocks are the letters of equal q-rows (so of equal q-columns too).
 
-        The class is :attr:`exchange_relations_exact` with a finite pairing equal to its
-        conjugate transpose.  Each eigenvalue ``mu`` of the block of grade ``g`` is
-        ``(|mu|, mu < 0, eps(g, g) == -1)``, by grade, then ascending.  Which eigenvalues are
-        nonzero and which negative is decided exactly (:func:`_inertia`); ``eigvalsh`` gives the
-        magnitudes, the only float step.
+        Each eigenvalue ``mu`` of a block is ``(|mu|, mu < 0, once)``, by block, then ascending;
+        ``once`` is ``eps(g, g) == -1`` on the grade ``g``, and False on the contractive class.
+        Which eigenvalues are nonzero and which negative is decided exactly (:func:`_inertia`);
+        ``eigvalsh`` gives the magnitudes, the only float step.
         """
         pairing = self.pairing
-        if not (self.exchange_relations_exact and np.isfinite(pairing).all()
+        if not (self.expansion_sign == 1 and np.isfinite(pairing).all()
                 and (pairing == pairing.conj().T).all()):
             return None
+        if self.exchange_relations_exact:
+            source, keys = "colour-symmetric", self.grades
+        else:
+            terms = self.cross_terms
+            if any(len(t) > 1 or t and t[0][:2] != pair for pair, t in terms.items()):
+                return None
+            q = {pair: t[0][2] if t else 0j for pair, t in terms.items()}
+            if not all(q[j, i] == t.conjugate() and cmath.isfinite(t)
+                       and Fraction(t.real) ** 2 + Fraction(t.imag) ** 2 < 1 for (i, j), t in q.items()):
+                return None
+            letters = range(1, self.n_generators + 1)
+            source, keys = "contractive", [tuple(q[i, j] for j in letters) for i in letters]
+            if any(pairing[a, b] for a, x in enumerate(keys) for b, y in enumerate(keys) if x != y):
+                return None
         spectrum = []
-        for grade in dict.fromkeys(self.grades):
-            at = [i for i, g in enumerate(self.grades) if g == grade]
+        for key in dict.fromkeys(keys):
+            at = [i for i, k in enumerate(keys) if k == key]
             block = pairing[np.ix_(at, at)]
             positive, negative = _inertia(block)
-            once = self.eps.phase(grade, grade).exponent != 0  # eps(g, g) is +-1, eps being normalized
+            once = source == "colour-symmetric" and self.eps.phase(key, key).exponent != 0  # eps(g, g) = +-1
             values = np.linalg.eigvalsh(block).tolist()
             spectrum += [(abs(mu), True, once) for mu in values[:negative]]
             spectrum += [(abs(mu), False, once) for mu in values[len(values) - positive:]]
-        return tuple(spectrum)
+        return source, tuple(spectrum)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n_generators:

@@ -627,18 +627,22 @@ def test_normalize_into_a_closed_pipe_exits_0(argv):
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-@pytest.mark.parametrize("name, scale, argv", [
-    # the pairing [[1, 0.3], [0.3, 1.7]] times the scale: outside the contractive class, whose
-    # Grams are Hermitian by the theorem.  A roundoff asymmetry of 6.0e-8, over an absolute cut of 1e-9
-    ("quon_09", 7, ["check", "--nmax", "6"]),
-    ("quon_09", 7, ["gram", "--sector", "6"]),
+@pytest.mark.parametrize("name, q_12, scale, argv", [
+    # q_12 = q_21 set apart from q_11 = q_22 on the pairing [[1, 0.3], [0.3, 1.7]] times the
+    # scale: outside the contractive class, whose Grams are Hermitian by the theorem.  A roundoff
+    # asymmetry of 3.0e-8, over an absolute cut of 1e-9
+    ("quon_09", 0.5, 7, ["check", "--nmax", "6"]),
+    ("quon_09", 0.5, 7, ["gram", "--sector", "6"]),
     # one of 16384
-    ("quon_05", 1e3, ["check", "--nmax", "6"]),
-    ("quon_05", 1e3, ["gram", "--sector", "6"]),
+    ("quon_05", 0.3, 1e3, ["check", "--nmax", "6"]),
+    ("quon_05", 0.3, 1e3, ["gram", "--sector", "6"]),
 ])
-def test_gram_hermitian_cut_is_relative_to_the_largest_entry(tmp_path, capsys, name, scale, argv):
-    path = _write_zoo_copy(tmp_path, name, lambda doc: doc["generators"].__setitem__(
-        "pairing", [[scale, 0.3 * scale], [0.3 * scale, 1.7 * scale]]))
+def test_gram_hermitian_cut_is_relative_to_the_largest_entry(tmp_path, capsys, name, q_12, scale, argv):
+    def edit(doc):
+        doc["generators"]["pairing"] = [[scale, 0.3 * scale], [0.3 * scale, 1.7 * scale]]
+        doc["braid"]["R"][1][2] = doc["braid"]["R"][2][1] = q_12  # the columns (2, 1) and (1, 2)
+
+    path = _write_zoo_copy(tmp_path, name, edit)
     code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--json")
     report = json.loads(out)
     rows = {c["name"]: c for c in report["checks"]}

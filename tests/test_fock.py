@@ -738,8 +738,8 @@ def test_certified_rank_needs_no_eigensolver(monkeypatch):
         raise AssertionError("eigvalsh ran")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    # tilted quon_05 is outside the contractive class: its one block is proved full rank
-    assert sector_dimension(_tilted_quon(0.5), 10) == (1024, 1024)
+    # outside the contractive class, the one block of sector 10 is proved full rank
+    assert sector_dimension(_mixed_quon(0.5, 0.3), 10) == (1024, 1024)
     # tol = 0 counts every exact zero of a missing block: no proof applies
     with pytest.raises(AssertionError, match="eigvalsh ran"):
         sector_dimension(load_zoo("fermion2"), 2, tol=0.0)
@@ -748,18 +748,20 @@ def test_certified_rank_needs_no_eigensolver(monkeypatch):
 def _readers(model, n_max, monkeypatch, tol=1e-9):
     """Per sector ``0..n_max``, its rank and ``min_eigenvalue`` as each of the four readers gives
     them: ``check`` (its dimension rows, and the ``gram-psd`` row it reads of each sector before
-    it reports the worst), ``gram`` (``quotient_rank`` and ``psd_report`` of :func:`gram_matrix`),
-    :func:`sector_dimension` and :func:`gram_psd_check`; ``None`` where a reader gives neither."""
+    it reports the worst, where it reads one), ``gram`` (``quotient_rank`` and ``psd_report`` of
+    :func:`gram_matrix`), :func:`sector_dimension` and :func:`gram_psd_check`; ``None`` where a
+    reader gives neither."""
     rows, psd_report = [], fock._psd_report
     monkeypatch.setattr(fock, "_psd_report", lambda *args: rows.append(psd_report(*args)) or rows[-1])
     _, dims = fock._fock_checks(model, n_max, tol)
     monkeypatch.undo()
-    assert [row.data["sector"] for row in rows] == list(range(n_max + 1))
+    read = {row.data["sector"]: row.data["min_eigenvalue"] for row in rows}
+    assert len(read) == len(rows) and 0 in read
     readings = []
     for n in range(n_max + 1):
         result = gram_matrix(model, n)
         readings.append({
-            "check": (dims[n]["quotient"], rows[n].data["min_eigenvalue"]),
+            "check": (dims[n]["quotient"], read.get(n)),
             "gram": (result.quotient_rank(tol), result.psd_report(tol).data["min_eigenvalue"]),
             "sector_dimension": (sector_dimension(model, n, tol).quotient, None),
             "gram_psd_check": (None, gram_psd_check(model, n, tol).data["min_eigenvalue"])})
@@ -791,11 +793,12 @@ def test_the_four_readers_agree_on_random_class_models(monkeypatch):
 def test_each_rank_names_how_it_is_known():
     assert fock._rank(fock._theorems(load_zoo("quon_05"), 6)[6], None, 1e-9) == (64, "contractive")
     assert fock._rank(fock._theorems(load_zoo("boson"), 6)[6], None, 1e-9) == (7, "colour-symmetric")
-    tilted = _tilted_quon(0.5)
-    assert fock._theorems(tilted, 10) is None
-    assert fock._rank(None, lambda: gram_matrix(tilted, 10), 1e-9) == (1024, "cholesky")
-    rank, source = fock._rank(None, lambda: gram_matrix(_tilted_quon(0.9), 8), 1e-9)
-    assert source == "count" and rank == sector_dimension(_tilted_quon(0.9), 8).quotient
+    assert fock._rank(fock._theorems(_tilted_quon(0.5), 10)[10], None, 1e-9) == (1024, "contractive")
+    mixed = _mixed_quon(0.5, 0.3)
+    assert fock._theorems(mixed, 10) is None
+    assert fock._rank(None, lambda: gram_matrix(mixed, 10), 1e-9) == (1024, "cholesky")
+    rank, source = fock._rank(None, lambda: gram_matrix(_mixed_quon(0.9, 0.8), 8), 1e-9)
+    assert source == "count" and rank == sector_dimension(_mixed_quon(0.9, 0.8), 8).quotient
 
 
 def _read_two_ways(result, shapes=None, tol=1e-9):
@@ -829,7 +832,7 @@ def test_the_least_eigenvalue_reader_equals_the_spectrum_on_the_zoo(name):
         fast, full = _read_two_ways(result)
         assert repr(fast) == repr(full), (name, result.sector)
         read += fast.status != "skipped"
-        if model.colour_spectrum is None and fast.status != "skipped":
+        if (result.theorem is None or result.theorem.least is None) and fast.status != "skipped":
             assert repr(gram_psd_check(model, result.sector)) == repr(full)
     assert read >= n - 1
 
@@ -876,8 +879,10 @@ def test_the_least_eigenvalue_reader_equals_the_spectrum_on_random_q_models(monk
 
 def test_gram_psd_check_reads_one_block_of_quon_05_at_sector_10(monkeypatch):
     # the least eigenvalue, 0.0168, is in the 252-row block; the 210-row blocks read 0.0216
+    model = load_zoo("quon_05")
+    assert model.gram_class[0] == "contractive"  # its pairing's eigenvalues are read
     shapes = _counting_eigvalsh(monkeypatch)
-    report = gram_psd_check(load_zoo("quon_05"), 10)
+    report = gram_psd_check(model, 10)
     assert shapes == [(252, 252)]
     assert report.passed and report.data["min_eigenvalue"] == pytest.approx(0.0168, abs=1e-4)
     full = gram_matrix(load_zoo("quon_05"), 10)
@@ -945,18 +950,25 @@ def test_a_block_whose_shift_overflows_goes_through_eigvalsh(monkeypatch):
 
 def _tilted_quon(q):
     """The q-swap model of two generators with the pairing ``[[1, 0.3], [0.3, 1.7]]``: it
-    mixes the letters, so it is outside the contractive class, yet positive definite."""
+    mixes the letters, which share one q, so it is in the contractive class."""
     trivial = make_group([])
     return make_model(trivial, Bicharacter.trivial(trivial), [[], []], _TILTED, q_swap_braid(2, q))
 
 
-@pytest.mark.parametrize("name", ["boson", "quon_09-tilted"])
+def _mixed_quon(q, q_12):
+    """The q-model of two generators with ``q_11 = q_22 = q``, ``q_12 = q_21 = q_12`` and the
+    pairing ``[[1, 0.3], [0.3, 1.7]]``: it mixes letters of different q-rows, so it is outside
+    the contractive class."""
+    return _q_model([[q, q_12], [q_12, q]], _TILTED)
+
+
+@pytest.mark.parametrize("name", ["boson", "mixed-tilted"])
 def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
-    # boson's blocks have rank 1, and the one block of tilted quon_09 at sector 8
-    # has an eigenvalue below the rank cut: no proof, so the eigenvalues are counted
+    # boson's blocks have rank 1, and the shifted Cholesky proves no eigenvalue of the one
+    # block of the mixed tilted model at sector 8 above its cut: so the eigenvalues are counted
     # boson's Gram through an explicit braid, q = 1: outside both theorems' classes
-    model = _tilted_quon(0.9) if name == "quon_09-tilted" else _q_model(np.ones((2, 2)))
-    assert not model.grams_positive_definite and model.colour_spectrum is None
+    model = _mixed_quon(0.9, 0.8) if name == "mixed-tilted" else _q_model(np.ones((2, 2)))
+    assert model.gram_class is None
     counted = gram_matrix(model, 8)
     counted.spectrum
     calls = []
@@ -969,7 +981,7 @@ def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
 
 def test_quotient_rank_tries_the_certificate_after_the_spectrum(monkeypatch):
     # the path of quotient_rank does not depend on what was read before it
-    result, calls = gram_matrix(_tilted_quon(0.5), 6), []
+    result, calls = gram_matrix(_mixed_quon(0.5, 0.3), 6), []
     result.spectrum
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
@@ -1406,22 +1418,20 @@ def _contractive_near_misses() -> dict[str, ParticleModel]:
         "two-cross-terms": make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
                                       q_swap_braid(2, 0.5), CrossMatrix(two_terms)),
         "minus": _q_model(_Q05, sign=-1),
-        "zero-pairing": _q_model(_Q05, np.diag([0.0, 1.0])),
-        "negative-pairing": _q_model(_Q05, np.diag([-1.0, 1.0])),
-        "complex-pairing": _q_model(_Q05, np.diag([1 + 0.5j, 1.0])),
-        "off-diagonal-pairing": _q_model(_Q05, _TILTED),
+        "complex-pairing": _q_model(_Q05, np.diag([1 + 0.5j, 1.0])),  # not Hermitian
+        "mixed-tilted": _mixed_quon(0.9, 0.5),                         # links different q-rows
     }
 
 
 def test_contractive_class_of_the_zoo():
-    assert {name for name in ZOO_NAMES if load_zoo(name).grams_positive_definite} \
+    assert {name for name in ZOO_NAMES if (load_zoo(name).gram_class or [None])[0] == "contractive"} \
         == {"quon_03", "quon_05", "quon_09"}
     # an explicit cross coupling with no term for (1, 1) or (2, 2): q = 0 there
     trivial, cross = make_group([]), np.zeros((2, 2, 2, 2), dtype=complex)
     cross[0, 1, 0, 1], cross[1, 0, 1, 0] = 0.3j, -0.3j
     model = make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.diag([2.0, 0.5]),
                        q_swap_braid(2, 0.5), CrossMatrix(cross))
-    assert model.cross_terms[1, 1] == () and model.grams_positive_definite
+    assert model.cross_terms[1, 1] == () and model.gram_class[0] == "contractive"
     assert [sector_dimension(model, n) for n in range(4)] == [(2 ** n, 2 ** n) for n in range(4)]
     assert all(gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n for n in range(6))
 
@@ -1431,7 +1441,7 @@ def test_distinct_letter_block_has_zagiers_determinant(q):
     # n generators, one q: the block of the words of n distinct letters is Zagier's matrix
     for n in range(1, 5):
         model = _q_model(np.full((n, n), q))
-        assert model.grams_positive_definite
+        assert model.gram_class[0] == "contractive"
         block = next(b for b in gram_matrix(model, n).blocks if len(set(b.words[0])) == n)
         assert len(block.words) == math.factorial(n)
         sign, logdet = np.linalg.slogdet(block.matrix)
@@ -1443,7 +1453,7 @@ def test_the_tower_is_positive_definite_where_the_theorem_answers():
     # sector counted full rank with a positive least eigenvalue
     for seed in range(20261020, 20261080):
         model = _contractive_model(seed)
-        assert model.grams_positive_definite, seed
+        assert model.gram_class[0] == "contractive", seed
         for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
             rows = model.n_generators ** result.sector
             rank, report = result.quotient_rank(1e-9), result.psd_report(1e-9)
@@ -1457,23 +1467,25 @@ def test_near_misses_of_the_contractive_class_are_computed(label, monkeypatch):
     model, towers = _contractive_near_misses()[label], []
     tower = fock._tower
     monkeypatch.setattr(fock, "_tower", lambda *args: towers.append(args[1]) or tower(*args))
-    assert not model.grams_positive_definite
+    assert model.gram_class is None
     for n in range(5):
         towers.clear()
         _compare_with_dense_oracle(model, n, rel=1e-14)
         assert gram_matrix(model, n).theorem is None and n in towers
 
 
+def _refused(*args, **kwargs):
+    raise AssertionError("built for a rank the theorem gives")
+
+
 @pytest.mark.parametrize("name", ["quon_03", "quon_05", "quon_09"])
 def test_the_contractive_class_builds_nothing_for_its_rank(monkeypatch, name):
     # quon_09 read 252, 458 and 752 at sectors 8-10, and quon_05 at sector 14 was refused
-    def refused(*args, **kwargs):
-        raise AssertionError("built for a rank the theorem gives")
-
-    monkeypatch.setattr(fock, "_tower", refused)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-    monkeypatch.setattr(np.linalg, "cholesky", refused)
     model = load_zoo(name)
+    assert model.gram_class[0] == "contractive"  # the pairing's eigenvalues, read once per model
+    monkeypatch.setattr(fock, "_tower", _refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refused)
+    monkeypatch.setattr(np.linalg, "cholesky", _refused)
     for n in range(17):  # 2^16 words, the last sector the word guard admits
         assert sector_dimension(model, n) == (2 ** n, 2 ** n)
     assert sector_dimension(model, 4, tol=0.5) == (16, 16)  # tol does not enter the theorem's rank
@@ -1496,6 +1508,101 @@ def test_every_reading_of_a_contractive_rank_is_the_theorems(q, pairing, n):
     assert fock._rank(gram_matrix(model, n).theorem, None, 1e-9) == (2 ** n, "contractive")
     assert gram_matrix(model, n).quotient_rank(1e-9) == 2 ** n
     assert sector_dimension(model, n) == (2 ** n, 2 ** n)
+
+
+_ORTHOGONAL = {2: [[(1, 1), (1, -1)], [(1, 0), (0, 1)]],
+               3: [[(1, 1, 0), (1, -1, 0)], [(1, 1, 1), (1, 1, -2)], [(1, 1, 1), (1, -1, 0)]]}
+
+
+def _factorized_model(seed: int) -> ParticleModel:
+    """A contractive q-model of two or three generators: one q from [-0.9, 0.9] on a positive
+    definite diagonal, singular positive semidefinite, indefinite, complex Hermitian or tilted
+    positive definite pairing; or, on a diagonal pairing of the first three kinds (singular of
+    either sign), a q-matrix with ``q_ji = conj(q_ij)`` and ``|q| <= 0.9``, each letter its own
+    block.  Every nonzero eigenvalue of the pairing has a magnitude in [0.5, 2], so the tower's
+    count is reliable to sector 5; a singular tilted pairing is ``sum_k c_k v_k v_k^T`` over
+    orthogonal integer vectors with dyadic ``c_k``, so its zero eigenvalues are exact."""
+    rng = np.random.default_rng(seed)
+    n_gen, kind, uniform = 2 + seed % 2, seed // 2 % 5, seed // 10 % 2 == 0
+    sizes = rng.uniform(0.5, 2, n_gen)
+    if uniform:
+        q = np.full((n_gen, n_gen), rng.uniform(-0.9, 0.9))
+    else:
+        kind %= 3
+        shape = (n_gen, n_gen)
+        upper = np.triu(0.9 * rng.uniform(size=shape) * np.exp(2j * np.pi * rng.uniform(size=shape)), 1)
+        q = upper + upper.conj().T + np.diag(rng.uniform(-0.9, 0.9, n_gen))
+    if kind == 0:
+        return _q_model(q, np.diag(sizes))
+    if kind == 1:
+        if not uniform:
+            return _q_model(q, np.diag(rng.permutation([0.0, *sizes[1:] * rng.choice([-1, 1], n_gen - 1)])))
+        pairs = _ORTHOGONAL[n_gen]
+        vectors = np.array(pairs[rng.integers(len(pairs))])[:rng.integers(1, n_gen), rng.permutation(n_gen)]
+        return _q_model(q, sum(rng.integers(1, 4) / 4 * np.outer(v, v) for v in vectors).astype(float))
+    signs = np.resize([-1, 1], n_gen) if kind == 2 else rng.choice([-1, 1], n_gen) if kind == 3 \
+        else np.ones(n_gen)
+    if not uniform:
+        return _q_model(q, np.diag(signs * sizes))
+    raw = rng.normal(size=(n_gen, n_gen)) + (1j * rng.normal(size=(n_gen, n_gen)) if kind == 3 else 0)
+    u = np.linalg.qr(raw)[0]
+    pairing = u @ np.diag(signs * sizes) @ u.conj().T
+    return _q_model(q, (pairing + pairing.conj().T) / 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_factorization_equals_the_tower_on_random_contractive_models():
+    # the tower, with no theorem, stays the oracle: its count, sign, asymmetry and least eigenvalue
+    kinds = set()
+    for seed in range(20261401, 20261601):
+        model = _factorized_model(seed)
+        assert model.gram_class[0] == "contractive", seed
+        theorems = fock._theorems(model, 5)
+        for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
+            n, theorem = result.sector, theorems[result.sector]
+            assert result.theorem == theorem and result.asymmetry == 0.0, (seed, n)
+            bare = fock.GramResult(n, model.n_generators, result._layout, result._matrices, result.dtype)
+            assert bare.asymmetry <= 1e-12 * bare.scale, (seed, n)
+            least, cut = bare._least_eigenvalue(), 1e-9 * bare.scale
+            assert theorem.rank == bare._counted_rank(1e-9) == sector_dimension(model, n).quotient, (seed, n)
+            assert theorem.negative == (least < -cut) == gram_psd_check(model, n).failed, (seed, n)
+            assert theorem.negative or least > -cut, (seed, n)
+            if theorem.least is not None:
+                assert abs(theorem.least - least) <= cut, (seed, n)
+            kinds.add((theorem.rank < model.n_generators ** n, theorem.negative))
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("pairing, ranks", [
+    (_TILTED, {8: 256, 9: 512, 10: 1024}),        # read 227, 352 and 493
+    (np.diag([-1.0, 1.0]), {8: 256}),             # read 252
+    ([[1.0, 2.0], [2.0, 1.0]], {7: 128, 8: 256}),  # read 122 and 195
+    (np.diag([0.0, 1.0]), {8: 1}),                # singular: the least eigenvalue is exactly 0
+])
+def test_quon_09_on_a_tilted_or_indefinite_pairing_ranks_by_the_theorem(pairing, ranks, monkeypatch):
+    model = _q_model(np.full((2, 2), 0.9), pairing)
+    monkeypatch.setattr(fock, "_tower", _refused)
+    for n, rank in ranks.items():
+        assert sector_dimension(model, n) == (2 ** n, rank), n
+        if rank < 2 ** n:
+            assert gram_psd_check(model, n).data == {"sector": n, "min_eigenvalue": 0.0}
+    monkeypatch.undo()
+    negative = np.linalg.eigvalsh(pairing).min() < 0
+    for tol in (1e-9, 1.0, 1e9):  # an indefinite pairing fails gram-psd at any tol
+        assert gram_psd_check(model, 3, tol).failed == negative, tol
+
+
+def test_check_reads_no_least_eigenvalue_where_the_theorem_rules_out_a_negative_one(monkeypatch):
+    reads, least = [], fock.GramResult._least_eigenvalue
+    monkeypatch.setattr(fock.GramResult, "_least_eigenvalue",
+                        lambda self: reads.append(self.sector) or least(self))
+    rows, _ = fock._fock_checks(load_zoo("quon_05"), 5, 1e-9)
+    psd = next(row for row in rows if row.name == "gram-psd")
+    assert reads == [0]
+    assert (psd.status, psd.defect, psd.data) == ("pass", 0.0, {"sector": 0, "min_eigenvalue": 1.0})
+    reads.clear()
+    rows, _ = fock._fock_checks(_q_model(_Q05, np.diag([-1.0, 1.0])), 5, 1e-9)
+    assert reads == list(range(6)) and next(row for row in rows if row.name == "gram-psd").failed
 
 
 def test_the_contractive_class_is_hermitian_by_the_theorem(capsys):
@@ -1565,7 +1672,7 @@ def test_the_closed_form_equals_the_tower_on_random_class_models():
     # closed form's rank, inertia and nonzero spectrum to 1e-9 relative
     for seed in range(20261101, 20261301):
         model, eigenvalues = _colour_model(seed)
-        assert model.colour_spectrum is not None, seed
+        assert model.gram_class[0] == "colour-symmetric", seed
         theorems = fock._theorems(model, 4)
         for result, _ in fock._tower(model, 4):
             n, rows = result.sector, model.n_generators ** result.sector
@@ -1600,7 +1707,7 @@ def test_the_colour_symmetric_class_builds_no_tower_for_its_rank_or_gram_psd(mon
         assert report.data["min_eigenvalue"] == (0.0 if want < rows else math.factorial(n)), n
     with pytest.raises(ResourceLimitError, match="exceeds the guard"):
         sector_dimension(model, last + 1)
-    assert model.colour_spectrum is not None and fock._theorems(model, 2)[2].source == "colour-symmetric"
+    assert model.gram_class[0] == fock._theorems(model, 2)[2].source == "colour-symmetric"
 
 
 @pytest.mark.parametrize("name, n_max", [("fermion1", 100_000), ("fermion2", 5), ("fermion3", 6),
@@ -1702,7 +1809,7 @@ def test_engine_computes_and_hands_out_grams_in_the_scalar_type(name):
     grams, _, forms = fock._fock_pass(model, 2)
     assert {hop.dtype for _, hops in fock._tower(model, 4, 2) for block in hops
             for _, hop, _ in block.values()} == {dtype}
-    if model.colour_spectrum is not None:  # the closed form reads every Gram row: none is built
+    if (model.gram_class or [None])[0] == "colour-symmetric":  # the closed form reads every Gram row
         assert grams == []
     else:
         assert {g.dtype for result in grams for g in result._matrices.values()} == {dtype}

@@ -5,9 +5,14 @@ bicharacter exponents and the couplings, change no physics.  So every row of
 ``check`` keeps its status and every sector its dimension, and every defect
 agrees to 1e-12 times ``max(1, |defect|)``: random-R's defects reach 6.8e4, whose
 last bit is 1.5e-11, and a relabeled run moves them in the last bits.
-Rescaling the pairing is among them only on the colour-symmetric class, whose
-ranks and statuses are exact: elsewhere the cuts have an absolute floor of 1,
-so today a rescaled pairing can change a verdict.
+Rescaling the pairing is among them on the two classes whose sector Gram
+factorizes as ``G_n = P^(x)n X_n``, and so is a real rotation ``P -> U P U^T`` of
+a pairing whose letters share one q: their ranks and Gram rows are exact.  On the
+colour-symmetric class every status is.  On the contractive class the
+exchange-nullity defect is the Gram norm of a fixed vector, which scales with the
+pairing against a cut with an absolute floor of 1, so only the ranks and the Gram
+rows are compared there.  Elsewhere every cut has that floor, so a rescaled
+pairing can change a verdict.
 """
 
 import itertools
@@ -19,7 +24,7 @@ from braidstat import ZOO_NAMES, Bicharacter, BraidMatrix, make_bicharacter, mak
 from braidstat.fock import _fock_checks
 from braidstat.models import check_symmetry, check_yang_baxter
 
-from test_fock import _colour_model, _mixing_models, _zoo_model
+from test_fock import _TILTED, _colour_model, _contractive_model, _mixing_models, _q_model, _zoo_model
 
 MIXING = list(_mixing_models())
 
@@ -69,17 +74,51 @@ def test_relabeling_and_conjugation_change_no_verdict(label):
 
 COLOUR = ["boson", "fermion1", "fermion2", "fermion3", "z2z2_fermion"] + [
     f"random-{seed}" for seed in range(20261101, 20261107)]
+CONTRACTIVE = ["quon_03", "quon_05", "quon_09", "quon_09-tilted"] + [
+    f"contractive-{seed}" for seed in range(20261020, 20261023)]
+
+
+def _class_member(label):
+    if label.startswith("random-"):
+        return _colour_model(int(label[7:]))[0]
+    if label.startswith("contractive-"):
+        return _contractive_model(int(label[12:]))
+    if label == "quon_09-tilted":
+        return _edited(_zoo_model("quon_09", "+"), pairing=np.array(_TILTED))
+    return _zoo_model(label, "+")
+
+
+def _gram_rows(report):
+    """The sector dimensions and the statuses of the Gram rows of :func:`_report`."""
+    statuses, dims, _ = report
+    return [row for row in statuses[1:] if row[0].startswith("gram-")], dims
 
 
 @pytest.mark.parametrize("k", [4, 8, 20])
-@pytest.mark.parametrize("label", COLOUR)
-def test_scaling_the_pairing_keeps_every_rank_and_status_on_the_colour_symmetric_class(label, k):
+@pytest.mark.parametrize("label", COLOUR + CONTRACTIVE)
+def test_scaling_the_pairing_keeps_every_rank_and_status_on_both_classes(label, k):
     # at 2^-20 the cut of 1e-9 dropped boson's and the fermions' ranks to 0
-    model = _colour_model(int(label[7:]))[0] if label.startswith("random-") else _zoo_model(label, "+")
+    model = _class_member(label)
     n_max = 3 if model.n_generators >= 3 else 4
     scaled = _edited(model, pairing=model.pairing * 2.0 ** -k)
-    assert scaled.colour_spectrum is not None
-    assert _report(scaled, n_max)[:2] == _report(model, n_max)[:2]
+    assert scaled.gram_class[0] == model.gram_class[0]
+    want, got = _report(model, n_max), _report(scaled, n_max)
+    if label in COLOUR:
+        assert got[:2] == want[:2]
+    assert _gram_rows(got) == _gram_rows(want)
+
+
+@pytest.mark.parametrize("eigenvalues", ["tilted", "indefinite", "indefinite-tilted"])
+@pytest.mark.parametrize("q", [0.3, 0.9, -0.7])
+def test_rotating_the_pairing_keeps_every_rank_and_gram_status_of_one_q(q, eigenvalues):
+    # diag(d) rotated into the tilted pairing T = U diag(d) U^T, or into an indefinite one
+    d, u = np.linalg.eigh(np.array(_TILTED))
+    d = {"tilted": d, "indefinite": np.array([-1.0, 1.0]), "indefinite-tilted": d * [-1, 1]}[eigenvalues]
+    rotated = u @ np.diag(d) @ u.T
+    diagonal = _q_model(np.full((2, 2), q), np.diag(d))
+    tilted = _q_model(np.full((2, 2), q), (rotated + rotated.T) / 2)
+    assert diagonal.gram_class[0] == tilted.gram_class[0] == "contractive"
+    assert _gram_rows(_report(tilted, 5)) == _gram_rows(_report(diagonal, 5))
 
 
 def _random_braid():
