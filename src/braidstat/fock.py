@@ -83,7 +83,10 @@ else the count of the eigenvalues of each block's Hermitian part with
 ``|lambda|``, the cut against the largest singular value; an exact zero never
 counts.  The ``gram-psd`` row (:func:`_psd_report`): the theorem's status, with
 its least eigenvalue where it gives one, else the least eigenvalue read from
-only the blocks that can hold it (:meth:`GramResult._least_eigenvalue`).  The
+the one weight block that holds every eigenvalue, where the theorem names it
+(:meth:`GramResult._least_in`; :func:`gram_psd_check` then builds only the blocks
+inside it), else from only the blocks that can hold it
+(:meth:`GramResult._least_eigenvalue`).  The
 theorems read ``G_n = P^(x)n X_n`` off the pairing's eigenvalues, ``X_n`` the Gram
 at ``P = I`` (:attr:`~braidstat.models.ParticleModel.gram_class`): positive
 definite on the contractive q-models, ``n! Pi_n`` on the colour-symmetric class.
@@ -386,21 +389,29 @@ class _Layout:
         return row
 
 
-def _layout(model: ParticleModel, m: int, below: _Layout | None = None) -> _Layout:
+def _unplaced() -> np.ndarray:
+    raise ValueError("a layout cut to the blocks inside one weight block places no word")
+
+
+def _layout(model: ParticleModel, m: int, below: _Layout | None = None,
+            within: tuple | None = None) -> _Layout:
     """The blocks of sector ``m``, from those of sector ``m - 1`` (``below``, else
     computed), block by block: a model that does not conserve letters, or has one
-    generator, has one block."""
+    generator, has one block.  Given the sorted word ``within``, only the blocks whose
+    multiset lies inside it: such a layout places no word (its :attr:`_Layout.block`
+    raises), and serves only the one block that :func:`gram_psd_check` reads."""
     n_gen, size = model.n_generators, model.n_generators ** m
     if m == 0 or n_gen == 1 or not model.conserves_letters:
         span = size // n_gen
         runs = [[(j, (j - 1) * span, 0, span) for j in range(1, n_gen + 1)] if m else []]
         return _Layout([()], runs, [0, size], lambda: np.zeros(size, dtype=np.int64))
-    below = _layout(model, m - 1) if below is None else below
+    below = _layout(model, m - 1, within=within) if below is None else below
     found: dict[tuple, list] = {}  # a block's sorted word: (j, b) for its words (j, w), w in block b
     for b, word in enumerate(below.keys):
         for j in range(1, n_gen + 1):
-            at = bisect.bisect_right(word, j)
-            found.setdefault(word[:at] + (j,) + word[at:], []).append((j, b))
+            if within is None or word.count(j) < within.count(j):
+                at = bisect.bisect_right(word, j)
+                found.setdefault(word[:at] + (j,) + word[at:], []).append((j, b))
     keys, sizes = sorted(found), np.diff(below.start).tolist()
     up, runs, start = [[0] * len(sizes) for _ in range(n_gen)], [], [0]  # up[j - 1][b]: the block of (j, w)
     for c, key in enumerate(keys):
@@ -411,7 +422,8 @@ def _layout(model: ParticleModel, m: int, below: _Layout | None = None) -> _Layo
             up[j - 1][b] = c
         runs.append(run)
         start.append(start[-1] + row)
-    return _Layout(keys, runs, start, lambda: np.array(up)[:, below.block].ravel())
+    placed = _unplaced if within is not None else lambda: np.array(up)[:, below.block].ravel()
+    return _Layout(keys, runs, start, placed)
 
 
 def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,13 +463,15 @@ class _Theorem(NamedTuple):
     """A sector Gram as a class theorem reads it (:func:`_theorems`), with no spectral step:
     Hermitian exactly, of rank ``rank``, with a negative eigenvalue exactly where ``negative``;
     ``least`` is its least eigenvalue, or ``None`` where the theorem leaves that to the computed
-    spectrum.  ``source`` names the theorem."""
+    spectrum.  ``source`` names the theorem.  ``holder`` is the sorted word of the weight block
+    that holds every eigenvalue of the sector, where the theorem names one, else ``None``."""
 
     sector: int
     source: str
     rank: int
     negative: bool = False
     least: float | None = None
+    holder: tuple | None = None
 
 
 def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
@@ -486,12 +500,27 @@ def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
     eigenvalue is 0 where the rank is below ``N^n`` and none is negative; else ``n!`` times the
     most negative, or the least, monomial on the colour-symmetric class, and the computed
     spectrum's on the contractive.  Only the magnitudes are floats.
+
+    One weight block holds that spectrum where the contractive letters share one ``q`` and
+    ``P = c I``, ``c != 0``, on ``N >= 2`` letters, all read exactly: the balanced block ``holder``,
+    of ``m // N + 1`` copies of each of the first ``m % N`` letters and ``m // N`` of the others.
+    There ``X_m`` commutes with ``U^(x)m`` for every ``U`` in ``U(N)``, so by Schur-Weyl duality it
+    is ``sum_lambda 1_{V_lambda} (x) x_lambda`` over the partitions ``lambda`` of ``m`` with at most
+    ``N`` parts, ``x_lambda`` acting on the multiplicity space.  The weight-``mu`` block of ``X_m``
+    is then ``sum_lambda 1_{K_lambda,mu} (x) x_lambda``, ``K`` the Kostka numbers, and ``K_lambda,mu
+    > 0`` iff ``lambda`` dominates ``mu`` (Fulton, Young Tableaux, 1997): its spectrum is the union
+    of those of the ``x_lambda`` with ``lambda`` dominating ``mu``.  Every such ``lambda`` dominates
+    the balanced weight, so that block's spectrum is all of ``X_m``'s, and ``G_m = c^m X_m`` block
+    by block: its eigenvalues are the whole sector's, as a set.
     """
     reading = model.gram_class
     if reading is None:
         return None
     source, spectrum = reading
-    colour, n_gen = source == "colour-symmetric", model.n_generators
+    colour, n_gen, pairing = source == "colour-symmetric", model.n_generators, model.pairing
+    scalar = (not colour and n_gen > 1 and pairing[0, 0] != 0
+              and (pairing == pairing[0, 0] * np.eye(n_gen)).all()
+              and len({t[0][2] if t else 0j for t in model.cross_terms.values()}) == 1)  # one q
     count = [1] + [0] * n  # the monomials of each degree
     most = [[1.0] + [None] * n, [None] * (n + 1)]  # the largest |monomial|, by its negative factors' parity
     top = 0  # the largest degree reached
@@ -514,7 +543,9 @@ def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
                  else -factorial * odd if odd is not None else factorial * smallest ** m)
         if colour and count[m] and not math.isfinite(factorial * max(even or 0.0, odd or 0.0)):
             value = math.inf  # an eigenvalue past the float range: psd_report refuses the sector
-        theorems.append(_Theorem(m, source, rank, odd is not None, value))
+        holder = (tuple(i for i in range(1, n_gen + 1) for _ in range(m // n_gen + (i <= m % n_gen)))
+                  if scalar else None)
+        theorems.append(_Theorem(m, source, rank, odd is not None, value, holder))
     return theorems
 
 
@@ -602,6 +633,12 @@ class GramResult:
             raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
         return values
 
+    def _least_in(self, key: tuple) -> float:
+        """The least eigenvalue of the Hermitian part of the block of sorted word ``key``, by
+        ``eigvalsh``, or the exact 0 of a missing block."""
+        g = self._matrices.get(self._layout.keys.index(key))
+        return 0.0 if g is None else float(self._eigenvalues(np.add(*_halves(g))).min())
+
     def _least_eigenvalue(self) -> float:
         """The least eigenvalue of the blocks' Hermitian parts, bit for bit the minimum of
         :attr:`spectrum`: read off it where it is computed, else block by block, largest first.
@@ -672,9 +709,11 @@ def _rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) 
 def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> CheckReport:
     """``gram-psd`` on a sector.  Where ``theorem`` reads it, the status is the theorem's at any
     ``tol``, and the least eigenvalue is the theorem's where it gives one, with no Gram read.
-    Otherwise the least eigenvalue is :meth:`GramResult._least_eigenvalue` of ``gram()``, and
-    outside the classes the row passes where it is at least ``-tol`` times the largest entry, and
-    is skipped where the Gram is not Hermitian within ``tol``."""
+    Otherwise the least eigenvalue is read from ``gram()``: off the one block that holds every
+    eigenvalue where the theorem names it (:meth:`GramResult._least_in`), else by
+    :meth:`GramResult._least_eigenvalue`.  Outside the classes the row passes where it is at least
+    ``-tol`` times the largest entry, and is skipped where the Gram is not Hermitian within
+    ``tol``."""
     if theorem is not None and theorem.least is not None:
         sector, least, failed = theorem.sector, theorem.least, theorem.negative
     else:
@@ -682,7 +721,9 @@ def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: f
         if theorem is None and not result.hermitian_within(tol):
             return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
                                {"sector": result.sector, "asymmetry": result.asymmetry})
-        sector, least = result.sector, result._least_eigenvalue()
+        holder = None if theorem is None else theorem.holder
+        least = result._least_eigenvalue() if holder is None else result._least_in(holder)
+        sector = result.sector
         failed = theorem.negative if theorem is not None else least < -tol * result.scale
     if not math.isfinite(least):
         raise NonFiniteError(f"the eigenvalues of sector {sector} overflow the float range")
@@ -738,9 +779,11 @@ def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dty
             yield c, i, top, b, hop, bound
 
 
-def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[GramResult, list[dict]]]:
+def _tower(model: ParticleModel, n: int, depth: int = -1,
+           within: tuple | None = None) -> Iterator[tuple[GramResult, list[dict]]]:
     """Yield the Gram of each sector ``0..n`` from one pass, with its annihilator blocks
-    ``hops[c][i] = (row, B_i, bound)`` up to sector ``depth`` (else none).
+    ``hops[c][i] = (row, B_i, bound)`` up to sector ``depth`` (else none); given the sorted
+    word ``within``, only the blocks whose multiset lies inside it (:func:`_layout`).
 
     The rows of block ``M`` whose word starts with ``i`` are ``G_{M-{i}} @ B_i``, one
     product for each distinct letter ``i`` of ``M``, ``B_i`` by :func:`_annihilators`
@@ -761,7 +804,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1) -> Iterator[tuple[Gram
     yield result, below
     total, stored = itemsize, True  # bytes of the blocks allocated so far; whether sector m - 2 stores one
     for m in range(1, n + 1):
-        layout, lower, grams = _layout(model, m, result._layout), result._matrices, {}
+        layout, lower, grams = _layout(model, m, result._layout, within), result._matrices, {}
         hops: list[dict] = [{} for _ in layout.runs]
         if lower or m <= depth and (stored or model.expansion_sign == -1):
             runs, sizes = layout.runs, np.diff(layout.start).tolist()
@@ -812,9 +855,9 @@ def _annihilator_norms(model: ParticleModel, n: int) -> Iterator[np.ndarray]:
         yield _finite(np.sqrt(squares), f"the annihilator norms of sector {m}")
 
 
-def _sector_gram(model: ParticleModel, n: int) -> GramResult:
+def _sector_gram(model: ParticleModel, n: int, within: tuple | None = None) -> GramResult:
     _guard_sectors(model, n)
-    for result, _ in _tower(model, n):
+    for result, _ in _tower(model, n, -1, within):
         pass
     return result
 
@@ -846,13 +889,15 @@ def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorD
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
     """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  Where a class
-    theorem gives the least eigenvalue the row is the theorem's, and no Gram is built; elsewhere its
-    ``min_eigenvalue`` is read from only the blocks that can hold it
-    (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
+    theorem gives the least eigenvalue the row is the theorem's, and no Gram is built.  Where it
+    names the weight block that holds every eigenvalue, only the blocks inside that one are built,
+    and its ``min_eigenvalue`` is that block's.  Elsewhere it is read from only the blocks that can
+    hold it (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
     _check_tol(tol)
     _guard_sectors(model, n)
     theorem = (_theorems(model, n) or [None])[-1]
-    return _psd_report(theorem, lambda: _sector_gram(model, n), tol)
+    within = None if theorem is None else theorem.holder
+    return _psd_report(theorem, lambda: _sector_gram(model, n, within), tol)
 
 
 def _form(g: np.ndarray, v: np.ndarray) -> np.ndarray:

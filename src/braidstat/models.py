@@ -122,7 +122,17 @@ def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
 
 
 def _inertia(block: np.ndarray) -> tuple[int, int]:
-    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly.
+    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly:
+    the signs of the diagonal where every other entry is exactly 0, the diagonal being then the
+    eigenvalues, else :func:`_characteristic_inertia`."""
+    values = block.diagonal().real
+    if not (block - np.diag(block.diagonal())).any():
+        return int(np.count_nonzero(values > 0)), int(np.count_nonzero(values < 0))
+    return _characteristic_inertia(block)
+
+
+def _characteristic_inertia(block: np.ndarray) -> tuple[int, int]:
+    """:func:`_inertia` of any finite Hermitian matrix, from its characteristic polynomial.
 
     ``H = A + iB`` has the eigenvalues of the real symmetric ``[[A, -B], [B, A]]``, each counted
     twice there; a real ``H`` is read alone.  The characteristic polynomial of that matrix comes
