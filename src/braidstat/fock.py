@@ -77,21 +77,20 @@ reads.  The dense matrix is filled from the blocks only when
 Every reader (``check``, ``gram``, :func:`sector_dimension`,
 :func:`gram_psd_check`) asks a sector two questions, each with one reading.  The
 rank (:func:`_rank`) and how it is known: a class theorem's (:func:`_theorems`),
-else the stored rows where a shifted Cholesky proves every block above the cut,
-else the count of the eigenvalues of each block's Hermitian part with
-``|lambda| >= tol * max(1, top)`` and ``|lambda| > 0``, ``top`` the largest
-``|lambda|``, the cut against the largest singular value; an exact zero never
-counts.  The ``gram-psd`` row (:func:`_psd_report`): the theorem's status, with
-its least eigenvalue where it gives one, else the least eigenvalue read from
-the one weight block that holds every eigenvalue, where the theorem names it
-(:meth:`GramResult._least_in`; :func:`gram_psd_check` then builds only the blocks
-inside it), else from only the blocks that can hold it
-(:meth:`GramResult._least_eigenvalue`).  The
-theorems read ``G_n = P^(x)n X_n`` off the pairing's eigenvalues, ``X_n`` the Gram
-at ``P = I`` (:attr:`~braidstat.models.ParticleModel.gram_class`): positive
-definite on the contractive q-models, ``n! Pi_n`` on the colour-symmetric class.
-There the Gram is Hermitian exactly (``gram-hermitian`` reads 0), and a reader
-builds a Gram only for a contractive least eigenvalue that is not exactly 0.
+else the count of the eigenvalues of :attr:`GramResult.spectrum`, one ``eigvalsh``
+of each stored block's Hermitian part, with ``|lambda| >= tol * max(1, top)`` and
+``|lambda| > 0``, ``top`` the largest ``|lambda|``, the cut against the largest
+singular value; an exact zero never counts.  The ``gram-psd`` row
+(:func:`_psd_report`): the theorem's status, with its least eigenvalue where it
+gives one, else the least eigenvalue of the one weight block that holds every
+eigenvalue, where the theorem names it (:meth:`GramResult._least_in`;
+:func:`gram_psd_check` then builds only the blocks inside it), else the minimum
+of the spectrum.  The theorems read ``G_n = P^(x)n X_n`` off the pairing's
+eigenvalues, ``X_n`` the Gram at ``P = I``
+(:attr:`~braidstat.models.ParticleModel.gram_class`): positive definite on the
+contractive q-models, ``n! Pi_n`` on the colour-symmetric class.  There the Gram
+is Hermitian exactly (``gram-hermitian`` reads 0), and a reader builds a Gram only
+for a contractive least eigenvalue that is not exactly 0.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -432,33 +431,6 @@ def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, half.conj().T
 
 
-def _cholesky_above(h: np.ndarray, floor: float) -> bool:
-    """Whether every eigenvalue of the Hermitian ``h`` exceeds ``floor``: ``cholesky(h - s I)``
-    succeeds, with ``s = floor + 4 eps |floor| + 2 gamma_{r+1} (tr(h) + r max(0, -floor)) +
-    8 (r + 1) tiny``, ``r`` the rows, ``gamma_k = k eps / (1 - k eps)`` and ``tiny`` the least
-    normal number.  By Rump (BIT 46, 2006) the eigenvalues of ``h - s I`` then exceed ``-gamma_{r+1}
-    / (1 - gamma_{r+1})`` times its trace, less an underflow term: the trace term above bounds
-    that, the ``tiny`` term the underflow, and the ``|floor|`` term the rounding of the shifted
-    diagonal.  The diagonal is shifted in place and written back before the return.  A
-    non-finite shift proves nothing."""
-    float_info, rows, diagonal = np.finfo(float), len(h), h.diagonal().copy()
-    k = (rows + 1) * float_info.eps
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
-        trace = float(diagonal.real.sum()) + rows * max(0.0, -floor)  # at least tr(h - floor I)
-        shift = (floor + 4 * float_info.eps * abs(floor) + 2 * k / (1 - k) * trace
-                 + 8 * (rows + 1) * float_info.tiny)
-        if not math.isfinite(shift):
-            return False
-        h.flat[::rows + 1] -= shift
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            return False
-        finally:
-            h.flat[::rows + 1] = diagonal
-    return True
-
-
 class _Theorem(NamedTuple):
     """A sector Gram as a class theorem reads it (:func:`_theorems`), with no spectral step:
     Hermitian exactly, of rank ``rank``, with a negative eigenvalue exactly where ``negative``;
@@ -567,7 +539,6 @@ class GramResult:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sector
             tops = {b: float(np.abs(g).max()) for b, g in matrices.items()}
         self._matrices = {b: g for b, g in matrices.items() if tops[b] > 0.0}
-        self._tops = tops
         #: size of the largest entry, at least 1: the unit of the relative cuts
         self.scale = max([1.0, *tops.values()])
         # the asymmetry is at most 2 scale: read here only where that may overflow
@@ -617,9 +588,9 @@ class GramResult:
 
     @cached_property
     def spectrum(self) -> list[np.ndarray]:
-        """Eigenvalues of each block's Hermitian part: exact zeros for a missing block.  Computed
-        whole only where a rank is counted (:func:`_rank`); the ``gram-psd`` row reads only the
-        blocks that can hold the least eigenvalue (:meth:`_least_eigenvalue`)."""
+        """Eigenvalues of each block's Hermitian part, one ``eigvalsh`` per stored block: exact
+        zeros for a missing block.  Read where no class theorem answers: its count is the rank
+        (:func:`_rank`) and its minimum the least eigenvalue (:func:`_psd_report`)."""
         spectrum = [np.zeros(rows) for rows in np.diff(self._layout.start)]
         for b, g in self._matrices.items():
             spectrum[b] = self._eigenvalues(np.add(*_halves(g)))  # halved first: no overflow
@@ -639,40 +610,6 @@ class GramResult:
         g = self._matrices.get(self._layout.keys.index(key))
         return 0.0 if g is None else float(self._eigenvalues(np.add(*_halves(g))).min())
 
-    def _least_eigenvalue(self) -> float:
-        """The least eigenvalue of the blocks' Hermitian parts, bit for bit the minimum of
-        :attr:`spectrum`: read off it where it is computed, else block by block, largest first.
-        ``eigvalsh`` of the largest stored block gives a running minimum ``mu`` (from the exact 0
-        of a missing block, if any).  Each other block is skipped where :func:`_cholesky_above`
-        proves every eigenvalue of its ``H`` above ``mu + delta``: ``delta = p(r) eps r max|G|``
-        bounds the error ``p(r) eps ||H||_2`` of ``eigvalsh`` (LAPACK Users' Guide, 3rd ed.,
-        section 4.7, with ``p(r) = r^2`` for its "modestly growing function" of the rows ``r``,
-        and ``||H||_2 <= r max|H| <= r max|G|``), so the block's computed eigenvalues would all
-        exceed ``mu``.  Otherwise, a non-finite shift included, ``eigvalsh`` reads the block."""
-        if "spectrum" in vars(self):
-            return float(np.concatenate(self.spectrum).min())
-        eps = np.finfo(float).eps
-        least = 0.0 if len(self._matrices) < len(self._layout.keys) else math.inf
-        blocks = sorted(self._matrices.items(), key=lambda item: len(item[1]), reverse=True)
-        for number, (b, g) in enumerate(blocks):
-            h = np.add(*_halves(g))
-            if number and _cholesky_above(h, least + len(h) ** 3 * eps * self._tops[b]):
-                continue
-            least = min(least, float(self._eigenvalues(h).min()))
-        return least
-
-    def _full_rank(self, tol: float) -> bool:
-        """Whether :func:`_cholesky_above` proves every eigenvalue of the Hermitian part ``H``
-        of every stored block, largest first, above ``tol max(1, T)``, ``T`` the largest trace;
-        ``H`` being then positive definite, ``lambda_max <= tr(H) <= T``, so all pass the rank
-        cut ``tol max(1, top)`` and a missing block's zeros do not.  With no positive cut, or
-        no finite one, nothing is proved."""
-        with np.errstate(over="ignore", invalid="ignore"):  # spectrum reports an overflow
-            floor = tol * max([1.0, *(float(np.trace(g).real) for g in self._matrices.values())])
-        return tol > 0 and math.isfinite(floor) and all(
-            _cholesky_above(np.add(*_halves(g)), floor)
-            for g in sorted(self._matrices.values(), key=len, reverse=True))
-
     def _counted_rank(self, tol: float) -> int:
         """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)`` and
         ``|lambda| > 0``: an exact zero never counts, whatever the cut."""
@@ -690,19 +627,15 @@ class GramResult:
 
 
 def _rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> tuple[int, str]:
-    """The rank of a sector's Hermitian Gram and how it is known, cheapest first: ``theorem``'s,
-    named by it, with no Gram read; else, on the Gram ``gram()``, the stored rows where
-    :meth:`GramResult._full_rank` proves them (``"cholesky"``), else the eigenvalues of
-    :attr:`GramResult.spectrum` counted against ``tol`` times the largest singular value
-    (``"count"``).  The certificate changes no rank: its cut is the count's.  A Gram that is not
+    """The rank of a sector's Hermitian Gram and how it is known: ``theorem``'s, named by it, with
+    no Gram read; else the eigenvalues of :attr:`GramResult.spectrum` of the Gram ``gram()``,
+    counted against ``tol`` times the largest singular value (``"count"``).  A Gram that is not
     Hermitian within ``tol`` raises :class:`HermiticityError`."""
     if theorem is not None:
         return theorem.rank, theorem.source
     result = gram()
     if not result.hermitian_within(tol):
         raise HermiticityError(result.asymmetry, result.sector)
-    if result._full_rank(tol):
-        return sum(map(len, result._matrices.values())), "cholesky"
     return result._counted_rank(tol), "count"
 
 
@@ -710,8 +643,8 @@ def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: f
     """``gram-psd`` on a sector.  Where ``theorem`` reads it, the status is the theorem's at any
     ``tol``, and the least eigenvalue is the theorem's where it gives one, with no Gram read.
     Otherwise the least eigenvalue is read from ``gram()``: off the one block that holds every
-    eigenvalue where the theorem names it (:meth:`GramResult._least_in`), else by
-    :meth:`GramResult._least_eigenvalue`.  Outside the classes the row passes where it is at least
+    eigenvalue where the theorem names it (:meth:`GramResult._least_in`), else as the minimum of
+    :attr:`GramResult.spectrum`.  Outside the classes the row passes where it is at least
     ``-tol`` times the largest entry, and is skipped where the Gram is not Hermitian within
     ``tol``."""
     if theorem is not None and theorem.least is not None:
@@ -722,7 +655,8 @@ def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: f
             return CheckReport("gram-psd", SKIPPED, result.asymmetry, "non-hermitian gram",
                                {"sector": result.sector, "asymmetry": result.asymmetry})
         holder = None if theorem is None else theorem.holder
-        least = result._least_eigenvalue() if holder is None else result._least_in(holder)
+        least = (float(np.concatenate(result.spectrum).min()) if holder is None
+                 else result._least_in(holder))
         sector = result.sector
         failed = theorem.negative if theorem is not None else least < -tol * result.scale
     if not math.isfinite(least):
@@ -891,8 +825,7 @@ def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckRepo
     """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  Where a class
     theorem gives the least eigenvalue the row is the theorem's, and no Gram is built.  Where it
     names the weight block that holds every eigenvalue, only the blocks inside that one are built,
-    and its ``min_eigenvalue`` is that block's.  Elsewhere it is read from only the blocks that can
-    hold it (:meth:`GramResult._least_eigenvalue`), bit for bit the whole spectrum's minimum."""
+    and its ``min_eigenvalue`` is that block's.  Elsewhere it is the minimum of the spectrum."""
     _check_tol(tol)
     _guard_sectors(model, n)
     theorem = (_theorems(model, n) or [None])[-1]

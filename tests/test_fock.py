@@ -700,6 +700,14 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     shapes.clear()
     assert one.spectrum[0].tolist() == [-0.5, 0.5]
     assert shapes == [(2, 2)]
+    # the computed least eigenvalue is the spectrum's minimum: fermion2's sector 2 stores one of its
+    # three blocks, of eigenvalues 0 and 2, and boson's Gram through an explicit q = 1 braid has
+    # rank-1 blocks, whose zeros read as roundoff
+    towers = [("fermion2", load_zoo("fermion2"), 4), ("boson", _q_model(np.ones((2, 2))), 3)]
+    least = {(label, result.sector): fock._psd_report(None, lambda: result, 1e-9).data["min_eigenvalue"]
+             for label, model, n in towers for result, _ in fock._tower(model, n)}
+    assert least["fermion2", 2] == least["fermion2", 4] == 0.0
+    assert least["boson", 3] == -1.1697088109017878e-15
 
 
 def _zoo_model(name, sign):
@@ -708,44 +716,56 @@ def _zoo_model(name, sign):
     return model_from_dict(doc).model
 
 
-def _certified_and_counted(model, n, tol=1e-9):
-    """Per Hermitian sector ``0..n``: whether the shifted Cholesky proves it full
-    rank, the rank read with no class theorem, and the rank counted from the spectrum."""
-    rows = []
+def _counted_ranks(model, n, tol=1e-9):
+    """Per sector ``0..n``, its rank read with no class theorem, counted from the spectrum, or
+    ``None`` where it is not Hermitian."""
+    ranks = []
     for result, _ in fock._tower(model, n):
         assert "asymmetry" not in vars(result) and "spectrum" not in vars(result)
-        if result.hermitian_within(tol):
-            certified, source = fock._rank(None, lambda: result, tol)
-            rows.append((source == "cholesky", certified, result._counted_rank(tol)))
-    return rows
+        if not result.hermitian_within(tol):
+            ranks.append(None)
+            continue
+        rank, source = fock._rank(None, lambda: result, tol)
+        assert source == "count"
+        ranks.append(rank)
+    return ranks
+
+
+#: the counted ranks of sectors 0..8 (fermion3's 0..6) of each zoo model at s = +1 and -1, with no
+#: class theorem: quon_09's 252 at sector 8 is the cut's (its theorem reads 256)
+_ZOO_COUNTED_RANKS = {
+    ("boson", "+"): [1, 2, 3, 4, 5, 6, 7, 8, 9], ("boson", "-"): [1, 2, 1, 0, 0, 0, 0, 0, 0],
+    ("fermion1", "+"): [1, 1, 0, 0, 0, 0, 0, 0, 0], ("fermion1", "-"): [1, 1, 1, 1, 1, 1, 1, 1, 1],
+    ("fermion2", "+"): [1, 2, 1, 0, 0, 0, 0, 0, 0], ("fermion2", "-"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    ("fermion3", "+"): [1, 3, 3, 1, 0, 0, 0], ("fermion3", "-"): [1, 3, 6, 10, 15, 21, 28],
+    ("z2z2_fermion", "+"): [1, 2, 1, 0, 0, 0, 0, 0, 0],
+    ("z2z2_fermion", "-"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    **{("anyon_z4", sign): [1, 1, None, None, 0, 0, 0, 0, 0] for sign in "+-"},
+    **{(name, sign): [2 ** n for n in range(9)] for name in ("quon_03", "quon_05", "quon_09")
+       for sign in "+-"},
+    ("quon_09", "+"): [2 ** n for n in range(8)] + [252],
+}
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("name", ZOO_NAMES)
-def test_certified_rank_equals_the_spectrum_count_on_the_zoo(name, sign):
-    rows = _certified_and_counted(_zoo_model(name, sign), 6 if name == "fermion3" else 8)
-    assert any(proved for proved, _, _ in rows)  # sectors 0 and 1 at least
-    assert all(certified == counted for _, certified, counted in rows), rows
+def test_the_counted_ranks_of_the_zoo(name, sign):
+    model = _zoo_model(name, sign)
+    assert _counted_ranks(model, 6 if name == "fermion3" else 8) == _ZOO_COUNTED_RANKS[name, sign]
 
 
-@pytest.mark.parametrize("label", ["random-R", "self-adjoint-T", "off-diagonal-pairing",
-                                   "minus-expansion", "quon-minus", "fermion3-minus"])
-def test_certified_rank_equals_the_spectrum_count_on_random_models(label):
+#: the counted ranks of sectors 0..6 (fermion3-minus's 0..5) of the mixing and s = -1 models
+_RANDOM_COUNTED_RANKS = {
+    "random-R": [1, 2] + [None] * 5, "self-adjoint-T": [2 ** n for n in range(7)],
+    "off-diagonal-pairing": list(range(1, 8)), "minus-expansion": [1, 2] + [None] * 5,
+    "quon-minus": [2 ** n for n in range(7)], "fermion3-minus": [1, 3, 6, 10, 15, 21],
+}
+
+
+@pytest.mark.parametrize("label", list(_RANDOM_COUNTED_RANKS))
+def test_the_counted_ranks_of_random_models(label):
     model = {**_mixing_models(), **_minus_models()}[label]
-    rows = _certified_and_counted(model, 6 if model.n_generators == 2 else 5)
-    assert all(certified == counted for _, certified, counted in rows), rows
-
-
-def test_certified_rank_needs_no_eigensolver(monkeypatch):
-    def refuse(a):
-        raise AssertionError("eigvalsh ran")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    # outside the contractive class, the one block of sector 10 is proved full rank
-    assert sector_dimension(_mixed_quon(0.5, 0.3), 10) == (1024, 1024)
-    # tol = 0 counts every exact zero of a missing block: no proof applies
-    with pytest.raises(AssertionError, match="eigvalsh ran"):
-        sector_dimension(load_zoo("fermion2"), 2, tol=0.0)
+    assert _counted_ranks(model, 6 if model.n_generators == 2 else 5) == _RANDOM_COUNTED_RANKS[label]
 
 
 def _readers(model, n_max, monkeypatch, tol=1e-9):
@@ -811,22 +831,12 @@ def test_each_rank_names_how_it_is_known():
     assert fock._rank(fock._theorems(_tilted_quon(0.5), 10)[10], None, 1e-9) == (1024, "contractive")
     mixed = _mixed_quon(0.5, 0.3)
     assert fock._theorems(mixed, 10) is None
-    assert fock._rank(None, lambda: gram_matrix(mixed, 10), 1e-9) == (1024, "cholesky")
-    rank, source = fock._rank(None, lambda: gram_matrix(_mixed_quon(0.9, 0.8), 8), 1e-9)
-    assert source == "count" and rank == sector_dimension(_mixed_quon(0.9, 0.8), 8).quotient
-
-
-def _read_two_ways(result, shapes=None, tol=1e-9):
-    """The computed ``gram-psd`` of one sector, with no class theorem, from the least-eigenvalue
-    reader, then from the whole spectrum; ``shapes`` (of :func:`_counting_eigvalsh`) is left with
-    the reader's ``eigvalsh`` calls."""
-    assert "spectrum" not in vars(result)
-    fast = fock._psd_report(None, lambda: result, tol)
-    read = None if shapes is None else list(shapes)
-    result.spectrum
-    if shapes is not None:
-        shapes[:] = read
-    return fast, fock._psd_report(None, lambda: result, tol)
+    assert fock._rank(None, lambda: gram_matrix(mixed, 10), 1e-9) == (1024, "count")
+    assert fock._rank(None, lambda: gram_matrix(mixed, 6), 1e-9) == (64, "count")
+    assert fock._rank(None, lambda: gram_matrix(_mixed_quon(0.9, 0.8), 8), 1e-9) == (256, "count")
+    assert sector_dimension(_mixed_quon(0.9, 0.8), 8) == (256, 256)
+    # boson's Gram through an explicit braid, q = 1, outside both classes: rank-1 blocks
+    assert fock._rank(None, lambda: gram_matrix(_q_model(np.ones((2, 2))), 8), 1e-9) == (9, "count")
 
 
 def _counting_eigvalsh(monkeypatch):
@@ -838,9 +848,11 @@ def _counting_eigvalsh(monkeypatch):
 
 def _delta(result):
     """``r^3 eps max|G|``, ``r`` the rows of the sector's largest stored block: a bound on the
-    error of ``eigvalsh`` on any of its blocks (:meth:`~braidstat.fock.GramResult._least_eigenvalue`)."""
+    error ``p(r) eps ||H||_2`` of ``eigvalsh`` on any of its blocks' Hermitian parts ``H`` (LAPACK
+    Users' Guide, 3rd ed., section 4.7, with ``p(r) = r^2`` and ``||H||_2 <= r max|G|``)."""
     rows = max(map(len, result._matrices.values()), default=0)
-    return rows ** 3 * np.finfo(float).eps * max(result._tops.values(), default=0.0)
+    return rows ** 3 * np.finfo(float).eps * max((float(np.abs(g).max()) for g in result._matrices.values()),
+                                                 default=0.0)
 
 
 #: the quon sectors whose min_eigenvalue moves in its last bits where gram_psd_check reads the
@@ -852,23 +864,20 @@ _HOLDER_MOVES = {("quon_03", 9), ("quon_05", 5), ("quon_05", 7), ("quon_09", 4),
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ZOO_NAMES)
-def test_the_least_eigenvalue_reader_equals_the_spectrum_on_the_zoo(name, monkeypatch):
-    # every sector to 12 (one generator), 10 (two) or 6 (three): the same row, bit for bit.  Where
-    # the balanced block holds every eigenvalue, gram_psd_check reads that block alone: bit for bit
-    # the spectrum's row where the reader reads one block, else (_HOLDER_MOVES among them) the same
-    # status and a min_eigenvalue within delta
+def test_gram_psd_check_equals_the_spectrum_on_the_zoo(name):
+    # every sector to 12 (one generator), 10 (two) or 6 (three), against the row computed from the
+    # whole spectrum of the tower's sector.  Where the balanced block holds every eigenvalue,
+    # gram_psd_check reads that block alone: bit for bit the spectrum's row where it is the one
+    # stored block, else (_HOLDER_MOVES among them) the same status and a min_eigenvalue within delta
     model = load_zoo(name)
     n = {1: 12, 2: 10, 3: 6}[model.n_generators]
-    shapes = _counting_eigvalsh(monkeypatch)
     read, several = 0, set()
     for result, _ in fock._tower(model, n):
-        shapes.clear()
-        fast, full = _read_two_ways(result, shapes)
-        assert repr(fast) == repr(full), (name, result.sector)
-        read += fast.status != "skipped"
-        if (result.theorem is None or result.theorem.least is None) and fast.status != "skipped":
+        full = fock._psd_report(None, lambda: result, 1e-9)
+        read += full.status != "skipped"
+        if (result.theorem is None or result.theorem.least is None) and full.status != "skipped":
             report = gram_psd_check(model, result.sector)
-            if result.theorem is None or result.theorem.holder is None or len(shapes) == 1:
+            if result.theorem is None or result.theorem.holder is None or len(result._matrices) == 1:
                 assert repr(report) == repr(full), (name, result.sector)
                 continue
             several.add((name, result.sector))
@@ -901,22 +910,26 @@ def _sweep_model(seed):
 
 
 @pytest.mark.filterwarnings("error")
-def test_the_least_eigenvalue_reader_equals_the_spectrum_on_random_q_models(monkeypatch):
-    shapes = _counting_eigvalsh(monkeypatch)
-    sectors = negative = stored = read = 0
+def test_gram_psd_check_equals_the_dense_spectrum_on_random_q_models():
+    # each sector against eigvalsh of the Hermitian part of the dense Gram: the min_eigenvalue
+    # within delta of the dense one, the status the cut's, and skipped where it is not Hermitian
+    sectors = negative = 0
     for seed in range(240):
         model = _sweep_model(seed)
-        for result, _ in fock._tower(model, 6 if model.n_generators == 2 else 4):
-            shapes.clear()
-            fast, full = _read_two_ways(result, shapes)
-            assert repr(fast) == repr(full), (seed, result.sector)
-            if fast.status != "skipped":
-                sectors += 1
-                negative += fast.data["min_eigenvalue"] < 0
-                stored += len(result._matrices)
-                read += len(shapes)
+        for n in range(7 if model.n_generators == 2 else 5):
+            result, report = gram_matrix(model, n), gram_psd_check(model, n)
+            if not result.hermitian_within(1e-9):
+                assert report.status == "skipped", (seed, n)
+                continue
+            dense = result.matrix
+            want = float(np.linalg.eigvalsh((dense + dense.conj().T) / 2).min())
+            delta = len(dense) ** 3 * np.finfo(float).eps * float(np.abs(dense).max())
+            least = report.data["min_eigenvalue"]
+            assert abs(least - want) <= delta, (seed, n, least, want)
+            assert report.status == ("fail" if want < -1e-9 * result.scale else "pass"), (seed, n)
+            sectors += 1
+            negative += least < 0
     assert sectors >= 1000 and negative >= 200, (sectors, negative)
-    assert read < stored  # some blocks were proved away
 
 
 def _layouts_built(monkeypatch):
@@ -935,7 +948,7 @@ def _layouts_built(monkeypatch):
 def test_gram_psd_check_reads_one_block_of_quon_05_at_sector_10(monkeypatch):
     # the least eigenvalue, 0.0168, is in the 252-row block; the 210-row blocks read 0.0216.
     # That block, (5, 5), holds every eigenvalue: the tower builds the 36 blocks inside it of
-    # sectors 0..10's 66, and one eigvalsh reads it, with no shifted Cholesky
+    # sectors 0..10's 66, and one eigvalsh reads it
     model = load_zoo("quon_05")
     assert model.gram_class[0] == "contractive"  # its pairing's eigenvalues are read
     shapes, built = _counting_eigvalsh(monkeypatch), _layouts_built(monkeypatch)
@@ -1033,25 +1046,6 @@ def test_an_unbalanced_block_fails_the_sweep(monkeypatch):
     assert len(failed) >= 100 and {n_gen for n_gen, *_ in failed} == {2, 3}
 
 
-@pytest.mark.filterwarnings("error")
-def test_exact_zero_eigenvalues_go_through_eigvalsh(monkeypatch):
-    # fermion2's sector 2 stores one of its three blocks, of eigenvalues 0 and 2; boson's
-    # Gram through an explicit q = 1 braid has rank-1 blocks, whose zeros read as roundoff
-    shapes = _counting_eigvalsh(monkeypatch)
-    minima = {}
-    for name, model, n in [("fermion2", load_zoo("fermion2"), 4), ("boson", _q_model(np.ones((2, 2))), 6)]:
-        for result, _ in fock._tower(model, n):
-            shapes.clear()
-            fast, full = _read_two_ways(result, shapes)
-            assert repr(fast) == repr(full), (name, result.sector)
-            minima[name, result.sector] = fast.data["min_eigenvalue"]
-            # every block with an exact zero eigenvalue (more than one row, from sector 2 on)
-            if result.sector >= 2:
-                assert sorted(shapes) == sorted(g.shape for g in result._matrices.values() if len(g) > 1)
-    assert minima["fermion2", 2] == 0.0 and minima["fermion2", 4] == 0.0
-    assert minima["boson", 3] == -1.1697088109017878e-15
-
-
 _TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])  # least 2 - sqrt(2)
 
 
@@ -1064,27 +1058,12 @@ def _four_blocks(block):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_diagonal_entry_at_the_running_minimum_goes_through_eigvalsh(monkeypatch):
+def test_the_least_eigenvalue_reads_every_block_and_an_overflow_names_the_sector():
     mu = float(np.linalg.eigvalsh(_TRIDIAGONAL).min())
-    shapes = _counting_eigvalsh(monkeypatch)
-    for entry in (mu, mu + 1e-15, np.nextafter(mu, 0.0)):
-        shapes.clear()
-        fast, full = _read_two_ways(_four_blocks(np.diag([5.0, entry, 5.0])), shapes)
-        assert repr(fast) == repr(full) and fast.data["min_eigenvalue"] == min(mu, entry)
-        assert shapes == [(3, 3), (3, 3)]  # the 1x1 blocks of 7 are proved away
-    # far above the minimum, the block is proved away too
-    shapes.clear()
-    fast, full = _read_two_ways(_four_blocks(np.diag([5.0, 6.0, 5.0])), shapes)
-    assert repr(fast) == repr(full) and shapes == [(3, 3)]
-
-
-@pytest.mark.filterwarnings("error")
-def test_a_block_whose_shift_overflows_goes_through_eigvalsh(monkeypatch):
-    shapes = _counting_eigvalsh(monkeypatch)
-    # trace 3e308: no finite shift, so eigvalsh reads the block, of eigenvalues 1e308
-    fast, full = _read_two_ways(_four_blocks(np.diag([1e308] * 3)), shapes)
-    assert repr(fast) == repr(full) and shapes == [(3, 3), (3, 3)]
-    # its eigenvalue 3e308 overflows: the error names the sector, as the spectrum's does
+    for entry in (mu, mu + 1e-15, np.nextafter(mu, 0.0), 6.0):
+        report = _four_blocks(np.diag([5.0, entry, 5.0])).psd_report(1e-9)
+        assert report.data["min_eigenvalue"] == min(mu, entry), entry
+    # its eigenvalue 3e308 overflows: the error names the sector
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
         _four_blocks(np.full((3, 3), 1e308)).psd_report(1e-9)
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
@@ -1105,30 +1084,27 @@ def _mixed_quon(q, q_12):
     return _q_model([[q, q_12], [q_12, q]], _TILTED)
 
 
-@pytest.mark.parametrize("name", ["boson", "mixed-tilted"])
-def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
-    # boson's blocks have rank 1, and the shifted Cholesky proves no eigenvalue of the one
-    # block of the mixed tilted model at sector 8 above its cut: so the eigenvalues are counted
-    # boson's Gram through an explicit braid, q = 1: outside both theorems' classes
-    model = _mixed_quon(0.9, 0.8) if name == "mixed-tilted" else _q_model(np.ones((2, 2)))
-    assert model.gram_class is None
-    counted = gram_matrix(model, 8)
-    counted.spectrum
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    result = gram_matrix(model, 8)
-    assert not result._full_rank(1e-9) and not calls
-    assert result.quotient_rank(1e-9) == counted.quotient_rank(1e-9) and calls
+@pytest.mark.parametrize("label", ["mixed-tilted", "diagonal-pairing"])
+def test_the_four_readers_factor_no_block(label, monkeypatch):
+    # the 0.5/0.3 mixed tilted model, outside both classes, and quon_05 on diag(1, 2), contractive
+    # with no block that holds every eigenvalue: each rank and least eigenvalue that no theorem
+    # gives is read off the spectrum, with no Cholesky factorization
+    def refused(*args, **kwargs):
+        raise AssertionError("cholesky ran")
 
-
-def test_quotient_rank_tries_the_certificate_after_the_spectrum(monkeypatch):
-    # the path of quotient_rank does not depend on what was read before it
-    result, calls = gram_matrix(_mixed_quon(0.5, 0.3), 6), []
-    result.spectrum
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
-    assert result.quotient_rank(1e-9) == 64 and calls
+    model = _mixed_quon(0.5, 0.3) if label == "mixed-tilted" else _q_model(_Q05, np.diag([1.0, 2.0]))
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    rows, dims = fock._fock_checks(model, 5, 1e-9)
+    assert [row["quotient"] for row in dims] == [2 ** n for n in range(6)]
+    assert [(row.name, row.status) for row in rows] == [
+        ("infinite-statistics", "pass"), ("twisted-commutators", "pass"), ("exchange-nullity", "fail"),
+        ("gram-hermitian", "pass"), ("gram-psd", "pass")]
+    result = gram_matrix(model, 10)
+    assert result.quotient_rank(1e-9) == 1024 and result.psd_report(1e-9).passed
+    assert sector_dimension(model, 10) == (1024, 1024)
+    report = gram_psd_check(model, 10)
+    least = {"mixed-tilted": 1.0076784534666412, "diagonal-pairing": 0.34563784154359156}[label]
+    assert report.passed and report.data["min_eigenvalue"] == pytest.approx(least, rel=1e-9)
 
 
 def test_a_sector_that_is_not_hermitian_has_no_rank_and_a_skipped_row():
@@ -1706,7 +1682,7 @@ def test_the_factorization_equals_the_tower_on_random_contractive_models():
             assert result.theorem == theorem and result.asymmetry == 0.0, (seed, n)
             bare = fock.GramResult(n, model.n_generators, result._layout, result._matrices, result.dtype)
             assert bare.asymmetry <= 1e-12 * bare.scale, (seed, n)
-            least, cut = bare._least_eigenvalue(), 1e-9 * bare.scale
+            least, cut = float(np.concatenate(bare.spectrum).min()), 1e-9 * bare.scale
             assert theorem.rank == bare._counted_rank(1e-9) == sector_dimension(model, n).quotient, (seed, n)
             assert theorem.negative == (least < -cut) == gram_psd_check(model, n).failed, (seed, n)
             assert theorem.negative or least > -cut, (seed, n)
@@ -1736,9 +1712,9 @@ def test_quon_09_on_a_tilted_or_indefinite_pairing_ranks_by_the_theorem(pairing,
 
 
 def test_check_reads_no_least_eigenvalue_where_the_theorem_rules_out_a_negative_one(monkeypatch):
-    reads, least, least_in = [], fock.GramResult._least_eigenvalue, fock.GramResult._least_in
-    monkeypatch.setattr(fock.GramResult, "_least_eigenvalue",
-                        lambda self: reads.append(self.sector) or least(self))
+    reads, spectrum, least_in = [], fock.GramResult.spectrum.func, fock.GramResult._least_in
+    monkeypatch.setattr(fock.GramResult, "spectrum",
+                        property(lambda self: reads.append(self.sector) or spectrum(self)))
     monkeypatch.setattr(fock.GramResult, "_least_in",
                         lambda self, key: reads.append(self.sector) or least_in(self, key))
     rows, _ = fock._fock_checks(load_zoo("quon_05"), 5, 1e-9)
