@@ -700,14 +700,6 @@ def test_spectrum_is_exact_for_zero_blocks(monkeypatch):
     shapes.clear()
     assert one.spectrum[0].tolist() == [-0.5, 0.5]
     assert shapes == [(2, 2)]
-    # the computed least eigenvalue is the spectrum's minimum: fermion2's sector 2 stores one of its
-    # three blocks, of eigenvalues 0 and 2, and boson's Gram through an explicit q = 1 braid has
-    # rank-1 blocks, whose zeros read as roundoff
-    towers = [("fermion2", load_zoo("fermion2"), 4), ("boson", _q_model(np.ones((2, 2))), 3)]
-    least = {(label, result.sector): fock._psd_report(None, lambda: result, 1e-9).data["min_eigenvalue"]
-             for label, model, n in towers for result, _ in fock._tower(model, n)}
-    assert least["fermion2", 2] == least["fermion2", 4] == 0.0
-    assert least["boson", 3] == -1.1697088109017878e-15
 
 
 def _zoo_model(name, sign):
@@ -833,10 +825,6 @@ def test_each_rank_names_how_it_is_known():
     assert fock._theorems(mixed, 10) is None
     assert fock._rank(None, lambda: gram_matrix(mixed, 10), 1e-9) == (1024, "count")
     assert fock._rank(None, lambda: gram_matrix(mixed, 6), 1e-9) == (64, "count")
-    assert fock._rank(None, lambda: gram_matrix(_mixed_quon(0.9, 0.8), 8), 1e-9) == (256, "count")
-    assert sector_dimension(_mixed_quon(0.9, 0.8), 8) == (256, 256)
-    # boson's Gram through an explicit braid, q = 1, outside both classes: rank-1 blocks
-    assert fock._rank(None, lambda: gram_matrix(_q_model(np.ones((2, 2))), 8), 1e-9) == (9, "count")
 
 
 def _counting_eigvalsh(monkeypatch):
@@ -1046,6 +1034,24 @@ def test_an_unbalanced_block_fails_the_sweep(monkeypatch):
     assert len(failed) >= 100 and {n_gen for n_gen, *_ in failed} == {2, 3}
 
 
+@pytest.mark.filterwarnings("error")
+def test_exact_zero_eigenvalues_go_through_eigvalsh(monkeypatch):
+    # fermion2's sector 2 stores one of its three blocks, of eigenvalues 0 and 2; boson's
+    # Gram through an explicit q = 1 braid has rank-1 blocks, whose zeros read as roundoff.
+    # The least eigenvalue is the spectrum's minimum, one eigvalsh per stored block
+    shapes = _counting_eigvalsh(monkeypatch)
+    minima = {}
+    for name, model, n in [("fermion2", load_zoo("fermion2"), 4), ("boson", _q_model(np.ones((2, 2))), 6)]:
+        for result, _ in fock._tower(model, n):
+            shapes.clear()
+            report = fock._psd_report(None, lambda: result, 1e-9)
+            assert report.passed, (name, result.sector)
+            minima[name, result.sector] = report.data["min_eigenvalue"]
+            assert sorted(shapes) == sorted(g.shape for g in result._matrices.values()), (name, result.sector)
+    assert minima["fermion2", 2] == 0.0 and minima["fermion2", 4] == 0.0
+    assert minima["boson", 3] == -1.1697088109017878e-15
+
+
 _TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])  # least 2 - sqrt(2)
 
 
@@ -1058,16 +1064,28 @@ def _four_blocks(block):
 
 
 @pytest.mark.filterwarnings("error")
-def test_the_least_eigenvalue_reads_every_block_and_an_overflow_names_the_sector():
+def test_a_diagonal_entry_at_the_running_minimum_goes_through_eigvalsh(monkeypatch):
+    # the least eigenvalue is the minimum over every stored block, each read by one eigvalsh, at,
+    # just above, just below and far above the tridiagonal block's minimum
     mu = float(np.linalg.eigvalsh(_TRIDIAGONAL).min())
+    shapes = _counting_eigvalsh(monkeypatch)
     for entry in (mu, mu + 1e-15, np.nextafter(mu, 0.0), 6.0):
+        shapes.clear()
         report = _four_blocks(np.diag([5.0, entry, 5.0])).psd_report(1e-9)
         assert report.data["min_eigenvalue"] == min(mu, entry), entry
+        assert shapes == [(1, 1), (3, 3), (3, 3), (1, 1)], entry
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_block_whose_eigenvalues_overflow_names_the_sector():
     # its eigenvalue 3e308 overflows: the error names the sector
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
         _four_blocks(np.full((3, 3), 1e308)).psd_report(1e-9)
     with pytest.raises(fock.NonFiniteError, match="the eigenvalues of sector 3 overflow"):
         _four_blocks(np.full((3, 3), 1e308)).spectrum
+    # trace 3e308 is finite in every eigenvalue: read, not refused
+    least = _four_blocks(np.diag([1e308] * 3)).psd_report(1e-9).data["min_eigenvalue"]
+    assert least == float(np.linalg.eigvalsh(_TRIDIAGONAL).min())
 
 
 def _tilted_quon(q):
@@ -1082,6 +1100,21 @@ def _mixed_quon(q, q_12):
     pairing ``[[1, 0.3], [0.3, 1.7]]``: it mixes letters of different q-rows, so it is outside
     the contractive class."""
     return _q_model([[q, q_12], [q_12, q]], _TILTED)
+
+
+@pytest.mark.parametrize("name", ["boson", "mixed-tilted"])
+def test_rank_falls_back_to_the_spectrum(name, monkeypatch):
+    # outside both theorems' classes, the rank is counted from the spectrum, one eigvalsh per
+    # stored block: boson's Gram through an explicit braid, q = 1, has rank-1 blocks, and the
+    # 0.9/0.8 mixed tilted model has one block at sector 8
+    model = _mixed_quon(0.9, 0.8) if name == "mixed-tilted" else _q_model(np.ones((2, 2)))
+    assert model.gram_class is None
+    result = gram_matrix(model, 8)
+    shapes = _counting_eigvalsh(monkeypatch)
+    want = {"boson": 9, "mixed-tilted": 256}[name]
+    assert fock._rank(None, lambda: result, 1e-9) == (want, "count")
+    assert shapes == [g.shape for g in result._matrices.values()]
+    assert sector_dimension(model, 8).quotient == want
 
 
 @pytest.mark.parametrize("label", ["mixed-tilted", "diagonal-pairing"])
