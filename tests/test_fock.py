@@ -854,26 +854,26 @@ _HOLDER_MOVES = {("quon_03", 9), ("quon_05", 5), ("quon_05", 7), ("quon_09", 4),
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_gram_psd_check_equals_the_spectrum_on_the_zoo(name):
     # every sector to 12 (one generator), 10 (two) or 6 (three), against the row computed from the
-    # whole spectrum of the tower's sector.  Where the balanced block holds every eigenvalue,
-    # gram_psd_check reads that block alone: bit for bit the spectrum's row where it is the one
-    # stored block, else (_HOLDER_MOVES among them) the same status and a min_eigenvalue within delta
+    # whole spectrum of the tower's sector: bit for bit, also where gram_psd_check reads the balanced
+    # block alone, except on the _HOLDER_MOVES sectors, which keep the status and a min_eigenvalue
+    # within delta
     model = load_zoo(name)
     n = {1: 12, 2: 10, 3: 6}[model.n_generators]
-    read, several = 0, set()
+    read, moved = 0, set()
     for result, _ in fock._tower(model, n):
         full = fock._psd_report(None, lambda: result, 1e-9)
         read += full.status != "skipped"
         if (result.theorem is None or result.theorem.least is None) and full.status != "skipped":
             report = gram_psd_check(model, result.sector)
-            if result.theorem is None or result.theorem.holder is None or len(result._matrices) == 1:
+            if (name, result.sector) not in _HOLDER_MOVES:
                 assert repr(report) == repr(full), (name, result.sector)
                 continue
-            several.add((name, result.sector))
+            moved.add((name, result.sector))
             least, want = report.data["min_eigenvalue"], full.data["min_eigenvalue"]
             assert report.status == full.status
             assert abs(least - want) <= _delta(result), (name, result.sector, least, want)
     assert read >= n - 1
-    assert {key for key in _HOLDER_MOVES if key[0] == name} <= several
+    assert {key for key in _HOLDER_MOVES if key[0] == name} == moved
 
 
 def _sweep_model(seed):
@@ -940,7 +940,6 @@ def test_gram_psd_check_reads_one_block_of_quon_05_at_sector_10(monkeypatch):
     model = load_zoo("quon_05")
     assert model.gram_class[0] == "contractive"  # its pairing's eigenvalues are read
     shapes, built = _counting_eigvalsh(monkeypatch), _layouts_built(monkeypatch)
-    monkeypatch.setattr(np.linalg, "cholesky", _refused)
     report = gram_psd_check(model, 10)
     assert shapes == [(252, 252)]
     holder = (1,) * 5 + (2,) * 5
@@ -1035,7 +1034,7 @@ def test_an_unbalanced_block_fails_the_sweep(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_exact_zero_eigenvalues_go_through_eigvalsh(monkeypatch):
+def test_exact_zero_eigenvalues_are_the_spectrum_minimum(monkeypatch):
     # fermion2's sector 2 stores one of its three blocks, of eigenvalues 0 and 2; boson's
     # Gram through an explicit q = 1 braid has rank-1 blocks, whose zeros read as roundoff.
     # The least eigenvalue is the spectrum's minimum, one eigvalsh per stored block
@@ -1064,7 +1063,7 @@ def _four_blocks(block):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_diagonal_entry_at_the_running_minimum_goes_through_eigvalsh(monkeypatch):
+def test_the_least_eigenvalue_is_the_spectrum_minimum_over_every_block(monkeypatch):
     # the least eigenvalue is the minimum over every stored block, each read by one eigvalsh, at,
     # just above, just below and far above the tridiagonal block's minimum
     mu = float(np.linalg.eigvalsh(_TRIDIAGONAL).min())
@@ -1637,7 +1636,6 @@ def test_the_contractive_class_builds_nothing_for_its_rank(monkeypatch, name):
     assert model.gram_class[0] == "contractive"  # the pairing's eigenvalues, read once per model
     monkeypatch.setattr(fock, "_tower", _refused)
     monkeypatch.setattr(np.linalg, "eigvalsh", _refused)
-    monkeypatch.setattr(np.linalg, "cholesky", _refused)
     for n in range(17):  # 2^16 words, the last sector the word guard admits
         assert sector_dimension(model, n) == (2 ** n, 2 ** n)
     assert sector_dimension(model, 4, tol=0.5) == (16, 16)  # tol does not enter the theorem's rank
@@ -1851,7 +1849,6 @@ def test_the_colour_symmetric_class_builds_no_tower_for_its_rank_or_gram_psd(mon
 
     model = load_zoo(name)
     monkeypatch.setattr(fock, "_tower", refused)
-    monkeypatch.setattr(np.linalg, "cholesky", refused)
     last = {1: 100_000, 2: 16, 3: 10}[model.n_generators]  # the last sector the word guard admits
     for n in list(range(9)) + [last]:
         rows, want = model.n_generators ** n, colour_symmetric_dimension(model, n)
