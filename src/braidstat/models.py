@@ -122,40 +122,35 @@ def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
 
 
 def _inertia(block: np.ndarray) -> tuple[int, int]:
-    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly:
-    the signs of the diagonal where every other entry is exactly 0, the diagonal being then the
-    eigenvalues, else :func:`_characteristic_inertia`."""
-    values = block.diagonal().real
-    if not (block - np.diag(block.diagonal())).any():
-        return int(np.count_nonzero(values > 0)), int(np.count_nonzero(values < 0))
-    return _characteristic_inertia(block)
-
-
-def _characteristic_inertia(block: np.ndarray) -> tuple[int, int]:
-    """:func:`_inertia` of any finite Hermitian matrix, from its characteristic polynomial.
+    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly.
 
     ``H = A + iB`` has the eigenvalues of the real symmetric ``[[A, -B], [B, A]]``, each counted
-    twice there; a real ``H`` is read alone.  The characteristic polynomial of that matrix comes
-    from Faddeev-LeVerrier on the Fractions of the stored floats; every root being real,
-    Descartes' rule of signs counts the positive ones exactly, and the lowest nonzero
-    coefficient the zeros."""
-    a, b = block.real.tolist(), block.imag.tolist()
+    twice there; a real ``H`` is read alone.  Symmetric elimination on the Fractions of the stored
+    floats reduces it by congruences, which keep the inertia (Sylvester's law): a nonzero diagonal
+    pivot counts its sign and leaves its Schur complement, and where the whole diagonal is 0 but
+    ``a[p][q]`` is not, adding row and column ``q`` to row and column ``p`` makes
+    ``a[p][p] = 2 a[p][q]``."""
+    a = [[Fraction(x) for x in row] for row in block.real.tolist()]
     twice = 2 if block.imag.any() else 1
-    rows = [ra + [-x for x in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)] \
-        if twice == 2 else a
-    matrix = [[Fraction(x) for x in row] for row in rows]
-    size = len(matrix)
-    # det(t I - M) = sum_k c_k t^(size - k): M_k = M (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k
-    coefficients, product = [Fraction(1)], [[Fraction(0)] * size for _ in range(size)]
-    for k in range(1, size + 1):
-        for i in range(size):
-            product[i][i] += coefficients[-1]
-        product = [[sum(x * y for x, y in zip(row, column)) for column in zip(*product)] for row in matrix]
-        coefficients.append(-sum(product[i][i] for i in range(size)) / k)
-    signs = [c > 0 for c in coefficients if c]
-    positive = sum(x != y for x, y in zip(signs, signs[1:]))
-    zeros = len(coefficients) - 1 - max(k for k, c in enumerate(coefficients) if c)
-    return positive // twice, (size - positive - zeros) // twice
+    if twice == 2:
+        b = [[Fraction(x) for x in row] for row in block.imag.tolist()]
+        a = [ra + [-x for x in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)]
+    positive = negative = 0
+    while any(map(any, a)):
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            p, q = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            a[p] = [x + y for x, y in zip(a[p], a[q])]
+            for row in a:
+                row[p] += row[q]
+        top = a.pop(p)
+        pivot = top.pop(p)
+        positive, negative = positive + (pivot > 0), negative + (pivot < 0)
+        for row in a:
+            factor = row.pop(p) / pivot
+            if factor:
+                row[:] = [x - factor * y for x, y in zip(row, top)]
+    return positive // twice, negative // twice
 
 
 def _action_matrix(coupling: np.ndarray) -> np.ndarray:
@@ -297,8 +292,9 @@ class ParticleModel:
 
         Each eigenvalue ``mu`` of a block is ``(|mu|, mu < 0, once)``, by block, then ascending;
         ``once`` is ``eps(g, g) == -1`` on the grade ``g``, and False on the contractive class.
-        Which eigenvalues are nonzero and which negative is decided exactly (:func:`_inertia`);
-        ``eigvalsh`` gives the magnitudes, the only float step.
+        Which eigenvalues are nonzero and which negative is decided exactly, by symmetric
+        elimination on the Fractions of the stored floats (:func:`_inertia`); ``eigvalsh`` gives
+        the magnitudes, the only float step.
         """
         pairing = self.pairing
         if not (self.expansion_sign == 1 and np.isfinite(pairing).all()

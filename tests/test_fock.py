@@ -1700,15 +1700,39 @@ def _factorized_model(seed: int) -> ParticleModel:
     return _q_model(q, (pairing + pairing.conj().T) / 2)
 
 
+_TWIST = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2  # unitary, with dyadic entries
+
+
+def _dense_factorized_model(seed: int) -> ParticleModel:
+    """A one-q model of four or five generators on a dense complex Hermitian pairing ``U D U^H``:
+    positive definite, exactly singular of either sign, or indefinite.  ``U`` is a product of ``_TWIST``s and
+    phases ``i^k`` on random letter pairs, so its entries and those of the pairing are dyadic and
+    exact, and the pairing's eigenvalues are exactly the ``D`` drawn from {0, +-0.5, +-1, +-2}."""
+    rng = np.random.default_rng(seed)
+    n_gen, kind = 4 + seed % 2, seed // 2 % 3
+    u = np.eye(n_gen, dtype=complex)
+    for _ in range(3 * n_gen):
+        j, k = rng.choice(n_gen, 2, replace=False)
+        u[[j, k]] = np.diag([1, 1j ** rng.integers(4)]) @ _TWIST @ u[[j, k]]
+    signs = np.resize([-1, 1], n_gen) if kind == 2 else rng.choice([-1, 1], n_gen) if kind == 1 \
+        else np.ones(n_gen)
+    d = rng.choice([0.5, 1.0, 2.0], n_gen) * rng.permutation(signs)
+    if kind == 1:
+        d[rng.permutation(n_gen)[:rng.integers(1, n_gen)]] = 0
+    return _q_model(np.full((n_gen, n_gen), rng.uniform(-0.9, 0.9)), (u * d) @ u.conj().T)
+
+
 @pytest.mark.filterwarnings("error")
 def test_the_factorization_equals_the_tower_on_random_contractive_models():
     # the tower, with no theorem, stays the oracle: its count, sign, asymmetry and least eigenvalue
     kinds = set()
-    for seed in range(20261401, 20261601):
-        model = _factorized_model(seed)
+    sweep = [(seed, _factorized_model) for seed in range(20261401, 20261601)] \
+        + [(seed, _dense_factorized_model) for seed in range(20263501, 20263531)]
+    for seed, build in sweep:
+        model = build(seed)
         assert model.gram_class[0] == "contractive", seed
         theorems = fock._theorems(model, 5)
-        for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
+        for result, _ in fock._tower(model, {2: 5, 3: 4}.get(model.n_generators, 3)):
             n, theorem = result.sector, theorems[result.sector]
             assert result.theorem == theorem and result.asymmetry == 0.0, (seed, n)
             bare = fock.GramResult(n, model.n_generators, result._layout, result._matrices, result.dtype)
@@ -1719,8 +1743,9 @@ def test_the_factorization_equals_the_tower_on_random_contractive_models():
             assert theorem.negative or least > -cut, (seed, n)
             if theorem.least is not None:
                 assert abs(theorem.least - least) <= cut, (seed, n)
-            kinds.add((theorem.rank < model.n_generators ** n, theorem.negative))
-    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+            kinds.add((build, theorem.rank < model.n_generators ** n, theorem.negative))
+    assert kinds == {(build, singular, negative) for _, build in sweep
+                     for singular in (False, True) for negative in (False, True)}
 
 
 @pytest.mark.parametrize("pairing, ranks", [
@@ -1927,18 +1952,36 @@ def test_grade_block_inertia_is_exact():
     assert [sector_dimension(model, n).quotient for n in range(5)] == [1, 2, 3, 4, 5]
 
 
-def test_a_diagonal_block_reads_its_inertia_off_the_signs_of_its_diagonal():
-    # seeded diagonal blocks of 1 to 6 letters with zeros, negatives, subnormals and -0.0:
-    # the signs agree with Faddeev-LeVerrier on the Fractions of the same entries
-    from braidstat.models import _characteristic_inertia, _inertia
-    rng = np.random.default_rng(20261033)
-    pool = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 2.0 ** -1040, -(2.0 ** -1030), 1e300, -1e-300]
-    for trial in range(200):
-        values = rng.choice(pool, int(rng.integers(1, 7)))
-        block = np.diag(values).astype(complex if trial % 2 else float)
-        want = (int(np.sum(values > 0)), int(np.sum(values < 0)))
-        assert _inertia(block) == _characteristic_inertia(block) == want, values
-    assert _inertia(np.array([[1.0, 5e-324], [5e-324, -1.0]])) == (1, 1)  # not diagonal: the polynomial
+def test_a_congruent_block_has_the_inertia_of_its_diagonal():
+    # Sylvester's law: S D S^H, S invertible, has the inertia of the diagonal D.  Seeded blocks of
+    # 1 to 8 letters: S unit lower triangular times a permutation over the integers (real) or the
+    # Gaussian integers (complex), so every entry is an exact integer, and D an integer diagonal
+    # with zeros; S = I carries zeros, -0.0, subnormals and +-1e300.  A Hadamard matrix with its
+    # rows times i^k on a diagonal of pairs k, -k makes a zero diagonal
+    from braidstat.models import _inertia
+    rng = np.random.default_rng(20261035)
+    pool = [0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 2.0 ** -1040, -(2.0 ** -1030), 1e300, -1e300, -1e-300]
+    for trial in range(300):
+        n, complex_ = int(rng.integers(1, 9)), trial % 2
+        if trial % 3 == 0:
+            d = rng.choice(pool, n)
+            block = np.diag(d)
+        else:
+            d = rng.integers(-3, 4, n)
+            lower = rng.integers(-2, 3, (n, n)) + (1j * rng.integers(-2, 3, (n, n)) if complex_ else 0)
+            s = (np.tril(lower, -1) + np.eye(n))[rng.permutation(n)]
+            block = (s * d) @ s.conj().T
+        block = block.astype(complex if complex_ else float)
+        assert _inertia(block) == (int(np.sum(d > 0)), int(np.sum(d < 0))), (trial, d)
+    hadamard = np.array([[1, 1], [1, -1]])
+    assert _inertia((hadamard * [1.0, -1.0]) @ hadamard.T) == (1, 1)
+    for h in [hadamard] * 10 + [np.kron(hadamard, hadamard)] * 10:
+        pairs = len(h) // 2
+        d = rng.permutation(np.repeat(rng.integers(1, 4, pairs), 2) * np.resize([1, -1], len(h)))
+        s = 1j ** rng.integers(4, size=(len(h), 1)) * h
+        block = (s * d) @ s.conj().T
+        assert not block.diagonal().any() and _inertia(block) == (pairs, pairs), block
+    assert _inertia(np.array([[1.0, 5e-324], [5e-324, -1.0]])) == (1, 1)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])
