@@ -148,19 +148,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    from .fock import HermiticityError, gram_matrix
+    from .fock import gram_matrix
     model, tol, _ = _model(args)
     result = gram_matrix(model, args.sector)
-    try:  # the rank first: a counted spectrum also serves the gram-psd row
-        rank = result.quotient_rank(tol)
-    except HermiticityError:  # no rank, and no gram-psd row
-        rank = None
+    hermitian = result.hermitian_within(tol)  # else no rank, and no gram-psd row
     psd = result.psd_report(tol)
-    hermitian = CheckReport("gram-hermitian", FAIL if rank is None else PASS, result.asymmetry)
-    return _emit(args, [hermitian] if rank is None else [hermitian, psd], {
+    checks = [CheckReport("gram-hermitian", PASS if hermitian else FAIL, result.asymmetry)]
+    return _emit(args, checks + [psd] if hermitian else checks, {
         "sector": args.sector,
         "full": model.n_generators ** args.sector,
-        "rank": rank,
+        "rank": result.quotient_rank(tol) if hermitian else None,
         "min_eigenvalue": psd.data.get("min_eigenvalue"),
         "basis": [list(w) for w in result.words],
         "matrix": _Rows(result.matrix),

@@ -77,20 +77,20 @@ reads.  The dense matrix is filled from the blocks only when
 Every reader (``check``, ``gram``, :func:`sector_dimension`,
 :func:`gram_psd_check`) asks a sector two questions, each with one reading.  The
 rank (:func:`_rank`) and how it is known: a class theorem's (:func:`_theorems`),
-else the count of the eigenvalues of :attr:`GramResult.spectrum`, one ``eigvalsh``
-of each stored block's Hermitian part, with ``|lambda| >= tol * max(1, top)`` and
-``|lambda| > 0``, ``top`` the largest ``|lambda|``, the cut against the largest
-singular value; an exact zero never counts.  The ``gram-psd`` row
-(:func:`_psd_report`): the theorem's status, with its least eigenvalue where it
-gives one, else the least eigenvalue of the one weight block that holds every
-eigenvalue, where the theorem names it (:meth:`GramResult._least_in`;
-:func:`gram_psd_check` then builds only the blocks inside it), else the minimum
-of the spectrum.  The theorems read ``G_n = P^(x)n X_n`` off the pairing's
-eigenvalues, ``X_n`` the Gram at ``P = I``
-(:attr:`~braidstat.models.ParticleModel.gram_class`): positive definite on the
-contractive q-models, ``n! Pi_n`` on the colour-symmetric class.  There the Gram
-is Hermitian exactly (``gram-hermitian`` reads 0), and a reader builds a Gram only
-for a contractive least eigenvalue that is not exactly 0.
+else the count of the eigenvalues of :attr:`GramResult.spectrum` past the cut.
+The ``gram-psd`` row (:func:`_psd_report`): the theorem's status, with its least
+eigenvalue where it gives one, else the least eigenvalue of the one weight block
+that holds every eigenvalue, where the theorem names it
+(:meth:`GramResult._least_in`; :func:`gram_psd_check` then builds only the blocks
+inside it), else the minimum of the spectrum.  A Gram not Hermitian within
+``tol`` has no rank and a skipped row; only :func:`sector_dimension` and
+:meth:`GramResult.quotient_rank` raise for it (:func:`_hermitian_rank`).  The
+theorems read ``G_n = P^(x)n X_n`` off the pairing's eigenvalues, ``X_n`` the
+Gram at ``P = I`` (:attr:`~braidstat.models.ParticleModel.gram_class`):
+positive definite on the contractive q-models, ``n! Pi_n`` on the
+colour-symmetric class.  There the Gram is Hermitian exactly (``gram-hermitian``
+reads 0), and a reader builds a Gram only for a contractive least eigenvalue
+that is not exactly 0.
 
 The engine computes in :attr:`~braidstat.models.ParticleModel.scalar_type`: a
 model with real pairing and exchange terms (+-1 gradings, real ``q``) gets real
@@ -117,7 +117,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -446,9 +446,9 @@ class _Theorem(NamedTuple):
     holder: tuple | None = None
 
 
-def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
+def _theorems(model: ParticleModel, n: int) -> list[_Theorem | None]:
     """Sectors ``0..n`` as a class theorem reads them
-    (:attr:`~braidstat.models.ParticleModel.gram_class`), else ``None``.
+    (:attr:`~braidstat.models.ParticleModel.gram_class`), each ``None`` outside the classes.
 
     On both classes ``G_n = P^(x)n X_n`` and ``[P^(x)n, X_n] = 0``, ``P`` the pairing and ``X_n``
     the Gram at ``P = I``.  Contractive: ``P_ik != 0`` only where letters ``i`` and ``k`` have
@@ -487,7 +487,7 @@ def _theorems(model: ParticleModel, n: int) -> list[_Theorem] | None:
     """
     reading = model.gram_class
     if reading is None:
-        return None
+        return [None] * (n + 1)
     source, spectrum = reading
     colour, n_gen, pairing = source == "colour-symmetric", model.n_generators, model.pairing
     scalar = (not colour and n_gen > 1 and pairing[0, 0] != 0
@@ -610,33 +610,39 @@ class GramResult:
         g = self._matrices.get(self._layout.keys.index(key))
         return 0.0 if g is None else float(self._eigenvalues(np.add(*_halves(g))).min())
 
-    def _counted_rank(self, tol: float) -> int:
-        """The eigenvalues of :attr:`spectrum` with ``|lambda| >= tol max(1, top)`` and
-        ``|lambda| > 0``: an exact zero never counts, whatever the cut."""
-        magnitude = np.abs(np.concatenate(self.spectrum))
-        cut = tol * max(1.0, float(magnitude.max()))
-        return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0)))
-
     def quotient_rank(self, tol: float) -> int:
-        """Rank of a Hermitian sector Gram (:func:`_rank`)."""
-        return _rank(self.theorem, lambda: self, tol)[0]
+        """Rank of a Hermitian sector Gram (:func:`_hermitian_rank`)."""
+        return _hermitian_rank(self.theorem, lambda: self, tol)
 
     def psd_report(self, tol: float) -> CheckReport:
         """``gram-psd`` on this sector (:func:`_psd_report`)."""
         return _psd_report(self.theorem, lambda: self, tol)
 
 
-def _rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> tuple[int, str]:
-    """The rank of a sector's Hermitian Gram and how it is known: ``theorem``'s, named by it, with
-    no Gram read; else the eigenvalues of :attr:`GramResult.spectrum` of the Gram ``gram()``,
-    counted against ``tol`` times the largest singular value (``"count"``).  A Gram that is not
-    Hermitian within ``tol`` raises :class:`HermiticityError`."""
+def _rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> tuple[int | None, str]:
+    """The rank of a sector's Gram and how it is known: ``theorem``'s, named by it, with no Gram
+    read; else the eigenvalues of :attr:`GramResult.spectrum` of the Gram ``gram()`` with
+    ``|lambda| >= tol max(1, top)`` and ``|lambda| > 0``, ``top`` the largest ``|lambda|``, the cut
+    against the largest singular value; an exact zero never counts (``"count"``).  A Gram that is
+    not Hermitian within ``tol`` has no rank: ``None``."""
     if theorem is not None:
         return theorem.rank, theorem.source
     result = gram()
     if not result.hermitian_within(tol):
+        return None, "count"
+    magnitude = np.abs(np.concatenate(result.spectrum))
+    cut = tol * max(1.0, float(magnitude.max()))
+    return int(np.count_nonzero((magnitude >= cut) & (magnitude > 0.0))), "count"
+
+
+def _hermitian_rank(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> int:
+    """:func:`_rank`'s rank, where the public functions promise one: a Gram that is not Hermitian
+    within ``tol`` raises :class:`HermiticityError`."""
+    rank = _rank(theorem, gram, tol)[0]
+    if rank is None:
+        result = gram()
         raise HermiticityError(result.asymmetry, result.sector)
-    return result._counted_rank(tol), "count"
+    return rank
 
 
 def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: float) -> CheckReport:
@@ -700,12 +706,7 @@ def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dty
                         _, inner, most = below[b_j][k]
                         up = below[b][l][0]
                         region = hop[up:up + len(inner), left:left + width]
-                        if factor == 1:  # +-1 multiplies exactly: no product is formed
-                            region += inner
-                        elif factor == -1:
-                            region -= inner
-                        else:
-                            region += factor * inner
+                        region += factor * inner
                         column += (abs(factor.real) + abs(factor.imag)) * most
                 bound = max(bound, column)
             if not bound < 2.0 ** 1000 and not np.isfinite(hop).all():
@@ -732,7 +733,7 @@ def _tower(model: ParticleModel, n: int, depth: int = -1,
     once; :func:`_annihilators` guards its own.
     """
     n_gen, dtype, itemsize = model.n_generators, model.scalar_type, np.dtype(model.scalar_type).itemsize
-    theorems = _theorems(model, n) or [None] * (n + 1)
+    theorems = _theorems(model, n)
     plan, below = _term_plan(model), [{}]  # sector 0's block has no run
     result = GramResult(0, n_gen, _layout(model, 0), {0: np.ones((1, 1), dtype=dtype)}, dtype, theorems[0])
     yield result, below
@@ -790,7 +791,6 @@ def _annihilator_norms(model: ParticleModel, n: int) -> Iterator[np.ndarray]:
 
 
 def _sector_gram(model: ParticleModel, n: int, within: tuple | None = None) -> GramResult:
-    _guard_sectors(model, n)
     for result, _ in _tower(model, n, -1, within):
         pass
     return result
@@ -811,26 +811,30 @@ def gram_matrix(model: ParticleModel, n: int) -> GramResult:
     return _sector_gram(model, n)
 
 
-def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
-    """Full dimension ``N^n`` and the rank of the sector Gram matrix (:func:`_rank`).  Where a
-    class theorem reads the sector (:func:`_theorems`), only the word guards run, and no Gram is
-    built."""
+def _sector(model: ParticleModel, n: int, tol: float) -> tuple[_Theorem | None, Callable[[], GramResult]]:
+    """The ``tol`` rule and the word guards, then sector ``n``'s theorem and its Gram, built once on
+    first use, cut to the blocks inside the theorem's ``holder`` where it names one."""
     _check_tol(tol)
     _guard_sectors(model, n)  # before N^n is built
-    theorem = (_theorems(model, n) or [None])[-1]
-    return SectorDimension(model.n_generators ** n, _rank(theorem, lambda: _sector_gram(model, n), tol)[0])
+    theorem = _theorems(model, n)[-1]
+    within = None if theorem is None else theorem.holder
+    return theorem, cache(lambda: _sector_gram(model, n, within))
+
+
+def sector_dimension(model: ParticleModel, n: int, tol: float = 1e-9) -> SectorDimension:
+    """Full dimension ``N^n`` and the rank of the sector Gram matrix (:func:`_hermitian_rank`): a
+    Gram that is not Hermitian within ``tol`` raises :class:`HermiticityError`.  Where a class
+    theorem reads the sector (:func:`_theorems`), only the word guards run, and no Gram is built."""
+    theorem, gram = _sector(model, n, tol)
+    return SectorDimension(model.n_generators ** n, _hermitian_rank(theorem, gram, tol))
 
 
 def gram_psd_check(model: ParticleModel, n: int, tol: float = 1e-9) -> CheckReport:
-    """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`).  Where a class
-    theorem gives the least eigenvalue the row is the theorem's, and no Gram is built.  Where it
-    names the weight block that holds every eigenvalue, only the blocks inside that one are built,
-    and its ``min_eigenvalue`` is that block's.  Elsewhere it is the minimum of the spectrum."""
-    _check_tol(tol)
-    _guard_sectors(model, n)
-    theorem = (_theorems(model, n) or [None])[-1]
-    within = None if theorem is None else theorem.holder
-    return _psd_report(theorem, lambda: _sector_gram(model, n, within), tol)
+    """Positive semidefiniteness of the sector Gram matrix (:func:`_psd_report`), skipped where it
+    is not Hermitian.  Where a class theorem gives the least eigenvalue the row is the theorem's,
+    and no Gram is built.  Where it names the weight block that holds every eigenvalue, only the
+    blocks inside it are built, and its ``min_eigenvalue`` is that block's, else the spectrum's."""
+    return _psd_report(*_sector(model, n, tol), tol)
 
 
 def _form(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -986,16 +990,13 @@ def _fock_checks(model: ParticleModel, n_max: int, tol: float) -> tuple[list[Che
     """The Fock rows of ``check`` (infinite-statistics, twisted-commutators,
     exchange-nullity, gram-hermitian and the worst sector's gram-psd, where a
     skipped sector outranks defects) and the dimension rows of sectors
-    ``0..n_max``, from one :func:`_fock_pass`: each sector's rank by :func:`_rank`,
-    asked first so that a counted spectrum also serves its :func:`_psd_report`, but none where
+    ``0..n_max``, from one :func:`_fock_pass`: each sector's rank by :func:`_rank`, none and a
+    skipped status where the Gram is not Hermitian, and its :func:`_psd_report`, but none where
     the theorem leaves only a least eigenvalue that it proves positive: its defect is exactly 0."""
     grams, residuals, forms = _fock_pass(model, n_max)
     dims, psd = [], None
-    for n, theorem in enumerate(_theorems(model, n_max) or [None] * (n_max + 1)):
-        try:
-            rank = _rank(theorem, lambda: grams[n], tol)[0]
-        except HermiticityError:  # no rank, and a skipped gram-psd row
-            rank = None
+    for n, theorem in enumerate(_theorems(model, n_max)):
+        rank = _rank(theorem, lambda: grams[n], tol)[0]
         dims.append({"sector": n, "full": model.n_generators ** n, "quotient": rank}
                     | ({"status": SKIPPED} if rank is None else {}))
         if n and theorem is not None and theorem.least is None and not theorem.negative:

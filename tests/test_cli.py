@@ -62,6 +62,26 @@ def test_check_quon_documented_failures(capsys):
         assert statuses[name] == "pass"
 
 
+def test_check_text_report_gives_each_failure_its_witness(capsys):
+    # one line per check, a witness only on a row that does not pass, then one `key: JSON` line
+    # per result
+    path = str(zoo_path("quon_05"))
+    code, out, _ = run_cli(capsys, "check", path)
+    assert code == 1
+    report = json.loads(run_cli(capsys, "check", path, "--json")[1])
+    rows, results = out.splitlines()[:len(report["checks"])], out.splitlines()[len(report["checks"]):]
+    for line, check in zip(rows, report["checks"]):
+        head = f"  {check['status'].upper():7s} {check['name']:24s} defect={check['defect']:.3e}"
+        assert line == head + ("" if check["status"] == "pass" else
+                               f"  witness={json.dumps(check['witness'], sort_keys=True)}")
+    assert [line.split("  witness=")[1] for line in rows if "witness=" in line] == [
+        "[1, 1, 1, 1]", '{"i": 2, "j": 1, "line": "create-create", "word": [1, 1, 1, 1]}']
+    assert [line.split()[:2] for line in rows if "witness=" in line] == [
+        ["FAIL", "symmetry"], ["FAIL", "exchange-nullity"]]
+    assert sorted(results) == sorted(f"  {key}: {json.dumps(value, sort_keys=True)}"
+                                     for key, value in report["results"].items())
+
+
 def test_check_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

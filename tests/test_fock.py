@@ -822,7 +822,7 @@ def test_each_rank_names_how_it_is_known():
     assert fock._rank(fock._theorems(load_zoo("boson"), 6)[6], None, 1e-9) == (7, "colour-symmetric")
     assert fock._rank(fock._theorems(_tilted_quon(0.5), 10)[10], None, 1e-9) == (1024, "contractive")
     mixed = _mixed_quon(0.5, 0.3)
-    assert fock._theorems(mixed, 10) is None
+    assert all(theorem is None for theorem in fock._theorems(mixed, 10))
     assert fock._rank(None, lambda: gram_matrix(mixed, 10), 1e-9) == (1024, "count")
     assert fock._rank(None, lambda: gram_matrix(mixed, 6), 1e-9) == (64, "count")
 
@@ -1141,8 +1141,11 @@ def test_the_four_readers_factor_no_block(label, monkeypatch):
 
 def test_a_sector_that_is_not_hermitian_has_no_rank_and_a_skipped_row():
     result = gram_matrix(load_zoo("anyon_z4"), 2)
+    assert fock._rank(None, lambda: result, 1e-9) == (None, "count")
     with pytest.raises(HermiticityError, match="sector 2"):
         result.quotient_rank(1e-9)
+    with pytest.raises(HermiticityError, match="sector 2"):
+        sector_dimension(load_zoo("anyon_z4"), 2)
     assert not result.hermitian_within(1e-9) and result.psd_report(1e-9).status == "skipped"
     rows, dims = fock._fock_checks(load_zoo("anyon_z4"), 3, 1e-9)
     assert [row.get("status") for row in dims] == [None, None, "skipped", "skipped"]
@@ -1608,7 +1611,7 @@ def test_the_tower_is_positive_definite_where_the_theorem_answers():
         for result, _ in fock._tower(model, 5 if model.n_generators == 2 else 4):
             rows = model.n_generators ** result.sector
             rank, report = result.quotient_rank(1e-9), result.psd_report(1e-9)
-            assert result._counted_rank(1e-9) == rank == rows, seed
+            assert fock._rank(None, lambda: result, 1e-9)[0] == rank == rows, seed
             assert report.passed and report.data["min_eigenvalue"] > 0, seed
             assert sector_dimension(model, result.sector) == (rows, rows)
 
@@ -1738,7 +1741,8 @@ def test_the_factorization_equals_the_tower_on_random_contractive_models():
             bare = fock.GramResult(n, model.n_generators, result._layout, result._matrices, result.dtype)
             assert bare.asymmetry <= 1e-12 * bare.scale, (seed, n)
             least, cut = float(np.concatenate(bare.spectrum).min()), 1e-9 * bare.scale
-            assert theorem.rank == bare._counted_rank(1e-9) == sector_dimension(model, n).quotient, (seed, n)
+            counted = fock._rank(None, lambda: bare, 1e-9)[0]
+            assert theorem.rank == counted == sector_dimension(model, n).quotient, (seed, n)
             assert theorem.negative == (least < -cut) == gram_psd_check(model, n).failed, (seed, n)
             assert theorem.negative or least > -cut, (seed, n)
             if theorem.least is not None:
@@ -1857,7 +1861,7 @@ def test_the_closed_form_equals_the_tower_on_random_class_models():
             computed = np.sort(np.concatenate(result.spectrum))
             scale = max(1.0, float(np.abs(computed).max()))
             nonzero = computed[np.abs(computed) > 1e-9 * scale]
-            assert len(nonzero) == len(want) == theorems[n].rank == result._counted_rank(1e-9), (seed, n)
+            assert len(nonzero) == len(want) == theorems[n].rank == fock._rank(None, lambda: result, 1e-9)[0], (seed, n)
             assert np.allclose(nonzero, want, rtol=0, atol=1e-9 * scale), (seed, n)
             assert theorems[n].negative == (nonzero < 0).any() == (min(want, default=0.0) < 0), (seed, n)
             least = min(want + [0.0] * (len(want) < rows))
@@ -2131,6 +2135,18 @@ def test_apply_program_examples():
         == FockVector({(1, 2): -1.0})
     assert apply_program(m, [Create(1), Create(2), Exchange(1), AnnihilateTwisted(2)],
                          FockVector.vacuum()) == FockVector.basis((1,))
+
+
+def test_apply_program_refuses_an_unknown_step():
+    with pytest.raises(ValueError, match="unknown program step 'c1'"):
+        apply_program(load_zoo("fermion2"), ["c1"], FockVector.vacuum())
+
+
+def test_a_layout_cut_to_one_weight_block_places_no_word():
+    layout = fock._layout(load_zoo("quon_05"), 4, within=(1, 1, 2, 2))
+    assert layout.keys[-1] == (1, 1, 2, 2)
+    with pytest.raises(ValueError, match="places no word"):
+        layout.block
 
 
 def test_an_exchange_step_sums_its_words_in_one_vector(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidstat import (BicharacterError, GroupMismatchError, HomomorphismError,
+from braidstat import (BicharacterError, GroupElement, GroupHom, GroupMismatchError, HomomorphismError,
                        RationalPhase, check_transmutation, make_bicharacter, make_group, make_hom)
 
 from oracles import exhaustive_bilinearity_holds, exhaustive_normalized, exhaustive_transport_holds
@@ -29,6 +29,23 @@ def test_elem_add_examples():
     assert (z2z3.element([1, 2]) + z2z3.element([1, 2])).residues == (0, 1)
     g = z2z3.element([1, 1])
     assert (g + z2z3.identity()) == g
+
+
+def test_elem_subtraction_and_the_refused_residues():
+    z2z3 = make_group([2, 3])
+    assert (z2z3.element([0, 1]) - z2z3.element([1, 2])).residues == (1, 2)
+    with pytest.raises(GroupMismatchError, match="wrong length"):
+        GroupElement(z2z3, (1,))
+    with pytest.raises(ValueError, match="not reduced"):
+        GroupElement(z2z3, (0, 3))
+
+
+def test_the_identity_hom_fixes_every_element():
+    z2z4 = make_group([2, 4])
+    identity = GroupHom.identity(z2z4)
+    assert identity.source == identity.target == z2z4
+    assert all(identity.apply(z2z4.element([a, b])) == z2z4.element([a, b])
+               for a in range(2) for b in range(4))
 
 
 def test_elem_add_group_mismatch():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from braidstat import (Bicharacter, BraidMatrix, FockVector, ModelSpecError, braid_factor,
+from braidstat import (Bicharacter, BraidMatrix, CrossMatrix, FockVector, ModelSpecError, braid_factor,
                        braid_on_word, check_symmetry, check_yang_baxter, extend_pairing,
-                       load_zoo, make_bicharacter, make_group, make_model, q_swap_braid)
+                       load_zoo, make_bicharacter, make_group, make_model, q_swap_braid, zoo_path)
 
 
 def fermion2():
@@ -41,6 +41,30 @@ def test_make_model_errors():
     other_eps = make_bicharacter(make_group([4]), [["1/4"]])
     with pytest.raises(ModelSpecError, match="bicharacter"):
         make_model(z2, other_eps, [[1]], np.eye(1))
+    with pytest.raises(ModelSpecError, match="at least one generator"):
+        make_model(z2, eps, [], np.zeros((0, 0)))
+    with pytest.raises(ModelSpecError, match="expansion_sign"):
+        make_model(z2, eps, [[1], [1]], np.eye(2), expansion_sign=0)
+    with pytest.raises(ModelSpecError, match="3 generators, model has 2"):
+        make_model(z2, eps, [[1], [1]], np.eye(2), cross=np.zeros((9, 9)))
+
+
+def test_an_unknown_zoo_name_is_a_key_error():
+    with pytest.raises(KeyError, match="no bundled fixture named 'nope'"):
+        zoo_path("nope")
+    with pytest.raises(KeyError, match="no bundled model named 'hom_z2_to_z4'"):
+        load_zoo("hom_z2_to_z4")  # a bundled fixture, but not a model
+
+
+def test_make_model_takes_raw_coupling_arrays():
+    # a bare ndarray is read as BraidMatrix or CrossMatrix: the flat N^2 x N^2 action matrix, or
+    # the 4-index array
+    trivial = make_group([])
+    swap = q_swap_braid(2, 0.5).coupling
+    m = make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2),
+                   swap.transpose(2, 3, 0, 1).reshape(4, 4), swap)
+    assert isinstance(m.braid, BraidMatrix) and np.array_equal(m.braid.coupling, swap)
+    assert isinstance(m.cross, CrossMatrix) and np.array_equal(m.cross.coupling, swap)
 
 
 def test_braid_factor_examples():
