@@ -48,8 +48,9 @@ The checks read the blocks one sector at a time, for every pair ``(i, j)`` at
 once, each line as soon as its blocks exist: annihilate-annihilate from the
 products ``B_k B_l`` of sectors ``n - 1`` and ``n``, normed under ``G_{n-2}``;
 the residual and the mixed line from the hop terms of the ``B_i`` of sector
-``n + 1``; create-create from ``C (x) id``, moved into the blocks of sector
-``n + 2`` through its layout.  Residuals and products keep the entries above
+``n + 1``; create-create from each word's minor of ``G_{n+2}`` on the words
+``(k, l) + w``, gathered from its blocks through its layout, in one contraction
+with ``C``.  Residuals and products keep the entries above
 :data:`~braidstat.words.PRUNE_EPS`, as :class:`~braidstat.words.FockVector`
 does.  A check's witness is the first candidate, in the order its loop is
 documented in, whose defect is at least ``max * (1 - 1e-12)``: defects equal in
@@ -896,22 +897,22 @@ def _lowered(n_gen: int, relation: np.ndarray, grams: list[GramResult], below: l
 @np.errstate(over="ignore", invalid="ignore")  # _exchange_nullity refuses a non-finite norm
 def _raised(relation: np.ndarray, gram: GramResult, forms: np.ndarray) -> None:
     """The create-create line of sector ``m - 2`` under the Gram of sector ``m``, added into
-    ``forms[(i - 1) N + j - 1, word]``: the column ``(i, j) + w`` of ``C (x) id`` holds
-    ``C[(k, l), (i, j)]`` at the word ``(k, l) + w``, moved into block coordinates through the
-    layout's word arrays."""
-    layout, size = gram._layout, forms.shape[1]
-    ij, kl = np.nonzero(relation.T)  # by column, then row
-    rows, cols = ((a[:, None] * size + np.arange(size)).ravel() for a in (kl, ij))
-    values, blocks = np.repeat(relation[kl, ij], size), layout.block[rows]
-    order = blocks.argsort(kind="stable")
-    bounds = np.searchsorted(blocks[order], np.arange(len(layout.start))).tolist()
-    for b, g in gram._matrices.items():  # a missing block is exactly 0 and adds exactly 0
-        at = order[bounds[b]:bounds[b + 1]]
-        if len(at):
-            present, column = np.unique(cols[at], return_inverse=True)
-            v = np.zeros((len(g), len(present)), dtype=values.dtype)
-            v[layout.row[rows[at]], column] = values[at]
-            forms.reshape(-1)[present] += _form(g, v)
+    ``forms[(i - 1) N + j - 1, word]``: the column ``(i, j) + w`` of ``C (x) id`` lives on the
+    words ``a + w``, ``a = (k, l)``, so its form is ``c^H S_w c``, ``c`` the relation column and
+    ``S_w[a, a'] = G[a + w, a' + w]`` the minor of those words.  The minors are gathered block by
+    block, only at the pairs ``(a, a')`` whose weight ``conj(c_a) c_a'`` some column reads (a
+    missing block, and two words in two blocks, give exactly 0), and weighed in one product."""
+    layout, size, pairs = gram._layout, forms.shape[1], len(relation)
+    block, row = (x.reshape(pairs, size) for x in (layout.block, layout.row))
+    weights = (relation.conj()[:, None] * relation).reshape(pairs * pairs, -1)  # [(a, a'), ij]
+    read = weights.any(axis=1)
+    column = np.cumsum(read) - 1  # of a read (a, a') in the minors
+    minor = np.zeros((size, column[-1] + 1), dtype=gram.dtype)
+    for b, g in gram._matrices.items():
+        a, w = np.divmod(layout.order[layout.start[b]:layout.start[b + 1]], size)  # row r of g: a[r] + w[r]
+        other, r = np.nonzero((block[:, w] == b) & read.reshape(pairs, pairs)[a].T)
+        minor[w[r], column[a[r] * pairs + other]] = g[r, row[other, w[r]]]
+    forms += (minor @ weights[read]).T
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, naming the sector

@@ -344,7 +344,10 @@ def make_model(group: GroupSpec,
     """Validate and build a :class:`ParticleModel`.
 
     ``grades`` entries may be :class:`GroupElement` or raw residue sequences.
-    The unit object is the empty word, graded by the group identity.
+    The unit object is the empty word, graded by the group identity.  A braid coupling is
+    refused as singular where ``matrix_rank`` reads its action matrix ``A`` below full rank and
+    exact elimination (:func:`_inertia`) agrees: the Hermitian dilation ``[[0, A], [A^H, 0]]``
+    has the eigenvalues ``+-sigma_i`` of ``A``, so ``rank A`` of them are positive.
     """
     if eps.group != group:
         raise ModelSpecError(f"bicharacter lives on {eps.group}, model group is {group}")
@@ -365,7 +368,8 @@ def make_model(group: GroupSpec,
     if isinstance(braid, BraidMatrix):
         _as_coupling(braid.coupling, n)
         action = _action_matrix(braid.coupling)
-        if np.linalg.matrix_rank(action) != n * n:
+        if np.linalg.matrix_rank(action) != n * n and _inertia(np.block(
+                [[np.zeros_like(action), action], [action.conj().T, np.zeros_like(action)]]))[0] != n * n:
             raise ModelSpecError("braid coupling matrix is singular; the exchange must be invertible")
     if isinstance(cross, np.ndarray):
         cross = CrossMatrix(cross, n)

@@ -660,6 +660,18 @@ def test_exchange_nullity_reads_no_zero_sector(monkeypatch):
     assert check_braid_exchange_relations(fermion2, n_max=4) == report and sectors == []
 
 
+def test_the_fock_pass_never_reads_the_dense_gram(monkeypatch):
+    # the byte guard counts the stored blocks, not a dense Gram: every line, create-create's
+    # minors included, reads the blocks alone
+    def refuse(self):
+        raise AssertionError(f"the dense Gram of sector {self.sector} was read")
+
+    monkeypatch.setattr(fock.GramResult, "matrix", property(refuse))
+    for model, n_max in ((load_zoo("quon_05"), 5), (_complex_q_swap(), 3)):
+        rows = fock._fock_checks(model, n_max, 1e-9)[0]
+        assert next(row for row in rows if row.name == "exchange-nullity").failed
+
+
 def test_zero_blocks_are_never_allocated():
     # fermion3's sector-10 Gram is exactly 0, in blocks of up to 4,200 rows:
     # allocated as zeros, they took 1,342 MiB under tracemalloc.  Sector 16 of
@@ -1388,11 +1400,30 @@ def test_checks_match_dense_oracles_on_random_models(label):
     assert (worst > 1e-6) == (label != "off-diagonal-pairing")
 
 
-@pytest.mark.parametrize("label", ["quon_03", "quon_09", "quon-minus", "fermion3-minus"])
+def _complex_q_swap():
+    """``q_swap_braid(3, 0.3 + 0.4j)`` on ``P = I``: complex, outside both classes, and with
+    several words of one weight block behind each word's create-create minor."""
+    trivial = make_group([])
+    return make_model(trivial, Bicharacter.trivial(trivial), [[]] * 3, np.eye(3), q_swap_braid(3, 0.3 + 0.4j))
+
+
+def _braid_across_blocks():
+    """random-R's braid with the cross of ``q_swap_braid(2, 0.5)``: the cross conserves letters,
+    so each sector has several blocks, while the braid's relations pair words of different
+    blocks, whose Gram entries are exactly 0."""
+    trivial, braid = make_group([]), _mixing_models()["random-R"].braid
+    return make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2), braid,
+                      CrossMatrix(np.swapaxes(q_swap_braid(2, 0.5).coupling, 2, 3)))
+
+
+@pytest.mark.parametrize("label", ["quon_03", "quon_09", "quon-minus", "fermion3-minus", "q-swap-complex",
+                                   "braid-across-blocks"])
 def test_checks_match_dense_oracles_across_blocks(label):
     # letter-conserving models have several weight blocks per sector, so a
     # witness found in block order must be mapped back to lexicographic order
-    model = load_zoo(label) if label in ZOO_NAMES else _minus_models()[label]
+    model = (load_zoo(label) if label in ZOO_NAMES
+             else {**_minus_models(), "q-swap-complex": _complex_q_swap(),
+                   "braid-across-blocks": _braid_across_blocks()}[label])
     n_gen = model.n_generators
     assert model.conserves_letters and len(gram_matrix(model, 3).blocks) > 1
     for n in range(4):

@@ -36,6 +36,15 @@ def test_make_model_errors():
         make_model(z2, eps, [[1], [1]], np.eye(3))
     with pytest.raises(ModelSpecError, match="singular"):
         make_model(z2, eps, [[1], [1]], np.eye(2), BraidMatrix(np.zeros((4, 4))))
+    # q_11 = q_22 = 0.5, q_12 = q_21 = 1e-17 is invertible, though matrix_rank reads rank 2; at
+    # q_12 = 0 it is singular
+    trivial, tiny = make_group([]), np.diag([0.5, 0.0, 0.0, 0.5])
+    tiny[1, 2] = tiny[2, 1] = 1e-17
+    assert make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2), BraidMatrix(tiny))
+    singular = "braid coupling matrix is singular; the exchange must be invertible"
+    for braid in (np.diag([0.5, 0.0, 0.0, 0.5]), np.zeros((4, 4))):
+        with pytest.raises(ModelSpecError, match=singular):
+            make_model(trivial, Bicharacter.trivial(trivial), [[], []], np.eye(2), BraidMatrix(braid))
     with pytest.raises(Exception, match="group|element"):
         make_model(z2, eps, [make_group([3]).element([1])], np.eye(1))
     other_eps = make_bicharacter(make_group([4]), [["1/4"]])
@@ -47,6 +56,32 @@ def test_make_model_errors():
         make_model(z2, eps, [[1], [1]], np.eye(2), expansion_sign=0)
     with pytest.raises(ModelSpecError, match="3 generators, model has 2"):
         make_model(z2, eps, [[1], [1]], np.eye(2), cross=np.zeros((9, 9)))
+
+
+def test_the_braid_dilation_counts_the_exact_rank():
+    # [[0, A], [A^H, 0]] has the eigenvalues +-sigma_i of A, so rank A of them are positive.
+    # Seeded integer or Gaussian integer A = L R of known rank r, L and R cut from unit lower
+    # triangular matrices times permutations; make_model refuses A exactly where r < N^2
+    from braidstat.models import _inertia
+    rng = np.random.default_rng(2026103701)
+    trivial = make_group([])
+    for n in (1, 2, 3):
+        size = n * n
+        for r in range(size + 1):
+            for complex_ in (0, 1):
+                draw = lambda: rng.integers(-2, 3, (size, size))
+                s = [(np.tril(draw() + complex_ * 1j * draw(), -1) + np.eye(size))[rng.permutation(size)]
+                     for _ in range(2)]
+                a = s[0][:, :r] @ s[1][:r, :]
+                zero = np.zeros_like(a)
+                assert _inertia(np.block([[zero, a], [a.conj().T, zero]])) == (r, r), (n, r, complex_)
+                build = lambda: make_model(trivial, Bicharacter.trivial(trivial), [[]] * n, np.eye(n),
+                                           BraidMatrix(a))
+                if r < size:
+                    with pytest.raises(ModelSpecError, match="singular"):
+                        build()
+                else:
+                    assert build().n_generators == n
 
 
 def test_an_unknown_zoo_name_is_a_key_error():
