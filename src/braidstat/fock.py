@@ -25,7 +25,8 @@ pairing, and every cross term ``(k, l, t)`` of ``T(i, j)`` has
 ``{i, l} == {j, k}``), ``b-_i`` maps the words with multiset of letters ``M``
 to those with ``M - {i}``; otherwise one block holds every word, through the
 same code.  Each sector has one block layout (:func:`_layout`), built block by
-block from the one below; its word-by-word arrays are built only when read.
+block from the one below, and one word map, each block's word positions read off
+its runs, built only when read.
 The annihilator block ``B_i: M -> M - {i}`` of sector ``m``
 (:func:`_annihilators`) is, on its columns that start with ``j``,
 
@@ -363,34 +364,19 @@ class GramBlock(NamedTuple):
 
 class _Layout:
     """The weight blocks of one sector, in ascending order of their sorted words
-    ``keys``; block ``c`` holds the words ``start[c]`` to ``start[c + 1] - 1`` of the
-    block order.  For each run ``(j, row, b, rows)`` of ``runs[c]``, its rows from
-    ``row`` on are the ``rows`` words ``(j, w)``, ``w`` in block ``b`` of the sector
-    below, in ``b``'s order.  Word by word, built when first read: the word at
-    position ``p`` is row ``row[p]`` of block ``block[p]``, and block ``c`` holds
-    the positions ``order[start[c]:start[c + 1]]``, ascending."""
+    ``keys``; block ``c`` has the rows ``0`` to ``start[c + 1] - start[c] - 1``.  For each
+    run ``(j, row, b, rows)`` of ``runs[c]``, its rows from ``row`` on are the ``rows`` words
+    ``(j, w)``, ``w`` in block ``b`` of the sector below, in ``b``'s order.  The one word
+    map, built when first read: row ``r`` of block ``c`` is the word at lexicographic
+    position ``order[start[c] + r]``, ascending within each block."""
 
-    def __init__(self, keys: list, runs: list, start: list[int], blocks):
-        self.keys, self.runs, self.start, self._blocks = keys, runs, np.array(start), blocks
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        block, self._blocks = self._blocks(), None  # and lets the sector below go
-        return block
+    def __init__(self, keys: list, runs: list, start: list[int], order: Callable[[], np.ndarray]):
+        self.keys, self.runs, self.start, self._order = keys, runs, np.array(start), order
 
     @cached_property
     def order(self) -> np.ndarray:
-        return self.block.argsort(kind="stable")
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        row = np.empty_like(self.order)
-        row[self.order] = np.arange(len(row)) - np.repeat(self.start[:-1], np.diff(self.start))
-        return row
-
-
-def _unplaced() -> np.ndarray:
-    raise ValueError("a layout cut to the blocks inside one weight block places no word")
+        order, self._order = self._order(), None  # and lets the sector below go
+        return order
 
 
 def _layout(model: ParticleModel, m: int, below: _Layout | None = None,
@@ -398,13 +384,14 @@ def _layout(model: ParticleModel, m: int, below: _Layout | None = None,
     """The blocks of sector ``m``, from those of sector ``m - 1`` (``below``, else
     computed), block by block: a model that does not conserve letters, or has one
     generator, has one block.  Given the sorted word ``within``, only the blocks whose
-    multiset lies inside it: such a layout places no word (its :attr:`_Layout.block`
-    raises), and serves only the one block that :func:`gram_psd_check` reads."""
+    multiset lies inside it, as :func:`gram_psd_check` reads them.  Block ``c``'s
+    positions are read off its runs: ``(j - 1) N^(m - 1)`` plus the positions of block
+    ``b`` below, run after run."""
     n_gen, size = model.n_generators, model.n_generators ** m
+    span = size // n_gen
     if m == 0 or n_gen == 1 or not model.conserves_letters:
-        span = size // n_gen
         runs = [[(j, (j - 1) * span, 0, span) for j in range(1, n_gen + 1)] if m else []]
-        return _Layout([()], runs, [0, size], lambda: np.zeros(size, dtype=np.int64))
+        return _Layout([()], runs, [0, size], lambda: np.arange(size))
     below = _layout(model, m - 1, within=within) if below is None else below
     found: dict[tuple, list] = {}  # a block's sorted word: (j, b) for its words (j, w), w in block b
     for b, word in enumerate(below.keys):
@@ -413,17 +400,16 @@ def _layout(model: ParticleModel, m: int, below: _Layout | None = None,
                 at = bisect.bisect_right(word, j)
                 found.setdefault(word[:at] + (j,) + word[at:], []).append((j, b))
     keys, sizes = sorted(found), np.diff(below.start).tolist()
-    up, runs, start = [[0] * len(sizes) for _ in range(n_gen)], [], [0]  # up[j - 1][b]: the block of (j, w)
-    for c, key in enumerate(keys):
+    runs, start = [], [0]
+    for key in keys:
         row, run = 0, []
         for j, b in sorted(found[key]):
             run.append((j, row, b, sizes[b]))
             row += sizes[b]
-            up[j - 1][b] = c
         runs.append(run)
         start.append(start[-1] + row)
-    placed = _unplaced if within is not None else lambda: np.array(up)[:, below.block].ravel()
-    return _Layout(keys, runs, start, placed)
+    return _Layout(keys, runs, start, lambda: np.concatenate(
+        [(j - 1) * span + below.order[below.start[b]:below.start[b + 1]] for r in runs for j, _, b, _ in r]))
 
 
 def _halves(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -901,17 +887,21 @@ def _raised(relation: np.ndarray, gram: GramResult, forms: np.ndarray) -> None:
     words ``a + w``, ``a = (k, l)``, so its form is ``c^H S_w c``, ``c`` the relation column and
     ``S_w[a, a'] = G[a + w, a' + w]`` the minor of those words.  The minors are gathered block by
     block, only at the pairs ``(a, a')`` whose weight ``conj(c_a) c_a'`` some column reads (a
-    missing block, and two words in two blocks, give exactly 0), and weighed in one product."""
+    missing block, and two words in two blocks, give exactly 0), and weighed in one product.  The
+    inverse of :attr:`_Layout.order` places each word: ``a + w`` is row ``where[a, w] - start[b]``
+    of block ``b`` where that lies in ``b``'s rows."""
     layout, size, pairs = gram._layout, forms.shape[1], len(relation)
-    block, row = (x.reshape(pairs, size) for x in (layout.block, layout.row))
+    where = np.empty((pairs, size), dtype=layout.order.dtype)
+    where.reshape(-1)[layout.order] = np.arange(where.size)
     weights = (relation.conj()[:, None] * relation).reshape(pairs * pairs, -1)  # [(a, a'), ij]
     read = weights.any(axis=1)
     column = np.cumsum(read) - 1  # of a read (a, a') in the minors
     minor = np.zeros((size, column[-1] + 1), dtype=gram.dtype)
     for b, g in gram._matrices.items():
         a, w = np.divmod(layout.order[layout.start[b]:layout.start[b + 1]], size)  # row r of g: a[r] + w[r]
-        other, r = np.nonzero((block[:, w] == b) & read.reshape(pairs, pairs)[a].T)
-        minor[w[r], column[a[r] * pairs + other]] = g[r, row[other, w[r]]]
+        row = where[:, w] - layout.start[b]  # [a', r]: the row of a' + w[r] in g, where it is in block b
+        other, r = np.nonzero((0 <= row) & (row < len(g)) & read.reshape(pairs, pairs)[a].T)
+        minor[w[r], column[a[r] * pairs + other]] = g[r, row[other, r]]
     forms += (minor @ weights[read]).T
 
 

@@ -121,20 +121,27 @@ def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
             for i in range(n) for j in range(n)}
 
 
+def _real_form(a: np.ndarray) -> tuple[list[list[float]], int]:
+    """The real form ``[[B, -C], [C, B]]`` of ``A = B + iC`` as lists of floats, with 2: it has each
+    eigenvalue and singular value of ``A`` twice.  A real ``A`` alone, with 1."""
+    rows = a.real.tolist()
+    if not a.imag.any():
+        return rows, 1
+    imag = a.imag.tolist()
+    return [r + [-x for x in i] for r, i in zip(rows, imag)] + [i + r for r, i in zip(rows, imag)], 2
+
+
 def _inertia(block: np.ndarray) -> tuple[int, int]:
     """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly.
 
-    ``H = A + iB`` has the eigenvalues of the real symmetric ``[[A, -B], [B, A]]``, each counted
-    twice there; a real ``H`` is read alone.  Symmetric elimination on the Fractions of the stored
-    floats reduces it by congruences, which keep the inertia (Sylvester's law): a nonzero diagonal
-    pivot counts its sign and leaves its Schur complement, and where the whole diagonal is 0 but
+    ``H`` has the eigenvalues of its real symmetric form (:func:`_real_form`), each counted twice
+    there where ``H`` is complex.  Symmetric elimination on the Fractions of the stored floats
+    reduces it by congruences, which keep the inertia (Sylvester's law): a nonzero diagonal pivot
+    counts its sign and leaves its Schur complement, and where the whole diagonal is 0 but
     ``a[p][q]`` is not, adding row and column ``q`` to row and column ``p`` makes
     ``a[p][p] = 2 a[p][q]``."""
-    a = [[Fraction(x) for x in row] for row in block.real.tolist()]
-    twice = 2 if block.imag.any() else 1
-    if twice == 2:
-        b = [[Fraction(x) for x in row] for row in block.imag.tolist()]
-        a = [ra + [-x for x in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)]
+    rows, twice = _real_form(block)
+    a = [[Fraction(x) for x in row] for row in rows]
     positive = negative = 0
     while any(map(any, a)):
         p = next((i for i, row in enumerate(a) if row[i]), None)
@@ -151,6 +158,34 @@ def _inertia(block: np.ndarray) -> tuple[int, int]:
             if factor:
                 row[:] = [x - factor * y for x, y in zip(row, top)]
     return positive // twice, negative // twice
+
+
+def _exact_rank(a: np.ndarray) -> int:
+    """The rank of a finite complex matrix, exactly, from its real form (:func:`_real_form`), of
+    twice its rank where it is complex.  Each float is an integer over a power of 2, so ``2^e``
+    times the real form, ``2^e`` the largest denominator, is an integer matrix of the same rank.
+    Fraction-free (Bareiss) elimination on it divides each step by the pivot before it exactly,
+    so its integers stay the size of its minors."""
+    rows, twice = _real_form(a)
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = max(q for row in ratios for _, q in row)
+    rows = [[p * (scale // q) for p, q in row] for row in ratios]
+    rank, last = 0, 1
+    for column in range(a.shape[1] * twice):
+        at = next((k for k, row in enumerate(rows) if row[column]), None)
+        if at is not None:
+            top = rows.pop(at)
+            pivot = top[column]
+            rows = [[(pivot * x - row[column] * y) // last for x, y in zip(row, top)] for row in rows]
+            rank, last = rank + 1, pivot
+    return rank // twice
+
+
+def _finite_entries(field: str, array: np.ndarray) -> np.ndarray:
+    """``array``, each entry finite, else a :class:`ModelSpecError` naming the model's ``field``."""
+    if not np.isfinite(array).all():
+        raise ModelSpecError(f"{field} has a non-finite entry; every entry must be finite")
+    return array
 
 
 def _action_matrix(coupling: np.ndarray) -> np.ndarray:
@@ -344,10 +379,10 @@ def make_model(group: GroupSpec,
     """Validate and build a :class:`ParticleModel`.
 
     ``grades`` entries may be :class:`GroupElement` or raw residue sequences.
-    The unit object is the empty word, graded by the group identity.  A braid coupling is
-    refused as singular where ``matrix_rank`` reads its action matrix ``A`` below full rank and
-    exact elimination (:func:`_inertia`) agrees: the Hermitian dilation ``[[0, A], [A^H, 0]]``
-    has the eigenvalues ``+-sigma_i`` of ``A``, so ``rank A`` of them are positive.
+    The unit object is the empty word, graded by the group identity.  A pairing, braid or cross
+    entry that is not finite is refused, naming its field.  A braid coupling is refused as
+    singular where ``matrix_rank`` reads its action matrix ``A`` below full rank and the exact
+    rank of the stored floats (:func:`_exact_rank`) agrees.
     """
     if eps.group != group:
         raise ModelSpecError(f"bicharacter lives on {eps.group}, model group is {group}")
@@ -363,18 +398,17 @@ def make_model(group: GroupSpec,
     pairing_arr = np.asarray(pairing, dtype=complex)
     if pairing_arr.shape != (n, n):
         raise ModelSpecError(f"pairing must be {n}x{n}, got {pairing_arr.shape}")
+    _finite_entries("pairing", pairing_arr)
     if isinstance(braid, np.ndarray):
         braid = BraidMatrix(braid, n)
     if isinstance(braid, BraidMatrix):
-        _as_coupling(braid.coupling, n)
-        action = _action_matrix(braid.coupling)
-        if np.linalg.matrix_rank(action) != n * n and _inertia(np.block(
-                [[np.zeros_like(action), action], [action.conj().T, np.zeros_like(action)]]))[0] != n * n:
+        action = _action_matrix(_finite_entries("braid", _as_coupling(braid.coupling, n)))
+        if np.linalg.matrix_rank(action) != n * n and _exact_rank(action) != n * n:
             raise ModelSpecError("braid coupling matrix is singular; the exchange must be invertible")
     if isinstance(cross, np.ndarray):
         cross = CrossMatrix(cross, n)
     if isinstance(cross, CrossMatrix):
-        _as_coupling(cross.coupling, n)
+        _finite_entries("cross", _as_coupling(cross.coupling, n))
     if expansion_sign not in (1, -1):
         raise ModelSpecError("expansion_sign must be +1 or -1")
     return ParticleModel(group, eps, tuple(grade_elems), pairing_arr, braid, cross, expansion_sign)

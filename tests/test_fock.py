@@ -2173,11 +2173,41 @@ def test_apply_program_refuses_an_unknown_step():
         apply_program(load_zoo("fermion2"), ["c1"], FockVector.vacuum())
 
 
-def test_a_layout_cut_to_one_weight_block_places_no_word():
-    layout = fock._layout(load_zoo("quon_05"), 4, within=(1, 1, 2, 2))
-    assert layout.keys[-1] == (1, 1, 2, 2)
-    with pytest.raises(ValueError, match="places no word"):
-        layout.block
+def test_a_cut_layout_places_the_words_of_its_blocks():
+    # a layout cut to the blocks inside one weight block gives each of them the positions the
+    # full layout gives it; at sector 10 the cut's only top block is the holder (5, 5)
+    model = load_zoo("quon_05")
+    for m, within in ((4, (1, 1, 2, 2)), (10, (1,) * 5 + (2,) * 5)):
+        full, cut = fock._layout(model, m), fock._layout(model, m, within=within)
+        assert cut.keys[-1] == within and (m < 10 or cut.keys == [within])
+        for c, key in enumerate(cut.keys):
+            b = full.keys.index(key)
+            assert np.array_equal(cut.order[cut.start[c]:cut.start[c + 1]],
+                                  full.order[full.start[b]:full.start[b + 1]]), (m, key)
+
+
+@pytest.mark.parametrize("n_gen, depth", [(2, 6), (3, 5), (4, 4), ("random-R", 4)])
+def test_the_word_map_places_each_run_on_its_block_below(n_gen, depth):
+    # order is a permutation of the sector's positions, each block's slice ascends through the
+    # words of its multiset (one block, key (), where letters are not conserved), and row r of
+    # each run (j, row, b, rows) of block c is j prepended to row r of block b below
+    trivial = make_group([])
+    model = (_mixing_models()[n_gen] if n_gen == "random-R" else
+             make_model(trivial, Bicharacter.trivial(trivial), [[]] * n_gen, np.eye(n_gen),
+                        q_swap_braid(n_gen, 0.5)))
+    n, below, lower = model.n_generators, None, None
+    for m in range(depth + 1):
+        layout, words = fock._layout(model, m, below), basis_words(n, m)
+        assert np.array_equal(np.sort(layout.order), np.arange(n ** m)), m
+        assert model.conserves_letters or layout.keys == [()]
+        for c, key in enumerate(layout.keys):
+            at = layout.order[layout.start[c]:layout.start[c + 1]]
+            assert (np.diff(at) > 0).all(), (m, key)
+            assert key == () or all(tuple(sorted(words[p])) == key for p in at), (m, key)
+            for j, row, b, rows in layout.runs[c]:
+                assert [words[p] for p in at[row:row + rows]] == \
+                    [(j,) + lower[p] for p in below.order[below.start[b]:below.start[b] + rows]], (m, key, j)
+        below, lower = layout, words
 
 
 def test_an_exchange_step_sums_its_words_in_one_vector(monkeypatch):

@@ -61,8 +61,9 @@ def test_make_model_errors():
 def test_the_braid_dilation_counts_the_exact_rank():
     # [[0, A], [A^H, 0]] has the eigenvalues +-sigma_i of A, so rank A of them are positive.
     # Seeded integer or Gaussian integer A = L R of known rank r, L and R cut from unit lower
-    # triangular matrices times permutations; make_model refuses A exactly where r < N^2
-    from braidstat.models import _inertia
+    # triangular matrices times permutations: the dilation's inertia and the exact rank both read
+    # r, and make_model refuses A exactly where r < N^2
+    from braidstat.models import _exact_rank, _inertia
     rng = np.random.default_rng(2026103701)
     trivial = make_group([])
     for n in (1, 2, 3):
@@ -75,6 +76,7 @@ def test_the_braid_dilation_counts_the_exact_rank():
                 a = s[0][:, :r] @ s[1][:r, :]
                 zero = np.zeros_like(a)
                 assert _inertia(np.block([[zero, a], [a.conj().T, zero]])) == (r, r), (n, r, complex_)
+                assert _exact_rank(a) == r, (n, r, complex_)
                 build = lambda: make_model(trivial, Bicharacter.trivial(trivial), [[]] * n, np.eye(n),
                                            BraidMatrix(a))
                 if r < size:
@@ -82,6 +84,46 @@ def test_the_braid_dilation_counts_the_exact_rank():
                         build()
                 else:
                     assert build().n_generators == n
+
+
+def test_a_numerically_singular_invertible_braid_loads_fast():
+    # U diag(1, ..., 1, 0) V^T with U, V orthogonal (seed 0): matrix_rank reads N^2 - 1, yet the
+    # stored floats are invertible. The exact rank accepts each in well under a second (the
+    # Fraction elimination on the Hermitian dilation took 4.8 s at N = 6)
+    import time
+    trivial = make_group([])
+    for n in (3, 4, 5, 6):
+        size, rng = n * n, np.random.default_rng(0)
+        u, v = (np.linalg.qr(rng.standard_normal((size, size)))[0] for _ in range(2))
+        braid = u @ np.diag([1.0] * (size - 1) + [0.0]) @ v.T
+        assert np.linalg.matrix_rank(braid) == size - 1
+        start = time.perf_counter()
+        model = make_model(trivial, Bicharacter.trivial(trivial), [[]] * n, np.eye(n), BraidMatrix(braid))
+        assert time.perf_counter() - start < 0.5 and model.n_generators == n
+
+
+def test_an_exactly_singular_dense_braid_is_refused():
+    # a dense integer braid on 4 letters whose last row is the sum of two others
+    trivial, rng = make_group([]), np.random.default_rng(38)
+    braid = rng.integers(-3, 4, (16, 16)).astype(float)
+    braid[15] = braid[3] + braid[7]
+    singular = "^braid coupling matrix is singular; the exchange must be invertible$"
+    with pytest.raises(ModelSpecError, match=singular):
+        make_model(trivial, Bicharacter.trivial(trivial), [[]] * 4, np.eye(4), BraidMatrix(braid))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", ["pairing", "braid", "cross"])
+def test_make_model_refuses_a_non_finite_entry(field, value):
+    # refused before any rank test, naming the field: matrix_rank's SVD and the exact rank's
+    # integer ratios take only finite entries
+    trivial = make_group([])
+    data = {"pairing": np.eye(2), "braid": q_swap_braid(2, 0.5).coupling.copy(),
+            "cross": q_swap_braid(2, 0.5).coupling.copy()}
+    data[field][(0,) * data[field].ndim] = value
+    with pytest.raises(ModelSpecError, match=f"^{field} has a non-finite entry; every entry must be finite$"):
+        make_model(trivial, Bicharacter.trivial(trivial), [[], []], data["pairing"],
+                   BraidMatrix(data["braid"]), CrossMatrix(data["cross"]))
 
 
 def test_an_unknown_zoo_name_is_a_key_error():
