@@ -121,64 +121,44 @@ def _term_table(coupling: np.ndarray) -> dict[tuple[int, int], tuple]:
             for i in range(n) for j in range(n)}
 
 
-def _real_form(a: np.ndarray) -> tuple[list[list[float]], int]:
-    """The real form ``[[B, -C], [C, B]]`` of ``A = B + iC`` as lists of floats, with 2: it has each
-    eigenvalue and singular value of ``A`` twice.  A real ``A`` alone, with 1."""
-    rows = a.real.tolist()
-    if not a.imag.any():
-        return rows, 1
-    imag = a.imag.tolist()
-    return [r + [-x for x in i] for r, i in zip(rows, imag)] + [i + r for r, i in zip(rows, imag)], 2
+def _inertia(matrix: np.ndarray) -> tuple[int, int]:
+    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly;
+    on any finite square matrix, they add up to its rank.
 
-
-def _inertia(block: np.ndarray) -> tuple[int, int]:
-    """The numbers of positive and of negative eigenvalues of a finite Hermitian matrix, exactly.
-
-    ``H`` has the eigenvalues of its real symmetric form (:func:`_real_form`), each counted twice
-    there where ``H`` is complex.  Symmetric elimination on the Fractions of the stored floats
-    reduces it by congruences, which keep the inertia (Sylvester's law): a nonzero diagonal pivot
-    counts its sign and leaves its Schur complement, and where the whole diagonal is 0 but
-    ``a[p][q]`` is not, adding row and column ``q`` to row and column ``p`` makes
-    ``a[p][p] = 2 a[p][q]``."""
-    rows, twice = _real_form(block)
-    a = [[Fraction(x) for x in row] for row in rows]
-    positive = negative = 0
+    ``A = B + iC`` has each eigenvalue and singular value of its real form ``[[B, -C], [C, B]]``
+    twice over, and a real ``A`` is its own.  Each float is an integer over a power of 2, so ``2^e``
+    times the real form, ``2^e`` the largest denominator, is an integer matrix.  Fraction-free
+    (Bareiss) elimination on it takes diagonal pivots and divides each step exactly by the pivot
+    before it, so its integers stay the size of its minors, and each pivot over the one before is
+    a pivot of Gaussian elimination.  Where the remaining diagonal is 0, adding row and column
+    ``q`` to row and column ``p`` (a congruence) makes ``a[p][p] = a[p][q] + a[q][p]``; where
+    every such sum is 0 too, the remainder is skew and adding row ``q`` alone makes
+    ``a[p][p] = a[q][p]``.  Neither step moves the rank, and on a symmetric matrix every step is a
+    congruence, which keeps the signs of the pivots (Sylvester's law of inertia)."""
+    rows, twice = matrix.real.tolist(), 1
+    if matrix.imag.any():
+        imag, twice = matrix.imag.tolist(), 2
+        rows = [r + [-x for x in i] for r, i in zip(rows, imag)] + [i + r for r, i in zip(rows, imag)]
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = max(q for row in ratios for _, q in row)
+    a = [[p * (scale // q) for p, q in row] for row in ratios]
+    positive, rank, last = 0, 0, 1
     while any(map(any, a)):
         p = next((i for i, row in enumerate(a) if row[i]), None)
         if p is None:
-            p, q = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            nonzero = [(i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+            p, q = next(((i, j) for i, j in nonzero if a[i][j] + a[j][i]), nonzero[0])
+            if a[p][q] + a[q][p]:
+                for row in a:
+                    row[p] += row[q]
             a[p] = [x + y for x, y in zip(a[p], a[q])]
-            for row in a:
-                row[p] += row[q]
         top = a.pop(p)
         pivot = top.pop(p)
-        positive, negative = positive + (pivot > 0), negative + (pivot < 0)
         for row in a:
-            factor = row.pop(p) / pivot
-            if factor:
-                row[:] = [x - factor * y for x, y in zip(row, top)]
-    return positive // twice, negative // twice
-
-
-def _exact_rank(a: np.ndarray) -> int:
-    """The rank of a finite complex matrix, exactly, from its real form (:func:`_real_form`), of
-    twice its rank where it is complex.  Each float is an integer over a power of 2, so ``2^e``
-    times the real form, ``2^e`` the largest denominator, is an integer matrix of the same rank.
-    Fraction-free (Bareiss) elimination on it divides each step by the pivot before it exactly,
-    so its integers stay the size of its minors."""
-    rows, twice = _real_form(a)
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    scale = max(q for row in ratios for _, q in row)
-    rows = [[p * (scale // q) for p, q in row] for row in ratios]
-    rank, last = 0, 1
-    for column in range(a.shape[1] * twice):
-        at = next((k for k, row in enumerate(rows) if row[column]), None)
-        if at is not None:
-            top = rows.pop(at)
-            pivot = top[column]
-            rows = [[(pivot * x - row[column] * y) // last for x, y in zip(row, top)] for row in rows]
-            rank, last = rank + 1, pivot
-    return rank // twice
+            head = row.pop(p)
+            row[:] = [(pivot * x - head * y) // last for x, y in zip(row, top)]
+        positive, rank, last = positive + ((pivot > 0) == (last > 0)), rank + 1, pivot
+    return positive // twice, rank // twice - positive // twice
 
 
 def _finite_entries(field: str, array: np.ndarray) -> np.ndarray:
@@ -327,8 +307,8 @@ class ParticleModel:
 
         Each eigenvalue ``mu`` of a block is ``(|mu|, mu < 0, once)``, by block, then ascending;
         ``once`` is ``eps(g, g) == -1`` on the grade ``g``, and False on the contractive class.
-        Which eigenvalues are nonzero and which negative is decided exactly, by symmetric
-        elimination on the Fractions of the stored floats (:func:`_inertia`); ``eigvalsh`` gives
+        Which eigenvalues are nonzero and which negative is decided exactly, by fraction-free
+        elimination on the integers of the stored floats (:func:`_inertia`); ``eigvalsh`` gives
         the magnitudes, the only float step.
         """
         pairing = self.pairing
@@ -382,7 +362,7 @@ def make_model(group: GroupSpec,
     The unit object is the empty word, graded by the group identity.  A pairing, braid or cross
     entry that is not finite is refused, naming its field.  A braid coupling is refused as
     singular where ``matrix_rank`` reads its action matrix ``A`` below full rank and the exact
-    rank of the stored floats (:func:`_exact_rank`) agrees.
+    rank of the stored floats, the sum of :func:`_inertia`, agrees.
     """
     if eps.group != group:
         raise ModelSpecError(f"bicharacter lives on {eps.group}, model group is {group}")
@@ -403,7 +383,7 @@ def make_model(group: GroupSpec,
         braid = BraidMatrix(braid, n)
     if isinstance(braid, BraidMatrix):
         action = _action_matrix(_finite_entries("braid", _as_coupling(braid.coupling, n)))
-        if np.linalg.matrix_rank(action) != n * n and _exact_rank(action) != n * n:
+        if np.linalg.matrix_rank(action) != n * n and sum(_inertia(action)) != n * n:
             raise ModelSpecError("braid coupling matrix is singular; the exchange must be invertible")
     if isinstance(cross, np.ndarray):
         cross = CrossMatrix(cross, n)

@@ -61,22 +61,23 @@ def test_make_model_errors():
 def test_the_braid_dilation_counts_the_exact_rank():
     # [[0, A], [A^H, 0]] has the eigenvalues +-sigma_i of A, so rank A of them are positive.
     # Seeded integer or Gaussian integer A = L R of known rank r, L and R cut from unit lower
-    # triangular matrices times permutations: the dilation's inertia and the exact rank both read
-    # r, and make_model refuses A exactly where r < N^2
-    from braidstat.models import _exact_rank, _inertia
+    # triangular matrices times permutations: the dilation's inertia and the exact rank (the sum
+    # of the inertia) both read r, and make_model refuses A exactly where r < N^2
+    from braidstat.models import _inertia
     rng = np.random.default_rng(2026103701)
     trivial = make_group([])
+    unit = lambda size, complex_: (np.tril(rng.integers(-2, 3, (size, size))
+                                           + complex_ * 1j * rng.integers(-2, 3, (size, size)), -1)
+                                   + np.eye(size))[rng.permutation(size)]
     for n in (1, 2, 3):
         size = n * n
         for r in range(size + 1):
             for complex_ in (0, 1):
-                draw = lambda: rng.integers(-2, 3, (size, size))
-                s = [(np.tril(draw() + complex_ * 1j * draw(), -1) + np.eye(size))[rng.permutation(size)]
-                     for _ in range(2)]
+                s = [unit(size, complex_) for _ in range(2)]
                 a = s[0][:, :r] @ s[1][:r, :]
                 zero = np.zeros_like(a)
                 assert _inertia(np.block([[zero, a], [a.conj().T, zero]])) == (r, r), (n, r, complex_)
-                assert _exact_rank(a) == r, (n, r, complex_)
+                assert sum(_inertia(a)) == r, (n, r, complex_)
                 build = lambda: make_model(trivial, Bicharacter.trivial(trivial), [[]] * n, np.eye(n),
                                            BraidMatrix(a))
                 if r < size:
@@ -84,22 +85,41 @@ def test_the_braid_dilation_counts_the_exact_rank():
                         build()
                 else:
                     assert build().n_generators == n
+    # the two steps taken without a diagonal pivot. With L and R the first 2k columns of an
+    # invertible S, L R^T - R L^T is skew and L R^H - R L^H has a skew real form, each of rank 2k
+    # (S J S^T, S J S^H): every sum a[p][q] + a[q][p] is 0, so only the row step gives a pivot
+    assert _inertia(np.array([[0.0, 1.0], [-1.0, 0.0]])) == (0, 2)
+    for size in (2, 3, 4, 5, 6):
+        for k in range(size // 2 + 1):
+            for complex_ in (0, 1):
+                s = unit(size, complex_)
+                l, r = s[:, :k], s[:, k:2 * k]
+                flip = np.conj if complex_ else np.asarray
+                skew = l @ flip(r).T - r @ flip(l).T
+                assert sum(_inertia(skew)) == 2 * k, (size, k, complex_)
+                # a zero diagonal with some a[p][q] + a[q][p] != 0 takes the congruence; integers
+                # this small have no singular value near matrix_rank's cut
+                a = rng.integers(0, 3, (size, size)) * (rng.random((size, size)) < 0.5)
+                np.fill_diagonal(a, 0)
+                a = a * (1 + complex_ * 1j * rng.integers(-1, 2, (size, size)))
+                assert sum(_inertia(a)) == np.linalg.matrix_rank(a), (size, a)
 
 
 def test_a_numerically_singular_invertible_braid_loads_fast():
-    # U diag(1, ..., 1, 0) V^T with U, V orthogonal (seed 0): matrix_rank reads N^2 - 1, yet the
-    # stored floats are invertible. The exact rank accepts each in well under a second (the
-    # Fraction elimination on the Hermitian dilation took 4.8 s at N = 6)
+    # U diag(1, ..., 1, 0) V^H with U, V orthogonal, or unitary for the complex braids (seed 0):
+    # matrix_rank reads N^2 - 1, yet the stored floats are invertible. The exact rank accepts each
+    # in well under a second
     import time
     trivial = make_group([])
-    for n in (3, 4, 5, 6):
+    for n, complex_ in ((3, 0), (4, 0), (5, 0), (6, 0), (3, 1), (4, 1)):
         size, rng = n * n, np.random.default_rng(0)
-        u, v = (np.linalg.qr(rng.standard_normal((size, size)))[0] for _ in range(2))
-        braid = u @ np.diag([1.0] * (size - 1) + [0.0]) @ v.T
-        assert np.linalg.matrix_rank(braid) == size - 1
+        draw = lambda: rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        u, v = (np.linalg.qr(draw() if complex_ else rng.standard_normal((size, size)))[0] for _ in range(2))
+        braid = u @ np.diag([1.0] * (size - 1) + [0.0]) @ v.conj().T
+        assert np.linalg.matrix_rank(braid) == size - 1, (n, complex_)
         start = time.perf_counter()
         model = make_model(trivial, Bicharacter.trivial(trivial), [[]] * n, np.eye(n), BraidMatrix(braid))
-        assert time.perf_counter() - start < 0.5 and model.n_generators == n
+        assert time.perf_counter() - start < 0.5 and model.n_generators == n, (n, complex_)
 
 
 def test_an_exactly_singular_dense_braid_is_refused():
