@@ -42,8 +42,9 @@ as dicts of words summed in the same order, so it works on words far longer
 than a whole sector could hold; on a real model it equals the blocks bit for
 bit (a complex product may round its last bit otherwise).  Each public call
 builds its own blocks and drops them when it returns; none is kept on the model
-or in a module.  Indices are validated where input enters, in the public
-functions; the engine does no checks.
+or in a module.  Indices are validated where input enters, once, in the public
+functions (the word operators through :func:`_check_letters`); their loops and
+the engine read the model's tables unchecked.
 
 The checks read the blocks one sector at a time, for every pair ``(i, j)`` at
 once, each line as soon as its blocks exist: annihilate-annihilate from the
@@ -108,9 +109,12 @@ allocated, and one sector's annihilator blocks, at 8 or 16 bytes per entry, as
 they are allocated.  Before anything is built, it bounds the dense Gram of
 :func:`gram_matrix`, at 8 or 16 bytes per entry of the scalar type.  These
 bound the blocks, not the process: temporaries and the sector below's
-annihilator blocks come on top.  An annihilator block, a Gram block, a
-spectrum or a norm that overflows the float range raises
-:class:`NonFiniteError`, naming the sector.
+annihilator blocks come on top.  An annihilator block (scanned only where its
+bound does not rule an overflow out), a spectrum, a least eigenvalue or a norm
+that overflows the float range is refused by one check, :func:`_finite`, which
+raises :class:`NonFiniteError` naming the sector; a Gram block is refused as
+:class:`GramResult` stores it, and a word's hops in :func:`annihilate_twisted`
+as they are summed, with the same error.
 """
 
 from __future__ import annotations
@@ -185,24 +189,27 @@ def _check_tol(tol: float) -> None:
 # Elementary operators
 
 
+def _check_letters(model: ParticleModel, v: FockVector, *indices: int) -> None:
+    """The entry check of a word operator: its generator ``indices``, then every letter of
+    every word of ``v``, so that its loops read the model's tables unchecked."""
+    for word in (indices, *(w for w, _ in v.items())):
+        model.check_word(word)
+
+
 def create(model: ParticleModel, i: int, v: FockVector) -> FockVector:
     """Left-prepend generator ``i`` to every word, linearly."""
-    model._check_index(i)
-    for w, _ in v.items():
-        model.check_word(w)
+    _check_letters(model, v, i)
     return FockVector({(i,) + w: a for w, a in v.items()})
 
 
 def annihilate_free(model: ParticleModel, i: int, v: FockVector) -> FockVector:
     """Pair dual letter ``i`` with the first letter only; the vacuum maps to 0."""
-    model._check_index(i)
-    for w, _ in v.items():
-        model.check_word(w)
+    _check_letters(model, v, i)
     out: dict[TensorWord, complex] = {}
     for w, a in v.items():
         if not w:
             continue
-        g = model.pairing_entry(i, w[0])
+        g = complex(model.pairing[i - 1, w[0] - 1])
         if g != 0:
             rest = w[1:]
             out[rest] = out.get(rest, 0.0) + g * a
@@ -242,8 +249,8 @@ def _pruned(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, all finite, else an error naming ``what``."""
+def _finite(values: np.ndarray | float, what: str) -> np.ndarray | float:
+    """``values`` (an array or a number), all finite, else an error naming ``what``."""
     if not np.isfinite(values).all():
         raise NonFiniteError(f"{what} overflow the float range")
     return values
@@ -253,9 +260,7 @@ def annihilate_twisted(model: ParticleModel, i: int, v: FockVector) -> FockVecto
     """Hopping annihilator; see the module docstring for the expansion.  Each word
     is read suffix by suffix, shortest first: every ``b-_k`` on a suffix is a dict
     of words, so a word far longer than a whole sector costs only its suffixes."""
-    model._check_index(i)
-    for w, _ in v.items():
-        model.check_word(w)
+    _check_letters(model, v, i)
     plan, out = _term_plan(model), {}
     for w, a in v.items():
         hops: list[dict] = [{} for _ in plan]  # b-_k on the empty suffix
@@ -586,10 +591,7 @@ class GramResult:
     def _eigenvalues(self, h: np.ndarray) -> np.ndarray:
         """``eigvalsh`` of a block's Hermitian part ``h``, all finite, else an error naming the
         sector."""
-        values = np.linalg.eigvalsh(h)
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"the eigenvalues of sector {self.sector} overflow the float range")
-        return values
+        return _finite(np.linalg.eigvalsh(h), f"the eigenvalues of sector {self.sector}")
 
     def _least_in(self, key: tuple) -> float:
         """The least eigenvalue of the Hermitian part of the block of sorted word ``key``, by
@@ -652,8 +654,7 @@ def _psd_report(theorem: _Theorem | None, gram: Callable[[], GramResult], tol: f
                  else result._least_in(holder))
         sector = result.sector
         failed = theorem.negative if theorem is not None else least < -tol * result.scale
-    if not math.isfinite(least):
-        raise NonFiniteError(f"the eigenvalues of sector {sector} overflow the float range")
+    _finite(least, f"the eigenvalues of sector {sector}")
     return CheckReport("gram-psd", FAIL if failed else PASS, max(0.0, -least), None,
                        {"sector": sector, "min_eigenvalue": least})
 
@@ -696,8 +697,8 @@ def _annihilators(plan: list, m: int, runs: list, below: list[dict], wanted, dty
                         region += factor * inner
                         column += (abs(factor.real) + abs(factor.imag)) * most
                 bound = max(bound, column)
-            if not bound < 2.0 ** 1000 and not np.isfinite(hop).all():
-                raise NonFiniteError(f"the annihilators of sector {m} overflow the float range")
+            if not bound < 2.0 ** 1000:
+                _finite(hop, f"the annihilators of sector {m}")
             yield c, i, top, b, hop, bound
 
 
@@ -1058,8 +1059,7 @@ ProgramStep = Create | AnnihilateFree | AnnihilateTwisted | Exchange
 def apply_program(model: ParticleModel, program: Sequence[ProgramStep], v: FockVector) -> FockVector:
     """Run elementary steps left to right.  Composite creations are realized
     as consecutive :class:`Create` steps."""
-    for w, _ in v.items():
-        model.check_word(w)
+    _check_letters(model, v)
     state = v
     for step in program:
         if isinstance(step, Create):

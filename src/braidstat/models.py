@@ -476,11 +476,10 @@ def extend_pairing(model: ParticleModel, dual_word: TensorWord, word: TensorWord
     dual_word, word = tuple(dual_word), tuple(word)
     if len(dual_word) != len(word):
         raise ValueError(f"pairing needs equal lengths, got {len(dual_word)} and {len(word)}")
-    model.check_word(dual_word)
-    model.check_word(word)
+    model.check_word(dual_word + word)
     value = 1.0 + 0.0j
     for i, j in zip(dual_word, word):
-        value *= model.pairing_entry(i, j)
+        value *= complex(model.pairing[i - 1, j - 1])
         if value == 0:
             return 0.0 + 0.0j
     return value

@@ -2242,11 +2242,19 @@ def test_operators_check_the_letters_of_their_input():
     # a letter the model does not have is an error, not a word carried along
     m = load_zoo("fermion2")
     calls = [lambda v: create(m, 1, v), lambda v: annihilate_free(m, 1, v),
+             lambda v: annihilate_twisted(m, 1, v),
              lambda v: apply_program(m, [], v), lambda v: apply_program(m, [Create(1)], v)]
     for call in calls:
         for word, letter in (((0, 7), 0), ((2, 9), 9), ((9,), 9)):
             with pytest.raises(ValueError, match=f"generator index {letter} out of range 1..2"):
                 call(FockVector.basis(word))
+    # the operator's own letter is checked first, before the words; the loops index the
+    # pairing unchecked, where letter 0 would read its last row
+    for operator in (create, annihilate_free, annihilate_twisted):
+        for letter in (0, 3):
+            for word in ((1,), (2, 1), (0,)):
+                with pytest.raises(ValueError, match=f"generator index {letter} out of range 1..2"):
+                    operator(m, letter, FockVector.basis(word))
 
 
 def test_fock_vector_prunes_tiny_amplitudes():

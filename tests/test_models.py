@@ -304,6 +304,15 @@ def test_extend_pairing_length_mismatch():
         extend_pairing(fermion2(), (1,), (1, 2))
 
 
+def test_extend_pairing_checks_the_letters_of_both_words():
+    # the loop indexes the pairing unchecked, where letter 0 would read its last row
+    m = load_zoo("quon_05")
+    for dual_word, word, letter in (((0, 1), (1, 1), 0), ((1, 3), (1, 1), 3), ((1, 1), (1, 0), 0),
+                                    ((2, 2), (3, 2), 3), ((0,), (3,), 0)):
+        with pytest.raises(ValueError, match=f"generator index {letter} out of range 1..2"):
+            extend_pairing(m, dual_word, word)
+
+
 def test_extend_pairing_multiplicative_over_concatenation():
     import random
     rng = random.Random(5)
